@@ -25,12 +25,13 @@ FRAME_RTOL = 1e-8
 
 
 def _check_frame(phi, eta):
-    scale = np.maximum(1.0, phi[..., 0] ** 2)
-    if np.any(np.abs(mink_inner(phi, phi) + 1.0) > FRAME_RTOL * scale):
+    # written as "not within tolerance" so that NaN fails the check
+    tol = FRAME_RTOL * np.maximum(1.0, phi[..., 0] ** 2)
+    if not np.all(np.abs(mink_inner(phi, phi) + 1.0) <= tol):
         raise SingularParameterError("curve positions leave the hyperboloid")
-    if np.any(np.abs(mink_inner(eta, eta) - 1.0) > FRAME_RTOL * scale):
+    if not np.all(np.abs(mink_inner(eta, eta) - 1.0) <= tol):
         raise SingularParameterError("normals are not unit spacelike")
-    if np.any(np.abs(mink_inner(phi, eta)) > FRAME_RTOL * scale):
+    if not np.all(np.abs(mink_inner(phi, eta)) <= tol):
         raise SingularParameterError("normals are not orthogonal to positions")
 
 
@@ -555,7 +556,7 @@ class BoundaryCluster:
     count: int
 
 
-def _domain_edge(metric, sign, limit):
+def domain_edge(metric, sign, limit):
     """Largest radius along a coordinate ray that stays inside the field's
     domain, by bisection against the domain predicate."""
     probe = np.zeros(metric.chart.n)
@@ -611,7 +612,7 @@ def boundary_at_infinity(entry, escape_threshold=0.999, t=1.0,
         if chart.n != 2:
             raise SingularParameterError("band boundary tracing implemented for n = 2")
         for sign in (1.0, -1.0):
-            edge = _domain_edge(metric, sign, np.pi / 2)
+            edge = domain_edge(metric, sign, np.pi / 2)
             for k in range(1, max_depth + 1):
                 s = sign * edge * (1.0 - 2.0 ** (-k))
                 for theta in angles:

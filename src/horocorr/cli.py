@@ -18,8 +18,8 @@ from .analysis import (
     GALLERY_NAMES,
     CurveImmersion,
     MeshImmersion,
-    _domain_edge,
     boundary_at_infinity,
+    domain_edge,
     first_embedded_time,
     gauss_winding,
     make_example,
@@ -65,8 +65,8 @@ def _gallery_entry(args):
 
 def _metric_lat_rows(metric, n_lat, inner=0.98):
     limit = math.pi / 2 - 1e-9
-    hi = inner * _domain_edge(metric, 1.0, limit)
-    lo = -inner * _domain_edge(metric, -1.0, limit)
+    hi = inner * domain_edge(metric, 1.0, limit)
+    lo = -inner * domain_edge(metric, -1.0, limit)
     return np.linspace(lo, hi, n_lat)
 
 
@@ -100,8 +100,8 @@ def _metric_mesh(metric, n_az, n_lat, t):
 def _metric_samples(metric, n, rng):
     if metric.chart.kind == "band":
         limit = math.pi / 2 - 1e-9
-        hi = 0.9 * _domain_edge(metric, 1.0, limit)
-        lo = -0.9 * _domain_edge(metric, -1.0, limit)
+        hi = 0.9 * domain_edge(metric, 1.0, limit)
+        lo = -0.9 * domain_edge(metric, -1.0, limit)
         s = rng.uniform(lo, hi, n)
     else:
         return rng.uniform(-2.5, 2.5, size=(n, 2))

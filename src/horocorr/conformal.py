@@ -17,8 +17,9 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.linalg import eigh
 
-from .errors import ChartDomainError, SamplingError, SingularParameterError
-from .sphere import DomainSample, ScalarField, gradient_hessian, metric_pack
+from .errors import ChartDomainError, SamplingError
+from .sphere import DomainSample, ScalarField, central_gradient, gradient_hessian
+from .weingarten import T
 
 REALIZABLE_MARGIN = 1e-3   # default strict gap eps below the 1/2 eigenvalue bound
 REALIZABLE_FLOOR = 1e6     # default lower bound B on eigenvalues
@@ -69,12 +70,10 @@ def schouten(metric, u):
 
 def horospherical_curvature(kappa_i, kappa_j):
     """(sectional, schouten_i) of the horospherical metric from two principal
-    curvatures: sectional = 1 - 1/(1-ki) - 1/(1-kj), schouten_i = 1/2 - 1/(1-ki)."""
-    if kappa_i == 1.0 or kappa_j == 1.0:
-        raise SingularParameterError("kappa = 1 is the horospherical-convexity boundary")
-    sectional = 1.0 - 1.0 / (1.0 - kappa_i) - 1.0 / (1.0 - kappa_j)
-    schouten_i = 0.5 - 1.0 / (1.0 - kappa_i)
-    return sectional, schouten_i
+    curvatures: schouten_i = 1/2 - 1/(1-ki) = T(-ki) and sectional =
+    schouten_i + schouten_j.  Horospherical convexity (kappa < 1) is required."""
+    schouten_i, schouten_j = T(-np.array([kappa_i, kappa_j], dtype=float))
+    return float(schouten_i + schouten_j), float(schouten_i)
 
 
 def horospherical_scalar(kappas):
@@ -104,7 +103,7 @@ def _speed(metric, curve, velocity, tau):
         v = np.asarray(velocity(tau), dtype=float)
     else:
         h = max(1e-9, 1e-6 * min(tau, 1.0 - tau))
-        v = (np.asarray(curve(tau + h)) - np.asarray(curve(tau - h))) / (2 * h)
+        v = central_gradient(lambda s: np.asarray(curve(s[0]), dtype=float), [tau], h)[0]
     g = metric.chart.metric(u)
     return math.exp(metric.effective(u)) * math.sqrt(max(float(v @ g @ v), 0.0))
 

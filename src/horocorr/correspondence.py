@@ -25,14 +25,11 @@ from typing import Optional
 
 import numpy as np
 
-from .conformal import flow_time_for_bound, schouten
-from .errors import (
-    HyperquadricError,
-    ImmersionError,
-    SamplingError,
-    SingularParameterError,
-)
-from .sphere import DomainSample, gradient_hessian
+from .conformal import schouten
+from .errors import HyperquadricError, ImmersionError, SingularParameterError
+from .minkowski import mink_inner, on_null_cone
+from .sphere import central_gradient, gradient_hessian
+from .weingarten import T, T_INV, flow_shift
 
 CANONICAL = "canonical"   # orientation with kappa < 1 on convex hypersurfaces
 OPPOSITE = "opposite"     # flipped normal: kappa_opp = -kappa_can
@@ -101,16 +98,6 @@ def immerse(metric, u, t=0.0, margin=None):
     return HypersurfacePoint(phi=phi, eta=psi - phi, psi=psi, point=u, t=t)
 
 
-def immersion_batch(metric, points, t=0.0):
-    """phi and eta arrays over a list of chart points (rows)."""
-    phis, etas = [], []
-    for u in points:
-        p = immerse(metric, u, t)
-        phis.append(p.phi)
-        etas.append(p.eta)
-    return np.array(phis), np.array(etas)
-
-
 def extrinsic_curvatures(metric, u, t=0.0, h=None, return_point=False):
     """Principal curvatures at a chart point, canonical orientation.
 
@@ -121,22 +108,18 @@ def extrinsic_curvatures(metric, u, t=0.0, h=None, return_point=False):
     whitening of I.  Raises ImmersionError('not an immersion') when I is not
     positive definite.
     """
-    from .minkowski import mink_inner
-
     u = np.asarray(u, dtype=float)
     if h is None:
         h = metric.rho.h
     n = len(u)
     base = immerse(metric, u, t)
-    dphi = np.empty((n, n + 2))
-    deta = np.empty((n, n + 2))
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = h
-        plus = immerse(metric, u + e, t)
-        minus = immerse(metric, u - e, t)
-        dphi[i] = (plus.phi - minus.phi) / (2 * h)
-        deta[i] = (plus.eta - minus.eta) / (2 * h)
+
+    def frame(v):
+        p = immerse(metric, v, t)
+        return np.stack([p.phi, p.eta])
+
+    tangents = central_gradient(frame, u, h)
+    dphi, deta = tangents[:, 0], tangents[:, 1]
     I = np.array([[mink_inner(dphi[i], dphi[j]) for j in range(n)] for i in range(n)])
     II_raw = np.array([[-mink_inner(deta[i], dphi[j]) for j in range(n)] for i in range(n)])
     asym = np.abs(II_raw - II_raw.T).max()
@@ -163,29 +146,23 @@ def extrinsic_curvatures(metric, u, t=0.0, h=None, return_point=False):
 def lambda_kappa(value, orientation=CANONICAL, direction="lambda_to_kappa"):
     """Convert between Schouten eigenvalues and principal curvatures.
 
-    canonical:  kappa = 1 - 2/(1 - 2 lambda)   <->  lambda = 1/2 - 1/(1 - kappa)
-    opposite:   kappa = (1 + 2 lambda)/(1 - 2 lambda)  <->  lambda = (kappa - 1)/(2(kappa + 1))
+    opposite:   lambda = T(kappa) = 1/2 - 1/(1 + kappa)  <->  kappa = T^{-1}(lambda)
+    canonical:  lambda = T(-kappa) = 1/2 - 1/(1 - kappa)  <->  kappa = -T^{-1}(lambda)
 
-    For a fixed lambda the two orientations give opposite kappa's.  Accepts
-    scalars or arrays.
+    with T the cone map of horocorr.weingarten, so lambda < 1/2 and kappa < 1
+    (canonical) or kappa > -1 (opposite).  For a fixed lambda the two
+    orientations give opposite kappa's.  Accepts scalars or arrays.
     """
-    v = np.asarray(value, dtype=float)
-    if orientation not in (CANONICAL, OPPOSITE):
+    if orientation == OPPOSITE:
+        sign = 1.0
+    elif orientation == CANONICAL:
+        sign = -1.0
+    else:
         raise SingularParameterError(f"unknown orientation {orientation!r}")
     if direction == "lambda_to_kappa":
-        if np.any(v >= 0.5):
-            raise SingularParameterError("lambda must be < 1/2")
-        out = 1.0 - 2.0 / (1.0 - 2.0 * v) if orientation == CANONICAL \
-            else (1.0 + 2.0 * v) / (1.0 - 2.0 * v)
+        out = sign * T_INV(value)
     elif direction == "kappa_to_lambda":
-        if orientation == CANONICAL:
-            if np.any(v == 1.0):
-                raise SingularParameterError("kappa = 1 excluded (canonical)")
-            out = 0.5 - 1.0 / (1.0 - v)
-        else:
-            if np.any(v == -1.0):
-                raise SingularParameterError("kappa = -1 excluded (opposite)")
-            out = (v - 1.0) / (2.0 * (v + 1.0))
+        out = T(sign * np.asarray(value, dtype=float))
     else:
         raise SingularParameterError(f"unknown direction {direction!r}")
     return out if np.ndim(value) else float(out)
@@ -194,12 +171,7 @@ def lambda_kappa(value, orientation=CANONICAL, direction="lambda_to_kappa"):
 def ricatti(kappa, t):
     """Principal curvature after normal flow time t:
     (kappa - tanh t)/(1 - kappa tanh t)."""
-    kappa = np.asarray(kappa, dtype=float)
-    th = math.tanh(t)
-    denom = 1.0 - kappa * th
-    if np.any(np.abs(denom) < 1e-14):
-        raise SingularParameterError("flow pole: 1 - kappa tanh t = 0")
-    out = (kappa - th) / denom
+    out = flow_shift(t)(kappa)
     return out if np.ndim(kappa) else float(out)
 
 
@@ -233,32 +205,14 @@ def compactified_sectional(lam, r):
 
 def support_and_gauss(point, rtol=1e-8):
     """Support value and Gauss point from the light-cone map psi = e^rho (1, G)."""
-    from .minkowski import mink_inner
-
     psi = point.psi if isinstance(point, HypersurfacePoint) else np.asarray(point, float)
     p0 = psi[..., 0]
     if np.any(p0 <= 0.0):
         raise HyperquadricError("light-cone map must have positive height")
-    if np.any(np.abs(mink_inner(psi, psi)) > rtol * np.maximum(1.0, p0**2)):
+    if not np.all(on_null_cone(psi, rtol)):
         raise HyperquadricError("light-cone map is not null within tolerance")
     gauss = psi[..., 1:] / p0[..., None]
     rho_tilde = np.log(p0)
     if psi.ndim == 1:
         return SupportData(float(rho_tilde), gauss)
     return rho_tilde, gauss
-
-
-def min_immersion_time(metric, samples, margin=1e-3):
-    """Smallest flow time after which the spectral gate holds at every sample."""
-    lam_max = -math.inf
-    count = 0
-    for sample in samples:
-        u = sample.point if isinstance(sample, DomainSample) else sample
-        u = np.asarray(u, dtype=float)
-        if not metric.rho.in_domain(metric.chart, u):
-            continue
-        lam_max = max(lam_max, float(schouten(metric, u).eigenvalues[-1]))
-        count += 1
-    if count == 0:
-        raise SamplingError("no usable samples for the immersion-time estimate")
-    return flow_time_for_bound(lam_max, margin)

@@ -229,18 +229,6 @@ class BandChart:
 
 
 @dataclass(frozen=True)
-class MetricPack:
-    metric: np.ndarray
-    inverse: np.ndarray
-    christoffels: np.ndarray  # indexed [k, i, j] for Gamma^k_ij
-
-
-def metric_pack(chart, u):
-    """Metric matrix, its inverse, and Christoffel symbols of a chart at u."""
-    return MetricPack(chart.metric(u), chart.metric_inverse(u), chart.christoffels(u))
-
-
-@dataclass(frozen=True)
 class ScalarField:
     """Scalar field on (part of) a chart, with optional analytic jets.
 
@@ -344,42 +332,58 @@ def _stencil_ok(field, chart, u, h):
     return True
 
 
-def fd_jet(field, u, h, chart=None):
-    """(value, gradient, Hessian) by second-order central differences.
+def axis_values(f, x, h):
+    """Values of f at x + h e_i and at x - h e_i for every axis i, stacked
+    along a new leading axis; f may be scalar- or array-valued."""
+    x = np.asarray(x, dtype=float)
+    steps = h * np.eye(len(x))
+    return (np.array([f(x + e) for e in steps]),
+            np.array([f(x - e) for e in steps]))
 
-    Cross second derivatives use the symmetric four-point stencil, so the
-    returned Hessian is symmetric by construction.  Raises ChartDomainError
-    if h <= 0 or the stencil leaves the field's domain (when a chart is
-    supplied to check against).
+
+def central_gradient(f, x, h):
+    """First derivatives by central differences, one row per axis; evaluates
+    f only at x +- h e_i."""
+    plus, minus = axis_values(f, x, h)
+    return (plus - minus) / (2 * h)
+
+
+def central_jet(f, x, h):
+    """(f(x), first derivatives, second derivatives) by second-order central
+    differences.
+
+    Mixed partials use the symmetric four-point stencil, so the second
+    derivatives are symmetric in their two leading axes by construction.
+    """
+    x = np.asarray(x, dtype=float)
+    n = len(x)
+    f0 = f(x)
+    plus, minus = axis_values(f, x, h)
+    grad = (plus - minus) / (2 * h)
+    hess = np.empty((n, n) + np.shape(f0))
+    steps = h * np.eye(n)
+    for i in range(n):
+        hess[i, i] = (plus[i] - 2 * f0 + minus[i]) / h**2
+        for j in range(i + 1, n):
+            ei, ej = steps[i], steps[j]
+            hess[i, j] = hess[j, i] = (
+                f(x + ei + ej) - f(x + ei - ej)
+                - f(x - ei + ej) + f(x - ei - ej)) / (4 * h**2)
+    return f0, grad, hess
+
+
+def fd_jet(field, u, h, chart=None):
+    """(value, gradient, Hessian) of a field by central differences.
+
+    Raises ChartDomainError if h <= 0 or the stencil leaves the field's
+    domain (when a chart is supplied to check against).
     """
     if h <= 0:
         raise ChartDomainError("finite-difference step must be positive")
     u = np.asarray(u, dtype=float)
     if chart is not None and not _stencil_ok(field, chart, u, h):
         raise ChartDomainError("stencil escapes the field domain; reduce h or move inward")
-    n = len(u)
-    f0 = field.value(u)
-    grad = np.empty(n)
-    hess = np.empty((n, n))
-
-    def at(delta):
-        return field.value(u + delta)
-
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = h
-        fp, fm = at(e), at(-e)
-        grad[i] = (fp - fm) / (2 * h)
-        hess[i, i] = (fp - 2 * f0 + fm) / h**2
-    for i in range(n):
-        for j in range(i + 1, n):
-            ei = np.zeros(n)
-            ej = np.zeros(n)
-            ei[i] = h
-            ej[j] = h
-            val = (at(ei + ej) - at(ei - ej) - at(-ei + ej) + at(-ei - ej)) / (4 * h**2)
-            hess[i, j] = hess[j, i] = val
-    return f0, grad, hess
+    return central_jet(field.value, u, h)
 
 
 @dataclass(frozen=True)
@@ -404,7 +408,6 @@ def gradient_hessian(field, chart, u):
         raw_hess = np.asarray(field.hessian(u), dtype=float)
     else:
         _, grad, raw_hess = fd_jet(field, u, field.h, chart=chart)
-    pack = metric_pack(chart, u)
-    cov = raw_hess - np.einsum("kij,k->ij", pack.christoffels, grad)
-    norm_sq = float(grad @ pack.inverse @ grad)
+    cov = raw_hess - np.einsum("kij,k->ij", chart.christoffels(u), grad)
+    norm_sq = float(grad @ chart.metric_inverse(u) @ grad)
     return GradHess(grad, norm_sq, cov)

@@ -43,7 +43,7 @@ from .correspondence import (
 )
 from .errors import ImmersionError, RootBracketError
 from .minkowski import mink_inner
-from .sphere import StereographicChart, constant_field
+from .sphere import StereographicChart, central_gradient, central_jet, constant_field
 from .weingarten import (
     HYPERSURFACE_SIDE,
     METRIC_SIDE,
@@ -157,7 +157,7 @@ def check_minkowski_constraints(samples=200, seed=21):
     fd_metric = ConformalMetric(band.chart, band.rho.without_jets(), band.t)
     fd = frame_errors(fd_metric, plans[1][2], 1.0)
     runtime = time.perf_counter() - start
-    passed = analytic <= 1e-8 and fd <= 1e-5
+    passed = bool(analytic <= 1e-8 and fd <= 1e-5)
     details = f"analytic jets {analytic:.1e} (tol 1e-8); fd jets {fd:.1e} (tol 1e-5)"
     return CheckResult("minkowski-constraints", passed, max(analytic, fd),
                        1e-5, details, runtime)
@@ -170,13 +170,8 @@ def check_pullback_identity(samples=200, h=1e-4, seed=22):
     worst = 0.0
     for _, metric, pts, t0 in _sample_plans(rng, samples):
         for u in pts:
+            dpsi = central_gradient(lambda v: immerse(metric, v, t0).psi, u, h)
             n = len(u)
-            dpsi = np.empty((n, n + 2))
-            for i in range(n):
-                e = np.zeros(n)
-                e[i] = h
-                dpsi[i] = (immerse(metric, u + e, t0).psi
-                           - immerse(metric, u - e, t0).psi) / (2 * h)
             induced = np.array([[mink_inner(dpsi[i], dpsi[j])
                                  for j in range(n)] for i in range(n)])
             target = math.exp(2.0 * (metric.effective(u) + t0)) * metric.chart.metric(u)
@@ -266,12 +261,9 @@ def check_band_reproductions(seed=25):
     u_half = np.array([0.5, 1.1])
     err_jets = max(abs(band.rho.gradient(u_half)[0] - 2.0 / 3.0),
                    abs(band.rho.hessian(u_half)[0, 0] - 20.0 / 9.0))
-    h = 1e-4
-    value = band.rho.value
-    fd_s = (value(u_half + [h, 0]) - value(u_half - [h, 0])) / (2 * h)
-    fd_ss = (value(u_half + [h, 0]) - 2 * value(u_half)
-             + value(u_half - [h, 0])) / h**2
-    err_fd = max(abs(fd_s - 2.0 / 3.0), abs(fd_ss - 20.0 / 9.0))
+    _, fd_s, fd_ss = central_jet(
+        lambda ds: band.rho.value(u_half + [ds[0], 0.0]), [0.0], 1e-4)
+    err_fd = max(abs(fd_s[0] - 2.0 / 3.0), abs(fd_ss[0, 0] - 20.0 / 9.0))
 
     worst_radial = 0.0
     for s in rng.uniform(0.0, 0.95, size=100):
@@ -346,8 +338,8 @@ def check_weingarten_calculus(seed=26):
     notes = []
 
     draws = rng.uniform(-1.0 + 1e-6, 10.0, size=(100_000, 4))
-    worst_hr = max(hr_inequality(row)[0] - hr_inequality(row)[1]
-                   for row in draws)
+    lhs, rhs, _ = hr_inequality(draws)
+    worst_hr = float(np.max(lhs - rhs))
     notes.append(f"order inequality margin {-worst_hr:.2e} on 1e5 draws")
 
     x = rng.uniform(-0.999, 4.0, size=(1000, 3))
@@ -370,21 +362,7 @@ def check_weingarten_calculus(seed=26):
     W = conjugate(F)
     kappa0 = np.array([0.4, -0.6, 0.15])
     M = hessian_transform(F, kappa0)
-    h = 1e-4
-    fd = np.empty((3, 3))
-    w0 = W.eval(kappa0)
-    for i in range(3):
-        e = np.zeros(3)
-        e[i] = h
-        fd[i, i] = (W.eval(kappa0 + e) - 2 * w0 + W.eval(kappa0 - e)) / h**2
-    for i in range(3):
-        for j in range(i + 1, 3):
-            ei, ej = np.zeros(3), np.zeros(3)
-            ei[i], ej[j] = h, h
-            fd[i, j] = fd[j, i] = (
-                W.eval(kappa0 + ei + ej) - W.eval(kappa0 + ei - ej)
-                - W.eval(kappa0 - ei + ej) + W.eval(kappa0 - ei - ej)
-            ) / (4 * h**2)
+    fd = central_jet(W.eval, kappa0, 1e-4)[2]
     err_hess = float(np.max(np.abs(M - fd)))
     notes.append(f"hessian transform vs fd {err_hess:.1e}")
 
@@ -403,11 +381,7 @@ def check_weingarten_calculus(seed=26):
     x0 = np.array([0.3, -0.4, 2.0])
     Wt = flow_conjugate(base, t)
     grad = Wt.gradient(x0)
-    fd_grad = np.empty(3)
-    for i in range(3):
-        e = np.zeros(3)
-        e[i] = 1e-6
-        fd_grad[i] = (Wt.eval(x0 + e) - Wt.eval(x0 - e)) / 2e-6
+    fd_grad = central_gradient(Wt.eval, x0, 1e-6)
     shifted = (x0 - th) / (1.0 - x0 * th)
     rival = base.gradient(shifted) * (1.0 - th**2) * (1.0 + x0 * th) ** -2
     err_grad = float(np.max(np.abs(grad - fd_grad)))

@@ -10,6 +10,7 @@ orientation.  The two sides are conjugate under the componentwise Moebius map
 which carries the cone K = {x_i > -1} onto C = {y_i < 1/2} and preserves
 ellipticity (positivity of all partial derivatives).  The normal flow acts on
 the hypersurface side by another componentwise Moebius shift by tanh(t).
+Both are instances of Mobius, whose one input check guards every such map.
 """
 
 import math
@@ -20,6 +21,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import RootBracketError, SingularParameterError
+from .sphere import axis_values, central_gradient, central_jet
 
 METRIC_SIDE = "metric"            # f acting on Schouten eigenvalues, cone in C
 HYPERSURFACE_SIDE = "hypersurface"  # W acting on principal curvatures, cone in K
@@ -27,6 +29,76 @@ HYPERSURFACE_SIDE = "hypersurface"  # W acting on principal curvatures, cone in 
 CONE_C = "C"        # all x_i < 1/2
 CONE_K = "K"        # all x_i > -1
 CONE_GAMMA_N = "Gamma_n"  # all x_i > 0
+
+
+@dataclass(frozen=True)
+class Mobius:
+    """Componentwise fractional-linear map x -> (a x + b)/(c x + d) with
+    coefficient matrix ((a, b), (c, d)).
+
+    A one-sided map is defined on the open half-line c x + d > 0, so the sign
+    of the matrix picks the side; a two-sided map excludes only its pole.
+    Either way non-finite input is rejected, in the one check every
+    evaluation goes through.  Composition is the matrix product, and the
+    inverse is the adjugate, signed so that it is defined on the image.
+    """
+
+    matrix: np.ndarray
+    two_sided: bool = False
+
+    def _check(self, x):
+        """x as a float array and its denominator c x + d; raises
+        SingularParameterError on non-finite input, the pole, and (one-sided)
+        the excluded half-line."""
+        x = np.asarray(x, dtype=float)
+        if not np.all(np.isfinite(x)):
+            raise SingularParameterError("non-finite input to a Moebius map")
+        (_, _), (c, d) = self.matrix
+        denom = c * x + d
+        if self.two_sided:
+            if np.any(np.abs(denom) < 1e-14):
+                raise SingularParameterError(f"input at the pole x = {-d / c:.6g}")
+        elif np.any(denom <= 0.0):
+            side = ">" if c > 0 else "<"
+            raise SingularParameterError(
+                f"input outside the domain x {side} {-d / c:.6g}")
+        return x, denom
+
+    def __call__(self, x):
+        x, denom = self._check(x)
+        (a, b), _ = self.matrix
+        return (a * x + b) / denom
+
+    def derivative(self, x):
+        """Componentwise derivative (ad - bc)/(c x + d)^2."""
+        _, denom = self._check(x)
+        (a, b), (c, d) = self.matrix
+        return (a * d - b * c) / denom**2
+
+    def inverse(self):
+        (a, b), (c, d) = self.matrix
+        adjugate = np.array([[d, -b], [-c, a]])
+        return Mobius(np.sign(a * d - b * c) * adjugate, self.two_sided)
+
+    def __matmul__(self, other):
+        """Composition self o other."""
+        return Mobius(self.matrix @ other.matrix,
+                      self.two_sided and other.two_sided)
+
+
+T = Mobius(np.array([[1.0, -1.0], [2.0, 2.0]]))   # 1/2 - 1/(1 + x), K onto C
+T_INV = T.inverse()                                # (1 + 2y)/(1 - 2y), C onto K
+
+
+def flow_shift(t):
+    """Normal flow by time t on curvatures: x -> (x - tanh t)/(1 - x tanh t).
+
+    Two-sided (only the focal pole 1 - x tanh t = 0 is excluded); shifts
+    compose by adding their times."""
+    if not math.isfinite(t):
+        raise SingularParameterError(f"flow time {t} is not finite")
+    th = math.tanh(t)
+    return Mobius(np.array([[1.0, -th], [-th, 1.0]]), two_sided=True)
 
 
 def in_cone(x, tag):
@@ -57,15 +129,10 @@ def t_map(x, direction="k_to_c"):
     k_to_c: x -> 1/2 - 1/(1+x) for x in K; c_to_k: y -> (1+2y)/(1-2y) for
     y in C.  Both are strictly increasing in every component.
     """
-    x = np.asarray(x, dtype=float)
     if direction == "k_to_c":
-        if np.any(x <= -1.0):
-            raise SingularParameterError("input outside K: needs all x > -1")
-        return 0.5 - 1.0 / (1.0 + x)
+        return T(x)
     if direction == "c_to_k":
-        if np.any(x >= 0.5):
-            raise SingularParameterError("input outside C: needs all x < 1/2")
-        return (1.0 + 2.0 * x) / (1.0 - 2.0 * x)
+        return T_INV(x)
     raise SingularParameterError(f"unknown direction {direction!r}")
 
 
@@ -168,49 +235,43 @@ def power_mean(n, p, side=METRIC_SIDE):
     )
 
 
+def _pull_back(F, mobius, side, name):
+    """F o mobius for a componentwise Moebius map, with the gradient by the
+    chain rule and the cone predicate pulled back (False off its domain)."""
+
+    def value(x):
+        return F.eval(mobius(x))
+
+    gradient = None
+    if F.gradient is not None:
+        def gradient(x):
+            outer = np.asarray(F.gradient(mobius(x)), dtype=float)
+            return outer * mobius.derivative(x)
+
+    cone = None
+    if F.cone is not None:
+        def cone(x):
+            try:
+                y = mobius(x)
+            except SingularParameterError:
+                return False
+            return bool(F.cone(y))
+
+    return CurvatureFunction(
+        side=side, n=F.n, eval=value, gradient=gradient, cone=cone, name=name)
+
+
 def conjugate(F):
     """Transport a curvature function to the other side of the dictionary:
     metric-side f becomes W = f o T, hypersurface-side W becomes f = W o T^{-1}.
     Cone predicates and analytic gradients are transported along."""
     if F.side == METRIC_SIDE:
-        fwd, back, new_side = "k_to_c", "c_to_k", HYPERSURFACE_SIDE
-
-        def dmap(x):  # componentwise derivative of T on K
-            return 1.0 / (1.0 + np.asarray(x, dtype=float)) ** 2
+        mobius, new_side = T, HYPERSURFACE_SIDE
     elif F.side == HYPERSURFACE_SIDE:
-        fwd, back, new_side = "c_to_k", "k_to_c", METRIC_SIDE
-
-        def dmap(x):  # componentwise derivative of T^{-1} on C
-            return 4.0 / (1.0 - 2.0 * np.asarray(x, dtype=float)) ** 2
+        mobius, new_side = T_INV, METRIC_SIDE
     else:
         raise SingularParameterError(f"unknown side {F.side!r}")
-
-    def value(x):
-        return F.eval(t_map(x, fwd))
-
-    gradient = None
-    if F.gradient is not None:
-        def gradient(x):
-            return np.asarray(F.gradient(t_map(x, fwd)), dtype=float) * dmap(x)
-
-    cone = None
-    if F.cone is not None:
-        def cone(x):
-            x = np.asarray(x, dtype=float)
-            if new_side == HYPERSURFACE_SIDE and np.any(x <= -1.0):
-                return False
-            if new_side == METRIC_SIDE and np.any(x >= 0.5):
-                return False
-            return bool(F.cone(t_map(x, fwd)))
-
-    return CurvatureFunction(
-        side=new_side,
-        n=F.n,
-        eval=value,
-        gradient=gradient,
-        cone=cone,
-        name=f"conj[{F.name}]" if F.name else "",
-    )
+    return _pull_back(F, mobius, new_side, f"conj[{F.name}]" if F.name else "")
 
 
 def flow_conjugate(W, t):
@@ -218,41 +279,8 @@ def flow_conjugate(W, t):
     W^t(x) = W((x - tanh t)/(1 - x tanh t)) componentwise."""
     if W.side != HYPERSURFACE_SIDE:
         raise SingularParameterError("flow conjugation acts on hypersurface-side functions")
-    th = math.tanh(t)
-
-    def shift(x):
-        x = np.asarray(x, dtype=float)
-        denom = 1.0 - x * th
-        if np.any(np.abs(denom) < 1e-14):
-            raise SingularParameterError("flow pole: 1 - x tanh t = 0")
-        return (x - th) / denom
-
-    def value(x):
-        return W.eval(shift(x))
-
-    gradient = None
-    if W.gradient is not None:
-        def gradient(x):
-            x = np.asarray(x, dtype=float)
-            inner = np.asarray(W.gradient(shift(x)), dtype=float)
-            return inner * (1.0 - th**2) / (1.0 - x * th) ** 2
-
-    cone = None
-    if W.cone is not None:
-        def cone(x):
-            try:
-                return bool(W.cone(shift(x)))
-            except SingularParameterError:
-                return False
-
-    return CurvatureFunction(
-        side=HYPERSURFACE_SIDE,
-        n=W.n,
-        eval=value,
-        gradient=gradient,
-        cone=cone,
-        name=f"{W.name}^t" if W.name else "",
-    )
+    return _pull_back(W, flow_shift(t), HYPERSURFACE_SIDE,
+                      f"{W.name}^t" if W.name else "")
 
 
 @dataclass(frozen=True)
@@ -276,19 +304,14 @@ def ellipticity_check(F, points, h=1e-5):
         f0 = F.eval(x)
         if not np.isfinite(f0):
             raise SingularParameterError(f"non-finite evaluation at {x}")
-        partials = np.empty(F.n)
-        smooth = True
-        for i in range(F.n):
-            e = np.zeros(F.n)
-            e[i] = h
-            fp, fm = F.eval(x + e), F.eval(x - e)
-            if not (np.isfinite(fp) and np.isfinite(fm)):
-                raise SingularParameterError(f"non-finite evaluation near {x}")
-            forward = (fp - f0) / h
-            backward = (f0 - fm) / h
-            partials[i] = 0.5 * (forward + backward)
-            if abs(forward - backward) > 100.0 * h * (1.0 + abs(f0) + abs(partials[i])):
-                smooth = False
+        fp, fm = axis_values(F.eval, x, h)
+        if not (np.all(np.isfinite(fp)) and np.all(np.isfinite(fm))):
+            raise SingularParameterError(f"non-finite evaluation near {x}")
+        forward = (fp - f0) / h
+        backward = (f0 - fm) / h
+        partials = 0.5 * (forward + backward)
+        smooth = not np.any(np.abs(forward - backward)
+                            > 100.0 * h * (1.0 + abs(f0) + np.abs(partials)))
         records.append(EllipticityRecord(
             point=x,
             partials=partials,
@@ -307,58 +330,34 @@ def hessian_transform(f, kappa, h=1e-4):
     if f.side != METRIC_SIDE:
         raise SingularParameterError("hessian transform starts from a metric-side function")
     kappa = np.asarray(kappa, dtype=float)
-    lam = t_map(kappa, "k_to_c")
+    lam = T(kappa)
     if f.gradient is not None:
         grad = np.asarray(f.gradient(lam), dtype=float)
     else:
-        grad = _fd_gradient(f, lam, h)
+        grad = central_gradient(f.eval, lam, h)
     if f.hessian is not None:
         hess = np.asarray(f.hessian(lam), dtype=float)
     else:
-        hess = _fd_hessian(f, lam, h)
+        hess = central_jet(f.eval, lam, h)[2]
     one = 1.0 + kappa
     out = hess / np.outer(one**2, one**2)
     out[np.diag_indices_from(out)] -= 2.0 * grad / one**3
     return 0.5 * (out + out.T)
 
 
-def _fd_gradient(F, x, h):
-    grad = np.empty(F.n)
-    for i in range(F.n):
-        e = np.zeros(F.n)
-        e[i] = h
-        grad[i] = (F.eval(x + e) - F.eval(x - e)) / (2 * h)
-    return grad
-
-
-def _fd_hessian(F, x, h):
-    n = F.n
-    f0 = F.eval(x)
-    H = np.empty((n, n))
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = h
-        H[i, i] = (F.eval(x + e) - 2 * f0 + F.eval(x - e)) / h**2
-    for i in range(n):
-        for j in range(i + 1, n):
-            ei, ej = np.zeros(n), np.zeros(n)
-            ei[i], ej[j] = h, h
-            H[i, j] = H[j, i] = (
-                F.eval(x + ei + ej) - F.eval(x + ei - ej)
-                - F.eval(x - ei + ej) + F.eval(x - ei - ej)) / (4 * h**2)
-    return H
-
-
 def hr_inequality(a):
     """Order inequality sum (a_i - 1)/(a_i + 1) <= 2 sum a_i - n for a_i > -1.
 
-    Returns (lhs, rhs, holds); equality at a = 0."""
+    a is one point (n,) or a batch (m, n) of rows.  Returns (lhs, rhs, holds):
+    floats and a bool for one point, arrays over the rows of a batch.
+    Equality at a = 0."""
     a = np.asarray(a, dtype=float)
-    if np.any(a <= -1.0):
-        raise SingularParameterError("inequality needs all entries > -1")
-    lhs = float(np.sum((a - 1.0) / (a + 1.0)))
-    rhs = float(2.0 * np.sum(a) - len(a))
-    return lhs, rhs, bool(lhs <= rhs + 1e-12)
+    lhs = np.sum(2.0 * T(a), axis=-1)     # 2 T(a) = (a - 1)/(a + 1)
+    rhs = 2.0 * np.sum(a, axis=-1) - a.shape[-1]
+    holds = lhs <= rhs + 1e-12
+    if a.ndim == 1:
+        return float(lhs), float(rhs), bool(holds)
+    return lhs, rhs, holds
 
 
 def admissible_constant(F, C, bracket, h=1e-6):
@@ -378,7 +377,7 @@ def admissible_constant(F, C, bracket, h=1e-6):
     if fa * fb > 0:
         raise RootBracketError("bracket does not straddle a sign change")
     root = float(brentq(diag, a, b, xtol=1e-13))
-    slope = (diag(root + h) - diag(root - h)) / (2 * h)
+    slope = central_gradient(lambda r: diag(r[0]), [root], h)[0]
     if slope <= 0:
         raise RootBracketError("diagonal derivative nonpositive at the root")
     if F.cone is not None and not F.cone(np.full(F.n, root)):

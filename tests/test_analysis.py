@@ -107,6 +107,13 @@ class TestCurveType:
         with pytest.raises(SingularParameterError):
             replace(curve, eta=1.1 * curve.eta)
 
+    def test_nonfinite_flow_time_rejected(self):
+        # NaN and inf frames fail the frame check instead of building NaN data
+        with pytest.raises(SingularParameterError):
+            profile_curve(64).flowed(float("nan"))
+        with pytest.raises(SingularParameterError), np.errstate(invalid="ignore"):
+            make_example("alpha-product").payload.flowed(float("inf"))
+
     def test_flowed_matches_direct_formula(self):
         curve = profile_curve(128)
         t = 0.35

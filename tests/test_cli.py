@@ -156,6 +156,16 @@ class TestVerify:
         names = [c["name"] for c in report["invariant_checks"]]
         assert names == ["gauss-degree", "degenerate-collapse"]
 
+    def test_report_verdicts_are_json_booleans(self, tmp_path, capsys):
+        path = tmp_path / "r.json"
+        code, _, _ = run(capsys, "verify", "--only", "minkowski-constraints",
+                         "--out", str(path))
+        assert code == 0
+        report = json.loads(path.read_text())
+        verdicts = ([r["passed"] for r in report["results"]]
+                    + [c["pass"] for c in report["invariant_checks"]])
+        assert verdicts and all(v is True for v in verdicts)
+
     def test_unfolding_reports_failure(self, capsys):
         code, out, _ = run(capsys, "verify", "--only", "unfolding")
         assert code == 1

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from horocorr.conformal import ConformalMetric, rescale, schouten
+from horocorr.conformal import ConformalMetric, realizability_report, rescale, schouten
 from horocorr.correspondence import (
     CANONICAL,
     OPPOSITE,
@@ -15,7 +15,6 @@ from horocorr.correspondence import (
     flow_metric_factor,
     immerse,
     lambda_kappa,
-    min_immersion_time,
     ricatti,
     support_and_gauss,
 )
@@ -319,17 +318,18 @@ class TestSupportAndGauss:
 class TestMinImmersionTime:
     def test_small_spectrum_needs_no_flow(self):
         metric = sphere_metric(2.0)  # lambda = e^{-4}/2, far below the gate
-        t0 = min_immersion_time(metric, [np.zeros(2)], margin=1e-3)
+        t0 = realizability_report(metric, [np.zeros(2)], eps=1e-3).suggested_t0
         assert t0 == 0.0
 
     def test_round_metric_value(self):
         metric = ConformalMetric(StereographicChart(2), constant_field(0.0))
-        t0 = min_immersion_time(metric, [np.zeros(2), np.ones(2)], margin=0.1)
+        t0 = realizability_report(
+            metric, [np.zeros(2), np.ones(2)], eps=0.1).suggested_t0
         assert t0 == pytest.approx(0.111572, abs=1e-6)
 
     def test_cylinder_same_value(self):
-        t0 = min_immersion_time(
+        t0 = realizability_report(
             cylinder_metric(0.0),
             [np.array([s, 0.0]) for s in np.linspace(-1.2, 1.2, 25)],
-            margin=0.1)
+            eps=0.1).suggested_t0
         assert t0 == pytest.approx(0.111572, abs=1e-6)

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from horocorr.correspondence import OPPOSITE, lambda_kappa
+from horocorr.conformal import horospherical_curvature, horospherical_scalar
+from horocorr.correspondence import CANONICAL, OPPOSITE, lambda_kappa, ricatti
 from horocorr.errors import RootBracketError, SingularParameterError
 from horocorr.weingarten import (
     CONE_C,
@@ -22,6 +23,7 @@ from horocorr.weingarten import (
     elementary_symmetric,
     ellipticity_check,
     flow_conjugate,
+    flow_shift,
     hessian_transform,
     hr_inequality,
     in_cone,
@@ -287,6 +289,12 @@ class TestOrderInequality:
         lhs = np.sum((a - 1.0) / (a + 1.0), axis=1)
         rhs = 2.0 * np.sum(a, axis=1) - 4
         assert np.all(lhs <= rhs + 1e-12)
+        # the batch form repeats the reference arithmetic row by row
+        batch_lhs, batch_rhs, holds = hr_inequality(a)
+        np.testing.assert_array_equal(batch_lhs, lhs)
+        np.testing.assert_array_equal(batch_rhs, rhs)
+        assert np.all(holds)
+        assert hr_inequality(a[0]) == (lhs[0], rhs[0], True)
 
     def test_domain_error(self):
         with pytest.raises(SingularParameterError):
@@ -329,3 +337,79 @@ class TestAdmissibleConstant:
             side=METRIC_SIDE, n=2, eval=lambda x: -float(np.sum(x)), name="neg")
         with pytest.raises(RootBracketError):
             admissible_constant(F, 0.0, (-0.3, 0.3))
+
+
+NONFINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+# every map built on the Moebius core, applied to a point of three entries
+CORE_MAPS = {
+    "canonical lambda->kappa": lambda x: lambda_kappa(x, CANONICAL, "lambda_to_kappa"),
+    "canonical kappa->lambda": lambda x: lambda_kappa(x, CANONICAL, "kappa_to_lambda"),
+    "opposite lambda->kappa": lambda x: lambda_kappa(x, OPPOSITE, "lambda_to_kappa"),
+    "opposite kappa->lambda": lambda x: lambda_kappa(x, OPPOSITE, "kappa_to_lambda"),
+    "t_map k_to_c": lambda x: t_map(x, "k_to_c"),
+    "t_map c_to_k": lambda x: t_map(x, "c_to_k"),
+    "ricatti": lambda x: ricatti(x, 0.7),
+    "flow_conjugate": lambda x: flow_conjugate(sum_function(3), 0.7).eval(x),
+    "conjugate": lambda x: conjugate(elementary_symmetric(3, 2)).eval(x),
+    "hr_inequality": hr_inequality,
+    "horospherical_scalar": horospherical_scalar,
+}
+
+# (map, inputs it excludes): the half-line past each pole, in both directions
+EXCLUDED = {
+    "canonical lambda->kappa": (CORE_MAPS["canonical lambda->kappa"], st.floats(0.5, 1e12)),
+    "canonical kappa->lambda": (CORE_MAPS["canonical kappa->lambda"], st.floats(1.0, 1e12)),
+    "opposite lambda->kappa": (CORE_MAPS["opposite lambda->kappa"], st.floats(0.5, 1e12)),
+    "opposite kappa->lambda": (CORE_MAPS["opposite kappa->lambda"], st.floats(-1e12, -1.0)),
+    "t_map k_to_c": (CORE_MAPS["t_map k_to_c"], st.floats(-1e12, -1.0)),
+    "t_map c_to_k": (CORE_MAPS["t_map c_to_k"], st.floats(0.5, 1e12)),
+    "hr_inequality": (lambda x: hr_inequality([0.0, x]), st.floats(-1e12, -1.0)),
+    "horospherical_curvature": (lambda x: horospherical_curvature(x, 0.0),
+                                st.floats(1.0, 1e12)),
+}
+
+
+class TestMoebiusCore:
+    @given(st.sampled_from(sorted(CORE_MAPS)), NONFINITE, st.integers(0, 2))
+    def test_nonfinite_input_rejected(self, name, bad, slot):
+        x = np.array([0.1, -0.2, 0.3])
+        x[slot] = bad
+        with pytest.raises(SingularParameterError):
+            CORE_MAPS[name](x)
+
+    @given(NONFINITE)
+    def test_nonfinite_flow_time_rejected(self, t):
+        with pytest.raises(SingularParameterError):
+            ricatti(0.2, t)
+        with pytest.raises(SingularParameterError):
+            flow_conjugate(sum_function(2), t)
+
+    @given(st.data())
+    def test_excluded_half_lines_rejected(self, data):
+        fn, bad = EXCLUDED[data.draw(st.sampled_from(sorted(EXCLUDED)))]
+        with pytest.raises(SingularParameterError):
+            fn(data.draw(bad))
+
+    @given(st.floats(0.05, 5.0), st.booleans())
+    def test_flow_pole_rejected(self, t, backward):
+        t = -t if backward else t
+        with pytest.raises(SingularParameterError):
+            ricatti(1.0 / math.tanh(t), t)
+
+    @given(st.floats(-5.0, 0.9), st.floats(0.0, 3.0), st.floats(0.0, 3.0))
+    @settings(deadline=None)
+    def test_flow_composes_by_matrix_product(self, kappa, s, t):
+        composed = flow_shift(t) @ flow_shift(s)
+        np.testing.assert_allclose(composed.matrix / composed.matrix[0, 0],
+                                   flow_shift(s + t).matrix, atol=1e-14)
+        twice = ricatti(ricatti(kappa, s), t)
+        assert twice == pytest.approx(float(composed(kappa)), rel=1e-12, abs=1e-12)
+        assert twice == pytest.approx(ricatti(kappa, s + t), rel=1e-9, abs=1e-9)
+
+    @given(st.floats(-1e3, 0.499), st.sampled_from([CANONICAL, OPPOSITE]))
+    @settings(deadline=None)
+    def test_lambda_round_trip(self, lam, orientation):
+        kappa = lambda_kappa(lam, orientation, "lambda_to_kappa")
+        back = lambda_kappa(kappa, orientation, "kappa_to_lambda")
+        assert back == pytest.approx(lam, rel=1e-9, abs=1e-9)
