@@ -250,21 +250,24 @@ def product_mesh(m_u=96, m_v=9, length=1.0):
     phi[..., 3] = sh[None, :]
     eta = np.zeros((m_u, m_v, 4))
     eta[..., :3] = n[:, None, :]
-    faces = []
-    for i in range(m_u):
-        i1 = (i + 1) % m_u
-        for j in range(m_v - 1):
-            q00 = i * m_v + j
-            q10 = i1 * m_v + j
-            q11 = i1 * m_v + j + 1
-            q01 = i * m_v + j + 1
-            faces.append((q00, q10, q11))
-            faces.append((q00, q11, q01))
+    index = np.arange(m_u * m_v).reshape(m_u, m_v)
     return MeshImmersion(
         phi=phi.reshape(-1, 4),
         eta=eta.reshape(-1, 4),
-        faces=np.asarray(faces, dtype=int),
+        faces=grid_faces(np.vstack([index, index[:1]])),
     )
+
+
+def grid_faces(index):
+    """Triangles (q00, q10, q11) and (q00, q11, q01) of every cell of a
+    vertex-index grid, row-major over the cells.  A periodic direction comes
+    with its first row or column appended, so its closing cells are ordinary
+    cells here."""
+    q00, q10 = index[:-1, :-1], index[1:, :-1]
+    q01, q11 = index[:-1, 1:], index[1:, 1:]
+    cells = np.stack([np.stack([q00, q10, q11], axis=-1),
+                      np.stack([q00, q11, q01], axis=-1)], axis=-2)
+    return cells.reshape(-1, 3)
 
 
 # -- gallery ------------------------------------------------------------------
@@ -282,19 +285,19 @@ GALLERY_NAMES = (
 def incomplete_band_field():
     """rho(s) = -log sqrt(1 - s^2) on |s| < 1, with analytic jets."""
     return radial_band_field(
-        f=lambda s: -0.5 * math.log1p(-s * s),
+        f=lambda s: -0.5 * np.log1p(-s * s),
         fs=lambda s: s / (1.0 - s * s),
         fss=lambda s: (1.0 + s * s) / (1.0 - s * s) ** 2,
-        domain_s=lambda s: abs(s) < 1.0,
+        domain_s=lambda s: np.abs(s) < 1.0,
     )
 
 
 def cylinder_field():
     """rho(s) = -log cos s on the full band; complete toward both poles."""
     return radial_band_field(
-        f=lambda s: -math.log(math.cos(s)),
-        fs=math.tan,
-        fss=lambda s: 1.0 / math.cos(s) ** 2,
+        f=lambda s: -np.log(np.cos(s)),
+        fs=np.tan,
+        fss=lambda s: 1.0 / np.cos(s) ** 2,
     )
 
 
@@ -607,29 +610,22 @@ def boundary_at_infinity(entry, escape_threshold=0.999, t=1.0,
             "boundary tracing needs a conformal-metric payload")
     chart = metric.chart
     angles = np.linspace(0.0, 2.0 * np.pi, n_directions, endpoint=False)
-    probes = []
     if chart.kind == "band":
         if chart.n != 2:
             raise SingularParameterError("band boundary tracing implemented for n = 2")
-        for sign in (1.0, -1.0):
-            edge = domain_edge(metric, sign, np.pi / 2)
-            for k in range(1, max_depth + 1):
-                s = sign * edge * (1.0 - 2.0 ** (-k))
-                for theta in angles:
-                    probes.append(np.array([s, theta]))
+        ladder = 1.0 - 2.0 ** -np.arange(1.0, max_depth + 1)
+        arcs = np.concatenate([sign * domain_edge(metric, sign, np.pi / 2) * ladder
+                               for sign in (1.0, -1.0)])
+        probes = np.stack(np.meshgrid(arcs, angles, indexing="ij"), axis=-1)
     elif chart.kind == "stereographic":
-        for k in range(max_depth):
-            radius = 2.0 ** k
-            for theta in angles:
-                probes.append(radius * np.array([np.cos(theta), np.sin(theta)]))
+        radii = 2.0 ** np.arange(float(max_depth))
+        circle = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+        probes = radii[:, None, None] * circle
     else:
         raise SingularParameterError(f"unknown chart kind {chart.kind!r}")
-    escaped = []
-    for u in probes:
-        if not metric.rho.in_domain(chart, u):
-            continue
-        p = to_poincare_ball(immerse(metric, u, t).phi)
-        norm = float(np.linalg.norm(p))
-        if norm > escape_threshold:
-            escaped.append(p / norm)
-    return _cluster_directions(escaped, cluster_radius)
+    probes = probes.reshape(-1, 2)
+    probes = probes[metric.rho.in_domain(chart, probes)]
+    p = to_poincare_ball(immerse(metric, probes, t).phi)
+    norm = np.linalg.norm(p, axis=-1)
+    escaped = norm > escape_threshold
+    return _cluster_directions(p[escaped] / norm[escaped][:, None], cluster_radius)

@@ -22,6 +22,7 @@ from .analysis import (
     domain_edge,
     first_embedded_time,
     gauss_winding,
+    grid_faces,
     make_example,
     self_intersections,
 )
@@ -29,6 +30,7 @@ from .conformal import ConformalMetric, realizability_report, rescale, schouten
 from .correspondence import extrinsic_curvatures, immerse, lambda_kappa
 from .errors import GeometryError
 from .minkowski import to_poincare_ball
+from .sphere import axis_values
 from .verify import CRITERIA, check_weingarten_calculus, run_all
 
 EXAMPLE_CHOICES = GALLERY_NAMES + ("alpha",)
@@ -63,11 +65,12 @@ def _gallery_entry(args):
     return make_example(name, **params)
 
 
-def _metric_lat_rows(metric, n_lat, inner=0.98):
+def _band_range(metric, fraction):
+    """Arc range (lo, hi) covering the given fraction of the band metric's
+    domain on either side of the equator."""
     limit = math.pi / 2 - 1e-9
-    hi = inner * domain_edge(metric, 1.0, limit)
-    lo = -inner * domain_edge(metric, -1.0, limit)
-    return np.linspace(lo, hi, n_lat)
+    return (-fraction * domain_edge(metric, -1.0, limit),
+            fraction * domain_edge(metric, 1.0, limit))
 
 
 def _metric_mesh(metric, n_az, n_lat, t):
@@ -77,34 +80,22 @@ def _metric_mesh(metric, n_az, n_lat, t):
         raise GeometryError("mesh export needs a two-dimensional example")
     azimuths = np.linspace(0.0, 2.0 * math.pi, n_az, endpoint=False)
     if metric.chart.kind == "band":
-        rows = _metric_lat_rows(metric, n_lat)
-        grid = [np.array([s, a]) for s in rows for a in azimuths]
+        rows = np.linspace(*_band_range(metric, 0.98), n_lat)
+        grid = np.stack(np.meshgrid(rows, azimuths, indexing="ij"), axis=-1)
     else:
         colat = np.linspace(0.35, math.pi - 0.35, n_lat)
         radii = np.tan(0.5 * colat)
-        grid = [r * np.array([math.cos(a), math.sin(a)])
-                for r in radii for a in azimuths]
-    verts = np.array([to_poincare_ball(immerse(metric, u, t).phi) for u in grid])
-    faces = []
-    for i in range(n_lat - 1):
-        for j in range(n_az):
-            q00 = i * n_az + j
-            q01 = i * n_az + (j + 1) % n_az
-            q10 = (i + 1) * n_az + j
-            q11 = (i + 1) * n_az + (j + 1) % n_az
-            faces.append((q00, q10, q11))
-            faces.append((q00, q11, q01))
-    return verts, faces
+        circle = np.stack([np.cos(azimuths), np.sin(azimuths)], axis=-1)
+        grid = radii[:, None, None] * circle
+    verts = to_poincare_ball(immerse(metric, grid.reshape(-1, 2), t).phi)
+    index = np.arange(n_lat * n_az).reshape(n_lat, n_az)
+    return verts, grid_faces(np.hstack([index, index[:, :1]]))
 
 
 def _metric_samples(metric, n, rng):
-    if metric.chart.kind == "band":
-        limit = math.pi / 2 - 1e-9
-        hi = 0.9 * domain_edge(metric, 1.0, limit)
-        lo = -0.9 * domain_edge(metric, -1.0, limit)
-        s = rng.uniform(lo, hi, n)
-    else:
+    if metric.chart.kind != "band":
         return rng.uniform(-2.5, 2.5, size=(n, 2))
+    s = rng.uniform(*_band_range(metric, 0.9), n)
     theta = rng.uniform(0.0, 2.0 * math.pi, n)
     return np.column_stack([s, theta])
 
@@ -158,7 +149,7 @@ def cmd_immerse(args):
     else:
         moved = payload.flowed(args.t) if args.t else payload
         verts = moved.vertices_ball
-        faces = [tuple(face) for face in payload.faces]
+        faces = payload.faces
 
     radii = np.linalg.norm(verts, axis=1)
     if fmt == "obj":
@@ -198,10 +189,8 @@ def cmd_schouten(args):
     rng = np.random.default_rng(args.seed)
     pts = _metric_samples(metric, args.samples, rng)
     report = realizability_report(metric, pts)
-    asym = 0.0
-    for u in pts[:50]:
-        tensor = schouten(metric, u).tensor
-        asym = max(asym, float(np.max(np.abs(tensor - tensor.T))))
+    tensor = schouten(metric, pts[:50]).tensor
+    asym = float(np.max(np.abs(tensor - np.swapaxes(tensor, -1, -2))))
     _emit_json({
         "config": _config(args),
         "results": {
@@ -235,18 +224,19 @@ def cmd_flow(args):
               + [f"kappa_ext{i+1}" for i in range(n)]
               + [f"kappa_pred{i+1}" for i in range(n)]
               + ["max_discrepancy"])
-    rows, skipped = [], 0
-    for u in pts:
-        try:
-            lam = schouten(scaled, u).eigenvalues
-            pred = np.sort(lambda_kappa(lam))
-            ext = np.sort(extrinsic_curvatures(metric, u, t=args.t, h=args.h).values)
-        except GeometryError:
-            skipped += 1
-            continue
-        rows.append(list(u) + [metric.rho.value(u)] + list(lam)
-                    + list(ext) + list(pred)
-                    + [float(np.max(np.abs(ext - pred)))])
+    # a sample is skipped when the +-h stencil of the extrinsic route leaves
+    # the domain or the flowed spectrum reaches the lambda = 1/2 pole
+    h = metric.rho.h if args.h is None else args.h
+    stencil = axis_values(lambda v: metric.rho.in_domain(metric.chart, v), pts, h)
+    pts = pts[np.all(stencil, axis=(0, 2))]
+    lam = schouten(scaled, pts).eigenvalues
+    window = lam[:, -1] < 0.5
+    pts, lam = pts[window], lam[window]
+    skipped = args.samples - len(pts)
+    pred = np.sort(lambda_kappa(lam), axis=-1)
+    ext = np.sort(extrinsic_curvatures(metric, pts, t=args.t, h=h).values, axis=-1)
+    rows = np.column_stack([pts, metric.rho.value(pts), lam, ext, pred,
+                            np.max(np.abs(ext - pred), axis=-1)]).tolist()
     target = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         writer = csv.writer(target)

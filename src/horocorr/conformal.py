@@ -8,6 +8,7 @@ metric by the conformal transformation law
 taken as the defining expression for every n >= 2 (for n >= 3 it agrees with
 the trace-adjusted Ricci tensor).  Eigenvalues are always reported relative to
 ghat, sorted ascending; they are the lambda's of the hypersurface dictionary.
+Point functions broadcast over the leading axes of their chart points.
 """
 
 import math
@@ -15,10 +16,9 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import eigh
 
 from .errors import ChartDomainError, SamplingError
-from .sphere import DomainSample, ScalarField, central_gradient, gradient_hessian
+from .sphere import ScalarField, central_gradient, gradient_hessian
 from .weingarten import T
 
 REALIZABLE_MARGIN = 1e-3   # default strict gap eps below the 1/2 eigenvalue bound
@@ -39,7 +39,12 @@ class ConformalMetric:
     t: float = 0.0
 
     def effective(self, u):
-        return float(self.rho.value(np.asarray(u, dtype=float))) + self.t
+        return self.rho.value(np.asarray(u, dtype=float)) + self.t
+
+    def ghat(self, u):
+        """The conformal metric e^{2(rho+t)} g_S in chart coordinates."""
+        factor = np.exp(2.0 * self.effective(u))
+        return factor[..., None, None] * self.chart.metric(u)
 
 
 @dataclass(frozen=True)
@@ -49,8 +54,19 @@ class SchoutenReport:
     point: np.ndarray
 
 
+def generalized_eigvalsh(A, B):
+    """Eigenvalues of A v = lambda B v for symmetric A and positive definite
+    B, ascending, stacked over the leading axes: Cholesky whitening B = L L^T,
+    then the ordinary symmetric eigenvalues of L^{-1} A L^{-T}.
+
+    Raises numpy.linalg.LinAlgError when some B is not positive definite.
+    """
+    Linv = np.linalg.inv(np.linalg.cholesky(B))
+    return np.linalg.eigvalsh(Linv @ A @ np.swapaxes(Linv, -1, -2))
+
+
 def schouten(metric, u):
-    """Schouten tensor of the conformal metric at a chart point.
+    """Schouten tensor of the conformal metric at chart points.
 
     The tensor is returned with lower indices in chart coordinates; the
     eigenvalues solve Sch v = lambda ghat v and do not depend on the chart.
@@ -61,11 +77,10 @@ def schouten(metric, u):
     grad = jets.gradient
     tensor = (0.5 * g
               - jets.covariant_hessian
-              + np.outer(grad, grad)
-              - 0.5 * jets.grad_norm_sq * g)
-    ghat = math.exp(2.0 * metric.effective(u)) * g
-    eigenvalues = eigh(tensor, ghat, eigvals_only=True)
-    return SchoutenReport(tensor, np.sort(eigenvalues), u)
+              + grad[..., :, None] * grad[..., None, :]
+              - 0.5 * jets.grad_norm_sq[..., None, None] * g)
+    eigenvalues = generalized_eigvalsh(tensor, metric.ghat(u))
+    return SchoutenReport(tensor, eigenvalues, u)
 
 
 def horospherical_curvature(kappa_i, kappa_j):
@@ -92,7 +107,7 @@ def beta(metric, u):
     boundary where the metric stays complete."""
     u = np.asarray(u, dtype=float)
     jets = gradient_hessian(metric.rho, metric.chart, u)
-    return math.exp(2.0 * metric.effective(u)) + jets.grad_norm_sq
+    return np.exp(2.0 * metric.effective(u)) + jets.grad_norm_sq
 
 
 def _speed(metric, curve, velocity, tau):
@@ -179,22 +194,16 @@ def realizability_report(metric, samples, eps=REALIZABLE_MARGIN, B=REALIZABLE_FL
     """Aggregate Schouten eigenvalue extremes over a sample set.
 
     The metric is realizable (at margins eps, B) iff every eigenvalue lies in
-    [-B, 1/2 - eps].  Samples may be chart points or DomainSample records;
-    points outside the domain are skipped.
+    [-B, 1/2 - eps].  Samples are chart points, an (m, n) array or a list of
+    (n,) points; points outside the domain are skipped.
     """
-    lam_min, lam_max = math.inf, -math.inf
-    count = 0
-    for sample in samples:
-        u = sample.point if isinstance(sample, DomainSample) else sample
-        u = np.asarray(u, dtype=float)
-        if not metric.rho.in_domain(metric.chart, u):
-            continue
-        ev = schouten(metric, u).eigenvalues
-        lam_min = min(lam_min, float(ev[0]))
-        lam_max = max(lam_max, float(ev[-1]))
-        count += 1
+    pts = np.asarray(samples, dtype=float)
+    pts = pts[metric.rho.in_domain(metric.chart, pts)]
+    count = len(pts)
     if count == 0:
         raise SamplingError("no usable samples for the realizability report")
+    ev = schouten(metric, pts).eigenvalues
+    lam_min, lam_max = float(ev[:, 0].min()), float(ev[:, -1].max())
     flags = []
     if lam_min < -B:
         flags.append("Schouten not bounded below")

@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .conformal import schouten
+from .conformal import generalized_eigvalsh, schouten
 from .errors import HyperquadricError, ImmersionError, SingularParameterError
 from .minkowski import mink_inner, on_null_cone
 from .sphere import central_gradient, gradient_hessian
@@ -37,9 +37,10 @@ OPPOSITE = "opposite"     # flipped normal: kappa_opp = -kappa_can
 
 @dataclass(frozen=True)
 class HypersurfacePoint:
-    """One parameter point of an immersed hypersurface: position phi on the
-    hyperboloid, unit normal eta, light-cone map psi = phi + eta, and (when
-    computed) tangent frame and fundamental forms."""
+    """Parameter points of an immersed hypersurface, stacked along the leading
+    axes of the chart points: position phi on the hyperboloid, unit normal
+    eta, light-cone map psi = phi + eta, and (when computed) tangent frame and
+    fundamental forms."""
 
     phi: np.ndarray
     eta: np.ndarray
@@ -68,73 +69,69 @@ class SupportData:
 
 
 def immerse(metric, u, t=0.0, margin=None):
-    """Evaluate the representation formula at a chart point.
+    """Evaluate the representation formula at chart points (broadcasting over
+    the leading axes of u).
 
     By default this is a pure evaluation (degenerate inputs produce the
     degenerate output, e.g. rho = 0 collapses to the base point).  Passing
     margin=eps enforces the spectral gate lambda_max e^{-2t} <= 1/2 - eps and
-    raises ImmersionError('not immersed at this scale') when it fails.
+    raises ImmersionError('not immersed at this scale') when any point fails.
     """
     u = np.asarray(u, dtype=float)
     if margin is not None:
-        lam_max = float(schouten(metric, u).eigenvalues[-1])
-        if lam_max * math.exp(-2.0 * t) > 0.5 - margin:
+        lam_max = schouten(metric, u).eigenvalues[..., -1]
+        if np.any(lam_max * math.exp(-2.0 * t) > 0.5 - margin):
             raise ImmersionError("not immersed at this scale")
     chart = metric.chart
     x = chart.embed(u)
     jets = gradient_hessian(metric.rho, chart, u)
-    grad_ambient = chart.jacobian(u) @ (chart.metric_inverse(u) @ jets.gradient)
-    w = metric.effective(u) + t
-    ew, emw = math.exp(w), math.exp(-w)
-    d = len(x) + 1
-    one_x = np.empty(d)
-    one_x[0] = 1.0
-    one_x[1:] = x
-    radial = np.empty(d)
-    radial[0] = 0.0
-    radial[1:] = -x + grad_ambient
-    phi = 0.5 * ew * (1.0 + emw**2 * (1.0 + jets.grad_norm_sq)) * one_x + emw * radial
-    psi = ew * one_x
+    grad_ambient = (chart.jacobian(u)
+                    @ (chart.metric_inverse(u) @ jets.gradient[..., None]))[..., 0]
+    w = np.asarray(metric.effective(u) + t)
+    ew, emw = np.exp(w), np.exp(-w)
+    one_x = np.concatenate([np.ones(x.shape[:-1] + (1,)), x], axis=-1)
+    radial = np.concatenate([np.zeros(x.shape[:-1] + (1,)), grad_ambient - x], axis=-1)
+    height = 0.5 * ew * (1.0 + emw**2 * (1.0 + jets.grad_norm_sq))
+    phi = height[..., None] * one_x + emw[..., None] * radial
+    psi = ew[..., None] * one_x
     return HypersurfacePoint(phi=phi, eta=psi - phi, psi=psi, point=u, t=t)
 
 
 def extrinsic_curvatures(metric, u, t=0.0, h=None, return_point=False):
-    """Principal curvatures at a chart point, canonical orientation.
+    """Principal curvatures at chart points, canonical orientation.
 
     Tangents come from central differences of the immersion; the first
     fundamental form is I_ij = <d_i phi, d_j phi>, the second form
     II_ij = -<d_i eta, d_j phi> symmetrized, and the kappa's solve the
     generalized symmetric eigenproblem det(II - kappa I) = 0 via Cholesky
     whitening of I.  Raises ImmersionError('not an immersion') when I is not
-    positive definite.
+    positive definite at some point.
     """
     u = np.asarray(u, dtype=float)
     if h is None:
         h = metric.rho.h
-    n = len(u)
     base = immerse(metric, u, t)
 
     def frame(v):
         p = immerse(metric, v, t)
-        return np.stack([p.phi, p.eta])
+        return np.stack([p.phi, p.eta], axis=-2)
 
     tangents = central_gradient(frame, u, h)
-    dphi, deta = tangents[:, 0], tangents[:, 1]
-    I = np.array([[mink_inner(dphi[i], dphi[j]) for j in range(n)] for i in range(n)])
-    II_raw = np.array([[-mink_inner(deta[i], dphi[j]) for j in range(n)] for i in range(n)])
-    asym = np.abs(II_raw - II_raw.T).max()
-    scale = max(1.0, np.abs(II_raw).max())
-    if asym > 1e-4 * scale:
+    dphi, deta = tangents[..., 0, :], tangents[..., 1, :]
+    I = mink_inner(dphi[..., :, None, :], dphi[..., None, :, :])
+    II_raw = -mink_inner(deta[..., :, None, :], dphi[..., None, :, :])
+    II_T = np.swapaxes(II_raw, -1, -2)
+    asym = np.abs(II_raw - II_T).max(axis=(-2, -1))
+    scale = np.maximum(1.0, np.abs(II_raw).max(axis=(-2, -1)))
+    if np.any(asym > 1e-4 * scale):
         raise ImmersionError(
-            f"second fundamental form asymmetric beyond tolerance ({asym:.2e})")
-    II = 0.5 * (II_raw + II_raw.T)
+            f"second fundamental form asymmetric beyond tolerance ({asym.max():.2e})")
+    II = 0.5 * (II_raw + II_T)
     try:
-        L = np.linalg.cholesky(I)
+        kappas = generalized_eigvalsh(II, I)
     except np.linalg.LinAlgError:
         raise ImmersionError("not an immersion") from None
-    Linv = np.linalg.inv(L)
-    kappas = np.linalg.eigvalsh(Linv @ II @ Linv.T)
-    spectrum = CurvatureSpectrum(np.sort(kappas), CANONICAL, "kappa")
+    spectrum = CurvatureSpectrum(kappas, CANONICAL, "kappa")
     if return_point:
         point = HypersurfacePoint(
             phi=base.phi, eta=base.eta, psi=base.psi, point=u, t=t,
@@ -190,7 +187,7 @@ def fg_metric(metric, u, r):
         raise SingularParameterError("expansion parameter r must be >= 0")
     u = np.asarray(u, dtype=float)
     rep = schouten(metric, u)
-    ghat = math.exp(2.0 * metric.effective(u)) * metric.chart.metric(u)
+    ghat = metric.ghat(u)
     Q = rep.tensor @ np.linalg.inv(ghat) @ rep.tensor
     return ghat - r**2 * rep.tensor + 0.25 * r**4 * Q
 

@@ -12,6 +12,11 @@ Scalar fields are closures over chart coordinates with optional analytic
 gradient/Hessian; the Hessian callable returns raw coordinate partials
 d_i d_j rho, and the covariant correction -Gamma^k_ij d_k rho is applied
 uniformly by gradient_hessian.
+
+Chart points are arrays whose last axis holds the n coordinates.  Charts,
+fields, stencils and jets broadcast over the leading axes, as
+horocorr.minkowski does: an (m, n) array is m points, and a single (n,)
+point is the batch without leading axes.
 """
 
 from dataclasses import dataclass
@@ -22,6 +27,26 @@ import numpy as np
 from .errors import ChartDomainError
 
 DEFAULT_FD_STEP = 1e-4
+
+
+def _diag(d):
+    """Diagonal matrices with the entries of d's last axis."""
+    return d[..., :, None] * np.eye(d.shape[-1])
+
+
+def _running_products(x):
+    """1, x_1, x_1 x_2, ..., x_1 ... x_m along the last axis."""
+    ones = np.ones(x.shape[:-1] + (1,))
+    return np.concatenate([ones, np.cumprod(x, axis=-1)], axis=-1)
+
+
+def _require(chart, u):
+    u = np.asarray(u, dtype=float)
+    inside = chart.contains(u)
+    if not np.all(inside):
+        raise ChartDomainError(
+            f"point {u[~inside][0]} outside {chart.kind} chart range")
+    return u
 
 
 class StereographicChart:
@@ -36,46 +61,46 @@ class StereographicChart:
 
     def contains(self, u):
         u = np.asarray(u, dtype=float)
-        return u.shape[-1] == self.n and bool(np.all(np.isfinite(u)))
+        if u.shape[-1] != self.n:
+            return np.zeros(u.shape[:-1], dtype=bool)
+        return np.all(np.isfinite(u), axis=-1)
+
+    @staticmethod
+    def _norm_sq(u):
+        return (u * u).sum(axis=-1)[..., None]
 
     def embed(self, u):
         u = np.asarray(u, dtype=float)
-        nsq = u @ u
-        x = np.empty(self.n + 1)
-        x[:-1] = 2.0 * u / (1.0 + nsq)
-        x[-1] = (1.0 - nsq) / (1.0 + nsq)
-        return x
+        nsq = self._norm_sq(u)
+        return np.concatenate([2.0 * u, 1.0 - nsq], axis=-1) / (1.0 + nsq)
 
     def jacobian(self, u):
         u = np.asarray(u, dtype=float)
-        nsq = u @ u
-        f = 1.0 + nsq
-        J = np.empty((self.n + 1, self.n))
-        J[:-1, :] = 2.0 * (f * np.eye(self.n) - 2.0 * np.outer(u, u)) / f**2
-        J[-1, :] = -4.0 * u / f**2
-        return J
+        f = 1.0 + self._norm_sq(u)[..., None]
+        top = 2.0 * (f * np.eye(self.n) - 2.0 * u[..., :, None] * u[..., None, :]) / f**2
+        bottom = -4.0 * u[..., None, :] / f**2
+        return np.concatenate([top, bottom], axis=-2)
+
+    def _metric_diag(self, u):
+        u = np.asarray(u, dtype=float)
+        conf = 2.0 / (1.0 + self._norm_sq(u))
+        return conf**2 * np.ones(self.n)
 
     def metric(self, u):
-        u = np.asarray(u, dtype=float)
-        conf = 2.0 / (1.0 + u @ u)
-        return conf**2 * np.eye(self.n)
+        return _diag(self._metric_diag(u))
 
     def metric_inverse(self, u):
-        u = np.asarray(u, dtype=float)
-        conf = 2.0 / (1.0 + u @ u)
-        return np.eye(self.n) / conf**2
+        return _diag(1.0 / self._metric_diag(u))
 
     def christoffels(self, u):
         # conformal metric e^{2f} delta with f = log 2 - log(1+|u|^2):
         # Gamma^k_ij = d_j f delta^k_i + d_i f delta^k_j - d_k f delta_ij
         u = np.asarray(u, dtype=float)
-        df = -2.0 * u / (1.0 + u @ u)
-        n = self.n
-        eye = np.eye(n)
-        gamma = (df[None, :, None] * eye[:, None, :]
-                 + df[None, None, :] * eye[:, :, None]
-                 - df[:, None, None] * eye[None, :, :])
-        return gamma
+        df = -2.0 * u / (1.0 + self._norm_sq(u))
+        eye = np.eye(self.n)
+        return (df[..., None, :, None] * eye[:, None, :]
+                + df[..., None, None, :] * eye[:, :, None]
+                - df[..., :, None, None] * eye[None, :, :])
 
 
 class BandChart:
@@ -96,135 +121,94 @@ class BandChart:
 
     def contains(self, u):
         u = np.asarray(u, dtype=float)
-        if u.shape[-1] != self.n or not np.all(np.isfinite(u)):
-            return False
-        if abs(u[0]) >= np.pi / 2:
-            return False
+        if u.shape[-1] != self.n:
+            return np.zeros(u.shape[:-1], dtype=bool)
         # middle hyperspherical angles degenerate at 0 and pi
-        for a in u[1:-1] if self.n >= 3 else []:
-            if not 0.0 < a < np.pi:
-                return False
-        return True
-
-    def _require(self, u):
-        u = np.asarray(u, dtype=float)
-        if not self.contains(u):
-            raise ChartDomainError(f"point {u} outside band chart range")
-        return u
+        middle = u[..., 1:-1]
+        return (np.all(np.isfinite(u), axis=-1)
+                & (np.abs(u[..., 0]) < np.pi / 2)
+                & np.all((middle > 0.0) & (middle < np.pi), axis=-1))
 
     # -- S^{n-1} factor in hyperspherical angles -------------------------------
 
     def _factor_embed(self, a):
         # y_1 = cos a1, y_2 = sin a1 cos a2, ..., y_m+1 = sin a1 ... sin a_m
-        m = self.n - 1
-        y = np.empty(m + 1)
-        run = 1.0
-        for i in range(m):
-            y[i] = run * np.cos(a[i])
-            run *= np.sin(a[i])
-        y[m] = run
-        return y
+        ones = np.ones(a.shape[:-1] + (1,))
+        return _running_products(np.sin(a)) * np.concatenate([np.cos(a), ones], axis=-1)
 
     def _factor_metric_diag(self, a):
-        m = self.n - 1
-        h = np.empty(m)
-        run = 1.0
-        for i in range(m):
-            h[i] = run
-            run *= np.sin(a[i]) ** 2
-        return h
+        return _running_products(np.sin(a) ** 2)[..., :-1]
 
     def _factor_christoffels(self, a):
         m = self.n - 1
         h = self._factor_metric_diag(a)
-        gamma = np.zeros((m, m, m))
+        gamma = np.zeros(a.shape[:-1] + (m, m, m))
         for i in range(m):
             for k in range(i):
-                cot = 1.0 / np.tan(a[k])
-                gamma[k, i, i] = -(h[i] / h[k]) * cot
-                gamma[i, i, k] = cot
-                gamma[i, k, i] = cot
+                cot = 1.0 / np.tan(a[..., k])
+                gamma[..., k, i, i] = -(h[..., i] / h[..., k]) * cot
+                gamma[..., i, i, k] = cot
+                gamma[..., i, k, i] = cot
         return gamma
+
+    def _factor_jacobian(self, a):
+        # d y_i / d a_j: entry i vanishes for i < j, picks up -sin at i = j,
+        # and swaps its sin(a_j) factor for cos(a_j) when i > j
+        m = self.n - 1
+        sin, cos = np.sin(a), np.cos(a)
+        dy = np.zeros(a.shape[:-1] + (m + 1, m))
+        for j in range(m):
+            dy[..., j, j] = -np.prod(sin[..., :j], axis=-1) * sin[..., j]
+            for i in range(j + 1, m + 1):
+                prod = cos[..., j]
+                for l in range(i):
+                    if l != j:
+                        prod = prod * sin[..., l]
+                if i < m:
+                    prod = prod * cos[..., i]
+                dy[..., i, j] = prod
+        return dy
 
     # -- full chart ------------------------------------------------------------
 
     def embed(self, u):
-        u = self._require(u)
-        s = u[0]
-        x = np.empty(self.n + 1)
-        if self.n == 1:
-            x[0] = np.cos(s)
-            x[1] = np.sin(s)
-            return x
-        y = self._factor_embed(u[1:])
-        x[:-1] = np.cos(s) * y
-        x[-1] = np.sin(s)
-        return x
+        u = _require(self, u)
+        s = u[..., :1]
+        return np.concatenate(
+            [np.cos(s) * self._factor_embed(u[..., 1:]), np.sin(s)], axis=-1)
 
     def jacobian(self, u):
-        u = self._require(u)
-        s = u[0]
-        J = np.empty((self.n + 1, self.n))
-        if self.n == 1:
-            J[0, 0] = -np.sin(s)
-            J[1, 0] = np.cos(s)
-            return J
-        a = u[1:]
-        y = self._factor_embed(a)
-        J[:-1, 0] = -np.sin(s) * y
-        J[-1, 0] = np.cos(s)
-        for j in range(self.n - 1):
-            J[:-1, j + 1] = np.cos(s) * self._factor_embed_partial(a, j)
-            J[-1, j + 1] = 0.0
-        return J
+        u = _require(self, u)
+        s = u[..., :1]
+        a = u[..., 1:]
+        ds = np.concatenate([-np.sin(s) * self._factor_embed(a), np.cos(s)], axis=-1)
+        dy = np.cos(s)[..., None] * self._factor_jacobian(a)
+        da = np.concatenate([dy, np.zeros(a.shape[:-1] + (1, self.n - 1))], axis=-2)
+        return np.concatenate([ds[..., :, None], da], axis=-1)
 
-    def _factor_embed_partial(self, a, j):
-        # d/d a_j of the hyperspherical embedding: entry i vanishes for i < j,
-        # picks up -sin at i = j, and swaps its sin(a_j) factor for cos(a_j)
-        # when i > j
-        m = self.n - 1
-        dy = np.zeros(m + 1)
-        dy[j] = -np.prod(np.sin(a[:j])) * np.sin(a[j])
-        for i in range(j + 1, m + 1):
-            prod = np.cos(a[j])
-            for l in range(i):
-                if l != j:
-                    prod *= np.sin(a[l])
-            if i < m:
-                prod *= np.cos(a[i])
-            dy[i] = prod
-        return dy
+    def _metric_diag(self, u):
+        u = _require(self, u)
+        ones = np.ones(u.shape[:-1] + (1,))
+        angular = np.cos(u[..., :1]) ** 2 * self._factor_metric_diag(u[..., 1:])
+        return np.concatenate([ones, angular], axis=-1)
 
     def metric(self, u):
-        u = self._require(u)
-        g = np.zeros((self.n, self.n))
-        g[0, 0] = 1.0
-        if self.n > 1:
-            h = self._factor_metric_diag(u[1:])
-            np.fill_diagonal(g[1:, 1:], np.cos(u[0]) ** 2 * h)
-        return g
+        return _diag(self._metric_diag(u))
 
     def metric_inverse(self, u):
-        g = self.metric(u)
-        inv = np.zeros_like(g)
-        np.fill_diagonal(inv, 1.0 / np.diag(g))
-        return inv
+        return _diag(1.0 / self._metric_diag(u))
 
     def christoffels(self, u):
-        u = self._require(u)
+        u = _require(self, u)
         n = self.n
-        gamma = np.zeros((n, n, n))
-        if n == 1:
-            return gamma
-        s = u[0]
-        tan_s = np.tan(s)
-        g_ang = self.metric(u)[1:, 1:]
+        gamma = np.zeros(u.shape[:-1] + (n, n, n))
+        tan_s = np.tan(u[..., 0])[..., None]
         # Gamma^s_ab = tan(s) g_ab;  Gamma^a_sb = -tan(s) delta^a_b
-        gamma[0, 1:, 1:] = tan_s * g_ang
-        for a in range(1, n):
-            gamma[a, 0, a] = -tan_s
-            gamma[a, a, 0] = -tan_s
-        gamma[1:, 1:, 1:] = self._factor_christoffels(u[1:])
+        gamma[..., 0, 1:, 1:] = tan_s[..., None] * _diag(self._metric_diag(u)[..., 1:])
+        a = np.arange(1, n)
+        gamma[..., a, 0, a] = -tan_s
+        gamma[..., a, a, 0] = -tan_s
+        gamma[..., 1:, 1:, 1:] = self._factor_christoffels(u[..., 1:])
         return gamma
 
 
@@ -232,118 +216,117 @@ class BandChart:
 class ScalarField:
     """Scalar field on (part of) a chart, with optional analytic jets.
 
-    value(u) -> float; gradient(u) -> (n,) partials; hessian(u) -> (n, n) raw
-    coordinate partials d_i d_j (covariant correction applied downstream).
-    domain(u) -> bool restricts the field inside the chart; None means the
-    whole chart range.  h is the finite-difference step used when jets are
-    absent.
+    Points are arrays whose last axis holds the n chart coordinates, and
+    every call broadcasts over the leading axes, as in horocorr.minkowski:
+    value(u) -> (...) values; gradient(u) -> (..., n) partials; hessian(u)
+    -> (..., n, n) raw coordinate partials d_i d_j (covariant correction
+    applied downstream); domain(u) -> (...) mask restricting the field
+    inside the chart, None meaning the whole chart range.  h is the
+    finite-difference step used when jets are absent.
+
+    Callables that feed a batched call must broadcast in the same way.  The
+    stencil-room check of finite-difference jets is one such call: it hands
+    domain every offset point of the stencil at once.  A callable written
+    for one (n,) point still serves single-point calls.
     """
 
-    value: Callable[[np.ndarray], float]
+    value: Callable[[np.ndarray], np.ndarray]
     gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
     hessian: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    domain: Optional[Callable[[np.ndarray], bool]] = None
+    domain: Optional[Callable[[np.ndarray], np.ndarray]] = None
     h: float = DEFAULT_FD_STEP
 
     def in_domain(self, chart, u):
+        """Mask over the leading axes of u: inside the chart and the domain."""
         u = np.asarray(u, dtype=float)
-        if not chart.contains(u):
-            return False
-        return True if self.domain is None else bool(self.domain(u))
+        inside = chart.contains(u)
+        # domain never sees a batch without a point inside the chart
+        if self.domain is None or not np.any(inside):
+            return inside
+        return inside & np.asarray(self.domain(u), dtype=bool)
 
     def without_jets(self):
         """Copy of the field that forgets analytic derivatives (forces FD)."""
         return ScalarField(self.value, None, None, self.domain, self.h)
 
 
-@dataclass(frozen=True)
-class DomainSample:
-    """One chart point of a sampling plan."""
-
-    point: np.ndarray
-    inside: bool
-    boundary_distance: Optional[float] = None
-
-
 def constant_field(c, h=DEFAULT_FD_STEP):
-    n_arr = np.asarray
     return ScalarField(
-        value=lambda u: float(c),
-        gradient=lambda u: np.zeros(n_arr(u).shape[-1]),
-        hessian=lambda u: np.zeros((n_arr(u).shape[-1],) * 2),
+        value=lambda u: float(c) + np.zeros(np.shape(u)[:-1]),
+        gradient=lambda u: np.zeros(np.shape(u)),
+        hessian=lambda u: np.zeros(np.shape(u) + np.shape(u)[-1:]),
         h=h,
     )
 
 
 def radial_band_field(f, fs=None, fss=None, domain_s=None, h=DEFAULT_FD_STEP):
-    """Field on a band chart depending on the arc coordinate s = u[0] only.
+    """Field on a band chart depending on the arc coordinate s = u[..., 0] only.
 
-    f, fs, fss: value and its first/second s-derivatives; domain_s(s) -> bool
-    optionally restricts the s-range.
+    f, fs, fss: value and its first/second s-derivatives; domain_s(s) -> mask
+    optionally restricts the s-range.  Each takes an array of s values.
     """
 
     def value(u):
-        return float(f(u[0]))
+        return f(np.asarray(u, dtype=float)[..., 0])
 
     gradient = None
     if fs is not None:
         def gradient(u):
-            g = np.zeros(len(u))
-            g[0] = fs(u[0])
+            u = np.asarray(u, dtype=float)
+            g = np.zeros(u.shape)
+            g[..., 0] = fs(u[..., 0])
             return g
 
     hessian = None
     if fss is not None:
         def hessian(u):
-            H = np.zeros((len(u), len(u)))
-            H[0, 0] = fss(u[0])
+            u = np.asarray(u, dtype=float)
+            H = np.zeros(u.shape + u.shape[-1:])
+            H[..., 0, 0] = fss(u[..., 0])
             return H
 
     domain = None
     if domain_s is not None:
         def domain(u):
-            return bool(domain_s(u[0]))
+            return domain_s(np.asarray(u, dtype=float)[..., 0])
 
     return ScalarField(value, gradient, hessian, domain, h)
 
 
 def field_from_ambient(chart, F, h=DEFAULT_FD_STEP, domain=None):
     """Chart-independent field: evaluates an ambient function F(x), x on S^n."""
-    return ScalarField(lambda u: float(F(chart.embed(u))), domain=domain, h=h)
+    return ScalarField(lambda u: F(chart.embed(u)), domain=domain, h=h)
 
 
 def _stencil_ok(field, chart, u, h):
-    n = len(u)
-    for i in range(n):
-        for step in (-2 * h, -h, h, 2 * h):
-            v = u.copy()
-            v[i] += step
-            if not field.in_domain(chart, v):
-                return False
-    for i in range(n):
-        for j in range(i + 1, n):
-            for si in (-h, h):
-                for sj in (-h, h):
-                    v = u.copy()
-                    v[i] += si
-                    v[j] += sj
-                    if not field.in_domain(chart, v):
-                        return False
-    return True
+    """Mask over the leading axes of u: every point of the stencil (+-h and
+    +-2h along each axis, the four diagonal +-h corners of each axis pair)
+    lies in the field's domain."""
+    steps = h * np.eye(u.shape[-1])
+    i, j = np.triu_indices(u.shape[-1], 1)
+    offsets = np.concatenate(
+        [k * steps for k in (-2, -1, 1, 2)]
+        + [a * steps[i] + b * steps[j] for a in (-1, 1) for b in (-1, 1)])
+    return np.all(field.in_domain(chart, u[..., None, :] + offsets), axis=-1)
 
 
 def axis_values(f, x, h):
-    """Values of f at x + h e_i and at x - h e_i for every axis i, stacked
-    along a new leading axis; f may be scalar- or array-valued."""
+    """Values of f at x + h e_i and at x - h e_i for every axis i of the last
+    axis of x, stacked along a new axis placed after x's leading axes.
+
+    f may be scalar- or array-valued; on a batch x of shape (..., n) it must
+    return values with the same leading axes.
+    """
     x = np.asarray(x, dtype=float)
-    steps = h * np.eye(len(x))
-    return (np.array([f(x + e) for e in steps]),
-            np.array([f(x - e) for e in steps]))
+    steps = h * np.eye(x.shape[-1])
+    axis = x.ndim - 1
+    return (np.stack([f(x + e) for e in steps], axis),
+            np.stack([f(x - e) for e in steps], axis))
 
 
 def central_gradient(f, x, h):
-    """First derivatives by central differences, one row per axis; evaluates
-    f only at x +- h e_i."""
+    """First derivatives by central differences, the derivative axis placed
+    after x's leading axes; evaluates f only at x +- h e_i."""
     plus, minus = axis_values(f, x, h)
     return (plus - minus) / (2 * h)
 
@@ -352,62 +335,69 @@ def central_jet(f, x, h):
     """(f(x), first derivatives, second derivatives) by second-order central
     differences.
 
-    Mixed partials use the symmetric four-point stencil, so the second
-    derivatives are symmetric in their two leading axes by construction.
+    The derivative axes follow x's leading axes, and the axis count comes
+    from x.shape[-1].  Mixed partials use the symmetric four-point stencil,
+    so the second derivatives are symmetric in their two derivative axes by
+    construction.
     """
     x = np.asarray(x, dtype=float)
-    n = len(x)
+    n = x.shape[-1]
+    axis = x.ndim - 1
     f0 = f(x)
     plus, minus = axis_values(f, x, h)
     grad = (plus - minus) / (2 * h)
-    hess = np.empty((n, n) + np.shape(f0))
+    plus, minus = np.moveaxis(plus, axis, 0), np.moveaxis(minus, axis, 0)
     steps = h * np.eye(n)
+    rows = [[None] * n for _ in range(n)]
     for i in range(n):
-        hess[i, i] = (plus[i] - 2 * f0 + minus[i]) / h**2
+        rows[i][i] = (plus[i] - 2 * f0 + minus[i]) / h**2
         for j in range(i + 1, n):
             ei, ej = steps[i], steps[j]
-            hess[i, j] = hess[j, i] = (
+            rows[i][j] = rows[j][i] = (
                 f(x + ei + ej) - f(x + ei - ej)
                 - f(x - ei + ej) + f(x - ei - ej)) / (4 * h**2)
+    hess = np.stack([np.stack(row, axis) for row in rows], axis)
     return f0, grad, hess
 
 
 def fd_jet(field, u, h, chart=None):
     """(value, gradient, Hessian) of a field by central differences.
 
-    Raises ChartDomainError if h <= 0 or the stencil leaves the field's
-    domain (when a chart is supplied to check against).
+    Raises ChartDomainError if h <= 0 or the stencil of any point leaves the
+    field's domain (when a chart is supplied to check against).
     """
     if h <= 0:
         raise ChartDomainError("finite-difference step must be positive")
     u = np.asarray(u, dtype=float)
-    if chart is not None and not _stencil_ok(field, chart, u, h):
+    if chart is not None and not np.all(_stencil_ok(field, chart, u, h)):
         raise ChartDomainError("stencil escapes the field domain; reduce h or move inward")
     return central_jet(field.value, u, h)
 
 
 @dataclass(frozen=True)
 class GradHess:
-    gradient: np.ndarray        # coordinate partials d_i rho
-    grad_norm_sq: float         # |grad rho|^2 with respect to the chart metric
+    gradient: np.ndarray        # coordinate partials d_i rho, (..., n)
+    grad_norm_sq: np.ndarray    # |grad rho|^2 with respect to the chart metric, (...)
     covariant_hessian: np.ndarray  # rho_{i,j} = d_i d_j rho - Gamma^k_ij d_k rho
 
 
 def gradient_hessian(field, chart, u):
-    """First and covariant second derivatives of a field at a chart point.
+    """First and covariant second derivatives of a field at chart points
+    (broadcasting over the leading axes of u).
 
     Uses analytic jets when the field carries them, otherwise central
     differences with the field's step h (requiring stencil room inside the
-    domain).
+    domain).  Raises ChartDomainError if any point is outside the domain.
     """
     u = np.asarray(u, dtype=float)
-    if not field.in_domain(chart, u):
-        raise ChartDomainError(f"point {u} outside the field domain")
+    inside = field.in_domain(chart, u)
+    if not np.all(inside):
+        raise ChartDomainError(f"point {u[~inside][0]} outside the field domain")
     if field.gradient is not None and field.hessian is not None:
         grad = np.asarray(field.gradient(u), dtype=float)
         raw_hess = np.asarray(field.hessian(u), dtype=float)
     else:
         _, grad, raw_hess = fd_jet(field, u, field.h, chart=chart)
-    cov = raw_hess - np.einsum("kij,k->ij", chart.christoffels(u), grad)
-    norm_sq = float(grad @ chart.metric_inverse(u) @ grad)
+    cov = raw_hess - np.einsum("...kij,...k->...ij", chart.christoffels(u), grad)
+    norm_sq = np.einsum("...i,...ij,...j->...", grad, chart.metric_inverse(u), grad)
     return GradHess(grad, norm_sq, cov)

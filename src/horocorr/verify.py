@@ -17,7 +17,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .analysis import (
     boundary_at_infinity,
@@ -30,6 +29,7 @@ from .analysis import (
 )
 from .conformal import (
     ConformalMetric,
+    generalized_eigvalsh,
     path_length,
     realizability_report,
     rescale,
@@ -118,16 +118,13 @@ def check_curvature_cross_oracle(samples=500, h=1e-4, seed=20):
     worst = 0.0
     notes = []
     for name, metric, pts, t0 in _sample_plans(rng, samples):
-        scaled = rescale(metric, t0)
-        leg = 0.0
-        for u in pts:
-            spectrum = extrinsic_curvatures(metric, u, t=t0, h=h)
-            lam = schouten(scaled, u).eigenvalues
-            pred = np.sort(lambda_kappa(lam))
-            leg = max(leg, float(np.max(np.abs(np.sort(spectrum.values) - pred))))
-            if name == "geodesic-sphere":
-                # independent oracle: constant support gives kappa = -3
-                leg = max(leg, float(np.max(np.abs(spectrum.values + 3.0))))
+        kappas = extrinsic_curvatures(metric, pts, t=t0, h=h).values
+        lam = schouten(rescale(metric, t0), pts).eigenvalues
+        pred = np.sort(lambda_kappa(lam), axis=-1)
+        leg = float(np.max(np.abs(np.sort(kappas, axis=-1) - pred)))
+        if name == "geodesic-sphere":
+            # independent oracle: constant support gives kappa = -3
+            leg = max(leg, float(np.max(np.abs(kappas + 3.0))))
         notes.append(f"{name} {leg:.1e}")
         worst = max(worst, leg)
     runtime = time.perf_counter() - start
@@ -142,16 +139,12 @@ def check_minkowski_constraints(samples=200, seed=21):
     rng = np.random.default_rng(seed)
 
     def frame_errors(metric, pts, t0):
-        worst = 0.0
-        for u in pts:
-            p = immerse(metric, u, t0)
-            worst = max(
-                worst,
-                abs(mink_inner(p.phi, p.phi) + 1.0),
-                abs(mink_inner(p.eta, p.eta) - 1.0),
-                abs(mink_inner(p.phi, p.eta)),
-                abs(mink_inner(p.psi, p.psi)))
-        return worst
+        p = immerse(metric, pts, t0)
+        return float(np.max(np.abs([
+            mink_inner(p.phi, p.phi) + 1.0,
+            mink_inner(p.eta, p.eta) - 1.0,
+            mink_inner(p.phi, p.eta),
+            mink_inner(p.psi, p.psi)])))
 
     plans = _sample_plans(rng, samples)
     analytic = max(frame_errors(m, p, t0) for _, m, p, t0 in plans)
@@ -171,14 +164,12 @@ def check_pullback_identity(samples=200, h=1e-4, seed=22):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _, metric, pts, t0 in _sample_plans(rng, samples):
-        for u in pts:
-            dpsi = central_gradient(lambda v: immerse(metric, v, t0).psi, u, h)
-            n = len(u)
-            induced = np.array([[mink_inner(dpsi[i], dpsi[j])
-                                 for j in range(n)] for i in range(n)])
-            target = math.exp(2.0 * (metric.effective(u) + t0)) * metric.chart.metric(u)
-            rel = np.max(np.abs(induced - target)) / np.max(np.abs(target))
-            worst = max(worst, float(rel))
+        dpsi = central_gradient(lambda v: immerse(metric, v, t0).psi, pts, h)
+        induced = mink_inner(dpsi[:, :, None, :], dpsi[:, None, :, :])
+        target = rescale(metric, t0).ghat(pts)
+        rel = (np.max(np.abs(induced - target), axis=(1, 2))
+               / np.max(np.abs(target), axis=(1, 2)))
+        worst = max(worst, float(np.max(rel)))
     runtime = time.perf_counter() - start
     return CheckResult("pullback-identity", worst <= 1e-5, worst, 1e-5,
                        f"relative error over {3 * samples} samples", runtime)
@@ -191,12 +182,11 @@ def check_ricatti_consistency(samples=60, seed=23):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _, metric, pts, t0 in _sample_plans(rng, samples):
-        for u in pts:
-            base = extrinsic_curvatures(metric, u, t=t0).values
-            for t in (0.5, 1.0, 2.0):
-                flowed = extrinsic_curvatures(metric, u, t=t0 + t).values
-                pred = np.sort(ricatti(base, t))
-                worst = max(worst, float(np.max(np.abs(np.sort(flowed) - pred))))
+        base = extrinsic_curvatures(metric, pts, t=t0).values
+        for t in (0.5, 1.0, 2.0):
+            flowed = extrinsic_curvatures(metric, pts, t=t0 + t).values
+            pred = np.sort(ricatti(base, t), axis=-1)
+            worst = max(worst, float(np.max(np.abs(np.sort(flowed, axis=-1) - pred))))
 
     # envelope |kappa_t + 1| <= 2(1+|kappa|)e^{-2t}/(1 - max(kappa_top, 0))
     kappas = np.linspace(-10.0, 0.9, 56)
@@ -222,28 +212,28 @@ def check_boundary_expansion(seed=24):
     rng = np.random.default_rng(seed)
     round_metric = ConformalMetric(StereographicChart(2), constant_field(0.0))
     pts = rng.uniform(-3.0, 3.0, size=(20, 2))
+    ghat = round_metric.chart.metric(pts)
     worst_round = 0.0
-    for u in pts:
-        ghat = round_metric.chart.metric(u)
-        for r in np.linspace(0.0, 1.9, 20):
-            target = (1.0 - r**2 / 4.0) ** 2 * ghat
-            err = np.max(np.abs(fg_metric(round_metric, u, r) - target))
-            worst_round = max(worst_round, float(err / np.max(np.abs(target))))
+    for r in np.linspace(0.0, 1.9, 20):
+        target = (1.0 - r**2 / 4.0) ** 2 * ghat
+        err = np.max(np.abs(fg_metric(round_metric, pts, r) - target), axis=(1, 2))
+        rel = err / np.max(np.abs(target), axis=(1, 2))
+        worst_round = max(worst_round, float(np.max(rel)))
 
     # on any metric: eigenvalues of g_r relative to ghat at r = 2e^{-t}
     # equal (1 - 2 lam)^2 e^{-2t} (cosh t - kappa sinh t)^2
     sphere = make_example("geodesic-sphere").payload
+    pts = rng.uniform(-2.0, 2.0, size=(50, 2))
+    ghat = sphere.ghat(pts)
+    lam = schouten(sphere, pts).eigenvalues
+    kap = lambda_kappa(lam)
     worst_flow = 0.0
-    for u in rng.uniform(-2.0, 2.0, size=(50, 2)):
-        ghat = math.exp(2.0 * sphere.effective(u)) * sphere.chart.metric(u)
-        lam = schouten(sphere, u).eigenvalues
-        kap = lambda_kappa(lam)
-        for t in (0.3, 0.7, 1.2, 2.0):
-            r = 2.0 * math.exp(-t)
-            actual = np.sort(eigh(fg_metric(sphere, u, r), ghat, eigvals_only=True))
-            pred = np.sort((1.0 - 2.0 * lam) ** 2 * math.exp(-2.0 * t)
-                           * flow_metric_factor(kap, t))
-            worst_flow = max(worst_flow, float(np.max(np.abs(actual - pred))))
+    for t in (0.3, 0.7, 1.2, 2.0):
+        r = 2.0 * math.exp(-t)
+        actual = generalized_eigvalsh(fg_metric(sphere, pts, r), ghat)
+        pred = np.sort((1.0 - 2.0 * lam) ** 2 * math.exp(-2.0 * t)
+                       * flow_metric_factor(kap, t), axis=-1)
+        worst_flow = max(worst_flow, float(np.max(np.abs(actual - pred))))
     runtime = time.perf_counter() - start
     passed = worst_round <= 1e-10 and worst_flow <= 1e-6
     details = f"round closed form {worst_round:.1e}; flow-factor match {worst_flow:.1e}"
@@ -267,13 +257,12 @@ def check_band_reproductions(seed=25):
         lambda ds: band.rho.value(u_half + [ds[0], 0.0]), [0.0], 1e-4)
     err_fd = max(abs(fd_s[0] - 2.0 / 3.0), abs(fd_ss[0, 0] - 20.0 / 9.0))
 
-    worst_radial = 0.0
-    for s in rng.uniform(0.0, 0.95, size=100):
-        u = np.array([s, rng.uniform(0.0, 2.0 * math.pi)])
-        rep = schouten(band, u)
-        correction = rep.tensor[0, 0] - 0.5 * band.chart.metric(u)[0, 0]
-        expected = -(1.0 + 0.5 * s * s) / (1.0 - s * s) ** 2
-        worst_radial = max(worst_radial, abs(correction - expected))
+    # all arcs are drawn before all angles; the draw order fixes the samples
+    s = rng.uniform(0.0, 0.95, size=100)
+    u = np.column_stack([s, rng.uniform(0.0, 2.0 * math.pi, size=100)])
+    correction = schouten(band, u).tensor[:, 0, 0] - 0.5 * band.chart.metric(u)[:, 0, 0]
+    expected = -(1.0 + 0.5 * s * s) / (1.0 - s * s) ** 2
+    worst_radial = float(np.max(np.abs(correction - expected)))
 
     probe_s = np.concatenate([np.linspace(-0.9, 0.9, 19),
                               [1 - 1e-7, -(1 - 1e-7), 1 - 1e-8]])
@@ -302,6 +291,7 @@ def check_unfolding(m=8192, grid_m=1024):
     along the flow, crossings at t = 0, at t = 5 and at every grid time, and
     a bisection that refuses a certificate.  A winding-1 circle runs the
     same code as a control and must wind once and be embedded at t = 0.
+    The reported max_error is the number of these clauses that fail.
     """
     start = time.perf_counter()
     curve = profile_curve(m)
@@ -329,8 +319,9 @@ def check_unfolding(m=8192, grid_m=1024):
 
     runtime = time.perf_counter() - start
     obstructed = len(windings) == 1 and windings[0] != 1
-    passed = (obstructed and c0 >= 1 and c_top >= 1 and min(grid_counts) >= 1
-              and certificate is None and control_ok and runtime < 120.0)
+    clauses = (obstructed, c0 >= 1, c_top >= 1, min(grid_counts) >= 1,
+               certificate is None, control_ok, runtime < 120.0)
+    failed = sum(not clause for clause in clauses)
     details = (f"crossings {c0} at t=0, {c_top} at t=5 (m={m}); "
                f"count trend {grid_counts[0]}->{grid_counts[-1]} at m={grid_m} "
                f"(fewest {min(grid_counts)} on {len(grid_counts)} times); "
@@ -339,7 +330,7 @@ def check_unfolding(m=8192, grid_m=1024):
                f"bisection said: {message or 'found ' + repr(certificate)}; "
                f"control circle winds {control_windings}, embedded at "
                f"t={control.t_embedded}")
-    return CheckResult("unfolding", passed, float(c_top), 0.0, details, runtime)
+    return CheckResult("unfolding", failed == 0, float(failed), 0.0, details, runtime)
 
 
 def check_weingarten_calculus(seed=26):
@@ -419,10 +410,8 @@ def check_degenerate_collapse(seed=27):
     rng = np.random.default_rng(seed)
     metric = make_example("round-degenerate").payload
     target = np.array([1.0, 0.0, 0.0, 0.0])
-    worst = 0.0
     pts = rng.uniform(-3.0, 3.0, size=(100, 2))
-    for u in pts:
-        worst = max(worst, float(np.max(np.abs(immerse(metric, u).phi - target))))
+    worst = float(np.max(np.abs(immerse(metric, pts).phi - target)))
     message = ""
     try:
         extrinsic_curvatures(metric, pts[0])

@@ -126,6 +126,18 @@ class TestReports:
         discrepancies = [float(r[-1]) for r in rows[1:]]
         assert max(discrepancies) < 1e-3
 
+    @pytest.mark.parametrize("argv, skipped", [
+        (("flow", "cylinder-delaunay", "--samples", "100", "--h", "0.2"), 5),
+        (("flow", "incomplete-band", "--samples", "100", "--t=-0.3"), 84),
+    ], ids=["stencil-leaves-band", "outside-immersion-window"])
+    def test_flow_skips_samples(self, capsys, argv, skipped):
+        code, out, err = run(capsys, *argv)
+        assert code == 0
+        assert f"skipped {skipped} samples outside the immersion window" in err
+        rows = list(csv.reader(out.splitlines()))
+        assert len(rows) == 1 + 100 - skipped
+        assert max(float(r[-1]) for r in rows[1:]) < 1e-3
+
     def test_boundary_cylinder_two_poles(self, capsys):
         code, out, _ = run(capsys, "boundary", "cylinder-delaunay")
         assert code == 0
@@ -173,6 +185,13 @@ class TestVerify:
         assert "PASS unfolding" in out
         assert "winding stays [3]" in out
         assert "not embedded by t_max" in out
+
+    def test_unfolding_line_counts_failed_clauses(self, capsys):
+        # max_error is the number of failed verdict clauses, 0 on a pass
+        code, out, _ = run(capsys, "verify", "--only", "unfolding")
+        assert code == 0
+        assert out.startswith("PASS unfolding: max_error=0.000e+00 tol=0.0e+00")
+        assert "250 at t=5 (m=8192)" in out
 
     def test_weingarten_check_passes(self, capsys):
         code, out, _ = run(capsys, "weingarten-check")

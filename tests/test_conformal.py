@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
 from horocorr.conformal import (
     ConformalMetric,
     beta,
     flow_time_for_bound,
+    generalized_eigvalsh,
     horospherical_curvature,
     horospherical_scalar,
     path_length,
@@ -26,9 +28,9 @@ def band_metric(t=0.0):
 
 def cylinder_metric(t=1.0):
     rho = radial_band_field(
-        f=lambda s: -math.log(math.cos(s)),
-        fs=lambda s: math.tan(s),
-        fss=lambda s: 1.0 / math.cos(s) ** 2,
+        f=lambda s: -np.log(np.cos(s)),
+        fs=lambda s: np.tan(s),
+        fss=lambda s: 1.0 / np.cos(s) ** 2,
     )
     return ConformalMetric(BandChart(2), rho, t)
 
@@ -96,6 +98,26 @@ class TestSchouten:
         np.testing.assert_allclose(
             schouten(m_band, u_band).eigenvalues,
             schouten(m_st, u_st).eigenvalues, atol=1e-6)
+
+
+class TestGeneralizedEigvalsh:
+    def test_matches_scipy_on_random_spd_pairs(self, rng):
+        for n in (1, 2, 3, 5):
+            X = rng.normal(size=(40, n, n))
+            Y = rng.normal(size=(40, n, n))
+            A = X + np.swapaxes(X, -1, -2)
+            B = Y @ np.swapaxes(Y, -1, -2) + 0.1 * np.eye(n)
+            got = generalized_eigvalsh(A, B)
+            assert got.shape == (40, n)
+            for a, b, row in zip(A, B, got):
+                want = eigh(a, b, eigvals_only=True)
+                np.testing.assert_allclose(row, want, rtol=1e-9,
+                                           atol=1e-9 * np.max(np.abs(want)))
+            np.testing.assert_allclose(generalized_eigvalsh(A[0], B[0]), got[0])
+
+    def test_rejects_indefinite_metric(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            generalized_eigvalsh(np.eye(2), np.diag([1.0, -1.0]))
 
 
 class TestHorosphericalCurvature:

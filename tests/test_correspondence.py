@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from horocorr.analysis import make_example
 from horocorr.conformal import ConformalMetric, realizability_report, rescale, schouten
 from horocorr.correspondence import (
     CANONICAL,
@@ -18,9 +19,20 @@ from horocorr.correspondence import (
     ricatti,
     support_and_gauss,
 )
-from horocorr.errors import HyperquadricError, ImmersionError, SingularParameterError
+from horocorr.errors import (
+    ChartDomainError,
+    HyperquadricError,
+    ImmersionError,
+    SingularParameterError,
+)
 from horocorr.minkowski import geodesic_point, mink_inner
-from horocorr.sphere import BandChart, StereographicChart, constant_field, radial_band_field
+from horocorr.sphere import (
+    BandChart,
+    StereographicChart,
+    constant_field,
+    gradient_hessian,
+    radial_band_field,
+)
 
 from test_conformal import band_metric, cylinder_metric
 
@@ -333,3 +345,101 @@ class TestMinImmersionTime:
             [np.array([s, 0.0]) for s in np.linspace(-1.2, 1.2, 25)],
             eps=0.1).suggested_t0
         assert t0 == pytest.approx(0.111572, abs=1e-6)
+
+
+def _batch_cases():
+    """(label, metric, lower corner, upper corner, flow time) of the gallery
+    metrics and of the band with finite-difference jets."""
+    band = make_example("incomplete-band").payload
+    band_box = ((-0.8, 0.0), (0.8, 2.0 * math.pi))
+    return [
+        ("geodesic-sphere", make_example("geodesic-sphere").payload,
+         (-2.0, -2.0), (2.0, 2.0), 0.0),
+        ("round-degenerate", make_example("round-degenerate").payload,
+         (-2.0, -2.0), (2.0, 2.0), 0.0),
+        ("incomplete-band", band, *band_box, 1.0),
+        ("incomplete-band-fd",
+         ConformalMetric(band.chart, band.rho.without_jets(), band.t),
+         *band_box, 1.0),
+        ("cylinder-delaunay", make_example("cylinder-delaunay").payload,
+         (-1.2, 0.0), (1.2, 2.0 * math.pi), 0.0),
+    ]
+
+
+BATCH_CASES = _batch_cases()
+
+
+def assert_rows_agree(batch, rows, rel=1e-12):
+    """Each row of a batched result matches its single-point result to rel,
+    relative to the largest entry of that row."""
+    assert len(batch) == len(rows)
+    for got, want in zip(batch, rows):
+        want = np.asarray(want)
+        assert np.shape(got) == want.shape
+        np.testing.assert_allclose(got, want, rtol=0.0,
+                                   atol=rel * np.max(np.abs(want)))
+
+
+class TestBatchConvention:
+    """A batch of chart points runs through the same code as one point and
+    agrees row by row with the stacked single-point calls."""
+
+    @pytest.mark.parametrize("case", BATCH_CASES, ids=[c[0] for c in BATCH_CASES])
+    @given(unit=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+                         min_size=1, max_size=6))
+    @settings(max_examples=25, deadline=None)
+    def test_batch_matches_single_points(self, case, unit):
+        label, metric, lo, hi, t = case
+        lo, hi = np.array(lo), np.array(hi)
+        pts = lo + (hi - lo) * np.array(unit)
+
+        batch = immerse(metric, pts, t)
+        singles = [immerse(metric, u, t) for u in pts]
+        for name in ("phi", "eta", "psi"):
+            assert_rows_agree(getattr(batch, name),
+                              [getattr(p, name) for p in singles])
+
+        jets = gradient_hessian(metric.rho, metric.chart, pts)
+        single_jets = [gradient_hessian(metric.rho, metric.chart, u) for u in pts]
+        for name in ("gradient", "grad_norm_sq", "covariant_hessian"):
+            assert_rows_agree(getattr(jets, name),
+                              [getattr(j, name) for j in single_jets])
+
+        rep = schouten(metric, pts)
+        single_reps = [schouten(metric, u) for u in pts]
+        assert_rows_agree(rep.tensor, [r.tensor for r in single_reps])
+        assert_rows_agree(rep.eigenvalues, [r.eigenvalues for r in single_reps])
+
+        if label == "round-degenerate":
+            # the round metric collapses to a point: no immersion either way
+            with pytest.raises(ImmersionError, match="not an immersion"):
+                extrinsic_curvatures(metric, pts, t)
+            with pytest.raises(ImmersionError, match="not an immersion"):
+                extrinsic_curvatures(metric, pts[0], t)
+            return
+        kappas = extrinsic_curvatures(metric, pts, t).values
+        assert_rows_agree(kappas, [extrinsic_curvatures(metric, u, t).values
+                                   for u in pts])
+
+    def test_single_point_shapes(self):
+        metric = band_metric()
+        u = np.array([0.3, 1.0])
+        p = immerse(metric, u, 0.5)
+        assert p.phi.shape == (4,) and p.point.shape == (2,)
+        jets = gradient_hessian(metric.rho, metric.chart, u)
+        assert jets.gradient.shape == (2,) and np.ndim(jets.grad_norm_sq) == 0
+        rep = schouten(metric, u)
+        assert rep.tensor.shape == (2, 2) and rep.eigenvalues.shape == (2,)
+        spectrum, point = extrinsic_curvatures(metric, u, 1.0, return_point=True)
+        assert spectrum.values.shape == (2,)
+        assert point.tangents.shape == (2, 4) and point.first_form.shape == (2, 2)
+
+    def test_one_point_outside_fails_the_batch(self):
+        metric = band_metric()
+        pts = np.array([[0.2, 0.0], [0.5, 1.0], [1.2, 2.0], [-0.4, 3.0]])
+        with pytest.raises(ChartDomainError):
+            immerse(metric, pts)
+        with pytest.raises(ChartDomainError):
+            schouten(metric, pts)
+        with pytest.raises(ChartDomainError):
+            BandChart(2).embed(np.array([[0.1, 0.0], [0.5 * math.pi, 0.0]]))

@@ -19,7 +19,7 @@ from horocorr.sphere import (
 def band_example_field(h=1e-4):
     # rho(s) = -1/2 log(1 - s^2) on |s| < 1, with analytic jets
     return radial_band_field(
-        f=lambda s: -0.5 * math.log(1.0 - s * s),
+        f=lambda s: -0.5 * np.log(1.0 - s * s),
         fs=lambda s: s / (1.0 - s * s),
         fss=lambda s: (1.0 + s * s) / (1.0 - s * s) ** 2,
         domain_s=lambda s: abs(s) < 1.0,
