@@ -583,17 +583,35 @@ def domain_edge(metric, sign, limit):
 
 
 def _cluster_directions(dirs, radius):
-    clusters = []
+    """Greedy clustering of the unit directions `dirs` (shape (m, d)).
+
+    Directions are visited in input order.  Each joins the first cluster,
+    in creation order, whose normalised running sum lies within `radius`
+    of it, by arccos of the clipped dot product; that cluster's sum and
+    normalised centre are updated.  Otherwise the direction starts a new
+    cluster.  Joining moves a centre, so the result depends on the input
+    order.  Each direction is compared with every centre in one array
+    operation; only the cluster that changed is renormalised.
+    """
+    sums = np.empty_like(dirs)
+    centers = np.empty_like(dirs)
+    counts = []
     for v in dirs:
-        for c in clusters:
-            center = c[0] / np.linalg.norm(c[0])
-            if math.acos(float(np.clip(v @ center, -1.0, 1.0))) < radius:
-                c[0] = c[0] + v
-                c[1] += 1
-                break
+        k = len(counts)
+        # vecdot runs the same dot kernel as `u @ w` on two vectors, so every
+        # decision is bit for bit that of one pairwise comparison
+        dots = np.clip(np.vecdot(centers[:k], v), -1.0, 1.0)
+        near = np.flatnonzero(np.arccos(dots) < radius)
+        if near.size:
+            j = near[0]
+            sums[j] = sums[j] + v
+            counts[j] += 1
         else:
-            clusters.append([v.copy(), 1])
-    return [BoundaryCluster(c[0] / np.linalg.norm(c[0]), c[1]) for c in clusters]
+            j = k
+            sums[j] = v
+            counts.append(1)
+        centers[j] = sums[j] / np.linalg.norm(sums[j])
+    return [BoundaryCluster(c, n) for c, n in zip(centers[:len(counts)].copy(), counts)]
 
 
 def boundary_at_infinity(entry, escape_threshold=0.999, t=1.0,
@@ -603,7 +621,22 @@ def boundary_at_infinity(entry, escape_threshold=0.999, t=1.0,
     Samples the domain along ladders accumulating at its edge, immerses,
     projects to the ball, keeps points with |p| > escape_threshold and
     clusters their directions.  A compact image yields an empty list.
+    Parameters that would make that answer meaningless are refused:
+    escape_threshold must lie in (0, 1), cluster_radius in (0, pi], t must
+    be finite and n_directions, max_depth at least 1.
     """
+    if not 0.0 < escape_threshold < 1.0:
+        raise SingularParameterError(
+            f"escape threshold must lie in (0, 1), got {escape_threshold}")
+    if not 0.0 < cluster_radius <= math.pi:
+        raise SingularParameterError(
+            f"cluster radius must lie in (0, pi], got {cluster_radius}")
+    if n_directions < 1 or max_depth < 1:
+        raise SingularParameterError(
+            f"need at least one direction and one ladder level, got "
+            f"n_directions={n_directions}, max_depth={max_depth}")
+    if not math.isfinite(t):
+        raise SingularParameterError(f"flow time must be finite, got {t}")
     metric = entry.payload if isinstance(entry, GalleryEntry) else entry
     if not isinstance(metric, ConformalMetric):
         raise SingularParameterError(

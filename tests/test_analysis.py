@@ -5,11 +5,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from horocorr import analysis
 from horocorr.analysis import (
     CurveImmersion,
     EmbeddingReport,
     MeshImmersion,
+    BoundaryCluster,
     boundary_at_infinity,
     circle_curve,
     first_embedded_time,
@@ -29,6 +33,29 @@ from horocorr.errors import (
 )
 from horocorr.minkowski import from_poincare_ball, mink_inner
 from horocorr.verify import check_unfolding
+
+
+def reference_cluster_directions(dirs, radius):
+    # the original per-pair greedy loop, kept as the oracle for the
+    # array version in analysis._cluster_directions
+    clusters = []
+    for v in dirs:
+        for c in clusters:
+            center = c[0] / np.linalg.norm(c[0])
+            if math.acos(float(np.clip(v @ center, -1.0, 1.0))) < radius:
+                c[0] = c[0] + v
+                c[1] += 1
+                break
+        else:
+            clusters.append([v.copy(), 1])
+    return [BoundaryCluster(c[0] / np.linalg.norm(c[0]), c[1]) for c in clusters]
+
+
+def assert_same_clusters(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.count == b.count
+        np.testing.assert_array_equal(a.direction, b.direction)
 
 
 def lifted_normal(phi, w):
@@ -281,3 +308,118 @@ class TestBoundaryAtInfinity:
     def test_curve_payload_rejected(self):
         with pytest.raises(SingularParameterError):
             boundary_at_infinity(make_example("alpha-curve"))
+
+    @pytest.mark.parametrize("kwargs", [
+        {"escape_threshold": 0.0}, {"escape_threshold": 1.0},
+        {"escape_threshold": 1.5}, {"escape_threshold": -0.5},
+        {"escape_threshold": math.nan}, {"escape_threshold": math.inf},
+        {"cluster_radius": 0.0}, {"cluster_radius": -0.05},
+        {"cluster_radius": 3.2}, {"cluster_radius": math.nan},
+        {"cluster_radius": math.inf},
+        {"n_directions": 0}, {"n_directions": -1},
+        {"max_depth": 0}, {"max_depth": -3},
+        {"t": math.inf}, {"t": -math.inf}, {"t": math.nan},
+    ])
+    def test_meaningless_parameters_rejected(self, kwargs):
+        with pytest.raises(SingularParameterError):
+            boundary_at_infinity(make_example("incomplete-band"), **kwargs)
+
+    def test_largest_radius_accepted(self):
+        clusters = boundary_at_infinity(make_example("cylinder-delaunay"),
+                                        n_directions=4, cluster_radius=math.pi)
+        assert clusters
+
+    @pytest.mark.parametrize("name", [
+        "incomplete-band", "cylinder-delaunay", "geodesic-sphere"])
+    @pytest.mark.parametrize("n_directions", [64, 16])
+    def test_clusters_match_reference_loop(self, monkeypatch, name, n_directions):
+        seen = []
+        cluster = analysis._cluster_directions
+
+        def recording(dirs, radius):
+            seen.append((dirs, radius))
+            return cluster(dirs, radius)
+
+        monkeypatch.setattr(analysis, "_cluster_directions", recording)
+        got = boundary_at_infinity(make_example(name), n_directions=n_directions)
+        (dirs, radius), = seen
+        assert_same_clusters(got, reference_cluster_directions(dirs, radius))
+
+
+def unit_directions(d):
+    # a few base directions, then a sequence drawn from them and their
+    # antipodes, so repeats and antipodal pairs are common
+    component = st.floats(-1.0, 1.0)
+    base = st.lists(st.lists(component, min_size=d, max_size=d)
+                    .filter(lambda v: np.linalg.norm(v) > 1e-3),
+                    min_size=1, max_size=12)
+    picks = st.lists(st.tuples(st.integers(0, 11), st.sampled_from([1.0, -1.0])),
+                     max_size=60)
+
+    def build(args):
+        vs, idx = args
+        vs = np.array(vs) / np.linalg.norm(vs, axis=1)[:, None]
+        out = [sign * vs[i % len(vs)] for i, sign in idx]
+        return np.array(out).reshape(-1, d)
+
+    return st.tuples(base, picks).map(build)
+
+
+RADII = st.floats(0.0, math.pi, exclude_min=True)
+
+
+class TestClusterDirections:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([2, 3]).flatmap(unit_directions), RADII)
+    def test_matches_reference_loop(self, dirs, radius):
+        # an antipodal pair in one cluster sums to zero; both versions
+        # then divide by zero the same way
+        with np.errstate(invalid="ignore", divide="ignore"):
+            got = analysis._cluster_directions(dirs, radius)
+            want = reference_cluster_directions(dirs, radius)
+        assert_same_clusters(got, want)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([2, 3]), st.integers(0, 2**32 - 1), RADII)
+    def test_matches_reference_on_random_directions(self, d, seed, radius):
+        dirs = np.random.default_rng(seed).normal(size=(100, d))
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        assert_same_clusters(analysis._cluster_directions(dirs, radius),
+                             reference_cluster_directions(dirs, radius))
+
+    def test_empty_input(self):
+        assert analysis._cluster_directions(np.empty((0, 3)), 0.05) == []
+
+    def test_single_direction(self):
+        (c,) = analysis._cluster_directions(np.array([[0.6, 0.8]]), 0.05)
+        assert c.count == 1
+        np.testing.assert_array_equal(c.direction, [0.6, 0.8])
+
+    def test_repeated_direction_forms_one_cluster(self):
+        dirs = np.tile([0.0, 0.6, 0.8], (5, 1))
+        (c,) = analysis._cluster_directions(dirs, 0.05)
+        assert c.count == 5
+        assert_same_clusters([c], reference_cluster_directions(dirs, 0.05))
+
+    def test_antipodal_pair_forms_two_clusters(self):
+        dirs = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]] * 3)
+        got = analysis._cluster_directions(dirs, 0.05)
+        assert [c.count for c in got] == [3, 3]
+        assert_same_clusters(got, reference_cluster_directions(dirs, 0.05))
+
+    def test_radius_is_exclusive(self):
+        # the angle between orthogonal directions is exactly the float pi/2
+        dirs = np.array([[1.0, 0.0], [0.0, 1.0]])
+        got = analysis._cluster_directions(dirs, math.pi / 2)
+        assert [c.count for c in got] == [1, 1]
+        assert_same_clusters(got, reference_cluster_directions(dirs, math.pi / 2))
+
+    def test_order_decides_membership(self):
+        # b sits within the radius of a and of c, but a and c are apart:
+        # b joins whichever cluster exists first
+        a, b, c = (np.array([math.cos(x), math.sin(x)]) for x in (0.0, 0.04, 0.08))
+        first = analysis._cluster_directions(np.array([a, b, c]), 0.05)
+        last = analysis._cluster_directions(np.array([c, b, a]), 0.05)
+        assert [k.count for k in first] == [2, 1]
+        assert [k.count for k in last] == [2, 1]
+        assert first[0].direction[1] < last[0].direction[1]

@@ -49,6 +49,13 @@ class TestUsageErrors:
             main([])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("flag,value", [("--eps", "1.0"), ("--samples", "0")])
+    def test_boundary_meaningless_parameter(self, capsys, flag, value):
+        code, out, err = run(capsys, "boundary", "incomplete-band", flag, value)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
 
 class TestWinding:
     def test_alpha_prints_three(self, capsys):
