@@ -65,8 +65,7 @@ class CurveImmersion:
         return to_poincare_ball(self.phi)
 
     def gauss_directions(self):
-        _, gauss = support_and_gauss(self.phi + self.eta)
-        return gauss
+        return support_and_gauss(self.phi + self.eta).gauss_point
 
     def flowed(self, t):
         """Normal flow by time t; curvature transported when pole-free."""
@@ -622,15 +621,17 @@ def boundary_at_infinity(entry, escape_threshold=0.999, t=1.0,
     projects to the ball, keeps points with |p| > escape_threshold and
     clusters their directions.  A compact image yields an empty list.
     Parameters that would make that answer meaningless are refused:
-    escape_threshold must lie in (0, 1), cluster_radius in (0, pi], t must
-    be finite and n_directions, max_depth at least 1.
+    escape_threshold must lie in (0, 1), cluster_radius in (0, pi/2] (so a
+    direction joins a cluster only when its dot product with the centre is
+    positive, and no cluster sum can cancel), t must be finite and
+    n_directions, max_depth at least 1.
     """
     if not 0.0 < escape_threshold < 1.0:
         raise SingularParameterError(
             f"escape threshold must lie in (0, 1), got {escape_threshold}")
-    if not 0.0 < cluster_radius <= math.pi:
+    if not 0.0 < cluster_radius <= math.pi / 2:
         raise SingularParameterError(
-            f"cluster radius must lie in (0, pi], got {cluster_radius}")
+            f"cluster radius must lie in (0, pi/2], got {cluster_radius}")
     if n_directions < 1 or max_depth < 1:
         raise SingularParameterError(
             f"need at least one direction and one ladder level, got "

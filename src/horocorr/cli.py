@@ -58,9 +58,10 @@ def _emit_json(payload, out):
 def _gallery_entry(args):
     name = _resolve_name(args.name)
     params = {}
-    if name == "geodesic-sphere" and args.rho0 is not None:
+    # commands without --rho0 take no sphere, those without --samples no curve
+    if name == "geodesic-sphere" and getattr(args, "rho0", None) is not None:
         params["rho0"] = args.rho0
-    if name == "alpha-curve" and args.samples is not None:
+    if name == "alpha-curve" and getattr(args, "samples", None) is not None:
         params["m"] = args.samples
     return make_example(name, **params)
 
@@ -324,15 +325,26 @@ def cmd_verify(args):
     return 0 if all(r.passed for r in results) else 1
 
 
-def _add_common(sub, samples=None, t=0.0):
-    sub.add_argument("--samples", type=int, default=samples)
-    sub.add_argument("--t", type=float, default=t)
-    sub.add_argument("--h", type=float, default=None)
-    sub.add_argument("--eps", type=float, default=None)
-    sub.add_argument("--out", default=None)
-    sub.add_argument("--format", choices=("json", "csv", "obj"), default=None)
-    sub.add_argument("--seed", type=int, default=7)
-    sub.add_argument("--rho0", type=float, default=None)
+# every option a subcommand may register, and the defaults it shares
+_OPTIONS = {
+    "samples": {"type": int},
+    "t": {"type": float},
+    "h": {"type": float},
+    "eps": {"type": float},
+    "out": {},
+    "format": {"choices": ("json", "csv", "obj")},
+    "seed": {"type": int},
+    "rho0": {"type": float},
+}
+_DEFAULTS = {"t": 0.0, "seed": 7}
+
+
+def _add_options(sub, *names, **defaults):
+    """Register the named options on a subcommand; keyword arguments set its
+    own defaults."""
+    defaults = {**_DEFAULTS, **defaults}
+    for name in names:
+        sub.add_argument(f"--{name}", default=defaults.get(name), **_OPTIONS[name])
 
 
 def build_parser():
@@ -345,47 +357,47 @@ def build_parser():
     p = commands.add_parser("gallery", help="list or inspect the examples")
     p.add_argument("action", choices=("list", "show"))
     p.add_argument("name", nargs="?", choices=EXAMPLE_CHOICES)
-    _add_common(p)
+    _add_options(p, "samples", "rho0", "out")
     p.set_defaults(func=cmd_gallery)
 
     p = commands.add_parser("schouten", help="eigenvalue sweep of an example metric")
     p.add_argument("name", choices=EXAMPLE_CHOICES)
-    _add_common(p, samples=200)
+    _add_options(p, "samples", "seed", "rho0", "out", samples=200)
     p.set_defaults(func=cmd_schouten)
 
     p = commands.add_parser("immerse", help="export an immersed example")
     p.add_argument("name", choices=EXAMPLE_CHOICES)
-    _add_common(p, samples=32)
+    _add_options(p, "samples", "t", "rho0", "out", "format", samples=32)
     p.set_defaults(func=cmd_immerse)
 
     p = commands.add_parser("flow", help="curvature sweep at a flow time (csv)")
     p.add_argument("name", choices=EXAMPLE_CHOICES)
-    _add_common(p, samples=100, t=1.0)
+    _add_options(p, "samples", "t", "h", "seed", "rho0", "out", samples=100, t=1.0)
     p.set_defaults(func=cmd_flow)
 
     p = commands.add_parser("embed-check", help="self-intersections under the flow")
     p.add_argument("name", choices=EXAMPLE_CHOICES)
-    _add_common(p, samples=2048, t=5.0)
+    _add_options(p, "samples", "t", "eps", "out", samples=2048, t=5.0, eps=1e-2)
     p.set_defaults(func=cmd_embed_check)
 
     p = commands.add_parser("gauss-degree", help="winding count of a curve example")
     p.add_argument("name", choices=EXAMPLE_CHOICES)
-    _add_common(p, samples=4096)
+    _add_options(p, "samples", samples=4096)
     p.set_defaults(func=cmd_gauss_degree)
 
     p = commands.add_parser("boundary", help="escape directions of a metric example")
     p.add_argument("name", choices=EXAMPLE_CHOICES)
-    _add_common(p, samples=64, t=1.0)
+    _add_options(p, "samples", "t", "eps", "rho0", "out", samples=64, t=1.0, eps=0.999)
     p.set_defaults(func=cmd_boundary)
 
     p = commands.add_parser("weingarten-check", help="eigenvalue-calculus spot checks")
-    _add_common(p)
+    _add_options(p, "seed")
     p.set_defaults(func=cmd_weingarten_check)
 
     p = commands.add_parser("verify", help="run the acceptance battery")
     p.add_argument("--only", action="append",
                    choices=[key for key, _ in CRITERIA])
-    _add_common(p)
+    _add_options(p, "out")
     p.set_defaults(func=cmd_verify)
 
     return parser
@@ -396,10 +408,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.command == "gallery" and args.action == "show" and args.name is None:
         parser.error("gallery show needs an example name")
-    if args.command == "embed-check" and args.eps is None:
-        args.eps = 1e-2
-    if args.command == "boundary" and args.eps is None:
-        args.eps = 0.999
     try:
         return args.func(args)
     except GeometryError as exc:

@@ -92,14 +92,10 @@ def horospherical_curvature(kappa_i, kappa_j):
 
 
 def horospherical_scalar(kappas):
-    """Sum of the pairwise sectional curvatures over ordered pairs i != j."""
+    """Sum of the pairwise sectional curvatures over ordered pairs i != j,
+    over the last axis of kappas: each T(-kappa_i) enters 2(n - 1) times."""
     kappas = np.asarray(kappas, dtype=float)
-    total = 0.0
-    for i in range(len(kappas)):
-        for j in range(len(kappas)):
-            if i != j:
-                total += horospherical_curvature(kappas[i], kappas[j])[0]
-    return total
+    return 2.0 * (kappas.shape[-1] - 1) * np.sum(T(-kappas), axis=-1)
 
 
 def beta(metric, u):

@@ -64,8 +64,8 @@ class CurvatureSpectrum:
 
 @dataclass(frozen=True)
 class SupportData:
-    rho_tilde: float          # log of the light-cone height psi_0
-    gauss_point: np.ndarray   # unit vector of S^n
+    rho_tilde: np.ndarray     # log of the light-cone height psi_0, (...)
+    gauss_point: np.ndarray   # unit vectors of S^n, (..., n + 1)
 
 
 def immerse(metric, u, t=0.0, margin=None):
@@ -148,7 +148,8 @@ def lambda_kappa(value, orientation=CANONICAL, direction="lambda_to_kappa"):
 
     with T the cone map of horocorr.weingarten, so lambda < 1/2 and kappa < 1
     (canonical) or kappa > -1 (opposite).  For a fixed lambda the two
-    orientations give opposite kappa's.  Accepts scalars or arrays.
+    orientations give opposite kappa's.  Accepts scalars (giving numpy
+    scalars) or arrays.
     """
     if orientation == OPPOSITE:
         sign = 1.0
@@ -157,27 +158,23 @@ def lambda_kappa(value, orientation=CANONICAL, direction="lambda_to_kappa"):
     else:
         raise SingularParameterError(f"unknown orientation {orientation!r}")
     if direction == "lambda_to_kappa":
-        out = sign * T_INV(value)
-    elif direction == "kappa_to_lambda":
-        out = T(sign * np.asarray(value, dtype=float))
-    else:
-        raise SingularParameterError(f"unknown direction {direction!r}")
-    return out if np.ndim(value) else float(out)
+        return sign * T_INV(value)
+    if direction == "kappa_to_lambda":
+        return T(sign * np.asarray(value, dtype=float))
+    raise SingularParameterError(f"unknown direction {direction!r}")
 
 
 def ricatti(kappa, t):
     """Principal curvature after normal flow time t:
     (kappa - tanh t)/(1 - kappa tanh t)."""
-    out = flow_shift(t)(kappa)
-    return out if np.ndim(kappa) else float(out)
+    return flow_shift(t)(kappa)
 
 
 def flow_metric_factor(kappa, t):
     """Scale factor (cosh t - kappa sinh t)^2 of the induced metric under the
     normal flow."""
     kappa = np.asarray(kappa, dtype=float)
-    out = (math.cosh(t) - kappa * math.sinh(t)) ** 2
-    return out if np.ndim(kappa) else float(out)
+    return (math.cosh(t) - kappa * math.sinh(t)) ** 2
 
 
 def fg_metric(metric, u, r):
@@ -196,20 +193,16 @@ def compactified_sectional(lam, r):
     """Sectional curvature lambda - (r^2/2) lambda^2 of the compactified flow
     metric."""
     lam = np.asarray(lam, dtype=float)
-    out = lam - 0.5 * r**2 * lam**2
-    return out if np.ndim(lam) else float(out)
+    return lam - 0.5 * r**2 * lam**2
 
 
 def support_and_gauss(point, rtol=1e-8):
-    """Support value and Gauss point from the light-cone map psi = e^rho (1, G)."""
+    """Support value and Gauss point from the light-cone map psi = e^rho (1, G),
+    over the leading axes of psi."""
     psi = point.psi if isinstance(point, HypersurfacePoint) else np.asarray(point, float)
     p0 = psi[..., 0]
     if np.any(p0 <= 0.0):
         raise HyperquadricError("light-cone map must have positive height")
     if not np.all(on_null_cone(psi, rtol)):
         raise HyperquadricError("light-cone map is not null within tolerance")
-    gauss = psi[..., 1:] / p0[..., None]
-    rho_tilde = np.log(p0)
-    if psi.ndim == 1:
-        return SupportData(float(rho_tilde), gauss)
-    return rho_tilde, gauss
+    return SupportData(np.log(p0), psi[..., 1:] / p0[..., None])

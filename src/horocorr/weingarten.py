@@ -14,7 +14,7 @@ Both are instances of Mobius, whose one input check guards every such map.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -29,6 +29,8 @@ HYPERSURFACE_SIDE = "hypersurface"  # W acting on principal curvatures, cone in 
 CONE_C = "C"        # all x_i < 1/2
 CONE_K = "K"        # all x_i > -1
 CONE_GAMMA_N = "Gamma_n"  # all x_i > 0
+_CONE_ENTRIES = {CONE_C: lambda x: x < 0.5, CONE_K: lambda x: x > -1.0,
+                 CONE_GAMMA_N: lambda x: x > 0.0}
 
 
 @dataclass(frozen=True)
@@ -46,23 +48,24 @@ class Mobius:
     matrix: np.ndarray
     two_sided: bool = False
 
+    def contains(self, x):
+        """Mask over the entries of x: finite and inside the domain."""
+        x = np.asarray(x, dtype=float)
+        finite = np.isfinite(x)
+        (_, _), (c, d) = self.matrix
+        denom = c * np.where(finite, x, 0.0) + d
+        return finite & (np.abs(denom) >= 1e-14 if self.two_sided else denom > 0.0)
+
     def _check(self, x):
         """x as a float array and its denominator c x + d; raises
-        SingularParameterError on non-finite input, the pole, and (one-sided)
-        the excluded half-line."""
+        SingularParameterError unless every entry is in the domain."""
         x = np.asarray(x, dtype=float)
-        if not np.all(np.isfinite(x)):
-            raise SingularParameterError("non-finite input to a Moebius map")
+        inside = self.contains(x)
+        if not np.all(inside):
+            raise SingularParameterError(f"input {x[~inside][0]:.6g} outside "
+                                         f"the domain of {self.matrix.tolist()}")
         (_, _), (c, d) = self.matrix
-        denom = c * x + d
-        if self.two_sided:
-            if np.any(np.abs(denom) < 1e-14):
-                raise SingularParameterError(f"input at the pole x = {-d / c:.6g}")
-        elif np.any(denom <= 0.0):
-            side = ">" if c > 0 else "<"
-            raise SingularParameterError(
-                f"input outside the domain x {side} {-d / c:.6g}")
-        return x, denom
+        return x, c * x + d
 
     def __call__(self, x):
         x, denom = self._check(x)
@@ -102,14 +105,11 @@ def flow_shift(t):
 
 
 def in_cone(x, tag):
-    x = np.asarray(x, dtype=float)
-    if tag == CONE_C:
-        return bool(np.all(x < 0.5))
-    if tag == CONE_K:
-        return bool(np.all(x > -1.0))
-    if tag == CONE_GAMMA_N:
-        return bool(np.all(x > 0.0))
-    raise SingularParameterError(f"unknown cone tag {tag!r}")
+    """Mask over the leading axes of x: every entry of the last axis obeys
+    the inequality of the cone."""
+    if tag not in _CONE_ENTRIES:
+        raise SingularParameterError(f"unknown cone tag {tag!r}")
+    return np.all(_CONE_ENTRIES[tag](np.asarray(x, dtype=float)), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,7 @@ class ConePoint:
     tag: str
 
     def __post_init__(self):
-        if not in_cone(self.coordinates, self.tag):
+        if not np.all(in_cone(self.coordinates, self.tag)):
             raise SingularParameterError(
                 f"point {self.coordinates} violates the {self.tag} inequalities")
 
@@ -140,72 +140,81 @@ def t_map(x, direction="k_to_c"):
 class CurvatureFunction:
     """Symmetric function of n eigenvalues with optional analytic jets.
 
-    cone(x) -> bool marks the admissible open set (sampled, not certified);
-    gradient and hessian, when given, are analytic derivatives.
+    Every callable broadcasts over the leading axes of an (..., n) array of
+    eigenvalue points: eval -> (...) values, gradient -> (..., n), hessian
+    -> (..., n, n), cone -> (...) mask of the admissible open set (sampled,
+    not certified).  Callables that a batch reaches must return one value
+    per point; one written for a single (n,) point still serves those.
     """
 
     side: str
     n: int
-    eval: Callable[[np.ndarray], float]
+    eval: Callable[[np.ndarray], np.ndarray]
     gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
     hessian: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    cone: Optional[Callable[[np.ndarray], bool]] = None
+    cone: Optional[Callable[[np.ndarray], np.ndarray]] = None
     name: str = ""
 
     def __call__(self, x):
-        return float(self.eval(np.asarray(x, dtype=float)))
+        """One value per point of x; SingularParameterError if eval breaks that."""
+        x = np.asarray(x, dtype=float)
+        values = np.asarray(self.eval(x), dtype=float)
+        if values.shape != x.shape[:-1]:
+            raise SingularParameterError(
+                f"eval gave shape {values.shape}, not one value per point of {x.shape[:-1]}")
+        return values[()]
 
 
-def _sigma_value(x, k):
-    # coefficients of prod(t + x_i) are the elementary symmetric polynomials
-    return float(np.poly(-np.asarray(x, dtype=float))[k])
+def _sigma(x, k):
+    """sigma_k over the last axis of x: the coefficients of prod(t + x_i),
+    built by e_j <- e_j + x_i e_{j-1} for i = 1, ..., n."""
+    x = np.asarray(x, dtype=float)
+    e = np.zeros(x.shape[:-1] + (k + 1,))
+    e[..., 0] = 1.0
+    for i in range(x.shape[-1]):
+        e[..., 1:] = e[..., 1:] + x[..., i, None] * e[..., :-1]
+    return e[..., k]
 
 
 def elementary_symmetric(n, k, side=METRIC_SIDE):
-    """Elementary symmetric polynomial sigma_k of n eigenvalues."""
+    """Elementary symmetric polynomial sigma_k of n eigenvalues.
+
+    d sigma_k / dx_i is sigma_{k-1} of x with x_i set to zero, and the mixed
+    partial in x_i, x_j (i != j) is sigma_{k-2} with both set to zero."""
     if not 1 <= k <= n:
         raise SingularParameterError("need 1 <= k <= n")
+    eye = np.eye(n, dtype=bool)
+    pair = eye[:, None, :] | eye[None, :, :]    # slot l is i or j
 
     def gradient(x):
         x = np.asarray(x, dtype=float)
-        return np.array([
-            _sigma_value(np.delete(x, i), k - 1) if k > 1 else 1.0
-            for i in range(n)])
+        return _sigma(np.where(eye, 0.0, x[..., None, :]), k - 1)
 
     def hessian(x):
         x = np.asarray(x, dtype=float)
-        H = np.zeros((n, n))
-        if k >= 2:
-            for i in range(n):
-                for j in range(i + 1, n):
-                    rest = np.delete(x, [i, j])
-                    H[i, j] = H[j, i] = (
-                        _sigma_value(rest, k - 2) if k > 2 else 1.0)
-        return H
+        if k < 2:
+            return np.zeros(x.shape + (n,))
+        H = _sigma(np.where(pair, 0.0, x[..., None, None, :]), k - 2)
+        return np.where(eye, 0.0, H)
 
     base_tag = CONE_C if side == METRIC_SIDE else CONE_K
     return CurvatureFunction(
         side=side,
         n=n,
-        eval=lambda x: _sigma_value(x, k),
+        eval=lambda x: _sigma(x, k),
         gradient=gradient,
         hessian=hessian,
-        cone=lambda x: in_cone(x, base_tag) and _sigma_value(x, k) > 0.0,
+        cone=lambda x: in_cone(x, base_tag) & (_sigma(x, k) > 0.0),
         name=f"sigma_{k}",
     )
 
 
 def mean_function(n, side=METRIC_SIDE):
+    """sigma_1 / n, with sigma_1's cone."""
     sigma = elementary_symmetric(n, 1, side)
-    return CurvatureFunction(
-        side=side,
-        n=n,
-        eval=lambda x: sigma(x) / n,
-        gradient=lambda x: np.full(n, 1.0 / n),
-        hessian=lambda x: np.zeros((n, n)),
-        cone=sigma.cone,
-        name="mean",
-    )
+    return replace(sigma, eval=lambda x: sigma.eval(x) / n,
+                   gradient=lambda x: sigma.gradient(x) / n,
+                   hessian=lambda x: sigma.hessian(x) / n, name="mean")
 
 
 def power_mean(n, p, side=METRIC_SIDE):
@@ -217,11 +226,11 @@ def power_mean(n, p, side=METRIC_SIDE):
         x = np.asarray(x, dtype=float)
         if np.any(x <= 0.0):
             raise SingularParameterError("power mean needs positive entries")
-        return float((np.mean(x**p)) ** (1.0 / p))
+        return np.mean(x**p, axis=-1) ** (1.0 / p)
 
     def gradient(x):
         x = np.asarray(x, dtype=float)
-        m = np.mean(x**p)
+        m = np.mean(x**p, axis=-1)[..., None]
         return (m ** (1.0 / p - 1.0)) * (x ** (p - 1.0)) / n
 
     base_tag = CONE_C if side == METRIC_SIDE else CONE_K
@@ -230,7 +239,7 @@ def power_mean(n, p, side=METRIC_SIDE):
         n=n,
         eval=value,
         gradient=gradient,
-        cone=lambda x: in_cone(x, CONE_GAMMA_N) and in_cone(x, base_tag),
+        cone=lambda x: in_cone(x, CONE_GAMMA_N) & in_cone(x, base_tag),
         name=f"power_mean_{p}",
     )
 
@@ -251,11 +260,13 @@ def _pull_back(F, mobius, side, name):
     cone = None
     if F.cone is not None:
         def cone(x):
-            try:
-                y = mobius(x)
-            except SingularParameterError:
-                return False
-            return bool(F.cone(y))
+            x = np.asarray(x, dtype=float)
+            inside = np.all(mobius.contains(x), axis=-1)
+            out = np.zeros(inside.shape, dtype=bool)
+            # F.cone never sees a batch without a point inside the domain
+            if np.any(inside):
+                out[inside] = F.cone(mobius(x[inside]))
+            return out[()]
 
     return CurvatureFunction(
         side=side, n=F.n, eval=value, gradient=gradient, cone=cone, name=name)
@@ -292,33 +303,28 @@ class EllipticityRecord:
 
 
 def ellipticity_check(F, points, h=1e-5):
-    """Finite-difference ellipticity report at each point.
+    """Finite-difference ellipticity report, one record per point of the
+    (..., n) array points, from one batched evaluation of F per stencil slot.
 
     A point is elliptic when every partial derivative is strictly positive.
     One-sided differences are compared to flag kinks (non-smooth evaluation),
     in which case elliptic is forced False.
     """
-    records = []
-    for point in points:
-        x = np.asarray(point, dtype=float)
-        f0 = F.eval(x)
-        if not np.isfinite(f0):
-            raise SingularParameterError(f"non-finite evaluation at {x}")
-        fp, fm = axis_values(F.eval, x, h)
-        if not (np.all(np.isfinite(fp)) and np.all(np.isfinite(fm))):
-            raise SingularParameterError(f"non-finite evaluation near {x}")
-        forward = (fp - f0) / h
-        backward = (f0 - fm) / h
-        partials = 0.5 * (forward + backward)
-        smooth = not np.any(np.abs(forward - backward)
-                            > 100.0 * h * (1.0 + abs(f0) + np.abs(partials)))
-        records.append(EllipticityRecord(
-            point=x,
-            partials=partials,
-            elliptic=bool(smooth and np.all(partials > 0.0)),
-            smooth=smooth,
-        ))
-    return records
+    x = np.asarray(points, dtype=float)
+    f0 = F(x)[..., None]
+    fp, fm = axis_values(F, x, h)
+    finite = np.all(np.isfinite(f0) & np.isfinite(fp) & np.isfinite(fm), axis=-1)
+    if not np.all(finite):
+        raise SingularParameterError(f"non-finite evaluation at or near {x[~finite][0]}")
+    forward = (fp - f0) / h
+    backward = (f0 - fm) / h
+    partials = 0.5 * (forward + backward)
+    smooth = ~np.any(np.abs(forward - backward)
+                     > 100.0 * h * (1.0 + np.abs(f0) + np.abs(partials)), axis=-1)
+    elliptic = smooth & np.all(partials > 0.0, axis=-1)
+    n = x.shape[-1]
+    return list(map(EllipticityRecord, x.reshape(-1, n), partials.reshape(-1, n),
+                    elliptic.ravel().tolist(), smooth.ravel().tolist()))
 
 
 def hessian_transform(f, kappa, h=1e-4):
@@ -326,38 +332,31 @@ def hessian_transform(f, kappa, h=1e-4):
 
         d2W/dk_i dk_j = f_ij / ((1+k_i)^2 (1+k_j)^2) - 2 delta_ij f_i / (1+k_i)^3
 
-    evaluated at lambda = T(kappa).  f must be metric-side."""
+    evaluated at lambda = T(kappa), broadcasting over the leading axes of
+    kappa.  f must be metric-side."""
     if f.side != METRIC_SIDE:
         raise SingularParameterError("hessian transform starts from a metric-side function")
     kappa = np.asarray(kappa, dtype=float)
     lam = T(kappa)
-    if f.gradient is not None:
-        grad = np.asarray(f.gradient(lam), dtype=float)
-    else:
-        grad = central_gradient(f.eval, lam, h)
-    if f.hessian is not None:
-        hess = np.asarray(f.hessian(lam), dtype=float)
-    else:
-        hess = central_jet(f.eval, lam, h)[2]
+    grad = (central_gradient(f.eval, lam, h) if f.gradient is None
+            else np.asarray(f.gradient(lam), dtype=float))
+    hess = (central_jet(f.eval, lam, h)[2] if f.hessian is None
+            else np.asarray(f.hessian(lam), dtype=float))
     one = 1.0 + kappa
-    out = hess / np.outer(one**2, one**2)
-    out[np.diag_indices_from(out)] -= 2.0 * grad / one**3
-    return 0.5 * (out + out.T)
+    out = hess / (one[..., :, None]**2 * one[..., None, :]**2)
+    i = np.arange(kappa.shape[-1])
+    out[..., i, i] -= 2.0 * grad / one**3
+    return 0.5 * (out + np.swapaxes(out, -1, -2))
 
 
 def hr_inequality(a):
     """Order inequality sum (a_i - 1)/(a_i + 1) <= 2 sum a_i - n for a_i > -1.
 
-    a is one point (n,) or a batch (m, n) of rows.  Returns (lhs, rhs, holds):
-    floats and a bool for one point, arrays over the rows of a batch.
-    Equality at a = 0."""
+    Returns (lhs, rhs, holds) over the leading axes of a.  Equality at a = 0."""
     a = np.asarray(a, dtype=float)
     lhs = np.sum(2.0 * T(a), axis=-1)     # 2 T(a) = (a - 1)/(a + 1)
     rhs = 2.0 * np.sum(a, axis=-1) - a.shape[-1]
-    holds = lhs <= rhs + 1e-12
-    if a.ndim == 1:
-        return float(lhs), float(rhs), bool(holds)
-    return lhs, rhs, holds
+    return lhs, rhs, lhs <= rhs + 1e-12
 
 
 def admissible_constant(F, C, bracket, h=1e-6):

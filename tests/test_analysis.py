@@ -314,7 +314,8 @@ class TestBoundaryAtInfinity:
         {"escape_threshold": 1.5}, {"escape_threshold": -0.5},
         {"escape_threshold": math.nan}, {"escape_threshold": math.inf},
         {"cluster_radius": 0.0}, {"cluster_radius": -0.05},
-        {"cluster_radius": 3.2}, {"cluster_radius": math.nan},
+        {"cluster_radius": 3.2}, {"cluster_radius": math.pi},
+        {"cluster_radius": 2.0}, {"cluster_radius": math.nan},
         {"cluster_radius": math.inf},
         {"n_directions": 0}, {"n_directions": -1},
         {"max_depth": 0}, {"max_depth": -3},
@@ -326,7 +327,7 @@ class TestBoundaryAtInfinity:
 
     def test_largest_radius_accepted(self):
         clusters = boundary_at_infinity(make_example("cylinder-delaunay"),
-                                        n_directions=4, cluster_radius=math.pi)
+                                        n_directions=4, cluster_radius=math.pi / 2)
         assert clusters
 
     @pytest.mark.parametrize("name", [

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line front end."""
 
+import argparse
 import csv
 import json
 import math
@@ -7,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from horocorr.cli import main
+from horocorr.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -55,6 +56,40 @@ class TestUsageErrors:
         assert code == 1
         assert out == ""
         assert err.startswith("error:")
+
+
+    @pytest.mark.parametrize("argv", [
+        ("gauss-degree", "alpha", "--seed", "3"),
+        ("verify", "--t", "1"),
+        ("weingarten-check", "--samples", "5"),
+        ("embed-check", "alpha", "--rho0", "0.3"),
+    ])
+    def test_dropped_option(self, argv):
+        # options a command's code never reads are not registered on it
+        with pytest.raises(SystemExit) as err:
+            main(list(argv))
+        assert err.value.code == 2
+
+    def test_each_command_takes_only_its_options(self):
+        expected = {
+            "gallery": {"samples", "rho0", "out"},
+            "schouten": {"samples", "seed", "rho0", "out"},
+            "immerse": {"samples", "t", "rho0", "out", "format"},
+            "flow": {"samples", "t", "h", "seed", "rho0", "out"},
+            "embed-check": {"samples", "t", "eps", "out"},
+            "gauss-degree": {"samples"},
+            "boundary": {"samples", "t", "eps", "rho0", "out"},
+            "weingarten-check": {"seed"},
+            "verify": {"only", "out"},
+        }
+        commands = next(a for a in build_parser()._actions
+                        if isinstance(a, argparse._SubParsersAction))
+        taken = {name: {a.dest for a in sub._actions
+                        if a.option_strings and a.dest != "help"}
+                 for name, sub in commands.choices.items()}
+        assert taken == expected
+        # 30 of the 72 values the eight shared options gave nine commands
+        assert sum(len(opts - {"only"}) for opts in taken.values()) == 30
 
 
 class TestWinding:

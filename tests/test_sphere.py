@@ -129,6 +129,27 @@ class TestFdJet:
         with pytest.raises(ChartDomainError):
             fd_jet(field, np.array([0.995, 0.0]), h=1e-2, chart=chart)
 
+    def test_stencil_room_is_what_the_stencil_reaches(self):
+        # central_jet reaches +-h along each axis and the +-h diagonal
+        # corners, so a point 1.5h inside the domain edge has room and a
+        # point 0.5h inside does not
+        chart = BandChart(2)
+        h = 1e-3
+        field = radial_band_field(f=np.exp, fs=np.exp, fss=np.exp,
+                                  domain_s=lambda s: np.abs(s) < 0.5, h=h)
+        u = np.array([0.5 - 1.5 * h, 0.7])
+        value, grad, hess = fd_jet(field, u, h=h, chart=chart)
+        assert value == pytest.approx(math.exp(u[0]), rel=1e-12)
+        np.testing.assert_allclose(grad, field.gradient(u), atol=1e-6)
+        np.testing.assert_allclose(hess, field.hessian(u), atol=1e-6)
+        exact = gradient_hessian(field, chart, u)
+        fd = gradient_hessian(field.without_jets(), chart, u)
+        np.testing.assert_allclose(fd.gradient, exact.gradient, atol=1e-6)
+        np.testing.assert_allclose(
+            fd.covariant_hessian, exact.covariant_hessian, atol=1e-6)
+        with pytest.raises(ChartDomainError):
+            fd_jet(field, np.array([0.5 - 0.5 * h, 0.7]), h=h, chart=chart)
+
 
 class TestGradientHessian:
     def test_constant_field(self):

@@ -1,6 +1,7 @@
 """Tests for the symmetric-function calculus and its two-sided conjugation."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -221,7 +222,7 @@ class TestEllipticity:
     def test_min_function_kink_detected(self):
         F = CurvatureFunction(
             side=METRIC_SIDE, n=2,
-            eval=lambda x: float(np.min(x)), name="min")
+            eval=lambda x: np.min(x, axis=-1), name="min")
         smooth_pt = np.array([0.1, 0.3])
         kink_pt = np.array([0.2, 0.2])
         rec_smooth, rec_kink = ellipticity_check(F, [smooth_pt, kink_pt])
@@ -234,7 +235,7 @@ class TestEllipticity:
     def test_nonfinite_evaluation_raises(self):
         def shy_log(x):
             with np.errstate(invalid="ignore"):
-                return float(np.log(x[0]))
+                return np.log(x[..., 0])
 
         F = CurvatureFunction(side=METRIC_SIDE, n=1, eval=shy_log, name="log")
         with pytest.raises(SingularParameterError):
@@ -413,3 +414,123 @@ class TestMoebiusCore:
         kappa = lambda_kappa(lam, orientation, "lambda_to_kappa")
         back = lambda_kappa(kappa, orientation, "kappa_to_lambda")
         assert back == pytest.approx(lam, rel=1e-9, abs=1e-9)
+
+
+def reference_sigma(x, k):
+    """sigma_k as the calculus computed it before batching: a coefficient of
+    np.poly on the negated entries."""
+    return float(np.poly(-np.asarray(x, dtype=float))[k])
+
+
+def reference_sigma_jets(x, k):
+    """Gradient and Hessian of sigma_k as computed before batching, from
+    np.delete copies of one point."""
+    n = len(x)
+    grad = np.array([reference_sigma(np.delete(x, i), k - 1) if k > 1 else 1.0
+                     for i in range(n)])
+    H = np.zeros((n, n))
+    if k >= 2:
+        for i in range(n):
+            for j in range(i + 1, n):
+                rest = np.delete(x, [i, j])
+                H[i, j] = H[j, i] = reference_sigma(rest, k - 2) if k > 2 else 1.0
+    return grad, H
+
+
+@st.composite
+def batches(draw, lo, hi, max_n=5, max_m=6):
+    """An (m, n) array of eigenvalue points with entries in [lo, hi]."""
+    n = draw(st.integers(1, max_n))
+    m = draw(st.integers(1, max_m))
+    row = st.lists(st.floats(lo, hi), min_size=n, max_size=n)
+    return np.array(draw(st.lists(row, min_size=m, max_size=m)))
+
+
+def assert_stacks_singles(fn, x):
+    """fn on the batch x equals fn on each row, stacked, bit for bit."""
+    np.testing.assert_array_equal(fn(x), np.stack([fn(row) for row in x]))
+
+
+class TestCalculusBatchConvention:
+    """An (m, n) batch of eigenvalue points runs through the same code as
+    one point and agrees bit for bit with the stacked single-point calls."""
+
+    @given(batches(-10.0, 10.0), st.data())
+    @settings(deadline=None)
+    def test_sigma_matches_reference(self, x, data):
+        k = data.draw(st.integers(1, x.shape[1]))
+        F = elementary_symmetric(x.shape[1], k)
+        np.testing.assert_array_equal(F.eval(x), [reference_sigma(r, k) for r in x])
+        grads, hessians = zip(*(reference_sigma_jets(r, k) for r in x))
+        np.testing.assert_array_equal(F.gradient(x), np.stack(grads))
+        np.testing.assert_array_equal(F.hessian(x), np.stack(hessians))
+
+    @given(batches(-0.99, 5.0), st.data())
+    @settings(deadline=None)
+    def test_jets_and_conjugates(self, x, data):
+        n = x.shape[1]
+        F = elementary_symmetric(n, data.draw(st.integers(1, n)))
+        for G in (F, conjugate(F), mean_function(n)):
+            for jet in (G.eval, G.gradient, G, G.hessian):
+                if jet is not None:
+                    assert_stacks_singles(jet, x)
+        assert_stacks_singles(lambda v: hessian_transform(F, v), x)
+        fd_only = replace(F, gradient=None, hessian=None)
+        assert_stacks_singles(lambda v: hessian_transform(fd_only, v), x)
+        for part in range(3):
+            assert_stacks_singles(lambda v: hr_inequality(v)[part], x)
+
+    @given(batches(-0.9, 0.9), st.data(), st.floats(-1.0, 1.0))
+    @settings(deadline=None)
+    def test_flow_conjugate(self, x, data, t):
+        n = x.shape[1]
+        W = flow_conjugate(elementary_symmetric(
+            n, data.draw(st.integers(1, n)), HYPERSURFACE_SIDE), t)
+        for jet in (W.eval, W.gradient, W):
+            assert_stacks_singles(jet, x)
+
+    @given(batches(-3.0, 3.0), st.data())
+    @settings(deadline=None)
+    def test_cone_masks(self, x, data):
+        n = x.shape[1]
+        F = elementary_symmetric(n, data.draw(st.integers(1, n)))
+        hyper = elementary_symmetric(n, 1, HYPERSURFACE_SIDE)
+        for G in (F, conjugate(F), conjugate(conjugate(F)), mean_function(n),
+                  power_mean(n, 2.0), flow_conjugate(hyper, 0.4)):
+            mask = G.cone(x)
+            assert mask.dtype == bool and mask.shape == x.shape[:1]
+            assert_stacks_singles(G.cone, x)
+        for tag in (CONE_C, CONE_K, CONE_GAMMA_N):
+            assert_stacks_singles(lambda v: in_cone(v, tag), x)
+
+    @given(batches(0.05, 0.45, max_n=4))
+    @settings(deadline=None)
+    def test_ellipticity_records(self, x):
+        F = elementary_symmetric(x.shape[1], 1)
+        batch = ellipticity_check(F, x)
+        singles = [ellipticity_check(F, row[None])[0] for row in x]
+        assert len(batch) == len(x)
+        for got, want in zip(batch, singles):
+            np.testing.assert_array_equal(got.point, want.point)
+            np.testing.assert_array_equal(got.partials, want.partials)
+            assert (got.elliptic, got.smooth) == (want.elliptic, want.smooth)
+
+    def test_single_point_gives_numpy_scalars(self):
+        x = np.array([0.1, 0.2, 0.3])
+        value = elementary_symmetric(3, 2)(x)
+        assert isinstance(value, np.float64)
+        assert value == reference_sigma(x, 2)
+        lhs, rhs, holds = hr_inequality(x)
+        assert np.ndim(lhs) == np.ndim(rhs) == np.ndim(holds) == 0
+
+    def test_eval_must_return_one_value_per_point(self):
+        # a callable written for one point sums the whole batch; the shape
+        # guard refuses it rather than returning one wrong value
+        F = CurvatureFunction(side=METRIC_SIDE, n=3,
+                              eval=lambda x: float(np.sum(x)), name="scalar-only")
+        points = np.full((4, 3), 0.1)
+        assert F(points[0]) == pytest.approx(0.3)
+        with pytest.raises(SingularParameterError, match="one value per point"):
+            F(points)
+        with pytest.raises(SingularParameterError, match="one value per point"):
+            ellipticity_check(F, points)
