@@ -386,17 +386,41 @@ class CrossingRecord:
 
 
 def self_intersections(payload, eps=1e-9):
-    """All transversal self-crossings of the projected payload.
-
-    Curves: every non-adjacent segment pair (adjacency window of 2 samples).
-    Meshes: every face pair not sharing a vertex, after an axis-aligned
-    bounding-box prefilter.
-    """
+    """All transversal self-crossings of the projected payload, in
+    lexicographic (i, j) order.  Segments (curves) and triangles (meshes) go
+    through one sweep over their closed bounding boxes, `_box_pairs`, then
+    one narrow phase over all overlapping pairs.  Curves skip segment pairs
+    within 2 of each other around the closed curve; meshes skip face pairs
+    sharing a vertex."""
     if isinstance(payload, CurveImmersion):
         return _curve_crossings(payload, eps)
     if isinstance(payload, MeshImmersion):
         return _mesh_crossings(payload, eps)
     raise SingularParameterError("crossing scan expects a curve or mesh payload")
+
+
+def _box_pairs(lo, hi):
+    """Index pairs (i, j), i < j, of the closed boxes [lo, hi] (shape (n, d))
+    that overlap, in lexicographic order.  Sort and sweep: in the order of
+    the lower x bounds, a box meets the later boxes whose lower x bound lies
+    in its x extent, one run per box; the runs are expanded together and
+    then cut down one axis at a time."""
+    order = np.argsort(lo[:, 0], kind="stable")
+    stop = np.searchsorted(lo[order, 0], hi[order, 0], side="right")
+    counts = stop - np.arange(1, len(order) + 1)
+    a = np.repeat(np.arange(len(order)), counts)
+    b = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - stop, counts)
+    i, j = order[a], order[b]
+    for k in range(1, lo.shape[1]):
+        keep = (lo[j, k] <= hi[i, k]) & (lo[i, k] <= hi[j, k])
+        i, j = i[keep], j[keep]
+    i, j = np.minimum(i, j), np.maximum(i, j)
+    rank = np.lexsort((j, i))
+    return i[rank], j[rank]
+
+
+def _cross(u, v):
+    return u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
 
 
 def _curve_crossings(curve, eps):
@@ -410,39 +434,19 @@ def _curve_crossings(curve, eps):
     seg = b - p
     if np.any(np.hypot(seg[:, 0], seg[:, 1]) < eps):
         raise SamplingError("zero-length segment in the sampled curve")
-    lo = np.minimum(p, b)
-    hi = np.maximum(p, b)
-    records = []
-    for i in range(m):
-        js = np.arange(i + 3, m)
-        if i <= 1:
-            # wraparound adjacency with the last segments
-            js = js[js < m - 2 + i]
-        if len(js) == 0:
-            continue
-        box = ((lo[js, 0] <= hi[i, 0]) & (lo[i, 0] <= hi[js, 0])
-               & (lo[js, 1] <= hi[i, 1]) & (lo[i, 1] <= hi[js, 1]))
-        js = js[box]
-        if len(js) == 0:
-            continue
-        d1 = seg[i]
-        c = p[js]
-        d2 = seg[js]
-        r1 = d1[0] * (c[:, 1] - p[i, 1]) - d1[1] * (c[:, 0] - p[i, 0])
-        r2 = d1[0] * (c[:, 1] + d2[:, 1] - p[i, 1]) - d1[1] * (c[:, 0] + d2[:, 0] - p[i, 0])
-        s1 = d2[:, 0] * (p[i, 1] - c[:, 1]) - d2[:, 1] * (p[i, 0] - c[:, 0])
-        s2 = d2[:, 0] * (b[i, 1] - c[:, 1]) - d2[:, 1] * (b[i, 0] - c[:, 0])
-        hit = (r1 * r2 < 0.0) & (s1 * s2 < 0.0)
-        for idx in np.nonzero(hit)[0]:
-            j = int(js[idx])
-            denom = d1[0] * d2[idx, 1] - d1[1] * d2[idx, 0]
-            ti = ((c[idx, 0] - p[i, 0]) * d2[idx, 1]
-                  - (c[idx, 1] - p[i, 1]) * d2[idx, 0]) / denom
-            tj = ((c[idx, 0] - p[i, 0]) * d1[1]
-                  - (c[idx, 1] - p[i, 1]) * d1[0]) / denom
-            records.append(CrossingRecord(
-                i=i, j=j, point=p[i] + ti * d1, params=(float(ti), float(tj))))
-    return records
+    i, j = _box_pairs(np.minimum(p, b), np.maximum(p, b))
+    # segments within 2 of each other, across the closing seam too, are adjacent
+    apart = (j - i >= 3) & (j - i <= m - 3)
+    i, j = i[apart], j[apart]
+    d1, d2, c, pi = seg[i], seg[j], p[j], p[i]
+    w = c - pi
+    hit = ((_cross(d1, w) * _cross(d1, c + d2 - pi) < 0.0)
+           & (_cross(d2, pi - c) * _cross(d2, b[i] - c) < 0.0))
+    i, j, d1, d2, w = i[hit], j[hit], d1[hit], d2[hit], w[hit]
+    ti = _cross(w, d2) / _cross(d1, d2)
+    tj = _cross(w, d1) / _cross(d1, d2)
+    return list(map(CrossingRecord, i.tolist(), j.tolist(),
+                    p[i] + ti[:, None] * d1, zip(ti.tolist(), tj.tolist())))
 
 
 def _segment_hits_triangle(p0, p1, tri):
@@ -464,46 +468,27 @@ def _segment_hits_triangle(p0, p1, tri):
 
 
 def _mesh_crossings(mesh, eps):
-    verts = mesh.vertices_ball
     faces = mesh.faces
-    tri = verts[faces]
+    tri = mesh.vertices_ball[faces]
     area2 = np.linalg.norm(
         np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]), axis=-1)
     if np.any(area2 < eps):
         raise SamplingError("degenerate triangle in the mesh")
-    lo = tri.min(axis=1)
-    hi = tri.max(axis=1)
-    records = []
-    n_faces = len(faces)
-    for i in range(n_faces):
-        js = np.arange(i + 1, n_faces)
-        box = np.all((lo[js] <= hi[i]) & (lo[i] <= hi[js]), axis=-1)
-        js = js[box]
-        if len(js) == 0:
-            continue
-        shared = np.isin(faces[js], faces[i]).any(axis=1)
-        js = js[~shared]
-        if len(js) == 0:
-            continue
-        found = np.zeros(len(js), dtype=bool)
-        where = np.zeros((len(js), 3))
-        for a, b in ((0, 1), (1, 2), (2, 0)):
-            hit, pt = _segment_hits_triangle(
-                np.broadcast_to(tri[i, a], (len(js), 3)),
-                np.broadcast_to(tri[i, b], (len(js), 3)), tri[js])
+    i, j = _box_pairs(tri.min(axis=1), tri.max(axis=1))
+    shared = (faces[i][:, :, None] == faces[j][:, None, :]).any(axis=(1, 2))
+    i, j = i[~shared], j[~shared]
+    tri_i, tri_j = tri[i], tri[j]
+    found = np.zeros(len(i), dtype=bool)
+    where = np.zeros((len(i), 3))
+    # edge of face i against face j, then of face j against face i; first hit wins
+    for a, b in ((0, 1), (1, 2), (2, 0)):
+        for edges, other in ((tri_i, tri_j), (tri_j, tri_i)):
+            hit, pt = _segment_hits_triangle(edges[:, a], edges[:, b], other)
             new = hit & ~found
             where[new] = pt[new]
             found |= hit
-            hit, pt = _segment_hits_triangle(
-                tri[js][:, a], tri[js][:, b],
-                np.broadcast_to(tri[i], (len(js), 3, 3)))
-            new = hit & ~found
-            where[new] = pt[new]
-            found |= hit
-        for idx in np.nonzero(found)[0]:
-            records.append(CrossingRecord(
-                i=i, j=int(js[idx]), point=where[idx]))
-    return records
+    return list(map(CrossingRecord, i[found].tolist(), j[found].tolist(),
+                    where[found]))
 
 
 # -- embedding time -----------------------------------------------------------

@@ -298,14 +298,14 @@ def check_unfolding(m=8192, grid_m=1024):
     c0 = len(self_intersections(curve))
     c_top = len(self_intersections(curve.flowed(5.0)))
 
+    coarse = profile_curve(grid_m)
     certificate = None
     message = ""
     try:
-        certificate = first_embedded_time(profile_curve(grid_m), t_max=5.0)
+        certificate = first_embedded_time(coarse, t_max=5.0)
     except RootBracketError as exc:
         message = str(exc)
 
-    coarse = profile_curve(grid_m)
     grid_counts = [len(self_intersections(coarse.flowed(t)))
                    for t in np.linspace(0.0, 5.0, 20)]
     flow_times = (0.0, 2.5, 5.0)

@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import RootBracketError, SingularParameterError
 from .sphere import axis_values, central_gradient, central_jet
@@ -48,35 +47,45 @@ class Mobius:
     matrix: np.ndarray
     two_sided: bool = False
 
+    def _terms(self, x):
+        """x as a float array, its domain mask, and u, s, c u + d s with
+        x = u/s at its finite entries (0 stands in for the rest): u = x and
+        s = 1, the literal terms bit for bit, except where the map has a
+        pole and |x| > 1e300; there u = sign(x), s = 1/|x|, so no term
+        overflows and c u + d s keeps the sign of c x + d."""
+        x = np.asarray(x, dtype=float)
+        (_, _), (c, d) = self.matrix
+        u, s = np.where(np.isfinite(x), x, 0.0), 1.0
+        if c != 0.0 and u.size and np.max(np.abs(u)) > 1e300:
+            huge = np.abs(u) > 1e300
+            u, s = np.where(huge, np.sign(u), u), 1.0 / np.where(huge, np.abs(u), 1.0)
+        denom = c * u + d * s
+        inside = np.abs(denom) >= 1e-14 * s if self.two_sided else denom > 0.0
+        return x, np.isfinite(x) & inside, u, s, denom
+
     def contains(self, x):
         """Mask over the entries of x: finite and inside the domain."""
-        x = np.asarray(x, dtype=float)
-        finite = np.isfinite(x)
-        (_, _), (c, d) = self.matrix
-        denom = c * np.where(finite, x, 0.0) + d
-        return finite & (np.abs(denom) >= 1e-14 if self.two_sided else denom > 0.0)
+        return self._terms(x)[1]
 
     def _check(self, x):
-        """x as a float array and its denominator c x + d; raises
-        SingularParameterError unless every entry is in the domain."""
-        x = np.asarray(x, dtype=float)
-        inside = self.contains(x)
+        """u, s and c u + d s of _terms(x); raises SingularParameterError
+        unless every entry of x is in the domain."""
+        x, inside, u, s, denom = self._terms(x)
         if not np.all(inside):
             raise SingularParameterError(f"input {x[~inside][0]:.6g} outside "
                                          f"the domain of {self.matrix.tolist()}")
-        (_, _), (c, d) = self.matrix
-        return x, c * x + d
+        return u, s, denom
 
     def __call__(self, x):
-        x, denom = self._check(x)
+        u, s, denom = self._check(x)
         (a, b), _ = self.matrix
-        return (a * x + b) / denom
+        return (a * u + b * s) / denom
 
     def derivative(self, x):
         """Componentwise derivative (ad - bc)/(c x + d)^2."""
-        _, denom = self._check(x)
+        _, s, denom = self._check(x)
         (a, b), (c, d) = self.matrix
-        return (a * d - b * c) / denom**2
+        return (a * d - b * c) * s**2 / denom**2
 
     def inverse(self):
         (a, b), (c, d) = self.matrix
@@ -375,7 +384,11 @@ def admissible_constant(F, C, bracket, h=1e-6):
         raise RootBracketError("bracket endpoints do not evaluate finitely")
     if fa * fb > 0:
         raise RootBracketError("bracket does not straddle a sign change")
-    root = float(brentq(diag, a, b, xtol=1e-13))
+    lo, hi = sorted((float(a), float(b)))
+    side, root = np.sign(diag(lo)), 0.5 * (lo + hi)
+    while hi - lo > 1e-13 and lo < root < hi:   # bisect to 1e-13 or one ulp
+        lo, hi = (root, hi) if np.sign(diag(root)) == side else (lo, root)
+        root = 0.5 * (lo + hi)
     slope = central_gradient(lambda r: diag(r[0]), [root], h)[0]
     if slope <= 0:
         raise RootBracketError("diagonal derivative nonpositive at the root")

@@ -14,6 +14,7 @@ from horocorr.analysis import (
     EmbeddingReport,
     MeshImmersion,
     BoundaryCluster,
+    CrossingRecord,
     boundary_at_infinity,
     circle_curve,
     first_embedded_time,
@@ -49,6 +50,95 @@ def reference_cluster_directions(dirs, radius):
         else:
             clusters.append([v.copy(), 1])
     return [BoundaryCluster(c[0] / np.linalg.norm(c[0]), c[1]) for c in clusters]
+
+
+def reference_curve_crossings(curve, eps=1e-9):
+    # the original per-segment loop, kept as the oracle for the sweep in
+    # analysis._curve_crossings
+    p = curve.ball_points()
+    m = len(p)
+    b = np.roll(p, -1, axis=0)
+    seg = b - p
+    lo = np.minimum(p, b)
+    hi = np.maximum(p, b)
+    records = []
+    for i in range(m):
+        js = np.arange(i + 3, m)
+        if i <= 1:
+            # wraparound adjacency with the last segments
+            js = js[js < m - 2 + i]
+        if len(js) == 0:
+            continue
+        box = ((lo[js, 0] <= hi[i, 0]) & (lo[i, 0] <= hi[js, 0])
+               & (lo[js, 1] <= hi[i, 1]) & (lo[i, 1] <= hi[js, 1]))
+        js = js[box]
+        if len(js) == 0:
+            continue
+        d1 = seg[i]
+        c = p[js]
+        d2 = seg[js]
+        r1 = d1[0] * (c[:, 1] - p[i, 1]) - d1[1] * (c[:, 0] - p[i, 0])
+        r2 = d1[0] * (c[:, 1] + d2[:, 1] - p[i, 1]) - d1[1] * (c[:, 0] + d2[:, 0] - p[i, 0])
+        s1 = d2[:, 0] * (p[i, 1] - c[:, 1]) - d2[:, 1] * (p[i, 0] - c[:, 0])
+        s2 = d2[:, 0] * (b[i, 1] - c[:, 1]) - d2[:, 1] * (b[i, 0] - c[:, 0])
+        hit = (r1 * r2 < 0.0) & (s1 * s2 < 0.0)
+        for idx in np.nonzero(hit)[0]:
+            j = int(js[idx])
+            denom = d1[0] * d2[idx, 1] - d1[1] * d2[idx, 0]
+            ti = ((c[idx, 0] - p[i, 0]) * d2[idx, 1]
+                  - (c[idx, 1] - p[i, 1]) * d2[idx, 0]) / denom
+            tj = ((c[idx, 0] - p[i, 0]) * d1[1]
+                  - (c[idx, 1] - p[i, 1]) * d1[0]) / denom
+            records.append(CrossingRecord(
+                i=i, j=j, point=p[i] + ti * d1, params=(float(ti), float(tj))))
+    return records
+
+
+def reference_mesh_crossings(mesh, eps=1e-9):
+    # the original per-face loop, kept as the oracle for the sweep in
+    # analysis._mesh_crossings
+    faces = mesh.faces
+    tri = mesh.vertices_ball[faces]
+    lo = tri.min(axis=1)
+    hi = tri.max(axis=1)
+    records = []
+    n_faces = len(faces)
+    for i in range(n_faces):
+        js = np.arange(i + 1, n_faces)
+        box = np.all((lo[js] <= hi[i]) & (lo[i] <= hi[js]), axis=-1)
+        js = js[box]
+        if len(js) == 0:
+            continue
+        shared = np.isin(faces[js], faces[i]).any(axis=1)
+        js = js[~shared]
+        if len(js) == 0:
+            continue
+        found = np.zeros(len(js), dtype=bool)
+        where = np.zeros((len(js), 3))
+        for a, b in ((0, 1), (1, 2), (2, 0)):
+            hit, pt = analysis._segment_hits_triangle(
+                np.broadcast_to(tri[i, a], (len(js), 3)),
+                np.broadcast_to(tri[i, b], (len(js), 3)), tri[js])
+            new = hit & ~found
+            where[new] = pt[new]
+            found |= hit
+            hit, pt = analysis._segment_hits_triangle(
+                tri[js][:, a], tri[js][:, b],
+                np.broadcast_to(tri[i], (len(js), 3, 3)))
+            new = hit & ~found
+            where[new] = pt[new]
+            found |= hit
+        for idx in np.nonzero(found)[0]:
+            records.append(CrossingRecord(
+                i=i, j=int(js[idx]), point=where[idx]))
+    return records
+
+
+def assert_same_records(got, want):
+    assert [(r.i, r.j, r.params) for r in got] == [(r.i, r.j, r.params) for r in want]
+    for a, b in zip(got, want):
+        assert type(a.i) is int and type(a.j) is int
+        np.testing.assert_array_equal(a.point, b.point)
 
 
 def assert_same_clusters(got, want):
@@ -226,6 +316,101 @@ class TestCrossings:
     def test_product_mesh_crosses_itself(self):
         mesh = make_example("alpha-product", m_u=96, m_v=5, length=0.6).payload
         assert len(self_intersections(mesh)) > 0
+
+
+def seam_loop_curve():
+    """Closed polygon whose segment m - 2 crosses segment 0.  The two are
+    adjacent across the closing seam (segment m - 1 lies between them), so
+    the crossing must not be reported."""
+    ball = np.array([
+        [0.0, 0.0], [0.2, 0.0], [0.3, -0.2], [0.2, -0.4],
+        [-0.1, -0.4], [-0.2, -0.2], [0.1, -0.1], [0.1, 0.1],
+    ])
+    phi = from_poincare_ball(ball)
+    m = len(ball)
+    return CurveImmersion(u=np.arange(m, dtype=float), phi=phi,
+                          eta=lifted_normal(phi, [0.0, 0.0, 1.0]),
+                          period=float(m), closed=True)
+
+
+def brute_force_box_pairs(lo, hi):
+    n = len(lo)
+    return [(i, j) for i in range(n) for j in range(i + 1, n)
+            if np.all(lo[i] <= hi[j]) and np.all(lo[j] <= hi[i])]
+
+
+def grid_boxes(d):
+    # integer corners and extents, so lower-bound ties, boxes that only
+    # touch and zero-width boxes are common
+    corner = st.lists(st.integers(0, 6), min_size=d, max_size=d)
+    extent = st.lists(st.integers(0, 3), min_size=d, max_size=d)
+
+    def build(boxes):
+        lo = np.array([c for c, _ in boxes], dtype=float).reshape(-1, d)
+        return lo, lo + np.array([e for _, e in boxes], dtype=float).reshape(-1, d)
+
+    return st.lists(st.tuples(corner, extent), max_size=30).map(build)
+
+
+class TestBoxPairs:
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([2, 3]).flatmap(grid_boxes))
+    def test_matches_brute_force(self, boxes):
+        lo, hi = boxes
+        i, j = analysis._box_pairs(lo, hi)
+        assert list(zip(i.tolist(), j.tolist())) == brute_force_box_pairs(lo, hi)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_empty_and_single(self, d):
+        for n in (0, 1):
+            i, j = analysis._box_pairs(np.zeros((n, d)), np.ones((n, d)))
+            assert len(i) == len(j) == 0
+
+    def test_touching_boxes_overlap(self):
+        lo = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [0.0, 2.0, 0.0]])
+        i, j = analysis._box_pairs(lo, lo + 1.0)
+        assert list(zip(i.tolist(), j.tolist())) == [(0, 1), (1, 2)]
+
+
+class TestSweepMatchesReference:
+    @pytest.mark.parametrize("t", [0.0, 1.0, 2.5, 5.0])
+    @pytest.mark.parametrize("m", [1024, 8192])
+    def test_profile_curve(self, m, t):
+        curve = profile_curve(m).flowed(t)
+        assert_same_records(self_intersections(curve),
+                            reference_curve_crossings(curve))
+
+    def test_control_circle(self):
+        curve = circle_curve(0.7, 256)
+        assert_same_records(self_intersections(curve),
+                            reference_curve_crossings(curve))
+
+    def test_every_small_profile_curve(self):
+        # the adjacency window at its edges: m = 4, 5 leave no pair at all
+        for m in range(4, 41):
+            curve = profile_curve(m)
+            assert_same_records(self_intersections(curve),
+                                reference_curve_crossings(curve))
+
+    def test_loop_across_the_seam_is_adjacent(self):
+        curve = seam_loop_curve()
+        for shift in range(curve.resolution):
+            rolled = replace(curve, phi=np.roll(curve.phi, shift, axis=0),
+                             eta=np.roll(curve.eta, shift, axis=0))
+            assert self_intersections(rolled) == []
+            assert reference_curve_crossings(rolled) == []
+
+    @pytest.mark.parametrize("t", [0.0, 1.0, 2.0, 5.0])
+    def test_product_mesh(self, t):
+        mesh = make_example("alpha-product").payload.flowed(t)
+        got = self_intersections(mesh)
+        assert got
+        assert_same_records(got, reference_mesh_crossings(mesh))
+
+    def test_piercing_mesh(self):
+        mesh = piercing_mesh()
+        assert_same_records(self_intersections(mesh),
+                            reference_mesh_crossings(mesh))
 
 
 class TestEmbeddingTime:

@@ -4,6 +4,8 @@ import argparse
 import csv
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -239,3 +241,11 @@ class TestVerify:
         code, out, _ = run(capsys, "weingarten-check")
         assert code == 0
         assert out.startswith("PASS")
+
+
+def test_import_leaves_scipy_out():
+    code = ("import sys, horocorr.cli, horocorr.verify; "
+            "print('scipy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

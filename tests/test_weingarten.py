@@ -17,8 +17,11 @@ from horocorr.weingarten import (
     CONE_K,
     HYPERSURFACE_SIDE,
     METRIC_SIDE,
+    T,
+    T_INV,
     ConePoint,
     CurvatureFunction,
+    Mobius,
     admissible_constant,
     conjugate,
     elementary_symmetric,
@@ -339,6 +342,18 @@ class TestAdmissibleConstant:
         with pytest.raises(RootBracketError):
             admissible_constant(F, 0.0, (-0.3, 0.3))
 
+    @pytest.mark.parametrize("F, C, bracket", [
+        (elementary_symmetric(4, 1), 1.0, (0.01, 0.49)),
+        (CurvatureFunction(side=HYPERSURFACE_SIDE, n=3,
+                           eval=lambda x: float(np.sum(x)) - 3, name="trace-shift"),
+         0.0, (0.5, 2.0)),
+    ])
+    def test_bisection_matches_brentq(self, F, C, bracket):
+        from scipy.optimize import brentq
+
+        want = brentq(lambda x: F.eval(np.full(F.n, x)) - C, *bracket, xtol=1e-13)
+        assert abs(admissible_constant(F, C, bracket) - want) <= 1e-12
+
 
 NONFINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 
@@ -414,6 +429,53 @@ class TestMoebiusCore:
         kappa = lambda_kappa(lam, orientation, "lambda_to_kappa")
         back = lambda_kappa(kappa, orientation, "kappa_to_lambda")
         assert back == pytest.approx(lam, rel=1e-9, abs=1e-9)
+
+
+BIG = np.finfo(float).max
+
+
+class TestMobiusLargeInput:
+    # (map, x, limit of the map as x -> +-infinity)
+    CASES = [
+        (T, 1e308, 0.5), (T, BIG, 0.5),
+        (T_INV, -1e308, -1.0), (T_INV, -BIG, -1.0),
+        (flow_shift(1.0), 1e308, -1.0 / math.tanh(1.0)),
+        (flow_shift(1.0), -1e308, -1.0 / math.tanh(1.0)),
+        (flow_shift(1.0), BIG, -1.0 / math.tanh(1.0)),
+        (flow_shift(1.0), -BIG, -1.0 / math.tanh(1.0)),
+    ]
+
+    @pytest.mark.parametrize("f, x, limit", CASES)
+    def test_limit_without_warning(self, f, x, limit):
+        # pytest turns any RuntimeWarning into an error
+        assert f(x) == pytest.approx(limit, rel=1e-15)
+        assert f(np.array([x, 0.0]))[0] == pytest.approx(limit, rel=1e-15)
+        assert f.derivative(x) == 0.0
+
+    @pytest.mark.parametrize("f, x", [(T, -1e308), (T, -BIG), (T_INV, 1e308),
+                                      (T_INV, BIG)])
+    def test_far_side_still_rejected(self, f, x):
+        assert not f.contains(x)
+        with pytest.raises(SingularParameterError):
+            f(x)
+
+    @given(st.sampled_from([T, T_INV, flow_shift(1.0), flow_shift(-0.3),
+                            flow_shift(0.0)]),
+           st.floats(-1e300, 1e300))
+    def test_matches_literal_formula(self, f, x):
+        (a, b), (c, d) = f.matrix
+        denom = c * x + d
+        if not f.contains(x):
+            assert (denom <= 0.0 if not f.two_sided else abs(denom) < 1e-14)
+            return
+        assert f(x) == (a * x + b) / denom
+        if abs(x) <= 1e150:
+            # past that the literal denom**2 overflows
+            assert f.derivative(x) == (a * d - b * c) / denom**2
+
+    def test_affine_map_at_large_input(self):
+        identity = Mobius(np.eye(2), two_sided=True)
+        assert identity(BIG) == BIG and identity(-1e308) == -1e308
 
 
 def reference_sigma(x, k):
