@@ -86,9 +86,10 @@ def schouten(metric, u):
 def horospherical_curvature(kappa_i, kappa_j):
     """(sectional, schouten_i) of the horospherical metric from two principal
     curvatures: schouten_i = 1/2 - 1/(1-ki) = T(-ki) and sectional =
-    schouten_i + schouten_j.  Horospherical convexity (kappa < 1) is required."""
-    schouten_i, schouten_j = T(-np.array([kappa_i, kappa_j], dtype=float))
-    return float(schouten_i + schouten_j), float(schouten_i)
+    schouten_i + schouten_j.  Horospherical convexity (kappa < 1) is required.
+    Broadcasts over arrays; scalars give numpy scalars."""
+    schouten_i = T(-np.asarray(kappa_i, dtype=float))
+    return schouten_i + T(-np.asarray(kappa_j, dtype=float)), schouten_i
 
 
 def horospherical_scalar(kappas):
@@ -106,17 +107,9 @@ def beta(metric, u):
     return np.exp(2.0 * metric.effective(u)) + jets.grad_norm_sq
 
 
-def _speed(metric, curve, velocity, tau):
-    u = np.asarray(curve(tau), dtype=float)
-    if not metric.rho.in_domain(metric.chart, u):
-        raise ChartDomainError(f"curve leaves the domain interior at tau={tau}")
-    if velocity is not None:
-        v = np.asarray(velocity(tau), dtype=float)
-    else:
-        h = max(1e-9, 1e-6 * min(tau, 1.0 - tau))
-        v = central_gradient(lambda s: np.asarray(curve(s[0]), dtype=float), [tau], h)[0]
-    g = metric.chart.metric(u)
-    return math.exp(metric.effective(u)) * math.sqrt(max(float(v @ g @ v), 0.0))
+def _per_node(fn, tau):
+    """fn(t) for each scalar t of the array tau, stacked after tau's axes."""
+    return np.array([fn(t) for t in tau.ravel()], dtype=float).reshape(tau.shape + (-1,))
 
 
 def path_length(metric, curve, quadrature_n=32, velocity=None, cap=LENGTH_CAP):
@@ -124,42 +117,44 @@ def path_length(metric, curve, quadrature_n=32, velocity=None, cap=LENGTH_CAP):
 
     curve: tau in [0,1] -> chart coordinates, staying inside the domain except
     possibly at the endpoints; velocity: optional analytic tau-derivative
-    (finite differences otherwise, which need interior room).
+    (finite differences otherwise, which need interior room).  Both take one
+    scalar tau and are called once per node; the finite-difference route
+    calls curve three times per node (tau and tau +- h).
 
-    Integration runs over dyadic shells accumulating toward each endpoint with
-    a fixed Gauss-Legendre rule per shell, so integrable endpoint
-    singularities converge while divergent ones are detected: the result is
-    math.inf when the partial sums pass the cap or the shell contributions
-    stop decaying.
+    Integration runs over 50 dyadic shells accumulating toward each endpoint,
+    [1 - 2^-k, 1 - 2^-(k+1)] and its mirror image, with quadrature_n
+    Gauss-Legendre nodes per shell: one (2, 50, quadrature_n) node grid, the
+    side toward 1 first.  Integrable endpoint singularities converge while
+    divergent ones are detected: the result is math.inf when a running
+    partial sum passes the cap or a side's shell contributions stop decaying.
+    Raises ChartDomainError if any node lies outside the domain.
     """
     if quadrature_n < 2:
         raise SamplingError("need at least 2 quadrature nodes per shell")
     nodes, weights = leggauss(quadrature_n)
-
-    def shell(a, b):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        return half * sum(
-            w * _speed(metric, curve, velocity, mid + half * x)
-            for x, w in zip(nodes, weights))
-
-    depth = 50
-    total = 0.0
-    for left in (False, True):
-        contributions = []
-        for k in range(1, depth + 1):
-            lo, hi = 1.0 - 2.0 ** -k, 1.0 - 2.0 ** -(k + 1)
-            if left:
-                lo, hi = 1.0 - hi, 1.0 - lo
-            c = shell(lo, hi)
-            contributions.append(c)
-            total += c
-            if total > cap:
-                return math.inf
-        tail = [c for c in contributions[-7:] if c > 0]
-        ratios = [b / a for a, b in zip(tail, tail[1:]) if a > 0]
-        if ratios and np.mean(ratios) >= 0.98:
+    half = 2.0 ** -np.arange(3, 53)   # shell k: half-width 2^-(k+2), midpoint 1 - 3 * 2^-(k+2)
+    mid = 1.0 - 3.0 * half
+    tau = np.stack([mid, 1.0 - mid])[..., None] + half[:, None] * nodes
+    u = _per_node(curve, tau)
+    inside = metric.rho.in_domain(metric.chart, u)
+    if not np.all(inside):
+        raise ChartDomainError(f"curve leaves the domain interior at tau={tau[~inside][0]}")
+    if velocity is not None:
+        v = _per_node(velocity, tau)
+    else:
+        h = np.maximum(1e-9, 1e-6 * np.minimum(tau, 1.0 - tau))
+        v = central_gradient(lambda s: _per_node(curve, s[..., 0]), tau[..., None], h)[..., 0, :]
+    norm_sq = np.einsum("...i,...ij,...j->...", v, metric.chart.metric(u), v)
+    speed = np.exp(metric.effective(u)) * np.sqrt(np.maximum(norm_sq, 0.0))
+    shells = half * (speed @ weights)
+    partial = np.cumsum(shells)
+    if np.any(partial > cap):
+        return math.inf
+    for side in shells[:, -7:]:
+        tail = side[side > 0]
+        if len(tail) > 1 and np.mean(tail[1:] / tail[:-1]) >= 0.98:
             return math.inf
-    return total
+    return partial[-1]
 
 
 def rescale(metric, dt):

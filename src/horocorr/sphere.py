@@ -315,10 +315,10 @@ def axis_values(f, x, h):
     axis of x, stacked along a new axis placed after x's leading axes.
 
     f may be scalar- or array-valued; on a batch x of shape (..., n) it must
-    return values with the same leading axes.
+    return values with the same leading axes.  h may broadcast over them.
     """
     x = np.asarray(x, dtype=float)
-    steps = h * np.eye(x.shape[-1])
+    steps = np.moveaxis(np.multiply.outer(h, np.eye(x.shape[-1])), -2, 0)
     axis = x.ndim - 1
     return (np.stack([f(x + e) for e in steps], axis),
             np.stack([f(x - e) for e in steps], axis))
@@ -326,14 +326,16 @@ def axis_values(f, x, h):
 
 def central_gradient(f, x, h):
     """First derivatives by central differences, the derivative axis placed
-    after x's leading axes; evaluates f only at x +- h e_i."""
+    after x's leading axes; evaluates f only at x +- h e_i (h as in
+    axis_values)."""
     plus, minus = axis_values(f, x, h)
+    h = np.reshape(h, np.shape(h) + (1,) * (plus.ndim - np.ndim(x) + 1))
     return (plus - minus) / (2 * h)
 
 
 def central_jet(f, x, h):
     """(f(x), first derivatives, second derivatives) by second-order central
-    differences.
+    differences with one scalar step h for every point.
 
     The derivative axes follow x's leading axes, and the axis count comes
     from x.shape[-1].  Mixed partials use the symmetric four-point stencil,

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 from scipy.linalg import eigh
 
+from horocorr.analysis import make_example
 from horocorr.conformal import (
+    LENGTH_CAP,
     ConformalMetric,
     beta,
     flow_time_for_bound,
@@ -16,8 +19,15 @@ from horocorr.conformal import (
     rescale,
     schouten,
 )
-from horocorr.errors import SamplingError, SingularParameterError
-from horocorr.sphere import BandChart, StereographicChart, constant_field, radial_band_field
+from horocorr.errors import ChartDomainError, SamplingError, SingularParameterError
+from horocorr.sphere import (
+    BandChart,
+    ScalarField,
+    StereographicChart,
+    central_gradient,
+    constant_field,
+    radial_band_field,
+)
 
 from test_sphere import band_example_field
 
@@ -33,6 +43,46 @@ def cylinder_metric(t=1.0):
         fss=lambda s: 1.0 / np.cos(s) ** 2,
     )
     return ConformalMetric(BandChart(2), rho, t)
+
+
+def reference_path_length(metric, curve, quadrature_n=32, velocity=None, cap=LENGTH_CAP):
+    """path_length as computed before batching: one scalar speed per node,
+    shell by shell toward 1 and then toward 0, stopping at the cap."""
+    nodes, weights = leggauss(quadrature_n)
+
+    def speed(tau):
+        u = np.asarray(curve(tau), dtype=float)
+        if not metric.rho.in_domain(metric.chart, u):
+            raise ChartDomainError(f"curve leaves the domain interior at tau={tau}")
+        if velocity is not None:
+            v = np.asarray(velocity(tau), dtype=float)
+        else:
+            h = max(1e-9, 1e-6 * min(tau, 1.0 - tau))
+            v = central_gradient(lambda s: np.asarray(curve(s[0]), dtype=float), [tau], h)[0]
+        g = metric.chart.metric(u)
+        return math.exp(metric.effective(u)) * math.sqrt(max(float(v @ g @ v), 0.0))
+
+    def shell(a, b):
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        return half * sum(w * speed(mid + half * x) for x, w in zip(nodes, weights))
+
+    total = 0.0
+    for left in (False, True):
+        contributions = []
+        for k in range(1, 51):
+            lo, hi = 1.0 - 2.0 ** -k, 1.0 - 2.0 ** -(k + 1)
+            if left:
+                lo, hi = 1.0 - hi, 1.0 - lo
+            c = shell(lo, hi)
+            contributions.append(c)
+            total += c
+            if total > cap:
+                return math.inf
+        tail = [c for c in contributions[-7:] if c > 0]
+        ratios = [b / a for a, b in zip(tail, tail[1:]) if a > 0]
+        if ratios and np.mean(ratios) >= 0.98:
+            return math.inf
+    return total
 
 
 class TestSchouten:
@@ -137,6 +187,16 @@ class TestHorosphericalCurvature:
         with pytest.raises(SingularParameterError):
             horospherical_curvature(1.0, -0.5)
 
+    def test_batch_matches_stacked_scalar_calls(self):
+        kappa_i = np.array([[0.0, -1.0, -3.0], [0.5, 0.9, -1e3]])
+        kappa_j = np.array([0.0, -0.5, 0.99])
+        sectional, entry = horospherical_curvature(kappa_i, kappa_j)
+        want = np.array([[horospherical_curvature(a, b) for a, b in zip(row, kappa_j)]
+                         for row in kappa_i])
+        np.testing.assert_array_equal(sectional, want[..., 0])
+        np.testing.assert_array_equal(entry, want[..., 1])
+        assert all(isinstance(x, np.float64) for x in horospherical_curvature(0.3, 0.1))
+
     def test_scalar_negative_for_product_spectrum(self):
         for kappa in (0.0, 0.3, 0.9):
             assert horospherical_scalar([kappa, 0.0, 0.0, 0.0]) < 0.0
@@ -196,6 +256,81 @@ class TestPathLength:
             velocity=lambda tau: np.array([math.pi / 2, 0.0]),
         )
         assert length == math.inf
+
+
+def round_metric(c=0.0):
+    return ConformalMetric(BandChart(2), constant_field(c))
+
+
+# (metric, curve, velocity or None for finite differences)
+MATCH_CASES = {
+    "verify band meridian, fd": (
+        make_example("incomplete-band").payload, lambda tau: np.array([tau, 0.3]), None),
+    "verify band meridian, analytic": (
+        make_example("incomplete-band").payload, lambda tau: np.array([tau, 0.3]),
+        lambda tau: np.array([1.0, 0.0])),
+    "band chord, fd": (
+        band_metric(), lambda tau: np.array([2.0 * tau - 1.0, 0.4]), None),
+    "band chord, analytic": (
+        band_metric(), lambda tau: np.array([2.0 * tau - 1.0, 0.4]),
+        lambda tau: np.array([2.0, 0.0])),
+    "round quarter circle, fd": (
+        round_metric(), lambda tau: np.array([0.0, tau * math.pi / 2]), None),
+    "round quarter circle, analytic": (
+        round_metric(), lambda tau: np.array([0.0, tau * math.pi / 2]),
+        lambda tau: np.array([0.0, math.pi / 2])),
+    "scaled chord": (
+        round_metric(0.7), lambda tau: [0.3 * tau - 0.1, 0.9 * tau], lambda tau: [0.3, 0.9]),
+}
+
+
+def meridian(tau):
+    return np.array([tau * math.pi / 2, 0.0])
+
+
+class TestPathLengthMatchesReference:
+    @pytest.mark.parametrize("name", sorted(MATCH_CASES))
+    def test_finite_lengths(self, name):
+        metric, curve, velocity = MATCH_CASES[name]
+        want = reference_path_length(metric, curve, velocity=velocity)
+        assert math.isfinite(want)
+        got = path_length(metric, curve, velocity=velocity)
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_divergence_found_by_decay(self):
+        # shells of the cylinder meridian stay near log 2, far below the cap
+        metric = cylinder_metric(0.0)
+        assert reference_path_length(metric, meridian) == math.inf
+        assert path_length(metric, meridian) == math.inf
+
+    def test_divergence_found_by_cap(self):
+        # e^rho = 1/cos^2 s: shell k carries about 2^k, passing 1e6 near
+        # k = 20, while the last node's speed stays near 1e31
+        rho = radial_band_field(f=lambda s: -2.0 * np.log(np.cos(s)))
+        metric = ConformalMetric(BandChart(2), rho)
+        assert reference_path_length(metric, meridian) == math.inf
+        assert path_length(metric, meridian) == math.inf
+        # a finite length (pi/2 here) past a lower cap is reported as inf too
+        curve = lambda tau: np.array([tau, 0.4])
+        assert reference_path_length(band_metric(), curve, cap=1.0) == math.inf
+        assert path_length(band_metric(), curve, cap=1.0) == math.inf
+
+    def test_curve_leaving_the_domain_raises(self):
+        # s = 2 tau leaves |s| < 1 at tau = 1/2, the first node of the grid
+        with pytest.raises(ChartDomainError, match="tau=0.50"):
+            path_length(band_metric(), lambda tau: np.array([2.0 * tau, 0.4]))
+
+    def test_one_batched_metric_and_domain_call(self, monkeypatch):
+        # a per-node loop would call each 3200 times
+        calls = {"metric": 0, "in_domain": 0}
+        for cls, name in ((BandChart, "metric"), (ScalarField, "in_domain")):
+            def counted(self, *args, _original=getattr(cls, name), _name=name):
+                calls[_name] += 1
+                return _original(self, *args)
+            monkeypatch.setattr(cls, name, counted)
+        path_length(band_metric(), lambda tau: np.array([tau, 0.4]),
+                    velocity=lambda tau: np.array([1.0, 0.0]))
+        assert calls == {"metric": 1, "in_domain": 1}
 
 
 class TestRescaleAndRealizability:

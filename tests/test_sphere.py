@@ -7,6 +7,7 @@ from horocorr.errors import ChartDomainError
 from horocorr.sphere import (
     BandChart,
     StereographicChart,
+    central_gradient,
     constant_field,
     fd_jet,
     field_from_ambient,
@@ -149,6 +150,22 @@ class TestFdJet:
             fd.covariant_hessian, exact.covariant_hessian, atol=1e-6)
         with pytest.raises(ChartDomainError):
             fd_jet(field, np.array([0.5 - 0.5 * h, 0.7]), h=h, chart=chart)
+
+
+    @pytest.mark.parametrize("f", [
+        lambda y: y[..., 0] * y[..., 1] - y[..., 2] ** 3,
+        lambda y: np.stack([y[..., 0] ** 2, y[..., 1] / (2.0 + y[..., 2])], axis=-1),
+    ], ids=["scalar-valued", "vector-valued"])
+    def test_per_point_step_matches_stacked_scalar_steps(self, f, rng):
+        # a step per point, or one broadcast over the last leading axis,
+        # gives the bits of one scalar-step call per point
+        x = rng.normal(size=(4, 5, 3))
+        h = 10.0 ** rng.uniform(-6.0, -2.0, size=(4, 5))
+        for steps in (h, h[0]):
+            got = central_gradient(f, x, steps)
+            want = [[central_gradient(f, x[i, j], np.broadcast_to(steps, h.shape)[i, j])
+                     for j in range(5)] for i in range(4)]
+            np.testing.assert_array_equal(got, np.array(want))
 
 
 class TestGradientHessian:

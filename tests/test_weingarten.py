@@ -2,10 +2,11 @@
 
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from horocorr.conformal import horospherical_curvature, horospherical_scalar
@@ -462,6 +463,9 @@ class TestMobiusLargeInput:
     @given(st.sampled_from([T, T_INV, flow_shift(1.0), flow_shift(-0.3),
                             flow_shift(0.0)]),
            st.floats(-1e300, 1e300))
+    @example(T, 1e155)
+    @example(flow_shift(1.0), -1e200)
+    @example(T_INV, -1e300)
     def test_matches_literal_formula(self, f, x):
         (a, b), (c, d) = f.matrix
         denom = c * x + d
@@ -470,8 +474,12 @@ class TestMobiusLargeInput:
             return
         assert f(x) == (a * x + b) / denom
         if abs(x) <= 1e150:
-            # past that the literal denom**2 overflows
             assert f.derivative(x) == (a * d - b * c) / denom**2
+        else:
+            # the literal denom**2 overflows past 1.3e154: compare with the
+            # exact quotient, rounded once, to within two roundings
+            exact = float(Fraction(a * d - b * c) / Fraction(denom) ** 2)
+            assert math.isclose(f.derivative(x), exact, rel_tol=4.5e-16, abs_tol=5e-324)
 
     def test_affine_map_at_large_input(self):
         identity = Mobius(np.eye(2), two_sided=True)
