@@ -545,25 +545,51 @@ class BoundaryCluster:
 
 def domain_edge(metric, sign, limit):
     """Largest radius along a coordinate ray that stays inside the field's
-    domain, by bisection against the domain predicate."""
-    probe = np.zeros(metric.chart.n)
+    domain, by 60 bisection levels against the domain predicate.
 
+    One in_domain call tests both ends of [1e-9, limit].  The levels then go
+    six at a time: the 63 midpoints the next six levels could reach, each
+    formed by the same 0.5 * (lo + hi), are tested in one in_domain call and
+    the walk down that tree takes the branches the one-level bisection would,
+    so lo is bit for bit the same, from 11 calls in place of 62.
+    """
     def inside(s):
-        probe[0] = sign * s
-        return metric.rho.in_domain(metric.chart, probe)
+        probes = np.zeros((len(s), metric.chart.n))
+        probes[:, 0] = sign * s
+        return metric.rho.in_domain(metric.chart, probes)
 
-    if not inside(1e-9):
+    near_ok, far_ok = inside(np.array([1e-9, limit]))
+    if not near_ok:
         raise SamplingError("field domain does not contain the chart center")
+    if far_ok:
+        return limit
     lo, hi = 1e-9, limit
-    if inside(hi):
-        return hi
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if inside(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    for _ in range(10):
+        # the next six levels' midpoints in heap order: node k's children
+        # are 2k + 1 (mid inside, so lo moves up) and 2k + 2 (hi moves down)
+        los, his, mids = np.array([lo]), np.array([hi]), []
+        for _ in range(6):
+            mid = 0.5 * (los + his)
+            mids.append(mid)
+            los = np.stack([mid, los], axis=-1).ravel()
+            his = np.stack([his, mid], axis=-1).ravel()
+        mids = np.concatenate(mids)
+        ok = inside(mids)
+        k = 0
+        for _ in range(6):
+            if ok[k]:
+                lo, k = mids[k], 2 * k + 1
+            else:
+                hi, k = mids[k], 2 * k + 2
+    return float(lo)
+
+
+def _near(v, centers, radius):
+    """Whether each row of v lies within radius of the matching centre, by
+    arccos of the clipped dot product.  vecdot runs the same dot kernel as
+    `u @ w` on two vectors, so every decision is bit for bit that of one
+    pairwise comparison."""
+    return np.arccos(np.clip(np.vecdot(v, centers), -1.0, 1.0)) < radius
 
 
 def _cluster_directions(dirs, radius):
@@ -574,28 +600,51 @@ def _cluster_directions(dirs, radius):
     of it, by arccos of the clipped dot product; that cluster's sum and
     normalised centre are updated.  Otherwise the direction starts a new
     cluster.  Joining moves a centre, so the result depends on the input
-    order.  Each direction is compared with every centre in one array
-    operation; only the cluster that changed is renormalised.
+    order.
+
+    The clusters are built one at a time, in creation order.  A direction
+    reaches cluster j only after clusters 0..j-1 turned it down, so
+    cluster j depends on nothing but the directions those clusters left
+    and its own earlier members; its founder is the first direction left.
+    Each round speculates that the rest of the leftover directions see
+    the current centre, forms the running sums of the speculated members
+    with one sequential cumsum (the same additions as the one-at-a-time
+    sums), and checks every direction against the centre it would really
+    have seen.  Everything before the first mismatch is right, and so is
+    the mismatched direction's check; both are committed and the next
+    round starts after them.
     """
-    sums = np.empty_like(dirs)
-    centers = np.empty_like(dirs)
-    counts = []
-    for v in dirs:
-        k = len(counts)
-        # vecdot runs the same dot kernel as `u @ w` on two vectors, so every
-        # decision is bit for bit that of one pairwise comparison
-        dots = np.clip(np.vecdot(centers[:k], v), -1.0, 1.0)
-        near = np.flatnonzero(np.arccos(dots) < radius)
-        if near.size:
-            j = near[0]
-            sums[j] = sums[j] + v
-            counts[j] += 1
-        else:
-            j = k
-            sums[j] = v
-            counts.append(1)
-        centers[j] = sums[j] / np.linalg.norm(sums[j])
-    return [BoundaryCluster(c, n) for c, n in zip(centers[:len(counts)].copy(), counts)]
+    clusters = []
+    rest = dirs
+    while len(rest):
+        total = rest[0]
+        center = total / np.linalg.norm(total)
+        members = np.zeros(len(rest), dtype=bool)
+        members[0] = True
+        start = 1
+        while start < len(rest):
+            tail = rest[start:]
+            guess = _near(tail, center, radius)
+            sums = np.cumsum(np.concatenate([total[None], tail[guess]]), axis=0)
+            # sqrt(vecdot) is each row's np.linalg.norm, bit for bit
+            centers = sums / np.sqrt(np.vecdot(sums, sums))[:, None]
+            before = np.cumsum(guess) - guess
+            near = _near(tail, centers[before], radius)
+            wrong = np.flatnonzero(near != guess)
+            if not wrong.size:
+                members[start:] = guess
+                center = centers[-1]
+                break
+            e = wrong[0]
+            members[start:start + e + 1] = near[:e + 1]
+            total, center = sums[before[e]], centers[before[e]]
+            if near[e]:
+                total = total + tail[e]
+                center = total / np.linalg.norm(total)
+            start += e + 1
+        clusters.append(BoundaryCluster(center.copy(), int(np.count_nonzero(members))))
+        rest = rest[~members]
+    return clusters
 
 
 def boundary_at_infinity(entry, escape_threshold=0.999, t=1.0,

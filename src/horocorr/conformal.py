@@ -119,7 +119,8 @@ def path_length(metric, curve, quadrature_n=32, velocity=None, cap=LENGTH_CAP):
     possibly at the endpoints; velocity: optional analytic tau-derivative
     (finite differences otherwise, which need interior room).  Both take one
     scalar tau and are called once per node; the finite-difference route
-    calls curve three times per node (tau and tau +- h).
+    calls curve three times per node (tau and tau +- h, with h capped so that
+    every tau passed to curve lies in [0, 1]).
 
     Integration runs over 50 dyadic shells accumulating toward each endpoint,
     [1 - 2^-k, 1 - 2^-(k+1)] and its mirror image, with quadrature_n
@@ -142,7 +143,9 @@ def path_length(metric, curve, quadrature_n=32, velocity=None, cap=LENGTH_CAP):
     if velocity is not None:
         v = _per_node(velocity, tau)
     else:
-        h = np.maximum(1e-9, 1e-6 * np.minimum(tau, 1.0 - tau))
+        # capped by the distance to the nearer endpoint, so tau +- h stays in [0, 1]
+        room = np.minimum(tau, 1.0 - tau)
+        h = np.minimum(np.maximum(1e-9, 1e-6 * room), room)
         v = central_gradient(lambda s: _per_node(curve, s[..., 0]), tau[..., None], h)[..., 0, :]
     norm_sq = np.einsum("...i,...ij,...j->...", v, metric.chart.metric(u), v)
     speed = np.exp(metric.effective(u)) * np.sqrt(np.maximum(norm_sq, 0.0))

@@ -25,7 +25,7 @@ from horocorr.analysis import (
     profile_curve,
     self_intersections,
 )
-from horocorr.conformal import horospherical_scalar, schouten
+from horocorr.conformal import ConformalMetric, horospherical_scalar, schouten
 from horocorr.correspondence import ricatti
 from horocorr.errors import (
     RootBracketError,
@@ -33,6 +33,7 @@ from horocorr.errors import (
     SingularParameterError,
 )
 from horocorr.minkowski import from_poincare_ball, mink_inner
+from horocorr.sphere import BandChart, ScalarField, constant_field, radial_band_field
 from horocorr.verify import check_unfolding
 
 
@@ -50,6 +51,29 @@ def reference_cluster_directions(dirs, radius):
         else:
             clusters.append([v.copy(), 1])
     return [BoundaryCluster(c[0] / np.linalg.norm(c[0]), c[1]) for c in clusters]
+
+
+def reference_domain_edge(metric, sign, limit):
+    # the original one-level bisection with one point per in_domain call,
+    # kept as the oracle for the batched levels in analysis.domain_edge
+    probe = np.zeros(metric.chart.n)
+
+    def inside(s):
+        probe[0] = sign * s
+        return metric.rho.in_domain(metric.chart, probe)
+
+    if not inside(1e-9):
+        raise SamplingError("field domain does not contain the chart center")
+    lo, hi = 1e-9, limit
+    if inside(hi):
+        return hi
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if inside(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def reference_curve_crossings(curve, eps=1e-9):
@@ -531,6 +555,69 @@ class TestBoundaryAtInfinity:
         (dirs, radius), = seen
         assert_same_clusters(got, reference_cluster_directions(dirs, radius))
 
+    def test_near_tests_per_cluster_not_per_direction(self, monkeypatch):
+        # 3968 escaped directions in 128 clusters: a per-direction loop would
+        # test 3968 times, the cluster rounds test twice per cluster
+        calls = []
+        near = analysis._near
+
+        def counted(*args):
+            calls.append(1)
+            return near(*args)
+
+        monkeypatch.setattr(analysis, "_near", counted)
+        clusters = boundary_at_infinity(make_example("incomplete-band"))
+        assert len(clusters) == 128
+        assert sum(c.count for c in clusters) == 3968
+        assert len(calls) <= 2 * 128
+
+
+def band_with_edges(below, above):
+    # a band field whose domain is below < s < above
+    return ConformalMetric(BandChart(2), radial_band_field(
+        f=lambda s: np.zeros(np.shape(s)), domain_s=lambda s: (s > below) & (s < above)))
+
+
+class TestDomainEdge:
+    @pytest.mark.parametrize("name", ["incomplete-band", "cylinder-delaunay"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("limit", [math.pi / 2, math.pi / 2 - 1e-9])
+    def test_matches_reference_on_examples(self, name, sign, limit):
+        metric = make_example(name).payload
+        want = reference_domain_edge(metric, sign, limit)
+        got = analysis.domain_edge(metric, sign, limit)
+        assert type(got) is float
+        assert got == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(1e-8, 1.5), st.floats(1e-8, 1.5), st.sampled_from([1.0, -1.0]),
+           st.floats(0.1, 3.0))
+    def test_matches_reference_on_any_edge(self, above, below, sign, limit):
+        metric = band_with_edges(-below, above)
+        assert analysis.domain_edge(metric, sign, limit) == \
+            reference_domain_edge(metric, sign, limit)
+
+    def test_edge_past_the_limit_returns_the_limit(self):
+        metric = ConformalMetric(BandChart(2), constant_field(0.0))
+        assert analysis.domain_edge(metric, 1.0, 1.25) == 1.25
+
+    def test_domain_missing_the_center_raises(self):
+        with pytest.raises(SamplingError, match="chart center"):
+            analysis.domain_edge(band_with_edges(0.1, 1.0), 1.0, math.pi / 2)
+
+    def test_few_batched_domain_calls(self, monkeypatch):
+        # the one-level bisection makes 62 calls of one point each
+        calls = []
+        in_domain = ScalarField.in_domain
+
+        def counted(self, *args):
+            calls.append(1)
+            return in_domain(self, *args)
+
+        monkeypatch.setattr(ScalarField, "in_domain", counted)
+        analysis.domain_edge(make_example("incomplete-band").payload, 1.0, math.pi / 2)
+        assert len(calls) <= 11
+
 
 def unit_directions(d):
     # a few base directions, then a sequence drawn from them and their
@@ -552,6 +639,24 @@ def unit_directions(d):
 
 
 RADII = st.floats(0.0, math.pi, exclude_min=True)
+
+
+@st.composite
+def jittered_directions(draw, d):
+    # clouds of directions around a few bases, spread at the cluster radius,
+    # so that a centre moved by its earlier members often flips the
+    # decision for a later direction
+    radius = draw(st.floats(0.01, 0.5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bases = rng.normal(size=(draw(st.integers(1, 3)), d))
+    bases /= np.linalg.norm(bases, axis=1)[:, None]
+    m = draw(st.integers(0, 150))
+    dirs = bases[rng.integers(0, len(bases), m)] + radius * rng.normal(size=(m, d))
+    return dirs / np.linalg.norm(dirs, axis=1)[:, None], radius
+
+
+def on_circle(*angles):
+    return np.array([[math.cos(a), math.sin(a)] for a in angles])
 
 
 class TestClusterDirections:
@@ -609,3 +714,36 @@ class TestClusterDirections:
         assert [k.count for k in first] == [2, 1]
         assert [k.count for k in last] == [2, 1]
         assert first[0].direction[1] < last[0].direction[1]
+
+    def test_moved_centre_drops_a_candidate(self):
+        # 0.08 lies within 0.1 of the founder, but not of the centre at
+        # -0.0495 that -0.099 leaves behind
+        dirs = on_circle(0.0, -0.099, 0.08)
+        got = analysis._cluster_directions(dirs, 0.1)
+        assert [c.count for c in got] == [2, 1]
+        assert_same_clusters(got, reference_cluster_directions(dirs, 0.1))
+
+    def test_moved_centre_takes_a_non_candidate(self):
+        # 0.145 lies beyond 0.1 of the founder, but within it of the centre
+        # at 0.0495 that 0.099 leaves behind
+        dirs = on_circle(0.0, 0.099, 0.145)
+        got = analysis._cluster_directions(dirs, 0.1)
+        assert [c.count for c in got] == [3]
+        assert_same_clusters(got, reference_cluster_directions(dirs, 0.1))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([2, 3]).flatmap(jittered_directions))
+    def test_matches_reference_on_jittered_directions(self, case):
+        dirs, radius = case
+        assert_same_clusters(analysis._cluster_directions(dirs, radius),
+                             reference_cluster_directions(dirs, radius))
+
+    def test_matches_reference_on_many_directions(self):
+        rng = np.random.default_rng(5000)
+        bases = rng.normal(size=(12, 3))
+        bases /= np.linalg.norm(bases, axis=1)[:, None]
+        dirs = bases[rng.integers(0, 12, 5000)] + 0.08 * rng.normal(size=(5000, 3))
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        got = analysis._cluster_directions(dirs, 0.1)
+        assert sum(c.count for c in got) == 5000
+        assert_same_clusters(got, reference_cluster_directions(dirs, 0.1))

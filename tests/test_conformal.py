@@ -47,7 +47,9 @@ def cylinder_metric(t=1.0):
 
 def reference_path_length(metric, curve, quadrature_n=32, velocity=None, cap=LENGTH_CAP):
     """path_length as computed before batching: one scalar speed per node,
-    shell by shell toward 1 and then toward 0, stopping at the cap."""
+    shell by shell toward 1 and then toward 0, stopping at the cap.  The
+    finite-difference step is capped by the distance to the nearer endpoint,
+    as in path_length."""
     nodes, weights = leggauss(quadrature_n)
 
     def speed(tau):
@@ -57,7 +59,8 @@ def reference_path_length(metric, curve, quadrature_n=32, velocity=None, cap=LEN
         if velocity is not None:
             v = np.asarray(velocity(tau), dtype=float)
         else:
-            h = max(1e-9, 1e-6 * min(tau, 1.0 - tau))
+            room = min(tau, 1.0 - tau)
+            h = min(max(1e-9, 1e-6 * room), room)
             v = central_gradient(lambda s: np.asarray(curve(s[0]), dtype=float), [tau], h)[0]
         g = metric.chart.metric(u)
         return math.exp(metric.effective(u)) * math.sqrt(max(float(v @ g @ v), 0.0))
@@ -319,6 +322,25 @@ class TestPathLengthMatchesReference:
         # s = 2 tau leaves |s| < 1 at tau = 1/2, the first node of the grid
         with pytest.raises(ChartDomainError, match="tau=0.50"):
             path_length(band_metric(), lambda tau: np.array([2.0 * tau, 0.4]))
+
+    def test_curve_sampled_within_unit_interval(self):
+        # nodes within 1e-9 of an endpoint take a step no wider than their room
+        seen = []
+
+        def curve(tau):
+            seen.append(tau)
+            return np.array([tau, 0.3])
+
+        path_length(make_example("incomplete-band").payload, curve)
+        assert len(seen) == 3 * 3200
+        assert 0.0 <= min(seen) and max(seen) <= 1.0
+
+    def test_curve_defined_on_unit_interval_only(self):
+        # the verify band meridian at another speed; sqrt has no value below 0
+        length = path_length(make_example("incomplete-band").payload,
+                             lambda tau: np.array([math.sqrt(tau), 0.3]))
+        assert math.isfinite(length)
+        assert abs(length - math.pi / 2) < 1e-4
 
     def test_one_batched_metric_and_domain_call(self, monkeypatch):
         # a per-node loop would call each 3200 times
