@@ -164,15 +164,25 @@ def _profile_jets(u):
     return a, da, dda
 
 
-def _profile_normal(u):
+def _normal_from(a, da):
     # Lorentz cross of position and velocity, oriented so kappa < 1
-    a, da, _ = _profile_jets(u)
     c = np.cross(a, da)
     w = c * np.array([-1.0, 1.0, 1.0])
     norm_sq = mink_inner(w, w)
     if np.any(norm_sq <= 0.0):
         raise SingularParameterError("degenerate tangent on the profile curve")
     return -w / np.sqrt(norm_sq)[..., None]
+
+
+def _profile_frame(u):
+    """Position, unit normal and curvature from one evaluation of the jets."""
+    a, da, dda = _profile_jets(u)
+    n = _normal_from(a, da)
+    return a, n, mink_inner(dda, n) / mink_inner(da, da)
+
+
+def _profile_normal(u):
+    return _normal_from(*_profile_jets(u)[:2])
 
 
 def profile_position(u):
@@ -182,24 +192,16 @@ def profile_position(u):
 def profile_curvature(u):
     """Principal curvature of the profile curve in its convex orientation
     (every value stays below 1)."""
-    a, da, dda = _profile_jets(u)
-    return mink_inner(dda, _profile_normal(u)) / mink_inner(da, da)
+    return _profile_frame(u)[2]
 
 
 def profile_curve(m=4096):
     period = 4.0 * math.pi
     u = np.linspace(0.0, period, m, endpoint=False)
+    phi, eta, kappa = _profile_frame(u)
     return CurveImmersion(
-        u=u,
-        phi=profile_position(u),
-        eta=_profile_normal(u),
-        period=period,
-        closed=True,
-        kappa=profile_curvature(u),
-        phi_fn=profile_position,
-        eta_fn=_profile_normal,
-        kappa_fn=profile_curvature,
-    )
+        u=u, phi=phi, eta=eta, period=period, closed=True, kappa=kappa,
+        phi_fn=profile_position, eta_fn=_profile_normal, kappa_fn=profile_curvature)
 
 
 def circle_curve(rho0, m=512):
@@ -241,8 +243,7 @@ def product_mesh(m_u=96, m_v=9, length=1.0):
         raise SamplingError("mesh grid too coarse to triangulate")
     u = np.linspace(0.0, 4.0 * math.pi, m_u, endpoint=False)
     v = np.linspace(-length, length, m_v)
-    a = profile_position(u)
-    n = _profile_normal(u)
+    a, n, _ = _profile_frame(u)
     ch, sh = np.cosh(v), np.sinh(v)
     phi = np.empty((m_u, m_v, 4))
     phi[..., :3] = a[:, None, :] * ch[None, :, None]
@@ -467,28 +468,50 @@ def _segment_hits_triangle(p0, p1, tri):
     return ok & inside, p0 + t[:, None] * d
 
 
+# An edge test is skipped only when both endpoints lie more than this, in
+# ball units, on one side of the other face's plane.  LAPACK's solve is
+# backward stable, so a hit it reports (beta, gamma, t all in (0, 1)) lies
+# within about 1e-14 of the plane and no skipped test could report one; the
+# rounded normal tilts by 1e-16 / sin(smallest angle), small unless needle-thin.
+PLANE_MARGIN = 1e-12
+
+
 def _mesh_crossings(mesh, eps):
+    """Narrow phase: each pair's six edge tests, in the order edges (0, 1),
+    (1, 2), (2, 0), each of face i against face j and then of face j against
+    face i, the first hit winning.  Tests whose edge does not straddle the
+    other face's plane are dropped (Moller, JGT 1997); the rest go through
+    one `_segment_hits_triangle` call.  That kernel must stay LAPACK's: the
+    v = 0 row of `product_mesh` lies exactly in the ball plane p3 = 0, so its
+    edges meet other faces exactly on their edges (beta + gamma = 1), where
+    rounding decides the hit, and a Cramer's-rule solve reports other counts."""
     faces = mesh.faces
     tri = mesh.vertices_ball[faces]
-    area2 = np.linalg.norm(
-        np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]), axis=-1)
+    normal = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
+    area2 = np.linalg.norm(normal, axis=-1)
     if np.any(area2 < eps):
         raise SamplingError("degenerate triangle in the mesh")
+    offset = np.vecdot(normal, tri[:, 0])
     i, j = _box_pairs(tri.min(axis=1), tri.max(axis=1))
     shared = (faces[i][:, :, None] == faces[j][:, None, :]).any(axis=(1, 2))
     i, j = i[~shared], j[~shared]
-    tri_i, tri_j = tri[i], tri[j]
-    found = np.zeros(len(i), dtype=bool)
-    where = np.zeros((len(i), 3))
-    # edge of face i against face j, then of face j against face i; first hit wins
-    for a, b in ((0, 1), (1, 2), (2, 0)):
-        for edges, other in ((tri_i, tri_j), (tri_j, tri_i)):
-            hit, pt = _segment_hits_triangle(edges[:, a], edges[:, b], other)
-            new = hit & ~found
-            where[new] = pt[new]
-            found |= hit
-    return list(map(CrossingRecord, i[found].tolist(), j[found].tolist(),
-                    where[found]))
+    # axis 1: face i's corners over face j's plane, then face j's over face i's
+    face = np.stack([i, j], axis=1)
+    plane = face[:, ::-1]
+    height = np.vecdot(tri[face], normal[plane][:, :, None]) - offset[plane][..., None]
+    tol = PLANE_MARGIN * area2[plane][..., None]
+    above, below = height > tol, height < -tol
+    a, b = np.array([0, 1, 2]), np.array([1, 2, 0])
+    straddle = ~((above[..., a] & above[..., b]) | (below[..., a] & below[..., b]))
+    # surviving (pair, edge, direction) slots, in test order
+    k, e, d = np.nonzero(straddle.transpose(0, 2, 1))
+    edge = face[k, d]
+    hit, pt = _segment_hits_triangle(
+        tri[edge, a[e]], tri[edge, b[e]], tri[plane[k, d]])
+    k, pt = k[hit], pt[hit]
+    first = np.diff(k, prepend=-1) != 0
+    k = k[first]
+    return list(map(CrossingRecord, i[k].tolist(), j[k].tolist(), pt[first]))
 
 
 # -- embedding time -----------------------------------------------------------

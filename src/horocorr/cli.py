@@ -102,13 +102,15 @@ def _metric_samples(metric, n, rng):
 
 
 def _write_obj(path, verts, faces=(), polylines=()):
+    # one format string per block, filled from Python scalars; faces are triangles
+    verts = np.asarray(verts)
+    faces = np.asarray(faces, dtype=int).reshape(-1, 3) + 1
+    text = ("v %.9f %.9f %.9f\n" * len(verts)) % tuple(verts.ravel().tolist())
+    text += ("f %d %d %d\n" * len(faces)) % tuple(faces.ravel().tolist())
+    for line in polylines:
+        text += "l " + " ".join(str(i + 1) for i in line) + "\n"
     with open(path, "w") as f:
-        for v in verts:
-            f.write(f"v {v[0]:.9f} {v[1]:.9f} {v[2]:.9f}\n")
-        for face in faces:
-            f.write("f " + " ".join(str(i + 1) for i in face) + "\n")
-        for line in polylines:
-            f.write("l " + " ".join(str(i + 1) for i in line) + "\n")
+        f.write(text)
 
 
 def cmd_gallery(args):

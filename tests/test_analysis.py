@@ -2,10 +2,11 @@
 
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from horocorr import analysis
@@ -23,6 +24,7 @@ from horocorr.analysis import (
     product_mesh,
     profile_curvature,
     profile_curve,
+    profile_position,
     self_intersections,
 )
 from horocorr.conformal import ConformalMetric, horospherical_scalar, schouten
@@ -244,6 +246,25 @@ class TestGalleryEntries:
         assert len(mesh.faces) == 2 * 24 * 4
 
 
+class TestProfileJets:
+    @pytest.mark.parametrize("m", [5, 1024, 8192])
+    def test_curve_matches_public_functions(self, m):
+        curve = profile_curve(m)
+        np.testing.assert_array_equal(curve.phi, profile_position(curve.u))
+        np.testing.assert_array_equal(curve.eta, analysis._profile_normal(curve.u))
+        np.testing.assert_array_equal(curve.kappa, profile_curvature(curve.u))
+
+    def test_one_jet_evaluation_per_build(self, monkeypatch):
+        calls = []
+        jets = analysis._profile_jets
+        monkeypatch.setattr(analysis, "_profile_jets",
+                            lambda u: calls.append(1) or jets(u))
+        profile_curve(64)
+        assert len(calls) == 1
+        product_mesh()
+        assert len(calls) == 2
+
+
 class TestCurveType:
     def test_frame_validation(self):
         curve = circle_curve(0.5, 32)
@@ -396,6 +417,9 @@ class TestBoxPairs:
         assert list(zip(i.tolist(), j.tolist())) == [(0, 1), (1, 2)]
 
 
+FLOW_TIMES = [0.25 * k for k in range(21)]
+
+
 class TestSweepMatchesReference:
     @pytest.mark.parametrize("t", [0.0, 1.0, 2.5, 5.0])
     @pytest.mark.parametrize("m", [1024, 8192])
@@ -424,9 +448,20 @@ class TestSweepMatchesReference:
             assert self_intersections(rolled) == []
             assert reference_curve_crossings(rolled) == []
 
-    @pytest.mark.parametrize("t", [0.0, 1.0, 2.0, 5.0])
+    @pytest.mark.parametrize("t", FLOW_TIMES)
     def test_product_mesh(self, t):
-        mesh = make_example("alpha-product").payload.flowed(t)
+        self.check_product_mesh({}, t)
+
+    @pytest.mark.parametrize("t", FLOW_TIMES)
+    @pytest.mark.parametrize("params", [
+        {"m_v": 8}, {"m_u": 96, "m_v": 5, "length": 0.6}])
+    def test_other_product_meshes(self, params, t):
+        # m_v = 8 has no v = 0 row lying in the ball plane p3 = 0
+        self.check_product_mesh(params, t)
+
+    @staticmethod
+    def check_product_mesh(params, t):
+        mesh = make_example("alpha-product", **params).payload.flowed(t)
         got = self_intersections(mesh)
         assert got
         assert_same_records(got, reference_mesh_crossings(mesh))
@@ -435,6 +470,86 @@ class TestSweepMatchesReference:
         mesh = piercing_mesh()
         assert_same_records(self_intersections(mesh),
                             reference_mesh_crossings(mesh))
+
+
+@st.composite
+def near_plane_pairs(draw):
+    """Two triangles, one corner of the first at height 0, +-1e-13 or +-1e-11
+    over the second's plane, above a point inside or on the edge of it.
+    The second triangle's plane is sometimes z = const, where the heights
+    are computed without rounding."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    height = draw(st.sampled_from([0.0, 1e-13, -1e-13, 1e-11, -1e-11]))
+    other = rng.uniform(-0.5, 0.5, (3, 3))
+    weights = rng.dirichlet(np.ones(3))
+    if draw(st.booleans()):
+        other[:, 2] = other[0, 2]
+    if draw(st.booleans()):
+        weights[rng.integers(3)] = 0.0
+        weights /= weights.sum()
+    unit = np.cross(other[1] - other[0], other[2] - other[0])
+    unit /= np.linalg.norm(unit)
+    corner = weights @ other + height * unit
+    if unit[0] == unit[1] == 0.0:
+        corner[2] = other[0, 2] + height
+    first = np.vstack([corner, corner + rng.uniform(-0.4, 0.4, (2, 3))])
+    first = first[rng.permutation(3)]
+    for tri in (first, other):
+        # no needle-thin faces: the margin argument needs a well-rounded normal
+        e1, e2 = tri[1] - tri[0], tri[2] - tri[0]
+        area = np.linalg.norm(np.cross(e1, e2))
+        assume(area > 0.05 * np.linalg.norm(e1) * np.linalg.norm(e2))
+    pair = [first, other][::draw(st.sampled_from([1, -1]))]
+    return SimpleNamespace(vertices_ball=np.vstack(pair),
+                           faces=np.array([[0, 1, 2], [3, 4, 5]]))
+
+
+def counted_kernel_rows(monkeypatch):
+    # the row count of every _segment_hits_triangle call from here on
+    rows = []
+    kernel = analysis._segment_hits_triangle
+
+    def counted(p0, p1, tri):
+        rows.append(len(tri))
+        return kernel(p0, p1, tri)
+
+    monkeypatch.setattr(analysis, "_segment_hits_triangle", counted)
+    return rows
+
+
+class TestPlaneSideRejection:
+    @settings(max_examples=300, deadline=None)
+    @given(near_plane_pairs())
+    def test_corner_near_the_plane_matches_reference(self, mesh):
+        assert_same_records(analysis._mesh_crossings(mesh, 1e-9),
+                            reference_mesh_crossings(mesh))
+
+    def test_one_kernel_call_per_scan(self, monkeypatch):
+        rows = counted_kernel_rows(monkeypatch)
+        for mesh in (make_example("alpha-product").payload,
+                     make_example("alpha-product", m_v=8).payload.flowed(2.5),
+                     piercing_mesh(), piercing_mesh().flowed(2.0)):
+            rows.clear()
+            self_intersections(mesh)
+            assert len(rows) == 1
+
+    def test_few_slots_reach_the_kernel(self, monkeypatch):
+        # the reference makes six edge tests per face pair
+        rows = counted_kernel_rows(monkeypatch)
+        mesh = make_example("alpha-product").payload.flowed(5.0)
+        assert len(self_intersections(mesh)) == 1396
+        (scanned,) = rows
+        rows.clear()
+        reference_mesh_crossings(mesh)
+        assert scanned <= 0.3 * sum(rows)
+
+    @pytest.mark.parametrize("t", [0.0, 1.0, 5.0])
+    def test_middle_row_lies_in_a_ball_plane(self, t):
+        # v = 0 gives p3 = sinh(0) = 0 exactly, and the flow keeps it there,
+        # so that row's edges meet other faces exactly on their edges
+        mesh = product_mesh(96, 9).flowed(t)
+        middle = mesh.vertices_ball.reshape(96, 9, 3)[:, 4]
+        assert np.all(middle[:, 2] == 0.0)
 
 
 class TestEmbeddingTime:

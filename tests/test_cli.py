@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+from horocorr import cli
 from horocorr.cli import build_parser, main
 
 
@@ -106,7 +107,38 @@ class TestWinding:
         assert "curve" in err
 
 
+def reference_write_obj(path, verts, faces=(), polylines=()):
+    # the original writer, one formatted numpy scalar at a time, kept as the
+    # oracle for cli._write_obj
+    with open(path, "w") as f:
+        for v in verts:
+            f.write(f"v {v[0]:.9f} {v[1]:.9f} {v[2]:.9f}\n")
+        for face in faces:
+            f.write("f " + " ".join(str(i + 1) for i in face) + "\n")
+        for line in polylines:
+            f.write("l " + " ".join(str(i + 1) for i in line) + "\n")
+
+
 class TestImmerseExport:
+    @pytest.mark.parametrize("argv", [
+        ("incomplete-band", "--t", "0.4"),
+        ("alpha-product", "--t", "1.7"),
+        ("alpha", "--samples", "1024", "--t", "0.3"),
+    ])
+    def test_obj_bytes_match_reference_writer(self, tmp_path, capsys, monkeypatch,
+                                              argv):
+        write = cli._write_obj
+
+        def both(path, *args):
+            write(path, *args)
+            reference_write_obj(tmp_path / "reference.obj", *args)
+
+        monkeypatch.setattr(cli, "_write_obj", both)
+        path = tmp_path / "out.obj"
+        code, _, _ = run(capsys, "immerse", *argv, "--out", str(path))
+        assert code == 0
+        assert path.read_bytes() == (tmp_path / "reference.obj").read_bytes()
+
     def test_sphere_obj_vertex_radius(self, tmp_path, capsys):
         path = tmp_path / "s.obj"
         code, _, _ = run(capsys, "immerse", "geodesic-sphere",
