@@ -18,7 +18,7 @@ from .errors import (
     SamplingError,
     SingularParameterError,
 )
-from .minkowski import mink_inner, to_poincare_ball
+from .minkowski import mink_inner, normal_flow, to_poincare_ball
 from .sphere import BandChart, StereographicChart, constant_field, radial_band_field
 
 FRAME_RTOL = 1e-8
@@ -69,7 +69,6 @@ class CurveImmersion:
 
     def flowed(self, t):
         """Normal flow by time t; curvature transported when pole-free."""
-        ch, sh = math.cosh(t), math.sinh(t)
         kappa = None
         if self.kappa is not None:
             try:
@@ -81,20 +80,14 @@ class CurveImmersion:
             base_phi, base_eta = self.phi_fn, self.eta_fn
 
             def phi_fn(uu):
-                return base_phi(uu) * ch + base_eta(uu) * sh
+                return normal_flow(base_phi(uu), base_eta(uu), t)[0]
 
             def eta_fn(uu):
-                return base_phi(uu) * sh + base_eta(uu) * ch
+                return normal_flow(base_phi(uu), base_eta(uu), t)[1]
 
-        return replace(
-            self,
-            phi=self.phi * ch + self.eta * sh,
-            eta=self.phi * sh + self.eta * ch,
-            kappa=kappa,
-            phi_fn=phi_fn,
-            eta_fn=eta_fn,
-            kappa_fn=None,
-        )
+        phi, eta = normal_flow(self.phi, self.eta, t)
+        return replace(self, phi=phi, eta=eta, kappa=kappa,
+                       phi_fn=phi_fn, eta_fn=eta_fn, kappa_fn=None)
 
     def resample(self, m):
         if self.phi_fn is None or self.eta_fn is None:
@@ -122,12 +115,8 @@ class MeshImmersion:
         return to_poincare_ball(self.phi)
 
     def flowed(self, t):
-        ch, sh = math.cosh(t), math.sinh(t)
-        return MeshImmersion(
-            phi=self.phi * ch + self.eta * sh,
-            eta=self.phi * sh + self.eta * ch,
-            faces=self.faces,
-        )
+        phi, eta = normal_flow(self.phi, self.eta, t)
+        return MeshImmersion(phi=phi, eta=eta, faces=self.faces)
 
 
 @dataclass(frozen=True)

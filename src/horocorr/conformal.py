@@ -18,7 +18,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import ChartDomainError, SamplingError
-from .sphere import ScalarField, central_gradient, gradient_hessian
+from .sphere import ScalarField, call_stacked, central_gradient, gradient_hessian
 from .weingarten import T
 
 REALIZABLE_MARGIN = 1e-3   # default strict gap eps below the 1/2 eigenvalue bound
@@ -107,20 +107,16 @@ def beta(metric, u):
     return np.exp(2.0 * metric.effective(u)) + jets.grad_norm_sq
 
 
-def _per_node(fn, tau):
-    """fn(t) for each scalar t of the array tau, stacked after tau's axes."""
-    return np.array([fn(t) for t in tau.ravel()], dtype=float).reshape(tau.shape + (-1,))
-
-
 def path_length(metric, curve, quadrature_n=32, velocity=None, cap=LENGTH_CAP):
     """Length of a parametrized path under the conformal metric.
 
     curve: tau in [0,1] -> chart coordinates, staying inside the domain except
     possibly at the endpoints; velocity: optional analytic tau-derivative
-    (finite differences otherwise, which need interior room).  Both take one
-    scalar tau and are called once per node; the finite-difference route
-    calls curve three times per node (tau and tau +- h, with h capped so that
-    every tau passed to curve lies in [0, 1]).
+    (finite differences otherwise, which need interior room).  Both take an
+    array of tau and return one (..., n) point per tau; DimensionMismatch is
+    raised when they do not.  Each is called once on the whole node grid; the
+    finite-difference route calls curve once more on the stacked nodes
+    tau +- h, with h capped so that every tau passed to curve lies in [0, 1].
 
     Integration runs over 50 dyadic shells accumulating toward each endpoint,
     [1 - 2^-k, 1 - 2^-(k+1)] and its mirror image, with quadrature_n
@@ -136,17 +132,17 @@ def path_length(metric, curve, quadrature_n=32, velocity=None, cap=LENGTH_CAP):
     half = 2.0 ** -np.arange(3, 53)   # shell k: half-width 2^-(k+2), midpoint 1 - 3 * 2^-(k+2)
     mid = 1.0 - 3.0 * half
     tau = np.stack([mid, 1.0 - mid])[..., None] + half[:, None] * nodes
-    u = _per_node(curve, tau)
+    u = call_stacked(curve, tau, tau.shape)
     inside = metric.rho.in_domain(metric.chart, u)
     if not np.all(inside):
         raise ChartDomainError(f"curve leaves the domain interior at tau={tau[~inside][0]}")
     if velocity is not None:
-        v = _per_node(velocity, tau)
+        v = call_stacked(velocity, tau, tau.shape)
     else:
         # capped by the distance to the nearer endpoint, so tau +- h stays in [0, 1]
         room = np.minimum(tau, 1.0 - tau)
         h = np.minimum(np.maximum(1e-9, 1e-6 * room), room)
-        v = central_gradient(lambda s: _per_node(curve, s[..., 0]), tau[..., None], h)[..., 0, :]
+        v = central_gradient(lambda s: curve(s[..., 0]), tau[..., None], h)[..., 0, :]
     norm_sq = np.einsum("...i,...ij,...j->...", v, metric.chart.metric(u), v)
     speed = np.exp(metric.effective(u)) * np.sqrt(np.maximum(norm_sq, 0.0))
     shells = half * (speed @ weights)

@@ -70,7 +70,7 @@ class SupportData:
 
 def immerse(metric, u, t=0.0, margin=None):
     """Evaluate the representation formula at chart points (broadcasting over
-    the leading axes of u).
+    the leading axes of u); the flow time t may be an array over them.
 
     By default this is a pure evaluation (degenerate inputs produce the
     degenerate output, e.g. rho = 0 collapses to the base point).  Passing
@@ -80,7 +80,7 @@ def immerse(metric, u, t=0.0, margin=None):
     u = np.asarray(u, dtype=float)
     if margin is not None:
         lam_max = schouten(metric, u).eigenvalues[..., -1]
-        if np.any(lam_max * math.exp(-2.0 * t) > 0.5 - margin):
+        if np.any(lam_max * np.exp(-2.0 * np.asarray(t)) > 0.5 - margin):
             raise ImmersionError("not immersed at this scale")
     chart = metric.chart
     x = chart.embed(u)
@@ -100,20 +100,21 @@ def immerse(metric, u, t=0.0, margin=None):
 def extrinsic_curvatures(metric, u, t=0.0, h=None, return_point=False):
     """Principal curvatures at chart points, canonical orientation.
 
-    Tangents come from central differences of the immersion; the first
-    fundamental form is I_ij = <d_i phi, d_j phi>, the second form
-    II_ij = -<d_i eta, d_j phi> symmetrized, and the kappa's solve the
-    generalized symmetric eigenproblem det(II - kappa I) = 0 via Cholesky
-    whitening of I.  Raises ImmersionError('not an immersion') when I is not
-    positive definite at some point.
+    t may be an array over the leading axes of u, as in immerse.  Tangents
+    come from central differences of the immersion, one immerse call on the
+    stacked stencil; the first fundamental form is I_ij = <d_i phi, d_j phi>,
+    the second form II_ij = -<d_i eta, d_j phi> symmetrized, and the kappa's
+    solve det(II - kappa I) = 0 via Cholesky whitening of I.  Raises
+    ImmersionError('not an immersion') when I is not positive definite at
+    some point.
     """
     u = np.asarray(u, dtype=float)
     if h is None:
         h = metric.rho.h
     base = immerse(metric, u, t)
 
-    def frame(v):
-        p = immerse(metric, v, t)
+    def frame(v):   # t expanded onto the stencil axis
+        p = immerse(metric, v, np.asarray(t, dtype=float)[..., None])
         return np.stack([p.phi, p.eta], axis=-2)
 
     tangents = central_gradient(frame, u, h)

@@ -16,6 +16,8 @@ All operations broadcast over leading axes, so an (m, n+2) array is treated as
 m vectors at once.
 """
 
+import math
+
 import numpy as np
 
 from .errors import DimensionMismatch, HyperquadricError
@@ -93,13 +95,12 @@ def from_poincare_ball(p):
     return out
 
 
-def geodesic_point(phi, eta, t, rtol=MEMBERSHIP_RTOL):
-    """Point phi*cosh(t) + eta*sinh(t) of the normal geodesic through phi.
-
-    phi must lie on the hyperboloid and eta on de Sitter space with
-    <phi,eta> = 0, all within tolerance (pass rtol=None to skip the check).
-    t may be a scalar or an array broadcastable against the leading axes.
-    """
+def normal_flow(phi, eta, t, rtol=None):
+    """Frame (phi cosh t + eta sinh t, phi sinh t + eta cosh t) after normal
+    flow time t.  With rtol set, phi must lie on the hyperboloid and eta on
+    de Sitter space with <phi,eta> = 0.  A scalar t takes math's cosh and
+    sinh, whose bits numpy's do not always match; an array t broadcasts
+    against the leading axes."""
     phi, eta = _check_dims(phi, eta)
     if rtol is not None:
         ok = (on_hyperboloid(phi, rtol)
@@ -109,5 +110,6 @@ def geodesic_point(phi, eta, t, rtol=MEMBERSHIP_RTOL):
         if not np.all(ok):
             raise HyperquadricError(
                 "geodesic data must satisfy <phi,phi>=-1, <eta,eta>=1, <phi,eta>=0")
-    t = np.asarray(t, dtype=float)[..., None]
-    return phi * np.cosh(t) + eta * np.sinh(t)
+    ch, sh = ((math.cosh(t), math.sinh(t)) if np.ndim(t) == 0
+              else (np.cosh(t)[..., None], np.sinh(t)[..., None]))
+    return phi * ch + eta * sh, phi * sh + eta * ch

@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ChartDomainError
+from .errors import ChartDomainError, DimensionMismatch
 
 DEFAULT_FD_STEP = 1e-4
 
@@ -224,10 +224,10 @@ class ScalarField:
     inside the chart, None meaning the whole chart range.  h is the
     finite-difference step used when jets are absent.
 
-    Callables that feed a batched call must broadcast in the same way.  The
-    stencil-room check of finite-difference jets is one such call: it hands
-    domain every offset point of the stencil at once.  A callable written
-    for one (n,) point still serves single-point calls.
+    Callables that a batch or a stencil reaches must broadcast in the same
+    way.  Finite-difference jets evaluate value, and check domain, once on
+    the whole stencil stacked after the points' leading axes, even at one
+    point; a value without those leading axes raises DimensionMismatch.
     """
 
     value: Callable[[np.ndarray], np.ndarray]
@@ -298,30 +298,41 @@ def field_from_ambient(chart, F, h=DEFAULT_FD_STEP, domain=None):
     return ScalarField(lambda u: F(chart.embed(u)), domain=domain, h=h)
 
 
-def _stencil_ok(field, chart, u, h):
-    """Mask over the leading axes of u: every point central_jet evaluates
-    (+-h along each axis, the four diagonal +-h corners of each axis pair)
-    lies in the field's domain."""
-    steps = h * np.eye(u.shape[-1])
-    i, j = np.triu_indices(u.shape[-1], 1)
-    offsets = np.concatenate(
-        [steps, -steps]
-        + [a * steps[i] + b * steps[j] for a in (-1, 1) for b in (-1, 1)])
-    return np.all(field.in_domain(chart, u[..., None, :] + offsets), axis=-1)
+def call_stacked(f, points, lead):
+    """f(points) as an array carrying the leading axes lead, one value per
+    stacked point; DimensionMismatch when a one-point callable breaks that."""
+    values = np.asarray(f(points))
+    if values.shape[:len(lead)] != lead:
+        raise DimensionMismatch(
+            f"callable gave shape {values.shape}, not one value per point of {lead}")
+    return values
+
+
+def _stencil_points(x, h):
+    """The points central_jet evaluates, stacked after x's leading axes: x,
+    x + h e_i, x - h e_i, then the corners (x + a h e_i) + b h e_j of each
+    axis pair i < j in blocks (a, b) = (+,+), (+,-), (-,+), (-,-)."""
+    n = x.shape[-1]
+    axial = h * np.concatenate([np.eye(n), -np.eye(n)])
+    first = x[..., None, :] + axial
+    i, j = np.triu_indices(n, 1)
+    corners = (first[..., np.concatenate([i, i, i + n, i + n]), :]
+               + axial[np.concatenate([j, j + n, j, j + n])])
+    return np.concatenate([x[..., None, :], first, corners], axis=-2)
 
 
 def axis_values(f, x, h):
     """Values of f at x + h e_i and at x - h e_i for every axis i of the last
     axis of x, stacked along a new axis placed after x's leading axes.
 
-    f may be scalar- or array-valued; on a batch x of shape (..., n) it must
-    return values with the same leading axes.  h may broadcast over them.
+    f, scalar- or array-valued, is called once on all 2n points stacked so
+    (see call_stacked).  h may broadcast over x's leading axes.
     """
     x = np.asarray(x, dtype=float)
-    steps = np.moveaxis(np.multiply.outer(h, np.eye(x.shape[-1])), -2, 0)
-    axis = x.ndim - 1
-    return (np.stack([f(x + e) for e in steps], axis),
-            np.stack([f(x - e) for e in steps], axis))
+    eye = np.eye(x.shape[-1])
+    points = x[..., None, :] + np.multiply.outer(h, np.concatenate([eye, -eye]))
+    values = call_stacked(f, points, points.shape[:-1])
+    return np.split(values, 2, axis=points.ndim - 2)
 
 
 def central_gradient(f, x, h):
@@ -338,28 +349,22 @@ def central_jet(f, x, h):
     differences with one scalar step h for every point.
 
     The derivative axes follow x's leading axes, and the axis count comes
-    from x.shape[-1].  Mixed partials use the symmetric four-point stencil,
-    so the second derivatives are symmetric in their two derivative axes by
-    construction.
+    from x.shape[-1].  f is called once, on x and its stencil stacked as in
+    axis_values.  Mixed partials use the symmetric four-point stencil, so the
+    second derivatives are symmetric in their two derivative axes.
     """
     x = np.asarray(x, dtype=float)
-    n = x.shape[-1]
-    axis = x.ndim - 1
-    f0 = f(x)
-    plus, minus = axis_values(f, x, h)
+    n, axis = x.shape[-1], x.ndim - 1
+    points = _stencil_points(x, h)
+    values = np.moveaxis(call_stacked(f, points, points.shape[:-1]), axis, 0)
+    f0, plus, minus = values[0], values[1:n + 1], values[n + 1:2 * n + 1]
+    pp, pm, mp, mm = np.split(values[2 * n + 1:], 4)
     grad = (plus - minus) / (2 * h)
-    plus, minus = np.moveaxis(plus, axis, 0), np.moveaxis(minus, axis, 0)
-    steps = h * np.eye(n)
-    rows = [[None] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = (plus[i] - 2 * f0 + minus[i]) / h**2
-        for j in range(i + 1, n):
-            ei, ej = steps[i], steps[j]
-            rows[i][j] = rows[j][i] = (
-                f(x + ei + ej) - f(x + ei - ej)
-                - f(x - ei + ej) + f(x - ei - ej)) / (4 * h**2)
-    hess = np.stack([np.stack(row, axis) for row in rows], axis)
-    return f0, grad, hess
+    hess = np.empty((n, n) + f0.shape)
+    hess[np.diag_indices(n)] = (plus - 2 * f0 + minus) / h**2
+    i, j = np.triu_indices(n, 1)
+    hess[i, j] = hess[j, i] = (pp - pm - mp + mm) / (4 * h**2)
+    return f0, np.moveaxis(grad, 0, axis), np.moveaxis(hess, (0, 1), (axis, axis + 1))
 
 
 def fd_jet(field, u, h, chart=None):
@@ -371,7 +376,7 @@ def fd_jet(field, u, h, chart=None):
     if h <= 0:
         raise ChartDomainError("finite-difference step must be positive")
     u = np.asarray(u, dtype=float)
-    if chart is not None and not np.all(_stencil_ok(field, chart, u, h)):
+    if chart is not None and not np.all(field.in_domain(chart, _stencil_points(u, h))):
         raise ChartDomainError("stencil escapes the field domain; reduce h or move inward")
     return central_jet(field.value, u, h)
 

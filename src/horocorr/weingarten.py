@@ -154,8 +154,8 @@ class CurvatureFunction:
     Every callable broadcasts over the leading axes of an (..., n) array of
     eigenvalue points: eval -> (...) values, gradient -> (..., n), hessian
     -> (..., n, n), cone -> (...) mask of the admissible open set (sampled,
-    not certified).  Callables that a batch reaches must return one value
-    per point; one written for a single (n,) point still serves those.
+    not certified).  Callables that a batch or a stencil reaches must return
+    one value per point, even for one (n,) point, since a stencil stacks it.
     """
 
     side: str
@@ -315,7 +315,7 @@ class EllipticityRecord:
 
 def ellipticity_check(F, points, h=1e-5):
     """Finite-difference ellipticity report, one record per point of the
-    (..., n) array points, from one batched evaluation of F per stencil slot.
+    (..., n) array points, from one call of F on them and one on their stencil.
 
     A point is elliptic when every partial derivative is strictly positive.
     One-sided differences are compared to flag kinks (non-smooth evaluation),
@@ -379,7 +379,7 @@ def admissible_constant(F, C, bracket, h=1e-6):
     a, b = bracket
 
     def diag(x):
-        return F.eval(np.full(F.n, float(x))) - C
+        return F.eval(np.repeat(np.asarray(x, dtype=float)[..., None], F.n, axis=-1)) - C
 
     fa, fb = diag(a), diag(b)
     if not (np.isfinite(fa) and np.isfinite(fb)):
@@ -391,7 +391,7 @@ def admissible_constant(F, C, bracket, h=1e-6):
     while hi - lo > 1e-13 and lo < root < hi:   # bisect to 1e-13 or one ulp
         lo, hi = (root, hi) if np.sign(diag(root)) == side else (lo, root)
         root = 0.5 * (lo + hi)
-    slope = central_gradient(lambda r: diag(r[0]), [root], h)[0]
+    slope = central_gradient(lambda r: diag(r[..., 0]), [root], h)[0]
     if slope <= 0:
         raise RootBracketError("diagonal derivative nonpositive at the root")
     if F.cone is not None and not F.cone(np.full(F.n, root)):

@@ -160,6 +160,34 @@ def reference_mesh_crossings(mesh, eps=1e-9):
     return records
 
 
+def brute_force_mesh_crossings(mesh):
+    # every face pair i < j at once: the closed-box test on all axes, the
+    # shared-vertex drop, then the six edge tests of the per-face loop in its
+    # slot order, the first hit winning; no sort, sweep or plane rejection
+    faces = mesh.faces
+    tri = mesh.vertices_ball[faces]
+    lo = tri.min(axis=1)
+    hi = tri.max(axis=1)
+    i, j = np.triu_indices(len(faces), 1)
+    box = np.ones(len(i), dtype=bool)
+    for axis in range(3):
+        box &= (lo[j, axis] <= hi[i, axis]) & (lo[i, axis] <= hi[j, axis])
+    i, j = i[box], j[box]
+    shared = (faces[i][:, :, None] == faces[j][:, None, :]).any(axis=(1, 2))
+    i, j = i[~shared], j[~shared]
+    found = np.zeros(len(i), dtype=bool)
+    where = np.zeros((len(i), 3))
+    for a, b in ((0, 1), (1, 2), (2, 0)):
+        for edge, other in ((i, j), (j, i)):
+            hit, pt = analysis._segment_hits_triangle(
+                tri[edge, a], tri[edge, b], tri[other])
+            new = hit & ~found
+            where[new] = pt[new]
+            found |= hit
+    return [CrossingRecord(i=int(i[k]), j=int(j[k]), point=where[k])
+            for k in np.nonzero(found)[0]]
+
+
 def assert_same_records(got, want):
     assert [(r.i, r.j, r.params) for r in got] == [(r.i, r.j, r.params) for r in want]
     for a, b in zip(got, want):
@@ -464,12 +492,23 @@ class TestSweepMatchesReference:
         mesh = make_example("alpha-product", **params).payload.flowed(t)
         got = self_intersections(mesh)
         assert got
-        assert_same_records(got, reference_mesh_crossings(mesh))
+        assert_same_records(got, brute_force_mesh_crossings(mesh))
 
     def test_piercing_mesh(self):
         mesh = piercing_mesh()
         assert_same_records(self_intersections(mesh),
-                            reference_mesh_crossings(mesh))
+                            brute_force_mesh_crossings(mesh))
+
+    @pytest.mark.parametrize("mesh", [
+        make_example("alpha-product").payload,
+        make_example("alpha-product").payload.flowed(5.0),
+        piercing_mesh(),
+    ], ids=["default-t0", "default-t5", "piercing"])
+    def test_brute_force_matches_per_face_loop(self, mesh):
+        # the oracle above against the original per-face loop
+        records = brute_force_mesh_crossings(mesh)
+        assert records
+        assert_same_records(records, reference_mesh_crossings(mesh))
 
 
 @st.composite

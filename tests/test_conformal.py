@@ -19,12 +19,16 @@ from horocorr.conformal import (
     rescale,
     schouten,
 )
-from horocorr.errors import ChartDomainError, SamplingError, SingularParameterError
+from horocorr.errors import (
+    ChartDomainError,
+    DimensionMismatch,
+    SamplingError,
+    SingularParameterError,
+)
 from horocorr.sphere import (
     BandChart,
     ScalarField,
     StereographicChart,
-    central_gradient,
     constant_field,
     radial_band_field,
 )
@@ -45,6 +49,16 @@ def cylinder_metric(t=1.0):
     return ConformalMetric(BandChart(2), rho, t)
 
 
+def with_angle(s, angle):
+    """Chart points (s, angle) for an array s of arcs and a constant angle."""
+    return np.stack([s, np.full_like(s, angle)], -1)
+
+
+def constant_velocity(*components):
+    """Analytic velocity returning the same (n,) vector at every tau."""
+    return lambda tau: np.stack([np.full_like(tau, c) for c in components], -1)
+
+
 def reference_path_length(metric, curve, quadrature_n=32, velocity=None, cap=LENGTH_CAP):
     """path_length as computed before batching: one scalar speed per node,
     shell by shell toward 1 and then toward 0, stopping at the cap.  The
@@ -61,7 +75,8 @@ def reference_path_length(metric, curve, quadrature_n=32, velocity=None, cap=LEN
         else:
             room = min(tau, 1.0 - tau)
             h = min(max(1e-9, 1e-6 * room), room)
-            v = central_gradient(lambda s: np.asarray(curve(s[0]), dtype=float), [tau], h)[0]
+            v = (np.asarray(curve(tau + h), dtype=float)
+                 - np.asarray(curve(tau - h), dtype=float)) / (2 * h)
         g = metric.chart.metric(u)
         return math.exp(metric.effective(u)) * math.sqrt(max(float(v @ g @ v), 0.0))
 
@@ -124,9 +139,9 @@ class TestSchouten:
     def test_fd_and_analytic_agree(self):
         chart = BandChart(2)
         rho = radial_band_field(
-            f=lambda s: 0.2 * math.sin(s),
-            fs=lambda s: 0.2 * math.cos(s),
-            fss=lambda s: -0.2 * math.sin(s),
+            f=lambda s: 0.2 * np.sin(s),
+            fs=lambda s: 0.2 * np.cos(s),
+            fss=lambda s: -0.2 * np.sin(s),
             h=1e-4,
         )
         exact = ConformalMetric(chart, rho)
@@ -140,7 +155,7 @@ class TestSchouten:
     def test_eigenvalues_chart_invariant(self):
         from horocorr.sphere import field_from_ambient
 
-        F = lambda x: 0.3 * x[2] + 0.1 * math.cos(x[0])
+        F = lambda x: 0.3 * x[..., 2] + 0.1 * np.cos(x[..., 0])
         band = BandChart(2)
         stereo = StereographicChart(2)
         m_band = ConformalMetric(band, field_from_ambient(band, F))
@@ -227,8 +242,8 @@ class TestPathLength:
         metric = band_metric()
         length = path_length(
             metric,
-            curve=lambda tau: np.array([tau, 0.4]),
-            velocity=lambda tau: np.array([1.0, 0.0]),
+            curve=lambda tau: with_angle(tau, 0.4),
+            velocity=constant_velocity(1.0, 0.0),
         )
         assert length == pytest.approx(math.pi / 2, abs=1e-4)
 
@@ -236,16 +251,16 @@ class TestPathLength:
         metric = ConformalMetric(BandChart(2), constant_field(0.0))
         length = path_length(
             metric,
-            curve=lambda tau: np.array([0.0, tau * math.pi / 2]),
-            velocity=lambda tau: np.array([0.0, math.pi / 2]),
+            curve=lambda tau: np.stack([np.zeros_like(tau), tau * math.pi / 2], -1),
+            velocity=constant_velocity(0.0, math.pi / 2),
         )
         assert length == pytest.approx(math.pi / 2, abs=1e-10)
 
     def test_conformal_scaling(self):
         base = ConformalMetric(BandChart(2), constant_field(0.0))
         scaled = ConformalMetric(BandChart(2), constant_field(0.7))
-        curve = lambda tau: np.array([0.3 * tau - 0.1, 0.9 * tau])
-        velocity = lambda tau: np.array([0.3, 0.9])
+        curve = lambda tau: np.stack([0.3 * tau - 0.1, 0.9 * tau], -1)
+        velocity = constant_velocity(0.3, 0.9)
         a = path_length(base, curve, velocity=velocity)
         b = path_length(scaled, curve, velocity=velocity)
         assert b == pytest.approx(math.exp(0.7) * a, rel=1e-10)
@@ -255,8 +270,8 @@ class TestPathLength:
         metric = cylinder_metric(0.0)
         length = path_length(
             metric,
-            curve=lambda tau: np.array([tau * math.pi / 2, 0.0]),
-            velocity=lambda tau: np.array([math.pi / 2, 0.0]),
+            curve=lambda tau: with_angle(tau * math.pi / 2, 0.0),
+            velocity=constant_velocity(math.pi / 2, 0.0),
         )
         assert length == math.inf
 
@@ -268,27 +283,29 @@ def round_metric(c=0.0):
 # (metric, curve, velocity or None for finite differences)
 MATCH_CASES = {
     "verify band meridian, fd": (
-        make_example("incomplete-band").payload, lambda tau: np.array([tau, 0.3]), None),
+        make_example("incomplete-band").payload, lambda tau: with_angle(tau, 0.3), None),
     "verify band meridian, analytic": (
-        make_example("incomplete-band").payload, lambda tau: np.array([tau, 0.3]),
-        lambda tau: np.array([1.0, 0.0])),
+        make_example("incomplete-band").payload, lambda tau: with_angle(tau, 0.3),
+        constant_velocity(1.0, 0.0)),
     "band chord, fd": (
-        band_metric(), lambda tau: np.array([2.0 * tau - 1.0, 0.4]), None),
+        band_metric(), lambda tau: with_angle(2.0 * tau - 1.0, 0.4), None),
     "band chord, analytic": (
-        band_metric(), lambda tau: np.array([2.0 * tau - 1.0, 0.4]),
-        lambda tau: np.array([2.0, 0.0])),
+        band_metric(), lambda tau: with_angle(2.0 * tau - 1.0, 0.4),
+        constant_velocity(2.0, 0.0)),
     "round quarter circle, fd": (
-        round_metric(), lambda tau: np.array([0.0, tau * math.pi / 2]), None),
+        round_metric(), lambda tau: np.stack([np.zeros_like(tau), tau * math.pi / 2], -1),
+        None),
     "round quarter circle, analytic": (
-        round_metric(), lambda tau: np.array([0.0, tau * math.pi / 2]),
-        lambda tau: np.array([0.0, math.pi / 2])),
+        round_metric(), lambda tau: np.stack([np.zeros_like(tau), tau * math.pi / 2], -1),
+        constant_velocity(0.0, math.pi / 2)),
     "scaled chord": (
-        round_metric(0.7), lambda tau: [0.3 * tau - 0.1, 0.9 * tau], lambda tau: [0.3, 0.9]),
+        round_metric(0.7), lambda tau: np.stack([0.3 * tau - 0.1, 0.9 * tau], -1),
+        constant_velocity(0.3, 0.9)),
 }
 
 
 def meridian(tau):
-    return np.array([tau * math.pi / 2, 0.0])
+    return with_angle(tau * math.pi / 2, 0.0)
 
 
 class TestPathLengthMatchesReference:
@@ -314,22 +331,22 @@ class TestPathLengthMatchesReference:
         assert reference_path_length(metric, meridian) == math.inf
         assert path_length(metric, meridian) == math.inf
         # a finite length (pi/2 here) past a lower cap is reported as inf too
-        curve = lambda tau: np.array([tau, 0.4])
+        curve = lambda tau: with_angle(tau, 0.4)
         assert reference_path_length(band_metric(), curve, cap=1.0) == math.inf
         assert path_length(band_metric(), curve, cap=1.0) == math.inf
 
     def test_curve_leaving_the_domain_raises(self):
         # s = 2 tau leaves |s| < 1 at tau = 1/2, the first node of the grid
         with pytest.raises(ChartDomainError, match="tau=0.50"):
-            path_length(band_metric(), lambda tau: np.array([2.0 * tau, 0.4]))
+            path_length(band_metric(), lambda tau: with_angle(2.0 * tau, 0.4))
 
     def test_curve_sampled_within_unit_interval(self):
         # nodes within 1e-9 of an endpoint take a step no wider than their room
         seen = []
 
         def curve(tau):
-            seen.append(tau)
-            return np.array([tau, 0.3])
+            seen.extend(np.ravel(tau))
+            return with_angle(tau, 0.3)
 
         path_length(make_example("incomplete-band").payload, curve)
         assert len(seen) == 3 * 3200
@@ -338,9 +355,18 @@ class TestPathLengthMatchesReference:
     def test_curve_defined_on_unit_interval_only(self):
         # the verify band meridian at another speed; sqrt has no value below 0
         length = path_length(make_example("incomplete-band").payload,
-                             lambda tau: np.array([math.sqrt(tau), 0.3]))
+                             lambda tau: with_angle(np.sqrt(tau), 0.3))
         assert math.isfinite(length)
         assert abs(length - math.pi / 2) < 1e-4
+
+    def test_single_point_curve_is_refused(self):
+        # written for one scalar tau, these put the coordinates first (or
+        # give one vector in all) on the array of nodes
+        with pytest.raises(DimensionMismatch):
+            path_length(band_metric(), lambda tau: np.array([tau, 0.3 * np.cos(tau)]))
+        with pytest.raises(DimensionMismatch):
+            path_length(band_metric(), lambda tau: with_angle(tau, 0.4),
+                        velocity=lambda tau: np.array([1.0, 0.0]))
 
     def test_one_batched_metric_and_domain_call(self, monkeypatch):
         # a per-node loop would call each 3200 times
@@ -350,8 +376,8 @@ class TestPathLengthMatchesReference:
                 calls[_name] += 1
                 return _original(self, *args)
             monkeypatch.setattr(cls, name, counted)
-        path_length(band_metric(), lambda tau: np.array([tau, 0.4]),
-                    velocity=lambda tau: np.array([1.0, 0.0]))
+        path_length(band_metric(), lambda tau: with_angle(tau, 0.4),
+                    velocity=constant_velocity(1.0, 0.0))
         assert calls == {"metric": 1, "in_domain": 1}
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from horocorr import correspondence
 from horocorr.analysis import make_example
 from horocorr.conformal import ConformalMetric, realizability_report, rescale, schouten
 from horocorr.correspondence import (
@@ -25,7 +26,7 @@ from horocorr.errors import (
     ImmersionError,
     SingularParameterError,
 )
-from horocorr.minkowski import geodesic_point, mink_inner
+from horocorr.minkowski import mink_inner, normal_flow
 from horocorr.sphere import (
     BandChart,
     StereographicChart,
@@ -45,9 +46,9 @@ def sphere_metric(rho0=RHO0):
 
 def generic_band_metric():
     rho = radial_band_field(
-        f=lambda s: 0.2 * math.sin(s),
-        fs=lambda s: 0.2 * math.cos(s),
-        fss=lambda s: -0.2 * math.sin(s),
+        f=lambda s: 0.2 * np.sin(s),
+        fs=lambda s: 0.2 * np.cos(s),
+        fss=lambda s: -0.2 * np.sin(s),
     )
     return ConformalMetric(BandChart(2), rho)
 
@@ -119,7 +120,7 @@ class TestImmerse:
             t = rng.uniform(0.0, 3.0)
             direct = immerse(metric, u, t)
             base = immerse(metric, u, 0.0)
-            flowed = geodesic_point(base.phi, base.eta, t, rtol=1e-7)
+            flowed, _ = normal_flow(base.phi, base.eta, t, rtol=1e-7)
             np.testing.assert_allclose(
                 direct.phi, flowed, atol=1e-12 * max(1.0, abs(direct.phi[0])))
 
@@ -420,6 +421,41 @@ class TestBatchConvention:
         kappas = extrinsic_curvatures(metric, pts, t).values
         assert_rows_agree(kappas, [extrinsic_curvatures(metric, u, t).values
                                    for u in pts])
+
+    @pytest.mark.parametrize("case", [c for c in BATCH_CASES if c[0] != "round-degenerate"],
+                             ids=[c[0] for c in BATCH_CASES if c[0] != "round-degenerate"])
+    @given(unit=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+                         min_size=1, max_size=5),
+           times=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=4))
+    @settings(max_examples=15, deadline=None)
+    def test_flow_time_on_the_batch_axis(self, case, unit, times):
+        # points tiled over several flow times, with t an array over the
+        # leading axes, give the bits of one call per time
+        _, metric, lo, hi, t0 = case
+        lo, hi = np.array(lo), np.array(hi)
+        pts = lo + (hi - lo) * np.array(unit)
+        ts = t0 + np.array(times)
+        spectrum, point = extrinsic_curvatures(
+            metric, np.tile(pts, (len(ts), 1, 1)), t=ts[:, None], return_point=True)
+        for k, t in enumerate(ts):
+            want, want_point = extrinsic_curvatures(metric, pts, t=t, return_point=True)
+            np.testing.assert_array_equal(spectrum.values[k], want.values)
+            for name in ("phi", "eta", "tangents", "first_form", "second_form"):
+                np.testing.assert_array_equal(getattr(point, name)[k],
+                                              getattr(want_point, name))
+
+    def test_two_immerse_calls(self, monkeypatch):
+        # the base points and the whole stacked stencil, whatever n and t
+        calls = []
+
+        def counted(metric, u, *args, **kwargs):
+            calls.append(np.shape(u))
+            return immerse(metric, u, *args, **kwargs)
+
+        monkeypatch.setattr(correspondence, "immerse", counted)
+        pts = np.array([[0.2, 0.0], [0.5, 1.0], [-0.4, 3.0]])
+        extrinsic_curvatures(band_metric(), pts, t=np.array([0.5, 1.0, 1.5]))
+        assert calls == [(3, 2), (3, 4, 2)]
 
     def test_single_point_shapes(self):
         metric = band_metric()

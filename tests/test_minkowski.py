@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from horocorr.errors import DimensionMismatch, HyperquadricError
 from horocorr.minkowski import (
+    MEMBERSHIP_RTOL,
     from_poincare_ball,
-    geodesic_point,
     mink_inner,
+    normal_flow,
     on_de_sitter,
     on_hyperboloid,
     on_null_cone,
@@ -106,6 +107,11 @@ class TestBallModel:
         assert mink_inner(v, v) == pytest.approx(-1.0, abs=1e-9)
 
 
+def geodesic_point(phi, eta, t, rtol=MEMBERSHIP_RTOL):
+    """Position after normal flow time t, the frame checked to rtol."""
+    return normal_flow(phi, eta, t, rtol)[0]
+
+
 class TestGeodesicPoint:
     def test_time_zero_identity(self, rng):
         phi = random_hyperboloid_point(rng, 4)
@@ -123,6 +129,16 @@ class TestGeodesicPoint:
             t = rng.uniform(-3.0, 3.0)
             out = geodesic_point(phi, eta, t)
             assert mink_inner(out, out) == pytest.approx(-1.0, abs=1e-9 * out[0] ** 2)
+
+    def test_time_array_on_the_leading_axes(self, rng):
+        phi = np.array([random_hyperboloid_point(rng, 4) for _ in range(5)])
+        eta = np.array([random_unit_normal(rng, p) for p in phi])
+        t = rng.uniform(-2.0, 2.0, size=5)
+        moved, normal = normal_flow(phi, eta, t)
+        for k in range(5):
+            want = normal_flow(phi[k], eta[k], t[k])
+            np.testing.assert_allclose(moved[k], want[0], rtol=1e-14, atol=1e-14)
+            np.testing.assert_allclose(normal[k], want[1], rtol=1e-14, atol=1e-14)
 
     def test_rejects_bad_frame(self):
         with pytest.raises(HyperquadricError):

@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from horocorr.errors import ChartDomainError
+from horocorr.errors import ChartDomainError, DimensionMismatch
 from horocorr.sphere import (
     BandChart,
     StereographicChart,
+    axis_values,
     central_gradient,
+    central_jet,
     constant_field,
     fd_jet,
     field_from_ambient,
@@ -15,6 +19,108 @@ from horocorr.sphere import (
     radial_band_field,
     ScalarField,
 )
+
+
+def reference_axis_values(f, x, h):
+    """axis_values as one call of f per stencil slot: x + h e_i, then
+    x - h e_i, each stacked after x's leading axes."""
+    x = np.asarray(x, dtype=float)
+    steps = np.moveaxis(np.multiply.outer(h, np.eye(x.shape[-1])), -2, 0)
+    axis = x.ndim - 1
+    return (np.stack([f(x + e) for e in steps], axis),
+            np.stack([f(x - e) for e in steps], axis))
+
+
+def reference_central_jet(f, x, h):
+    """central_jet as one call of f per stencil point: the center, the axis
+    pairs of reference_axis_values, and the four corners of each axis pair."""
+    x = np.asarray(x, dtype=float)
+    n = x.shape[-1]
+    axis = x.ndim - 1
+    f0 = f(x)
+    plus, minus = reference_axis_values(f, x, h)
+    grad = (plus - minus) / (2 * h)
+    plus, minus = np.moveaxis(plus, axis, 0), np.moveaxis(minus, axis, 0)
+    steps = h * np.eye(n)
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = (plus[i] - 2 * f0 + minus[i]) / h**2
+        for j in range(i + 1, n):
+            ei, ej = steps[i], steps[j]
+            rows[i][j] = rows[j][i] = (
+                f(x + ei + ej) - f(x + ei - ej)
+                - f(x - ei + ej) + f(x - ei - ej)) / (4 * h**2)
+    hess = np.stack([np.stack(row, axis) for row in rows], axis)
+    return f0, grad, hess
+
+
+STENCIL_FUNCTIONS = {
+    "scalar": lambda y: np.sin(y[..., 0]) * np.exp(y[..., -1]) + y[..., 0] * y[..., -1] ** 2,
+    "vector": lambda y: np.stack(
+        [np.log1p(y[..., 0] ** 2), y[..., -1] / (2.0 + np.cos(y[..., 0]))], axis=-1),
+}
+
+
+@st.composite
+def stencil_inputs(draw):
+    """(f, x, per-point h, scalar h): x of shape (n,), (m, n) or (a, b, n)
+    with n in {1, 2, 3}."""
+    n = draw(st.integers(1, 3))
+    lead = draw(st.sampled_from([(), (draw(st.integers(1, 4)),),
+                                 (draw(st.integers(1, 3)), draw(st.integers(1, 3)))]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.uniform(-1.5, 1.5, size=lead + (n,))
+    h = 10.0 ** rng.uniform(-6.0, -2.0, size=lead)
+    f = STENCIL_FUNCTIONS[draw(st.sampled_from(sorted(STENCIL_FUNCTIONS)))]
+    return f, x, h, float(10.0 ** rng.uniform(-5.0, -2.0))
+
+
+class TestStackedStencils:
+    """One call of f on the stacked stencil gives the bits of one call per
+    stencil slot."""
+
+    @given(stencil_inputs())
+    @settings(max_examples=60, deadline=None)
+    def test_axis_values_match_per_slot_calls(self, case):
+        f, x, h, step = case
+        for steps in (h, step):
+            got = axis_values(f, x, steps)
+            want = reference_axis_values(f, x, steps)
+            for a, b in zip(got, want):
+                assert a.shape == b.shape
+                np.testing.assert_array_equal(a, b)
+
+    @given(stencil_inputs())
+    @settings(max_examples=60, deadline=None)
+    def test_central_jet_matches_per_slot_calls(self, case):
+        f, x, _, step = case
+        for a, b in zip(central_jet(f, x, step), reference_central_jet(f, x, step)):
+            assert np.shape(a) == np.shape(b)
+            np.testing.assert_array_equal(a, b)
+
+    def test_one_call_per_stencil(self):
+        calls = []
+
+        def f(y):
+            calls.append(y.shape)
+            return y.sum(axis=-1)
+
+        x = np.zeros((5, 3))
+        axis_values(f, x, 1e-3)
+        central_jet(f, x, 1e-3)
+        assert calls == [(5, 6, 3), (5, 1 + 6 + 12, 3)]
+
+    def test_single_point_callable_is_refused(self):
+        # written for one (n,) point, it reads the first stacked point
+        one_point = lambda u: u[0] ** 2 + u[1]
+        with pytest.raises(DimensionMismatch):
+            axis_values(one_point, np.array([0.3, 0.2]), 1e-3)
+        with pytest.raises(DimensionMismatch):
+            central_jet(one_point, np.array([[0.3, 0.2], [0.1, 0.4]]), 1e-3)
+        field = ScalarField(one_point)
+        for u in (np.array([0.3, 0.2]), np.array([[0.3, 0.2], [0.1, 0.4]])):
+            with pytest.raises(DimensionMismatch):
+                gradient_hessian(field, BandChart(2), u)
 
 
 def band_example_field(h=1e-4):
@@ -103,7 +209,7 @@ class TestFdJet:
     def test_quadratic_exact(self):
         A = np.array([[2.0, -1.0], [-1.0, 3.0]])
         b = np.array([0.5, -0.7])
-        field = ScalarField(lambda u: float(u @ A @ u + b @ u))
+        field = ScalarField(lambda u: np.einsum("...i,ij,...j->...", u, A, u) + u @ b)
         val, grad, hess = fd_jet(field, np.array([0.3, -0.2]), h=1e-3)
         u = np.array([0.3, -0.2])
         assert val == pytest.approx(u @ A @ u + b @ u)
@@ -111,7 +217,7 @@ class TestFdJet:
         np.testing.assert_allclose(hess, 2 * A, atol=1e-6)
 
     def test_second_order_convergence(self):
-        field = ScalarField(lambda u: math.sin(u[0]))
+        field = ScalarField(lambda u: np.sin(u[..., 0]))
         u = np.array([0.7])
         _, g1, _ = fd_jet(field, u, h=1e-2)
         _, g2, _ = fd_jet(field, u, h=5e-3)
@@ -206,7 +312,7 @@ class TestGradientHessian:
 
     def test_chart_agreement_on_grad_norm(self):
         # the same intrinsic field through two charts gives the same |grad|^2
-        F = lambda x: math.sin(x[0]) * x[2] + 0.3 * x[1]
+        F = lambda x: np.sin(x[..., 0]) * x[..., 2] + 0.3 * x[..., 1]
         band = BandChart(2)
         stereo = StereographicChart(2)
         f_band = field_from_ambient(band, F)

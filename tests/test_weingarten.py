@@ -327,7 +327,7 @@ class TestAdmissibleConstant:
         n = 3
         W = CurvatureFunction(
             side=HYPERSURFACE_SIDE, n=n,
-            eval=lambda x: float(np.sum(x)) - n, name="trace-shift")
+            eval=lambda x: np.sum(x, axis=-1) - n, name="trace-shift")
         root = admissible_constant(W, 0.0, (0.5, 2.0))
         assert root == pytest.approx(1.0, abs=1e-10)
         lam = lambda_kappa(root, orientation=OPPOSITE, direction="kappa_to_lambda")
@@ -339,14 +339,14 @@ class TestAdmissibleConstant:
 
     def test_decreasing_root_rejected(self):
         F = CurvatureFunction(
-            side=METRIC_SIDE, n=2, eval=lambda x: -float(np.sum(x)), name="neg")
+            side=METRIC_SIDE, n=2, eval=lambda x: -np.sum(x, axis=-1), name="neg")
         with pytest.raises(RootBracketError):
             admissible_constant(F, 0.0, (-0.3, 0.3))
 
     @pytest.mark.parametrize("F, C, bracket", [
         (elementary_symmetric(4, 1), 1.0, (0.01, 0.49)),
         (CurvatureFunction(side=HYPERSURFACE_SIDE, n=3,
-                           eval=lambda x: float(np.sum(x)) - 3, name="trace-shift"),
+                           eval=lambda x: np.sum(x, axis=-1) - 3, name="trace-shift"),
          0.0, (0.5, 2.0)),
     ])
     def test_bisection_matches_brentq(self, F, C, bracket):
