@@ -8,6 +8,7 @@ the resolved configuration so a run can be reproduced from its own output.
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -349,6 +350,7 @@ def _add_options(sub, *names, **defaults):
         sub.add_argument(f"--{name}", default=defaults.get(name), **_OPTIONS[name])
 
 
+@functools.cache     # one parser per process: parse_args leaves it unchanged
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="horocorr",

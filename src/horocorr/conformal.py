@@ -18,6 +18,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import ChartDomainError, SamplingError
+from .minkowski import _last_axis_sum
 from .sphere import ScalarField, call_stacked, central_gradient, gradient_hessian
 from .weingarten import T
 
@@ -96,7 +97,7 @@ def horospherical_scalar(kappas):
     """Sum of the pairwise sectional curvatures over ordered pairs i != j,
     over the last axis of kappas: each T(-kappa_i) enters 2(n - 1) times."""
     kappas = np.asarray(kappas, dtype=float)
-    return 2.0 * (kappas.shape[-1] - 1) * np.sum(T(-kappas), axis=-1)
+    return 2.0 * (kappas.shape[-1] - 1) * _last_axis_sum(T(-kappas))
 
 
 def beta(metric, u):

@@ -111,7 +111,7 @@ def extrinsic_curvatures(metric, u, t=0.0, h=None, return_point=False):
     u = np.asarray(u, dtype=float)
     if h is None:
         h = metric.rho.h
-    base = immerse(metric, u, t)
+    base = immerse(metric, u, t) if return_point else None
 
     def frame(v):   # t expanded onto the stencil axis
         p = immerse(metric, v, np.asarray(t, dtype=float)[..., None])

@@ -13,7 +13,8 @@ A ball point is a numpy array of length n+1 with Euclidean norm < 1 (norm 1 is
 reserved for ideal points).
 
 All operations broadcast over leading axes, so an (m, n+2) array is treated as
-m vectors at once.
+m vectors at once.  Sums over a short last axis (a vector's coordinates, a
+point's eigenvalues) go through _last_axis_sum: numpy's bits by column adds.
 """
 
 import math
@@ -37,11 +38,22 @@ def _check_dims(u, v):
     return u, v
 
 
+def _last_axis_sum(x):
+    """np.sum(x, axis=-1) bit for bit: numpy adds fewer than 8 entries left
+    to right from +0.0, as the column adds here do, at memory speed."""
+    if x.ndim == 0 or not 0 < x.shape[-1] < 8:
+        return np.sum(x, axis=-1)
+    out = x[..., 0] + 0.0     # a fresh array, with -0.0 turned to +0.0
+    for k in range(1, x.shape[-1]):
+        out += x[..., k]
+    return out[()]
+
+
 def mink_inner(u, v):
     """Minkowski inner product -u0*v0 + sum(ui*vi), broadcasting over leading axes."""
     u, v = _check_dims(u, v)
     prod = u * v
-    return prod[..., 1:].sum(axis=-1) - prod[..., 0]
+    return _last_axis_sum(prod[..., 1:]) - prod[..., 0]
 
 
 def _scale(v):
@@ -85,7 +97,7 @@ def from_poincare_ball(p):
     Raises HyperquadricError for |p| >= 1 (ideal point or beyond).
     """
     p = np.asarray(p, dtype=float)
-    nsq = (p * p).sum(axis=-1)
+    nsq = _last_axis_sum(p * p)
     if np.any(nsq >= 1.0):
         raise HyperquadricError("ideal point: |p| >= 1 has no hyperboloid preimage")
     denom = 1.0 - nsq

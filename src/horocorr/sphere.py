@@ -25,6 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ChartDomainError, DimensionMismatch
+from .minkowski import _last_axis_sum
 
 DEFAULT_FD_STEP = 1e-4
 
@@ -67,7 +68,7 @@ class StereographicChart:
 
     @staticmethod
     def _norm_sq(u):
-        return (u * u).sum(axis=-1)[..., None]
+        return _last_axis_sum(u * u)[..., None]
 
     def embed(self, u):
         u = np.asarray(u, dtype=float)

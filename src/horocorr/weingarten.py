@@ -20,6 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import RootBracketError, SingularParameterError
+from .minkowski import _last_axis_sum
 from .sphere import axis_values, central_gradient, central_jet
 
 METRIC_SIDE = "metric"            # f acting on Schouten eigenvalues, cone in C
@@ -40,8 +41,9 @@ class Mobius:
     A one-sided map is defined on the open half-line c x + d > 0, so the sign
     of the matrix picks the side; a two-sided map excludes only its pole.
     Either way non-finite input is rejected, in the one check every
-    evaluation goes through.  Composition is the matrix product, and the
-    inverse is the adjugate, signed so that it is defined on the image.
+    evaluation goes through; arrays within +-1e300 skip its masks after one
+    range test.  Composition is the matrix product, and the inverse is the
+    adjugate, signed so that it is defined on the image.
     """
 
     matrix: np.ndarray
@@ -52,16 +54,18 @@ class Mobius:
         x = u/s at its finite entries (0 stands in for the rest): u = x and
         s = 1, the literal terms bit for bit, except where the map has a
         pole and |x| > 1e300; there u = sign(x), s = 1/|x|, so no term
-        overflows and c u + d s keeps the sign of c x + d."""
+        overflows and c u + d s keeps the sign of c x + d.  One range test
+        sends an array with no such entry and no NaN or inf past the masks."""
         x = np.asarray(x, dtype=float)
         (_, _), (c, d) = self.matrix
-        u, s = np.where(np.isfinite(x), x, 0.0), 1.0
-        if c != 0.0 and u.size and np.max(np.abs(u)) > 1e300:
+        direct = x.size and -1e300 <= x.min() and x.max() <= 1e300
+        u, s = (x, 1.0) if direct else (np.where(np.isfinite(x), x, 0.0), 1.0)
+        if not direct and c != 0.0 and u.size and np.max(np.abs(u)) > 1e300:
             huge = np.abs(u) > 1e300
             u, s = np.where(huge, np.sign(u), u), 1.0 / np.where(huge, np.abs(u), 1.0)
         denom = c * u + d * s
         inside = np.abs(denom) >= 1e-14 * s if self.two_sided else denom > 0.0
-        return x, np.isfinite(x) & inside, u, s, denom
+        return x, (inside if direct else np.isfinite(x) & inside), u, s, denom
 
     def contains(self, x):
         """Mask over the entries of x: finite and inside the domain."""
@@ -365,8 +369,8 @@ def hr_inequality(a):
 
     Returns (lhs, rhs, holds) over the leading axes of a.  Equality at a = 0."""
     a = np.asarray(a, dtype=float)
-    lhs = np.sum(2.0 * T(a), axis=-1)     # 2 T(a) = (a - 1)/(a + 1)
-    rhs = 2.0 * np.sum(a, axis=-1) - a.shape[-1]
+    lhs = _last_axis_sum(2.0 * T(a))     # 2 T(a) = (a - 1)/(a + 1)
+    rhs = 2.0 * _last_axis_sum(a) - a.shape[-1]
     return lhs, rhs, lhs <= rhs + 1e-12
 
 

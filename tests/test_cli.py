@@ -275,6 +275,52 @@ class TestVerify:
         assert out.startswith("PASS")
 
 
+class TestParserReuse:
+    CALLS = [
+        ("flow", "incomplete-band", "--samples", "6", "--t", "2"),
+        ("flow", "incomplete-band", "--samples", "6"),
+        ("boundary", "incomplete-band", "--samples", "8"),
+        ("immerse", "geodesic-sphere", "--samples", "6", "--format", "json",
+         "--t", "0.5"),
+        ("immerse", "klein-bottle"),
+        ("immerse", "geodesic-sphere", "--samples", "6", "--format", "json"),
+        ("schouten", "cylinder-delaunay", "--samples", "10", "--seed", "3"),
+        ("boundary", "geodesic-sphere", "--samples", "8", "--eps", "0.99"),
+        ("verify", "--only", "gauss-degree", "--only", "degenerate-collapse"),
+        ("verify", "--only", "gauss-degree"),
+    ]
+
+    def outputs(self, capsys, tmp_path):
+        results = []
+        for k, argv in enumerate(self.CALLS):
+            argv = list(argv)
+            if argv[0] == "verify":   # the runtimes vary: keep only the config
+                argv += ["--out", str(tmp_path / f"v{k}.json")]
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = ("exit", exc.code)
+            out, err = capsys.readouterr()
+            if argv[0] == "verify":
+                out = json.loads((tmp_path / f"v{k}.json").read_text())["config"]
+            results.append((code, out, err))
+        return results
+
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_calls_match_fresh_parser(self, capsys, tmp_path, monkeypatch):
+        # options and defaults of one call do not leak into the next
+        reused = self.outputs(capsys, tmp_path)
+        monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
+        fresh = self.outputs(capsys, tmp_path)
+        assert reused == fresh
+        assert json.loads(reused[3][1])["config"]["t"] == 0.5
+        assert json.loads(reused[5][1])["config"]["t"] == 0.0
+        assert reused[4][0] == ("exit", 2)
+        assert reused[9][1]["only"] == ["gauss-degree"]
+
+
 def test_import_leaves_scipy_out():
     code = ("import sys, horocorr.cli, horocorr.verify; "
             "print('scipy' in sys.modules)")

@@ -445,7 +445,8 @@ class TestBatchConvention:
                                               getattr(want_point, name))
 
     def test_two_immerse_calls(self, monkeypatch):
-        # the base points and the whole stacked stencil, whatever n and t
+        # the whole stacked stencil, whatever n and t; the base points too
+        # only when the point is returned
         calls = []
 
         def counted(metric, u, *args, **kwargs):
@@ -454,8 +455,22 @@ class TestBatchConvention:
 
         monkeypatch.setattr(correspondence, "immerse", counted)
         pts = np.array([[0.2, 0.0], [0.5, 1.0], [-0.4, 3.0]])
-        extrinsic_curvatures(band_metric(), pts, t=np.array([0.5, 1.0, 1.5]))
+        t = np.array([0.5, 1.0, 1.5])
+        extrinsic_curvatures(band_metric(), pts, t=t)
+        assert calls == [(3, 4, 2)]
+        calls.clear()
+        extrinsic_curvatures(band_metric(), pts, t=t, return_point=True)
         assert calls == [(3, 2), (3, 4, 2)]
+
+    @pytest.mark.parametrize("return_point", [False, True])
+    @pytest.mark.parametrize("u", [[math.nan, 0.3], [0.5 * math.pi + 1e-12, 0.3],
+                                   [0.5 * math.pi, 0.3], [0.3, math.inf]])
+    def test_base_point_outside_still_raises(self, u, return_point):
+        # a base point outside the band's convex domain leaves a stencil
+        # point outside too, so dropping the base immerse keeps the error
+        metric = make_example("incomplete-band").payload
+        with pytest.raises(ChartDomainError):
+            extrinsic_curvatures(metric, np.array(u), 0.5, return_point=return_point)
 
     def test_single_point_shapes(self):
         metric = band_metric()

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from horocorr.errors import DimensionMismatch, HyperquadricError
 from horocorr.minkowski import (
     MEMBERSHIP_RTOL,
+    _last_axis_sum,
     from_poincare_ball,
     mink_inner,
     normal_flow,
@@ -16,6 +17,7 @@ from horocorr.minkowski import (
     on_null_cone,
     to_poincare_ball,
 )
+from horocorr.weingarten import hr_inequality
 from conftest import random_hyperboloid_point, random_unit_normal
 
 
@@ -48,6 +50,46 @@ class TestMinkInner:
         out = mink_inner(u, v)
         assert out.shape == (7,)
         assert out[3] == pytest.approx(mink_inner(u[3], v))
+
+
+def assert_same_bits(got, want):
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+class TestLastAxisSum:
+    LEADS = [(), (600,), (30, 20)]   # shapes (n,), (m, n) and (a, b, n)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    @pytest.mark.parametrize("lead", LEADS)
+    def test_matches_numpy_sum(self, rng, n, lead):
+        # mixed magnitudes and signs, so the order of the adds shows
+        shape = lead + (n,)
+        x = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+        for view in (x, x[..., ::-1], np.asfortranarray(x)):
+            assert_same_bits(_last_axis_sum(view), np.sum(view, axis=-1))
+
+    @given(st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, 1e300]),
+                    min_size=1, max_size=9),
+           st.sampled_from(LEADS[:2]))
+    @settings(max_examples=60, deadline=None)
+    def test_signed_zeros(self, row, lead):
+        # numpy's sum starts from +0.0, so a row of -0.0 sums to +0.0
+        x = np.broadcast_to(np.array(row), lead + (len(row),))
+        assert_same_bits(_last_axis_sum(x), np.sum(x, axis=-1))
+
+    def test_empty_axes(self):
+        for shape in [(0,), (3, 0), (0, 3)]:
+            x = np.zeros(shape)
+            assert_same_bits(_last_axis_sum(x), np.sum(x, axis=-1))
+
+    def test_one_point_gives_numpy_scalars(self):
+        u = np.array([1.5, 0.25, -2.0])
+        assert type(mink_inner(u, u)) is np.float64
+        lhs, rhs, holds = hr_inequality(np.array([0.1, 2.0, -0.5]))
+        assert type(lhs) is np.float64 and type(rhs) is np.float64
+        assert type(holds) is np.bool_
 
 
 class TestMembership:

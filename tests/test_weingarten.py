@@ -486,6 +486,63 @@ class TestMobiusLargeInput:
         assert identity(BIG) == BIG and identity(-1e308) == -1e308
 
 
+def reference_terms(self, x):
+    """Mobius._terms as it was before its all-finite branch: every input
+    takes the masked, rescaled path."""
+    x = np.asarray(x, dtype=float)
+    (_, _), (c, d) = self.matrix
+    u, s = np.where(np.isfinite(x), x, 0.0), 1.0
+    if c != 0.0 and u.size and np.max(np.abs(u)) > 1e300:
+        huge = np.abs(u) > 1e300
+        u, s = np.where(huge, np.sign(u), u), 1.0 / np.where(huge, np.abs(u), 1.0)
+    denom = c * u + d * s
+    inside = np.abs(denom) >= 1e-14 * s if self.two_sided else denom > 0.0
+    return x, np.isfinite(x) & inside, u, s, denom
+
+
+class ReferenceMobius(Mobius):
+    _terms = reference_terms
+
+
+def outcome(method, x):
+    """Bits, type and shape of a result, or the type and text of the raise."""
+    try:
+        out = method(x)
+    except SingularParameterError as exc:
+        return type(exc), str(exc)
+    return type(out), np.shape(out), np.asarray(out).tobytes()
+
+
+FLOW_TIMES = [1.0, -0.3, 0.0, 2.5]
+SPECIAL = ([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e300, -1e300,
+            math.nextafter(1e300, math.inf), math.nextafter(-1e300, -math.inf),
+            1e308, -1e308, BIG, math.inf, -math.inf, math.nan, -1.0, 0.5,
+            math.nextafter(-1.0, 0.0), math.nextafter(0.5, 0.0)]
+           + [1.0 / math.tanh(t) for t in FLOW_TIMES if t])
+
+
+class TestMobiusFastPath:
+    # finite input within +-1e300 skips the masks: the same bits and raises
+    # as the masked path, which every input took before
+    @given(st.sampled_from(["T", "T_INV"] + FLOW_TIMES),
+           st.lists(st.one_of(st.sampled_from(SPECIAL), st.floats(-10.0, 10.0),
+                              st.floats(allow_nan=True, allow_infinity=True)),
+                    max_size=6),
+           st.sampled_from(["0d", "1d", "2d"]))
+    @example("T", [0.3, -0.0, 2.0], "1d")
+    @example(1.0, [1e300, -1e300], "2d")
+    @example("T_INV", [0.5], "0d")
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_terms(self, which, values, layout):
+        f = {"T": T, "T_INV": T_INV}[which] if isinstance(which, str) else flow_shift(which)
+        ref = ReferenceMobius(f.matrix, f.two_sided)
+        x = np.array(values[:1] or [0.25])[0] if layout == "0d" else np.array(values)
+        if layout == "2d" and len(values) % 2 == 0:
+            x = x.reshape(2, -1)
+        for name in ("__call__", "derivative", "contains"):
+            assert outcome(getattr(f, name), x) == outcome(getattr(ref, name), x)
+
+
 def reference_sigma(x, k):
     """sigma_k as the calculus computed it before batching: a coefficient of
     np.poly on the negated entries."""
