@@ -22,6 +22,9 @@ from .minkowski import mink_inner, normal_flow, to_poincare_ball
 from .sphere import BandChart, StereographicChart, constant_field, radial_band_field
 
 FRAME_RTOL = 1e-8
+SCAN_EPS = 1e-9        # shortest segment, smallest doubled face area a scan accepts
+LADDER_DEPTH = 40      # ladder levels boundary_at_infinity probes toward the edge
+CLUSTER_RADIUS = 0.05  # angle within which escape directions share a cluster
 
 
 def _check_frame(phi, eta):
@@ -37,7 +40,8 @@ def _check_frame(phi, eta):
 
 @dataclass(frozen=True)
 class CurveImmersion:
-    """Sampled closed (or open) curve with its unit normal field.
+    """Sampled closed curve with its unit normal field: the samples u run
+    over [0, period) and the last one joins back to the first.
 
     phi rows sit on the hyperboloid, eta rows on the unit de Sitter quadric,
     pointwise orthogonal.  kappa, when present, holds the principal curvature
@@ -48,7 +52,6 @@ class CurveImmersion:
     phi: np.ndarray
     eta: np.ndarray
     period: float
-    closed: bool = True
     kappa: Optional[np.ndarray] = None
     phi_fn: Optional[Callable] = None
     eta_fn: Optional[Callable] = None
@@ -92,7 +95,7 @@ class CurveImmersion:
     def resample(self, m):
         if self.phi_fn is None or self.eta_fn is None:
             raise SamplingError("no closed-form sampler attached to this curve")
-        u = np.linspace(0.0, self.period, m, endpoint=not self.closed)
+        u = np.linspace(0.0, self.period, m, endpoint=False)
         kappa = None if self.kappa_fn is None else self.kappa_fn(u)
         return replace(
             self, u=u, phi=self.phi_fn(u), eta=self.eta_fn(u), kappa=kappa)
@@ -110,8 +113,7 @@ class MeshImmersion:
     def __post_init__(self):
         _check_frame(self.phi, self.eta)
 
-    @property
-    def vertices_ball(self):
+    def ball_points(self):
         return to_poincare_ball(self.phi)
 
     def flowed(self, t):
@@ -189,7 +191,7 @@ def profile_curve(m=4096):
     u = np.linspace(0.0, period, m, endpoint=False)
     phi, eta, kappa = _profile_frame(u)
     return CurveImmersion(
-        u=u, phi=phi, eta=eta, period=period, closed=True, kappa=kappa,
+        u=u, phi=phi, eta=eta, period=period, kappa=kappa,
         phi_fn=profile_position, eta_fn=_profile_normal, kappa_fn=profile_curvature)
 
 
@@ -218,8 +220,8 @@ def circle_curve(rho0, m=512):
 
     u = np.linspace(0.0, period, m, endpoint=False)
     return CurveImmersion(
-        u=u, phi=position(u), eta=normal(u), period=period, closed=True,
-        kappa=curvature(u), phi_fn=position, eta_fn=normal, kappa_fn=curvature)
+        u=u, phi=position(u), eta=normal(u), period=period, kappa=curvature(u),
+        phi_fn=position, eta_fn=normal, kappa_fn=curvature)
 
 
 def product_mesh(m_u=96, m_v=9, length=1.0):
@@ -344,8 +346,6 @@ def _no_extra(name, params):
 
 def gauss_winding(curve):
     """Degree of the light-cone direction map around the boundary circle."""
-    if not curve.closed:
-        raise SamplingError("winding is defined for closed curves only")
     gauss = curve.gauss_directions()
     if gauss.shape[-1] != 2:
         raise SingularParameterError("winding needs a curve in the plane model")
@@ -375,7 +375,7 @@ class CrossingRecord:
     params: Optional[tuple] = None
 
 
-def self_intersections(payload, eps=1e-9):
+def self_intersections(payload):
     """All transversal self-crossings of the projected payload, in
     lexicographic (i, j) order.  Segments (curves) and triangles (meshes) go
     through one sweep over their closed bounding boxes, `_box_pairs`, then
@@ -383,9 +383,9 @@ def self_intersections(payload, eps=1e-9):
     within 2 of each other around the closed curve; meshes skip face pairs
     sharing a vertex."""
     if isinstance(payload, CurveImmersion):
-        return _curve_crossings(payload, eps)
+        return _curve_crossings(payload)
     if isinstance(payload, MeshImmersion):
-        return _mesh_crossings(payload, eps)
+        return _mesh_crossings(payload)
     raise SingularParameterError("crossing scan expects a curve or mesh payload")
 
 
@@ -413,16 +413,14 @@ def _cross(u, v):
     return u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
 
 
-def _curve_crossings(curve, eps):
+def _curve_crossings(curve):
     p = curve.ball_points()
     if p.shape[-1] != 2:
         raise SingularParameterError("crossing scan needs a curve in the plane model")
     m = len(p)
-    if not curve.closed:
-        raise SamplingError("crossing scan currently expects a closed curve")
     b = np.roll(p, -1, axis=0)
     seg = b - p
-    if np.any(np.hypot(seg[:, 0], seg[:, 1]) < eps):
+    if np.any(np.hypot(seg[:, 0], seg[:, 1]) < SCAN_EPS):
         raise SamplingError("zero-length segment in the sampled curve")
     i, j = _box_pairs(np.minimum(p, b), np.maximum(p, b))
     # segments within 2 of each other, across the closing seam too, are adjacent
@@ -465,7 +463,7 @@ def _segment_hits_triangle(p0, p1, tri):
 PLANE_MARGIN = 1e-12
 
 
-def _mesh_crossings(mesh, eps):
+def _mesh_crossings(mesh):
     """Narrow phase: each pair's six edge tests, in the order edges (0, 1),
     (1, 2), (2, 0), each of face i against face j and then of face j against
     face i, the first hit winning.  Tests whose edge does not straddle the
@@ -475,10 +473,10 @@ def _mesh_crossings(mesh, eps):
     edges meet other faces exactly on their edges (beta + gamma = 1), where
     rounding decides the hit, and a Cramer's-rule solve reports other counts."""
     faces = mesh.faces
-    tri = mesh.vertices_ball[faces]
+    tri = mesh.ball_points()[faces]
     normal = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
     area2 = np.linalg.norm(normal, axis=-1)
-    if np.any(area2 < eps):
+    if np.any(area2 < SCAN_EPS):
         raise SamplingError("degenerate triangle in the mesh")
     offset = np.vecdot(normal, tri[:, 0])
     i, j = _box_pairs(tri.min(axis=1), tri.max(axis=1))
@@ -659,32 +657,25 @@ def _cluster_directions(dirs, radius):
     return clusters
 
 
-def boundary_at_infinity(entry, escape_threshold=0.999, t=1.0,
-                         n_directions=64, max_depth=40, cluster_radius=0.05):
-    """Ideal boundary estimate of an immersed metric payload.
+def boundary_at_infinity(entry, escape_threshold=0.999, t=1.0, n_directions=64):
+    """Ideal boundary estimate of a gallery entry's conformal-metric payload.
 
-    Samples the domain along ladders accumulating at its edge, immerses,
-    projects to the ball, keeps points with |p| > escape_threshold and
-    clusters their directions.  A compact image yields an empty list.
-    Parameters that would make that answer meaningless are refused:
-    escape_threshold must lie in (0, 1), cluster_radius in (0, pi/2] (so a
-    direction joins a cluster only when its dot product with the centre is
-    positive, and no cluster sum can cancel), t must be finite and
-    n_directions, max_depth at least 1.
+    Samples the domain along LADDER_DEPTH ladder levels accumulating at its
+    edge, immerses at flow time t, projects to the ball, keeps points with
+    |p| > escape_threshold and clusters their directions within
+    CLUSTER_RADIUS.  A compact image yields an empty list.  Parameters that
+    would make that answer meaningless are refused: escape_threshold must
+    lie in (0, 1), t must be finite and n_directions at least 1.
     """
     if not 0.0 < escape_threshold < 1.0:
         raise SingularParameterError(
             f"escape threshold must lie in (0, 1), got {escape_threshold}")
-    if not 0.0 < cluster_radius <= math.pi / 2:
+    if n_directions < 1:
         raise SingularParameterError(
-            f"cluster radius must lie in (0, pi/2], got {cluster_radius}")
-    if n_directions < 1 or max_depth < 1:
-        raise SingularParameterError(
-            f"need at least one direction and one ladder level, got "
-            f"n_directions={n_directions}, max_depth={max_depth}")
+            f"need at least one direction, got n_directions={n_directions}")
     if not math.isfinite(t):
         raise SingularParameterError(f"flow time must be finite, got {t}")
-    metric = entry.payload if isinstance(entry, GalleryEntry) else entry
+    metric = entry.payload
     if not isinstance(metric, ConformalMetric):
         raise SingularParameterError(
             "boundary tracing needs a conformal-metric payload")
@@ -693,12 +684,12 @@ def boundary_at_infinity(entry, escape_threshold=0.999, t=1.0,
     if chart.kind == "band":
         if chart.n != 2:
             raise SingularParameterError("band boundary tracing implemented for n = 2")
-        ladder = 1.0 - 2.0 ** -np.arange(1.0, max_depth + 1)
+        ladder = 1.0 - 2.0 ** -np.arange(1.0, LADDER_DEPTH + 1)
         arcs = np.concatenate([sign * domain_edge(metric, sign, np.pi / 2) * ladder
                                for sign in (1.0, -1.0)])
         probes = np.stack(np.meshgrid(arcs, angles, indexing="ij"), axis=-1)
     elif chart.kind == "stereographic":
-        radii = 2.0 ** np.arange(float(max_depth))
+        radii = 2.0 ** np.arange(float(LADDER_DEPTH))
         circle = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
         probes = radii[:, None, None] * circle
     else:
@@ -708,4 +699,4 @@ def boundary_at_infinity(entry, escape_threshold=0.999, t=1.0,
     p = to_poincare_ball(immerse(metric, probes, t).phi)
     norm = np.linalg.norm(p, axis=-1)
     escaped = norm > escape_threshold
-    return _cluster_directions(p[escaped] / norm[escaped][:, None], cluster_radius)
+    return _cluster_directions(p[escaped] / norm[escaped][:, None], CLUSTER_RADIUS)

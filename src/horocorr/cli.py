@@ -56,6 +56,17 @@ def _emit_json(payload, out):
         print(text)
 
 
+def _emit_csv(header, rows, out):
+    target = open(out, "w", newline="") if out else sys.stdout
+    try:
+        writer = csv.writer(target)
+        writer.writerow(header)
+        writer.writerows(rows)
+    finally:
+        if out:
+            target.close()
+
+
 def _gallery_entry(args):
     name = _resolve_name(args.name)
     params = {}
@@ -143,17 +154,15 @@ def cmd_immerse(args):
     if isinstance(payload, ConformalMetric):
         n_az = args.samples or 32
         verts, faces = _metric_mesh(payload, n_az, max(5, n_az // 2), args.t)
-    elif isinstance(payload, CurveImmersion):
+    else:
         moved = payload.flowed(args.t) if args.t else payload
         verts = moved.ball_points()
         if verts.shape[1] == 2:   # plane curve into the z = 0 slice
             verts = np.column_stack([verts, np.zeros(len(verts))])
-        m = len(verts)
-        polylines = [tuple(range(m)) + (0,)]
-    else:
-        moved = payload.flowed(args.t) if args.t else payload
-        verts = moved.vertices_ball
-        faces = payload.faces
+        if isinstance(payload, CurveImmersion):
+            polylines = [tuple(range(len(verts))) + (0,)]
+        else:
+            faces = payload.faces
 
     radii = np.linalg.norm(verts, axis=1)
     if fmt == "obj":
@@ -162,14 +171,7 @@ def cmd_immerse(args):
         _write_obj(args.out, verts, faces, polylines)
         print(f"wrote {args.out}: {len(verts)} vertices, {len(faces)} faces")
     elif fmt == "csv":
-        target = open(args.out, "w", newline="") if args.out else sys.stdout
-        try:
-            writer = csv.writer(target)
-            writer.writerow(["x", "y", "z"])
-            writer.writerows(verts.tolist())
-        finally:
-            if args.out:
-                target.close()
+        _emit_csv(["x", "y", "z"], verts.tolist(), args.out)
     else:
         _emit_json({
             "config": _config(args),
@@ -238,17 +240,10 @@ def cmd_flow(args):
     pts, lam = pts[window], lam[window]
     skipped = args.samples - len(pts)
     pred = np.sort(lambda_kappa(lam), axis=-1)
-    ext = np.sort(extrinsic_curvatures(metric, pts, t=args.t, h=h).values, axis=-1)
+    ext = np.sort(extrinsic_curvatures(metric, pts, t=args.t, h=h), axis=-1)
     rows = np.column_stack([pts, metric.rho.value(pts), lam, ext, pred,
                             np.max(np.abs(ext - pred), axis=-1)]).tolist()
-    target = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
-        writer = csv.writer(target)
-        writer.writerow(header)
-        writer.writerows(rows)
-    finally:
-        if args.out:
-            target.close()
+    _emit_csv(header, rows, args.out)
     if skipped:
         print(f"skipped {skipped} samples outside the immersion window",
               file=sys.stderr)

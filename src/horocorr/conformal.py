@@ -22,8 +22,8 @@ from .minkowski import _last_axis_sum
 from .sphere import ScalarField, call_stacked, central_gradient, gradient_hessian
 from .weingarten import T
 
-REALIZABLE_MARGIN = 1e-3   # default strict gap eps below the 1/2 eigenvalue bound
-REALIZABLE_FLOOR = 1e6     # default lower bound B on eigenvalues
+REALIZABLE_MARGIN = 1e-3   # strict gap eps below the 1/2 eigenvalue bound
+REALIZABLE_FLOOR = 1e6     # lower bound B on eigenvalues
 LENGTH_CAP = 1e6           # partial-sum cap for divergence reporting
 
 
@@ -108,7 +108,7 @@ def beta(metric, u):
     return np.exp(2.0 * metric.effective(u)) + jets.grad_norm_sq
 
 
-def path_length(metric, curve, quadrature_n=32, velocity=None, cap=LENGTH_CAP):
+def path_length(metric, curve, velocity=None):
     """Length of a parametrized path under the conformal metric.
 
     curve: tau in [0,1] -> chart coordinates, staying inside the domain except
@@ -120,16 +120,14 @@ def path_length(metric, curve, quadrature_n=32, velocity=None, cap=LENGTH_CAP):
     tau +- h, with h capped so that every tau passed to curve lies in [0, 1].
 
     Integration runs over 50 dyadic shells accumulating toward each endpoint,
-    [1 - 2^-k, 1 - 2^-(k+1)] and its mirror image, with quadrature_n
-    Gauss-Legendre nodes per shell: one (2, 50, quadrature_n) node grid, the
-    side toward 1 first.  Integrable endpoint singularities converge while
+    [1 - 2^-k, 1 - 2^-(k+1)] and its mirror image, with 32
+    Gauss-Legendre nodes per shell: one (2, 50, 32) node grid, the side
+    toward 1 first.  Integrable endpoint singularities converge while
     divergent ones are detected: the result is math.inf when a running
-    partial sum passes the cap or a side's shell contributions stop decaying.
-    Raises ChartDomainError if any node lies outside the domain.
+    partial sum passes LENGTH_CAP or a side's shell contributions stop
+    decaying.  Raises ChartDomainError if any node lies outside the domain.
     """
-    if quadrature_n < 2:
-        raise SamplingError("need at least 2 quadrature nodes per shell")
-    nodes, weights = leggauss(quadrature_n)
+    nodes, weights = leggauss(32)
     half = 2.0 ** -np.arange(3, 53)   # shell k: half-width 2^-(k+2), midpoint 1 - 3 * 2^-(k+2)
     mid = 1.0 - 3.0 * half
     tau = np.stack([mid, 1.0 - mid])[..., None] + half[:, None] * nodes
@@ -148,7 +146,7 @@ def path_length(metric, curve, quadrature_n=32, velocity=None, cap=LENGTH_CAP):
     speed = np.exp(metric.effective(u)) * np.sqrt(np.maximum(norm_sq, 0.0))
     shells = half * (speed @ weights)
     partial = np.cumsum(shells)
-    if np.any(partial > cap):
+    if np.any(partial > LENGTH_CAP):
         return math.inf
     for side in shells[:, -7:]:
         tail = side[side > 0]
@@ -181,12 +179,13 @@ class RealizabilityReport:
     flags: tuple = dc_field(default_factory=tuple)
 
 
-def realizability_report(metric, samples, eps=REALIZABLE_MARGIN, B=REALIZABLE_FLOOR):
+def realizability_report(metric, samples):
     """Aggregate Schouten eigenvalue extremes over a sample set.
 
-    The metric is realizable (at margins eps, B) iff every eigenvalue lies in
-    [-B, 1/2 - eps].  Samples are chart points, an (m, n) array or a list of
-    (n,) points; points outside the domain are skipped.
+    The metric is realizable iff every eigenvalue lies in [-B, 1/2 - eps],
+    with B = REALIZABLE_FLOOR and eps = REALIZABLE_MARGIN.  Samples are chart
+    points, an (m, n) array or a list of (n,) points; points outside the
+    domain are skipped.
     """
     pts = np.asarray(samples, dtype=float)
     pts = pts[metric.rho.in_domain(metric.chart, pts)]
@@ -196,16 +195,16 @@ def realizability_report(metric, samples, eps=REALIZABLE_MARGIN, B=REALIZABLE_FL
     ev = schouten(metric, pts).eigenvalues
     lam_min, lam_max = float(ev[:, 0].min()), float(ev[:, -1].max())
     flags = []
-    if lam_min < -B:
+    if lam_min < -REALIZABLE_FLOOR:
         flags.append("Schouten not bounded below")
-    if lam_max > 0.5 - eps:
+    if lam_max > 0.5 - REALIZABLE_MARGIN:
         flags.append("eigenvalues reach the 1/2 bound")
-    realizable = (lam_max <= 0.5 - eps) and (lam_min >= -B)
+    realizable = (lam_max <= 0.5 - REALIZABLE_MARGIN) and (lam_min >= -REALIZABLE_FLOOR)
     return RealizabilityReport(
         lambda_min=lam_min,
         lambda_max=lam_max,
         realizable=realizable,
-        suggested_t0=flow_time_for_bound(lam_max, eps),
+        suggested_t0=flow_time_for_bound(lam_max, REALIZABLE_MARGIN),
         n_samples=count,
         flags=tuple(flags),
     )

@@ -53,35 +53,20 @@ class HypersurfacePoint:
 
 
 @dataclass(frozen=True)
-class CurvatureSpectrum:
-    """Sorted eigenvalue list with its orientation tag; kind is 'kappa' for
-    principal curvatures, 'lambda' for Schouten eigenvalues."""
-
-    values: np.ndarray
-    orientation: str = CANONICAL
-    kind: str = "kappa"
-
-
-@dataclass(frozen=True)
 class SupportData:
     rho_tilde: np.ndarray     # log of the light-cone height psi_0, (...)
     gauss_point: np.ndarray   # unit vectors of S^n, (..., n + 1)
 
 
-def immerse(metric, u, t=0.0, margin=None):
+def immerse(metric, u, t=0.0):
     """Evaluate the representation formula at chart points (broadcasting over
     the leading axes of u); the flow time t may be an array over them.
 
-    By default this is a pure evaluation (degenerate inputs produce the
-    degenerate output, e.g. rho = 0 collapses to the base point).  Passing
-    margin=eps enforces the spectral gate lambda_max e^{-2t} <= 1/2 - eps and
-    raises ImmersionError('not immersed at this scale') when any point fails.
-    """
+    A pure evaluation: degenerate inputs give the degenerate output (rho = 0
+    collapses to the base point).  Whether the scale t is immersed is the
+    "eigenvalues reach the 1/2 bound" flag of
+    realizability_report(rescale(metric, t), u)."""
     u = np.asarray(u, dtype=float)
-    if margin is not None:
-        lam_max = schouten(metric, u).eigenvalues[..., -1]
-        if np.any(lam_max * np.exp(-2.0 * np.asarray(t)) > 0.5 - margin):
-            raise ImmersionError("not immersed at this scale")
     chart = metric.chart
     x = chart.embed(u)
     jets = gradient_hessian(metric.rho, chart, u)
@@ -98,7 +83,9 @@ def immerse(metric, u, t=0.0, margin=None):
 
 
 def extrinsic_curvatures(metric, u, t=0.0, h=None, return_point=False):
-    """Principal curvatures at chart points, canonical orientation.
+    """Principal curvatures at chart points, canonical orientation: an
+    ascending (..., n) array, or (kappas, point) with return_point=True,
+    point the HypersurfacePoint of u carrying the tangents and both forms.
 
     t may be an array over the leading axes of u, as in immerse.  Tangents
     come from central differences of the immersion, one immerse call on the
@@ -132,13 +119,12 @@ def extrinsic_curvatures(metric, u, t=0.0, h=None, return_point=False):
         kappas = generalized_eigvalsh(II, I)
     except np.linalg.LinAlgError:
         raise ImmersionError("not an immersion") from None
-    spectrum = CurvatureSpectrum(kappas, CANONICAL, "kappa")
     if return_point:
         point = HypersurfacePoint(
             phi=base.phi, eta=base.eta, psi=base.psi, point=u, t=t,
             tangents=dphi, first_form=I, second_form=II)
-        return spectrum, point
-    return spectrum
+        return kappas, point
+    return kappas
 
 
 def lambda_kappa(value, orientation=CANONICAL, direction="lambda_to_kappa"):
@@ -197,13 +183,13 @@ def compactified_sectional(lam, r):
     return lam - 0.5 * r**2 * lam**2
 
 
-def support_and_gauss(point, rtol=1e-8):
+def support_and_gauss(point):
     """Support value and Gauss point from the light-cone map psi = e^rho (1, G),
-    over the leading axes of psi."""
+    over the leading axes of psi; psi must be null within relative 1e-8."""
     psi = point.psi if isinstance(point, HypersurfacePoint) else np.asarray(point, float)
     p0 = psi[..., 0]
     if np.any(p0 <= 0.0):
         raise HyperquadricError("light-cone map must have positive height")
-    if not np.all(on_null_cone(psi, rtol)):
+    if not np.all(on_null_cone(psi, 1e-8)):
         raise HyperquadricError("light-cone map is not null within tolerance")
     return SupportData(np.log(p0), psi[..., 1:] / p0[..., None])

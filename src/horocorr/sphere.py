@@ -368,16 +368,16 @@ def central_jet(f, x, h):
     return f0, np.moveaxis(grad, 0, axis), np.moveaxis(hess, (0, 1), (axis, axis + 1))
 
 
-def fd_jet(field, u, h, chart=None):
+def fd_jet(field, u, h, chart):
     """(value, gradient, Hessian) of a field by central differences.
 
     Raises ChartDomainError if h <= 0 or the stencil of any point leaves the
-    field's domain (when a chart is supplied to check against).
+    field's domain on the chart.
     """
     if h <= 0:
         raise ChartDomainError("finite-difference step must be positive")
     u = np.asarray(u, dtype=float)
-    if chart is not None and not np.all(field.in_domain(chart, _stencil_points(u, h))):
+    if not np.all(field.in_domain(chart, _stencil_points(u, h))):
         raise ChartDomainError("stencil escapes the field domain; reduce h or move inward")
     return central_jet(field.value, u, h)
 
@@ -405,7 +405,7 @@ def gradient_hessian(field, chart, u):
         grad = np.asarray(field.gradient(u), dtype=float)
         raw_hess = np.asarray(field.hessian(u), dtype=float)
     else:
-        _, grad, raw_hess = fd_jet(field, u, field.h, chart=chart)
+        _, grad, raw_hess = fd_jet(field, u, field.h, chart)
     cov = raw_hess - np.einsum("...kij,...k->...ij", chart.christoffels(u), grad)
     norm_sq = np.einsum("...i,...ij,...j->...", grad, chart.metric_inverse(u), grad)
     return GradHess(grad, norm_sq, cov)

@@ -111,14 +111,14 @@ def check_gauss_degree():
     return CheckResult("gauss-degree", passed, err, 0.0, details, runtime)
 
 
-def check_curvature_cross_oracle(samples=500, h=1e-4, seed=20):
+def check_curvature_cross_oracle(seed=20):
     """Extrinsic principal curvatures vs the Schouten-eigenvalue route."""
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
     worst = 0.0
     notes = []
-    for name, metric, pts, t0 in _sample_plans(rng, samples):
-        kappas = extrinsic_curvatures(metric, pts, t=t0, h=h).values
+    for name, metric, pts, t0 in _sample_plans(rng, 500):
+        kappas = extrinsic_curvatures(metric, pts, t=t0, h=1e-4)
         lam = schouten(rescale(metric, t0), pts).eigenvalues
         pred = np.sort(lambda_kappa(lam), axis=-1)
         leg = float(np.max(np.abs(np.sort(kappas, axis=-1) - pred)))
@@ -133,7 +133,7 @@ def check_curvature_cross_oracle(samples=500, h=1e-4, seed=20):
                        "; ".join(notes), runtime)
 
 
-def check_minkowski_constraints(samples=200, seed=21):
+def check_minkowski_constraints(seed=21):
     """Quadric membership of phi, eta and the null map at immersed samples."""
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
@@ -146,7 +146,7 @@ def check_minkowski_constraints(samples=200, seed=21):
             mink_inner(p.phi, p.eta),
             mink_inner(p.psi, p.psi)])))
 
-    plans = _sample_plans(rng, samples)
+    plans = _sample_plans(rng, 200)
     analytic = max(frame_errors(m, p, t0) for _, m, p, t0 in plans)
     band = plans[1][1]
     fd_metric = ConformalMetric(band.chart, band.rho.without_jets(), band.t)
@@ -158,13 +158,13 @@ def check_minkowski_constraints(samples=200, seed=21):
                        1e-5, details, runtime)
 
 
-def check_pullback_identity(samples=200, h=1e-4, seed=22):
+def check_pullback_identity(seed=22):
     """Induced metric of the null map equals the rescaled round metric."""
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _, metric, pts, t0 in _sample_plans(rng, samples):
-        dpsi = central_gradient(lambda v: immerse(metric, v, t0).psi, pts, h)
+    for _, metric, pts, t0 in _sample_plans(rng, 200):
+        dpsi = central_gradient(lambda v: immerse(metric, v, t0).psi, pts, 1e-4)
         induced = mink_inner(dpsi[:, :, None, :], dpsi[:, None, :, :])
         target = rescale(metric, t0).ghat(pts)
         rel = (np.max(np.abs(induced - target), axis=(1, 2))
@@ -172,20 +172,20 @@ def check_pullback_identity(samples=200, h=1e-4, seed=22):
         worst = max(worst, float(np.max(rel)))
     runtime = time.perf_counter() - start
     return CheckResult("pullback-identity", worst <= 1e-5, worst, 1e-5,
-                       f"relative error over {3 * samples} samples", runtime)
+                       "relative error over 600 samples", runtime)
 
 
-def check_ricatti_consistency(samples=60, seed=23):
+def check_ricatti_consistency(seed=23):
     """Flowed extrinsic curvatures vs the fraction-linear evolution law,
     plus the horosphere-convergence envelope on a fixed grid."""
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
     worst = 0.0
     times = np.array([0.0, 0.5, 1.0, 2.0])
-    for _, metric, pts, t0 in _sample_plans(rng, samples):
+    for _, metric, pts, t0 in _sample_plans(rng, 60):
         # one curvature call per metric: the points tiled over t0 + times
         tiled = np.tile(pts, (len(times), 1, 1))
-        base, *rest = extrinsic_curvatures(metric, tiled, t=t0 + times[:, None]).values
+        base, *rest = extrinsic_curvatures(metric, tiled, t=t0 + times[:, None])
         for t, flowed in zip(times[1:], rest):
             pred = np.sort(ricatti(base, t), axis=-1)
             worst = max(worst, float(np.max(np.abs(np.sort(flowed, axis=-1) - pred))))
@@ -283,7 +283,7 @@ def check_band_reproductions(seed=25):
                        1e-4, details, runtime)
 
 
-def check_unfolding(m=8192, grid_m=1024):
+def check_unfolding():
     """Whether flowing the profile curve outward reproduces its obstruction.
 
     The curve's direction map winds three times around the circle and the
@@ -296,11 +296,11 @@ def check_unfolding(m=8192, grid_m=1024):
     The reported max_error is the number of these clauses that fail.
     """
     start = time.perf_counter()
-    curve = profile_curve(m)
+    curve = profile_curve(8192)
     c0 = len(self_intersections(curve))
     c_top = len(self_intersections(curve.flowed(5.0)))
 
-    coarse = profile_curve(grid_m)
+    coarse = profile_curve(1024)
     certificate = None
     message = ""
     try:
@@ -324,8 +324,8 @@ def check_unfolding(m=8192, grid_m=1024):
     clauses = (obstructed, c0 >= 1, c_top >= 1, min(grid_counts) >= 1,
                certificate is None, control_ok, runtime < 120.0)
     failed = sum(not clause for clause in clauses)
-    details = (f"crossings {c0} at t=0, {c_top} at t=5 (m={m}); "
-               f"count trend {grid_counts[0]}->{grid_counts[-1]} at m={grid_m} "
+    details = (f"crossings {c0} at t=0, {c_top} at t=5 (m=8192); "
+               f"count trend {grid_counts[0]}->{grid_counts[-1]} at m=1024 "
                f"(fewest {min(grid_counts)} on {len(grid_counts)} times); "
                f"winding stays {windings} under the flow, embedded closed "
                f"curves wind 1, so clearance is impossible; "
@@ -465,14 +465,6 @@ CRITERIA = (
     ("degenerate-collapse", check_degenerate_collapse),
     ("boundary-at-infinity", check_boundary_at_infinity),
 )
-
-
-def run_criterion(name):
-    for key, fn in CRITERIA:
-        if key == name:
-            return fn()
-    known = ", ".join(key for key, _ in CRITERIA)
-    raise KeyError(f"unknown check {name!r}; known checks: {known}")
 
 
 def run_all(only=None):

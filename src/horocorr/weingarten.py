@@ -42,8 +42,8 @@ class Mobius:
     of the matrix picks the side; a two-sided map excludes only its pole.
     Either way non-finite input is rejected, in the one check every
     evaluation goes through; arrays within +-1e300 skip its masks after one
-    range test.  Composition is the matrix product, and the inverse is the
-    adjugate, signed so that it is defined on the image.
+    range test.  The inverse is the adjugate, signed so that it is defined on
+    the image.
     """
 
     matrix: np.ndarray
@@ -97,11 +97,6 @@ class Mobius:
         (a, b), (c, d) = self.matrix
         adjugate = np.array([[d, -b], [-c, a]])
         return Mobius(np.sign(a * d - b * c) * adjugate, self.two_sided)
-
-    def __matmul__(self, other):
-        """Composition self o other."""
-        return Mobius(self.matrix @ other.matrix,
-                      self.two_sided and other.two_sided)
 
 
 T = Mobius(np.array([[1.0, -1.0], [2.0, 2.0]]))   # 1/2 - 1/(1 + x), K onto C
@@ -317,15 +312,17 @@ class EllipticityRecord:
     smooth: bool     # one-sided differences agree (no kink detected)
 
 
-def ellipticity_check(F, points, h=1e-5):
+def ellipticity_check(F, points):
     """Finite-difference ellipticity report, one record per point of the
-    (..., n) array points, from one call of F on them and one on their stencil.
+    (..., n) array points, from one call of F on them and one on their stencil
+    of step h = 1e-5.
 
     A point is elliptic when every partial derivative is strictly positive.
     One-sided differences are compared to flag kinks (non-smooth evaluation),
     in which case elliptic is forced False.
     """
     x = np.asarray(points, dtype=float)
+    h = 1e-5
     f0 = F(x)[..., None]
     fp, fm = axis_values(F, x, h)
     finite = np.all(np.isfinite(f0) & np.isfinite(fp) & np.isfinite(fm), axis=-1)
@@ -342,20 +339,21 @@ def ellipticity_check(F, points, h=1e-5):
                     elliptic.ravel().tolist(), smooth.ravel().tolist()))
 
 
-def hessian_transform(f, kappa, h=1e-4):
+def hessian_transform(f, kappa):
     """Hessian of the conjugate W = f o T expressed through f's jets:
 
         d2W/dk_i dk_j = f_ij / ((1+k_i)^2 (1+k_j)^2) - 2 delta_ij f_i / (1+k_i)^3
 
     evaluated at lambda = T(kappa), broadcasting over the leading axes of
-    kappa.  f must be metric-side."""
+    kappa; jets f lacks come from central differences of step 1e-4.  f must
+    be metric-side."""
     if f.side != METRIC_SIDE:
         raise SingularParameterError("hessian transform starts from a metric-side function")
     kappa = np.asarray(kappa, dtype=float)
     lam = T(kappa)
-    grad = (central_gradient(f.eval, lam, h) if f.gradient is None
+    grad = (central_gradient(f.eval, lam, 1e-4) if f.gradient is None
             else np.asarray(f.gradient(lam), dtype=float))
-    hess = (central_jet(f.eval, lam, h)[2] if f.hessian is None
+    hess = (central_jet(f.eval, lam, 1e-4)[2] if f.hessian is None
             else np.asarray(f.hessian(lam), dtype=float))
     one = 1.0 + kappa
     out = hess / (one[..., :, None]**2 * one[..., None, :]**2)
@@ -374,11 +372,11 @@ def hr_inequality(a):
     return lhs, rhs, lhs <= rhs + 1e-12
 
 
-def admissible_constant(F, C, bracket, h=1e-6):
+def admissible_constant(F, C, bracket):
     """Diagonal root F(x, ..., x) = C inside a bracket.
 
     Validates a sign change over the bracket, that the root has a strictly
-    positive diagonal derivative, and (when F carries a cone predicate) that
+    positive diagonal derivative (central difference of step 1e-6), and (when F carries a cone predicate) that
     the diagonal point is admissible."""
     a, b = bracket
 
@@ -395,7 +393,7 @@ def admissible_constant(F, C, bracket, h=1e-6):
     while hi - lo > 1e-13 and lo < root < hi:   # bisect to 1e-13 or one ulp
         lo, hi = (root, hi) if np.sign(diag(root)) == side else (lo, root)
         root = 0.5 * (lo + hi)
-    slope = central_gradient(lambda r: diag(r[..., 0]), [root], h)[0]
+    slope = central_gradient(lambda r: diag(r[..., 0]), [root], 1e-6)[0]
     if slope <= 0:
         raise RootBracketError("diagonal derivative nonpositive at the root")
     if F.cone is not None and not F.cone(np.full(F.n, root)):

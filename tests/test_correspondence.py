@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 from horocorr import correspondence
 from horocorr.analysis import make_example
-from horocorr.conformal import ConformalMetric, realizability_report, rescale, schouten
+from horocorr.conformal import (
+    ConformalMetric,
+    flow_time_for_bound,
+    realizability_report,
+    rescale,
+    schouten,
+)
 from horocorr.correspondence import (
     CANONICAL,
     OPPOSITE,
@@ -26,7 +32,7 @@ from horocorr.errors import (
     ImmersionError,
     SingularParameterError,
 )
-from horocorr.minkowski import mink_inner, normal_flow
+from horocorr.minkowski import mink_inner
 from horocorr.sphere import (
     BandChart,
     StereographicChart,
@@ -36,6 +42,7 @@ from horocorr.sphere import (
 )
 
 from test_conformal import band_metric, cylinder_metric
+from test_minkowski import geodesic_point
 
 RHO0 = 0.5 * math.log(2.0)
 
@@ -107,10 +114,10 @@ class TestImmerse:
 
     def test_spectral_gate(self):
         metric = ConformalMetric(StereographicChart(2), constant_field(0.0))
-        with pytest.raises(ImmersionError, match="not immersed at this scale"):
-            immerse(metric, np.zeros(2), t=0.0, margin=1e-3)
+        gate = "eigenvalues reach the 1/2 bound"
+        assert gate in realizability_report(rescale(metric, 0.0), [0, 0]).flags
         # flowing far enough opens the gate
-        immerse(metric, np.zeros(2), t=1.0, margin=1e-3)
+        assert gate not in realizability_report(rescale(metric, 1.0), [0, 0]).flags
 
     def test_flow_routes_agree(self, rng):
         # evaluating at shifted scale equals flowing the base immersion
@@ -120,7 +127,7 @@ class TestImmerse:
             t = rng.uniform(0.0, 3.0)
             direct = immerse(metric, u, t)
             base = immerse(metric, u, 0.0)
-            flowed, _ = normal_flow(base.phi, base.eta, t, rtol=1e-7)
+            flowed = geodesic_point(base.phi, base.eta, t, rtol=1e-7)
             np.testing.assert_allclose(
                 direct.phi, flowed, atol=1e-12 * max(1.0, abs(direct.phi[0])))
 
@@ -131,8 +138,8 @@ class TestExtrinsicCurvatures:
         metric = sphere_metric()
         for _ in range(10):
             u = rng.uniform(-1.5, 1.5, size=2)
-            spectrum = extrinsic_curvatures(metric, u, h=1e-4)
-            np.testing.assert_allclose(spectrum.values, -3.0, atol=1e-5)
+            kappas = extrinsic_curvatures(metric, u, h=1e-4)
+            np.testing.assert_allclose(kappas, -3.0, atol=1e-5)
 
     def test_cross_oracle_generic_band(self, rng):
         # the field perturbs the round metric, so some eigenvalues sit above
@@ -140,10 +147,10 @@ class TestExtrinsicCurvatures:
         metric = generic_band_metric()
         for _ in range(20):
             u = np.array([rng.uniform(-1.2, 1.2), rng.uniform(0.0, 6.0)])
-            spectrum = extrinsic_curvatures(metric, u, t=1.0, h=1e-4)
+            kappas = extrinsic_curvatures(metric, u, t=1.0, h=1e-4)
             lam = schouten(rescale(metric, 1.0), u).eigenvalues
             predicted = np.sort(lambda_kappa(lam, CANONICAL, "lambda_to_kappa"))
-            np.testing.assert_allclose(spectrum.values, predicted, atol=1e-3)
+            np.testing.assert_allclose(kappas, predicted, atol=1e-3)
 
     def test_degenerate_is_not_an_immersion(self):
         metric = ConformalMetric(StereographicChart(2), constant_field(0.0))
@@ -152,7 +159,7 @@ class TestExtrinsicCurvatures:
 
     def test_fundamental_forms_returned(self):
         metric = sphere_metric()
-        spectrum, point = extrinsic_curvatures(
+        kappas, point = extrinsic_curvatures(
             metric, np.array([0.3, 0.1]), return_point=True)
         assert point.first_form.shape == (2, 2)
         # I is positive definite and II = -3 I on the geodesic sphere
@@ -331,21 +338,19 @@ class TestSupportAndGauss:
 class TestMinImmersionTime:
     def test_small_spectrum_needs_no_flow(self):
         metric = sphere_metric(2.0)  # lambda = e^{-4}/2, far below the gate
-        t0 = realizability_report(metric, [np.zeros(2)], eps=1e-3).suggested_t0
+        t0 = realizability_report(metric, [np.zeros(2)]).suggested_t0
         assert t0 == 0.0
 
     def test_round_metric_value(self):
         metric = ConformalMetric(StereographicChart(2), constant_field(0.0))
-        t0 = realizability_report(
-            metric, [np.zeros(2), np.ones(2)], eps=0.1).suggested_t0
-        assert t0 == pytest.approx(0.111572, abs=1e-6)
+        report = realizability_report(metric, [np.zeros(2), np.ones(2)])
+        assert flow_time_for_bound(report.lambda_max, 0.1) == pytest.approx(0.111572, abs=1e-6)
 
     def test_cylinder_same_value(self):
-        t0 = realizability_report(
+        report = realizability_report(
             cylinder_metric(0.0),
-            [np.array([s, 0.0]) for s in np.linspace(-1.2, 1.2, 25)],
-            eps=0.1).suggested_t0
-        assert t0 == pytest.approx(0.111572, abs=1e-6)
+            [np.array([s, 0.0]) for s in np.linspace(-1.2, 1.2, 25)])
+        assert flow_time_for_bound(report.lambda_max, 0.1) == pytest.approx(0.111572, abs=1e-6)
 
 
 def _batch_cases():
@@ -418,8 +423,8 @@ class TestBatchConvention:
             with pytest.raises(ImmersionError, match="not an immersion"):
                 extrinsic_curvatures(metric, pts[0], t)
             return
-        kappas = extrinsic_curvatures(metric, pts, t).values
-        assert_rows_agree(kappas, [extrinsic_curvatures(metric, u, t).values
+        kappas = extrinsic_curvatures(metric, pts, t)
+        assert_rows_agree(kappas, [extrinsic_curvatures(metric, u, t)
                                    for u in pts])
 
     @pytest.mark.parametrize("case", [c for c in BATCH_CASES if c[0] != "round-degenerate"],
@@ -435,11 +440,11 @@ class TestBatchConvention:
         lo, hi = np.array(lo), np.array(hi)
         pts = lo + (hi - lo) * np.array(unit)
         ts = t0 + np.array(times)
-        spectrum, point = extrinsic_curvatures(
+        kappas, point = extrinsic_curvatures(
             metric, np.tile(pts, (len(ts), 1, 1)), t=ts[:, None], return_point=True)
         for k, t in enumerate(ts):
             want, want_point = extrinsic_curvatures(metric, pts, t=t, return_point=True)
-            np.testing.assert_array_equal(spectrum.values[k], want.values)
+            np.testing.assert_array_equal(kappas[k], want)
             for name in ("phi", "eta", "tangents", "first_form", "second_form"):
                 np.testing.assert_array_equal(getattr(point, name)[k],
                                               getattr(want_point, name))
@@ -481,8 +486,8 @@ class TestBatchConvention:
         assert jets.gradient.shape == (2,) and np.ndim(jets.grad_norm_sq) == 0
         rep = schouten(metric, u)
         assert rep.tensor.shape == (2, 2) and rep.eigenvalues.shape == (2,)
-        spectrum, point = extrinsic_curvatures(metric, u, 1.0, return_point=True)
-        assert spectrum.values.shape == (2,)
+        kappas, point = extrinsic_curvatures(metric, u, 1.0, return_point=True)
+        assert kappas.shape == (2,)
         assert point.tangents.shape == (2, 4) and point.first_form.shape == (2, 2)
 
     def test_one_point_outside_fails_the_batch(self):

@@ -210,7 +210,8 @@ class TestFdJet:
         A = np.array([[2.0, -1.0], [-1.0, 3.0]])
         b = np.array([0.5, -0.7])
         field = ScalarField(lambda u: np.einsum("...i,ij,...j->...", u, A, u) + u @ b)
-        val, grad, hess = fd_jet(field, np.array([0.3, -0.2]), h=1e-3)
+        val, grad, hess = fd_jet(field, np.array([0.3, -0.2]), h=1e-3,
+                                 chart=StereographicChart(2))
         u = np.array([0.3, -0.2])
         assert val == pytest.approx(u @ A @ u + b @ u)
         np.testing.assert_allclose(grad, 2 * A @ u + b, atol=1e-9)
@@ -219,8 +220,8 @@ class TestFdJet:
     def test_second_order_convergence(self):
         field = ScalarField(lambda u: np.sin(u[..., 0]))
         u = np.array([0.7])
-        _, g1, _ = fd_jet(field, u, h=1e-2)
-        _, g2, _ = fd_jet(field, u, h=5e-3)
+        _, g1, _ = fd_jet(field, u, h=1e-2, chart=StereographicChart(1))
+        _, g2, _ = fd_jet(field, u, h=5e-3, chart=StereographicChart(1))
         err1 = abs(g1[0] - math.cos(0.7))
         err2 = abs(g2[0] - math.cos(0.7))
         assert err1 / err2 >= 3.5  # halving h must cut the error ~4x
@@ -228,7 +229,7 @@ class TestFdJet:
     def test_rejects_nonpositive_step(self):
         field = ScalarField(lambda u: 0.0)
         with pytest.raises(ChartDomainError):
-            fd_jet(field, np.array([0.0]), h=0.0)
+            fd_jet(field, np.array([0.0]), h=0.0, chart=StereographicChart(1))
 
     def test_stencil_domain_guard(self):
         chart = BandChart(2)

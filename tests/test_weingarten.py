@@ -417,7 +417,7 @@ class TestMoebiusCore:
     @given(st.floats(-5.0, 0.9), st.floats(0.0, 3.0), st.floats(0.0, 3.0))
     @settings(deadline=None)
     def test_flow_composes_by_matrix_product(self, kappa, s, t):
-        composed = flow_shift(t) @ flow_shift(s)
+        composed = Mobius(flow_shift(t).matrix @ flow_shift(s).matrix, two_sided=True)
         np.testing.assert_allclose(composed.matrix / composed.matrix[0, 0],
                                    flow_shift(s + t).matrix, atol=1e-14)
         twice = ricatti(ricatti(kappa, s), t)
