@@ -7,7 +7,7 @@ Poincare ball, where segments and triangles are honest Euclidean objects.
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -45,7 +45,7 @@ class CurveImmersion:
 
     phi rows sit on the hyperboloid, eta rows on the unit de Sitter quadric,
     pointwise orthogonal.  kappa, when present, holds the principal curvature
-    in the orientation of eta.  phi_fn/eta_fn allow exact resampling.
+    in the orientation of eta.
     """
 
     u: np.ndarray
@@ -53,9 +53,6 @@ class CurveImmersion:
     eta: np.ndarray
     period: float
     kappa: Optional[np.ndarray] = None
-    phi_fn: Optional[Callable] = None
-    eta_fn: Optional[Callable] = None
-    kappa_fn: Optional[Callable] = None
 
     def __post_init__(self):
         _check_frame(self.phi, self.eta)
@@ -78,27 +75,8 @@ class CurveImmersion:
                 kappa = ricatti(self.kappa, t)
             except SingularParameterError:
                 kappa = None
-        phi_fn = eta_fn = None
-        if self.phi_fn is not None and self.eta_fn is not None:
-            base_phi, base_eta = self.phi_fn, self.eta_fn
-
-            def phi_fn(uu):
-                return normal_flow(base_phi(uu), base_eta(uu), t)[0]
-
-            def eta_fn(uu):
-                return normal_flow(base_phi(uu), base_eta(uu), t)[1]
-
         phi, eta = normal_flow(self.phi, self.eta, t)
-        return replace(self, phi=phi, eta=eta, kappa=kappa,
-                       phi_fn=phi_fn, eta_fn=eta_fn, kappa_fn=None)
-
-    def resample(self, m):
-        if self.phi_fn is None or self.eta_fn is None:
-            raise SamplingError("no closed-form sampler attached to this curve")
-        u = np.linspace(0.0, self.period, m, endpoint=False)
-        kappa = None if self.kappa_fn is None else self.kappa_fn(u)
-        return replace(
-            self, u=u, phi=self.phi_fn(u), eta=self.eta_fn(u), kappa=kappa)
+        return replace(self, phi=phi, eta=eta, kappa=kappa)
 
 
 @dataclass(frozen=True)
@@ -155,44 +133,23 @@ def _profile_jets(u):
     return a, da, dda
 
 
-def _normal_from(a, da):
-    # Lorentz cross of position and velocity, oriented so kappa < 1
-    c = np.cross(a, da)
-    w = c * np.array([-1.0, 1.0, 1.0])
-    norm_sq = mink_inner(w, w)
-    if np.any(norm_sq <= 0.0):
-        raise SingularParameterError("degenerate tangent on the profile curve")
-    return -w / np.sqrt(norm_sq)[..., None]
-
-
 def _profile_frame(u):
     """Position, unit normal and curvature from one evaluation of the jets."""
     a, da, dda = _profile_jets(u)
-    n = _normal_from(a, da)
+    # Lorentz cross of position and velocity, oriented so kappa < 1
+    w = np.cross(a, da) * np.array([-1.0, 1.0, 1.0])
+    norm_sq = mink_inner(w, w)
+    if np.any(norm_sq <= 0.0):
+        raise SingularParameterError("degenerate tangent on the profile curve")
+    n = -w / np.sqrt(norm_sq)[..., None]
     return a, n, mink_inner(dda, n) / mink_inner(da, da)
-
-
-def _profile_normal(u):
-    return _normal_from(*_profile_jets(u)[:2])
-
-
-def profile_position(u):
-    return _profile_jets(u)[0]
-
-
-def profile_curvature(u):
-    """Principal curvature of the profile curve in its convex orientation
-    (every value stays below 1)."""
-    return _profile_frame(u)[2]
 
 
 def profile_curve(m=4096):
     period = 4.0 * math.pi
     u = np.linspace(0.0, period, m, endpoint=False)
     phi, eta, kappa = _profile_frame(u)
-    return CurveImmersion(
-        u=u, phi=phi, eta=eta, period=period, kappa=kappa,
-        phi_fn=profile_position, eta_fn=_profile_normal, kappa_fn=profile_curvature)
+    return CurveImmersion(u=u, phi=phi, eta=eta, period=period, kappa=kappa)
 
 
 def circle_curve(rho0, m=512):
@@ -200,28 +157,12 @@ def circle_curve(rho0, m=512):
     if rho0 <= 0.0:
         raise SingularParameterError("circle radius must be positive")
     period = 2.0 * math.pi
-
-    def position(u):
-        u = np.asarray(u, dtype=float)
-        return np.stack([
-            np.full_like(u, math.cosh(rho0)),
-            math.sinh(rho0) * np.cos(u),
-            math.sinh(rho0) * np.sin(u)], axis=-1)
-
-    def normal(u):
-        u = np.asarray(u, dtype=float)
-        return np.stack([
-            np.full_like(u, math.sinh(rho0)),
-            math.cosh(rho0) * np.cos(u),
-            math.cosh(rho0) * np.sin(u)], axis=-1)
-
-    def curvature(u):
-        return np.full(np.shape(u), -1.0 / math.tanh(rho0))
-
     u = np.linspace(0.0, period, m, endpoint=False)
-    return CurveImmersion(
-        u=u, phi=position(u), eta=normal(u), period=period, kappa=curvature(u),
-        phi_fn=position, eta_fn=normal, kappa_fn=curvature)
+    ch, sh = math.cosh(rho0), math.sinh(rho0)
+    phi = np.stack([np.full_like(u, ch), sh * np.cos(u), sh * np.sin(u)], axis=-1)
+    eta = np.stack([np.full_like(u, sh), ch * np.cos(u), ch * np.sin(u)], axis=-1)
+    return CurveImmersion(u=u, phi=phi, eta=eta, period=period,
+                          kappa=np.full(m, -1.0 / math.tanh(rho0)))
 
 
 def product_mesh(m_u=96, m_v=9, length=1.0):

@@ -31,7 +31,7 @@ from .conformal import ConformalMetric, realizability_report, rescale, schouten
 from .correspondence import extrinsic_curvatures, immerse, lambda_kappa
 from .errors import GeometryError
 from .minkowski import to_poincare_ball
-from .sphere import axis_values
+from .sphere import DEFAULT_FD_STEP, axis_values
 from .verify import CRITERIA, check_weingarten_calculus, run_all
 
 EXAMPLE_CHOICES = GALLERY_NAMES + ("alpha",)
@@ -232,15 +232,14 @@ def cmd_flow(args):
               + ["max_discrepancy"])
     # a sample is skipped when the +-h stencil of the extrinsic route leaves
     # the domain or the flowed spectrum reaches the lambda = 1/2 pole
-    h = metric.rho.h if args.h is None else args.h
-    stencil = axis_values(lambda v: metric.rho.in_domain(metric.chart, v), pts, h)
+    stencil = axis_values(lambda v: metric.rho.in_domain(metric.chart, v), pts, args.h)
     pts = pts[np.all(stencil, axis=(0, 2))]
     lam = schouten(scaled, pts).eigenvalues
     window = lam[:, -1] < 0.5
     pts, lam = pts[window], lam[window]
     skipped = args.samples - len(pts)
     pred = np.sort(lambda_kappa(lam), axis=-1)
-    ext = np.sort(extrinsic_curvatures(metric, pts, t=args.t, h=h), axis=-1)
+    ext = np.sort(extrinsic_curvatures(metric, pts, t=args.t, h=args.h), axis=-1)
     rows = np.column_stack([pts, metric.rho.value(pts), lam, ext, pred,
                             np.max(np.abs(ext - pred), axis=-1)]).tolist()
     _emit_csv(header, rows, args.out)
@@ -371,7 +370,8 @@ def build_parser():
 
     p = commands.add_parser("flow", help="curvature sweep at a flow time (csv)")
     p.add_argument("name", choices=EXAMPLE_CHOICES)
-    _add_options(p, "samples", "t", "h", "seed", "rho0", "out", samples=100, t=1.0)
+    _add_options(p, "samples", "t", "h", "seed", "rho0", "out",
+                 samples=100, t=1.0, h=DEFAULT_FD_STEP)
     p.set_defaults(func=cmd_flow)
 
     p = commands.add_parser("embed-check", help="self-intersections under the flow")

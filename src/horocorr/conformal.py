@@ -18,9 +18,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import ChartDomainError, SamplingError
-from .minkowski import _last_axis_sum
 from .sphere import ScalarField, call_stacked, central_gradient, gradient_hessian
-from .weingarten import T
 
 REALIZABLE_MARGIN = 1e-3   # strict gap eps below the 1/2 eigenvalue bound
 REALIZABLE_FLOOR = 1e6     # lower bound B on eigenvalues
@@ -82,30 +80,6 @@ def schouten(metric, u):
               - 0.5 * jets.grad_norm_sq[..., None, None] * g)
     eigenvalues = generalized_eigvalsh(tensor, metric.ghat(u))
     return SchoutenReport(tensor, eigenvalues, u)
-
-
-def horospherical_curvature(kappa_i, kappa_j):
-    """(sectional, schouten_i) of the horospherical metric from two principal
-    curvatures: schouten_i = 1/2 - 1/(1-ki) = T(-ki) and sectional =
-    schouten_i + schouten_j.  Horospherical convexity (kappa < 1) is required.
-    Broadcasts over arrays; scalars give numpy scalars."""
-    schouten_i = T(-np.asarray(kappa_i, dtype=float))
-    return schouten_i + T(-np.asarray(kappa_j, dtype=float)), schouten_i
-
-
-def horospherical_scalar(kappas):
-    """Sum of the pairwise sectional curvatures over ordered pairs i != j,
-    over the last axis of kappas: each T(-kappa_i) enters 2(n - 1) times."""
-    kappas = np.asarray(kappas, dtype=float)
-    return 2.0 * (kappas.shape[-1] - 1) * _last_axis_sum(T(-kappas))
-
-
-def beta(metric, u):
-    """Divergence probe e^{2(rho+t)} + |grad rho|^2; blows up toward a
-    boundary where the metric stays complete."""
-    u = np.asarray(u, dtype=float)
-    jets = gradient_hessian(metric.rho, metric.chart, u)
-    return np.exp(2.0 * metric.effective(u)) + jets.grad_norm_sq
 
 
 def path_length(metric, curve, velocity=None):

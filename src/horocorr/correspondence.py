@@ -28,7 +28,7 @@ import numpy as np
 from .conformal import generalized_eigvalsh, schouten
 from .errors import HyperquadricError, ImmersionError, SingularParameterError
 from .minkowski import mink_inner, on_null_cone
-from .sphere import central_gradient, gradient_hessian
+from .sphere import DEFAULT_FD_STEP, central_gradient, gradient_hessian
 from .weingarten import T, T_INV, flow_shift
 
 CANONICAL = "canonical"   # orientation with kappa < 1 on convex hypersurfaces
@@ -82,7 +82,7 @@ def immerse(metric, u, t=0.0):
     return HypersurfacePoint(phi=phi, eta=psi - phi, psi=psi, point=u, t=t)
 
 
-def extrinsic_curvatures(metric, u, t=0.0, h=None, return_point=False):
+def extrinsic_curvatures(metric, u, t=0.0, h=DEFAULT_FD_STEP, return_point=False):
     """Principal curvatures at chart points, canonical orientation: an
     ascending (..., n) array, or (kappas, point) with return_point=True,
     point the HypersurfacePoint of u carrying the tangents and both forms.
@@ -96,8 +96,6 @@ def extrinsic_curvatures(metric, u, t=0.0, h=None, return_point=False):
     some point.
     """
     u = np.asarray(u, dtype=float)
-    if h is None:
-        h = metric.rho.h
     base = immerse(metric, u, t) if return_point else None
 
     def frame(v):   # t expanded onto the stencil axis
@@ -176,13 +174,6 @@ def fg_metric(metric, u, r):
     return ghat - r**2 * rep.tensor + 0.25 * r**4 * Q
 
 
-def compactified_sectional(lam, r):
-    """Sectional curvature lambda - (r^2/2) lambda^2 of the compactified flow
-    metric."""
-    lam = np.asarray(lam, dtype=float)
-    return lam - 0.5 * r**2 * lam**2
-
-
 def support_and_gauss(point):
     """Support value and Gauss point from the light-cone map psi = e^rho (1, G),
     over the leading axes of psi; psi must be null within relative 1e-8."""
@@ -190,6 +181,6 @@ def support_and_gauss(point):
     p0 = psi[..., 0]
     if np.any(p0 <= 0.0):
         raise HyperquadricError("light-cone map must have positive height")
-    if not np.all(on_null_cone(psi, 1e-8)):
+    if not np.all(on_null_cone(psi)):
         raise HyperquadricError("light-cone map is not null within tolerance")
     return SupportData(np.log(p0), psi[..., 1:] / p0[..., None])

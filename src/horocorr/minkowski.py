@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, HyperquadricError
 
-# default relative tolerance for quadric membership checks
+# relative tolerance of hyperboloid membership checks
 MEMBERSHIP_RTOL = 1e-9
 
 
@@ -61,22 +61,17 @@ def _scale(v):
     return np.maximum(1.0, np.asarray(v)[..., 0] ** 2)
 
 
-def on_hyperboloid(v, rtol=MEMBERSHIP_RTOL):
-    """True where <v,v> = -1 and v0 > 0 within relative tolerance."""
+def on_hyperboloid(v):
+    """True where <v,v> = -1 and v0 > 0 within relative MEMBERSHIP_RTOL."""
     v = np.asarray(v, dtype=float)
-    return (np.abs(mink_inner(v, v) + 1.0) <= rtol * _scale(v)) & (v[..., 0] > 0)
+    return ((np.abs(mink_inner(v, v) + 1.0) <= MEMBERSHIP_RTOL * _scale(v))
+            & (v[..., 0] > 0))
 
 
-def on_null_cone(v, rtol=MEMBERSHIP_RTOL):
-    """True where <v,v> = 0 and v0 > 0 within relative tolerance."""
+def on_null_cone(v):
+    """True where <v,v> = 0 and v0 > 0 within relative 1e-8."""
     v = np.asarray(v, dtype=float)
-    return (np.abs(mink_inner(v, v)) <= rtol * _scale(v)) & (v[..., 0] > 0)
-
-
-def on_de_sitter(v, rtol=MEMBERSHIP_RTOL):
-    """True where <v,v> = 1 within relative tolerance."""
-    v = np.asarray(v, dtype=float)
-    return np.abs(mink_inner(v, v) - 1.0) <= rtol * _scale(v)
+    return (np.abs(mink_inner(v, v)) <= 1e-8 * _scale(v)) & (v[..., 0] > 0)
 
 
 def to_poincare_ball(v):

@@ -222,8 +222,7 @@ class ScalarField:
     value(u) -> (...) values; gradient(u) -> (..., n) partials; hessian(u)
     -> (..., n, n) raw coordinate partials d_i d_j (covariant correction
     applied downstream); domain(u) -> (...) mask restricting the field
-    inside the chart, None meaning the whole chart range.  h is the
-    finite-difference step used when jets are absent.
+    inside the chart, None meaning the whole chart range.
 
     Callables that a batch or a stencil reaches must broadcast in the same
     way.  Finite-difference jets evaluate value, and check domain, once on
@@ -235,7 +234,6 @@ class ScalarField:
     gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
     hessian: Optional[Callable[[np.ndarray], np.ndarray]] = None
     domain: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    h: float = DEFAULT_FD_STEP
 
     def in_domain(self, chart, u):
         """Mask over the leading axes of u: inside the chart and the domain."""
@@ -248,19 +246,18 @@ class ScalarField:
 
     def without_jets(self):
         """Copy of the field that forgets analytic derivatives (forces FD)."""
-        return ScalarField(self.value, None, None, self.domain, self.h)
+        return ScalarField(self.value, None, None, self.domain)
 
 
-def constant_field(c, h=DEFAULT_FD_STEP):
+def constant_field(c):
     return ScalarField(
         value=lambda u: float(c) + np.zeros(np.shape(u)[:-1]),
         gradient=lambda u: np.zeros(np.shape(u)),
         hessian=lambda u: np.zeros(np.shape(u) + np.shape(u)[-1:]),
-        h=h,
     )
 
 
-def radial_band_field(f, fs=None, fss=None, domain_s=None, h=DEFAULT_FD_STEP):
+def radial_band_field(f, fs=None, fss=None, domain_s=None):
     """Field on a band chart depending on the arc coordinate s = u[..., 0] only.
 
     f, fs, fss: value and its first/second s-derivatives; domain_s(s) -> mask
@@ -291,12 +288,7 @@ def radial_band_field(f, fs=None, fss=None, domain_s=None, h=DEFAULT_FD_STEP):
         def domain(u):
             return domain_s(np.asarray(u, dtype=float)[..., 0])
 
-    return ScalarField(value, gradient, hessian, domain, h)
-
-
-def field_from_ambient(chart, F, h=DEFAULT_FD_STEP, domain=None):
-    """Chart-independent field: evaluates an ambient function F(x), x on S^n."""
-    return ScalarField(lambda u: F(chart.embed(u)), domain=domain, h=h)
+    return ScalarField(value, gradient, hessian, domain)
 
 
 def call_stacked(f, points, lead):
@@ -394,7 +386,7 @@ def gradient_hessian(field, chart, u):
     (broadcasting over the leading axes of u).
 
     Uses analytic jets when the field carries them, otherwise central
-    differences with the field's step h (requiring stencil room inside the
+    differences of step DEFAULT_FD_STEP (requiring stencil room inside the
     domain).  Raises ChartDomainError if any point is outside the domain.
     """
     u = np.asarray(u, dtype=float)
@@ -405,7 +397,7 @@ def gradient_hessian(field, chart, u):
         grad = np.asarray(field.gradient(u), dtype=float)
         raw_hess = np.asarray(field.hessian(u), dtype=float)
     else:
-        _, grad, raw_hess = fd_jet(field, u, field.h, chart)
+        _, grad, raw_hess = fd_jet(field, u, DEFAULT_FD_STEP, chart)
     cov = raw_hess - np.einsum("...kij,...k->...ij", chart.christoffels(u), grad)
     norm_sq = np.einsum("...i,...ij,...j->...", grad, chart.metric_inverse(u), grad)
     return GradHess(grad, norm_sq, cov)

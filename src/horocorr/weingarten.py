@@ -14,23 +14,21 @@ Both are instances of Mobius, whose one input check guards every such map.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import RootBracketError, SingularParameterError
+from .errors import SingularParameterError
 from .minkowski import _last_axis_sum
-from .sphere import axis_values, central_gradient, central_jet
+from .sphere import central_gradient, central_jet
 
 METRIC_SIDE = "metric"            # f acting on Schouten eigenvalues, cone in C
 HYPERSURFACE_SIDE = "hypersurface"  # W acting on principal curvatures, cone in K
 
 CONE_C = "C"        # all x_i < 1/2
 CONE_K = "K"        # all x_i > -1
-CONE_GAMMA_N = "Gamma_n"  # all x_i > 0
-_CONE_ENTRIES = {CONE_C: lambda x: x < 0.5, CONE_K: lambda x: x > -1.0,
-                 CONE_GAMMA_N: lambda x: x > 0.0}
+_CONE_ENTRIES = {CONE_C: lambda x: x < 0.5, CONE_K: lambda x: x > -1.0}
 
 
 @dataclass(frozen=True)
@@ -122,17 +120,6 @@ def in_cone(x, tag):
     return np.all(_CONE_ENTRIES[tag](np.asarray(x, dtype=float)), axis=-1)
 
 
-@dataclass(frozen=True)
-class ConePoint:
-    coordinates: np.ndarray
-    tag: str
-
-    def __post_init__(self):
-        if not np.all(in_cone(self.coordinates, self.tag)):
-            raise SingularParameterError(
-                f"point {self.coordinates} violates the {self.tag} inequalities")
-
-
 def t_map(x, direction="k_to_c"):
     """Componentwise Moebius map between the two eigenvalue cones.
 
@@ -219,41 +206,6 @@ def elementary_symmetric(n, k, side=METRIC_SIDE):
     )
 
 
-def mean_function(n, side=METRIC_SIDE):
-    """sigma_1 / n, with sigma_1's cone."""
-    sigma = elementary_symmetric(n, 1, side)
-    return replace(sigma, eval=lambda x: sigma.eval(x) / n,
-                   gradient=lambda x: sigma.gradient(x) / n,
-                   hessian=lambda x: sigma.hessian(x) / n, name="mean")
-
-
-def power_mean(n, p, side=METRIC_SIDE):
-    """((sum x_i^p)/n)^(1/p); admissible only on the positive cone."""
-    if p == 0:
-        raise SingularParameterError("p = 0 excluded; use the geometric mean directly")
-
-    def value(x):
-        x = np.asarray(x, dtype=float)
-        if np.any(x <= 0.0):
-            raise SingularParameterError("power mean needs positive entries")
-        return np.mean(x**p, axis=-1) ** (1.0 / p)
-
-    def gradient(x):
-        x = np.asarray(x, dtype=float)
-        m = np.mean(x**p, axis=-1)[..., None]
-        return (m ** (1.0 / p - 1.0)) * (x ** (p - 1.0)) / n
-
-    base_tag = CONE_C if side == METRIC_SIDE else CONE_K
-    return CurvatureFunction(
-        side=side,
-        n=n,
-        eval=value,
-        gradient=gradient,
-        cone=lambda x: in_cone(x, CONE_GAMMA_N) & in_cone(x, base_tag),
-        name=f"power_mean_{p}",
-    )
-
-
 def _pull_back(F, mobius, side, name):
     """F o mobius for a componentwise Moebius map, with the gradient by the
     chain rule and the cone predicate pulled back (False off its domain)."""
@@ -304,41 +256,6 @@ def flow_conjugate(W, t):
                       f"{W.name}^t" if W.name else "")
 
 
-@dataclass(frozen=True)
-class EllipticityRecord:
-    point: np.ndarray
-    partials: np.ndarray
-    elliptic: bool   # all partials strictly positive
-    smooth: bool     # one-sided differences agree (no kink detected)
-
-
-def ellipticity_check(F, points):
-    """Finite-difference ellipticity report, one record per point of the
-    (..., n) array points, from one call of F on them and one on their stencil
-    of step h = 1e-5.
-
-    A point is elliptic when every partial derivative is strictly positive.
-    One-sided differences are compared to flag kinks (non-smooth evaluation),
-    in which case elliptic is forced False.
-    """
-    x = np.asarray(points, dtype=float)
-    h = 1e-5
-    f0 = F(x)[..., None]
-    fp, fm = axis_values(F, x, h)
-    finite = np.all(np.isfinite(f0) & np.isfinite(fp) & np.isfinite(fm), axis=-1)
-    if not np.all(finite):
-        raise SingularParameterError(f"non-finite evaluation at or near {x[~finite][0]}")
-    forward = (fp - f0) / h
-    backward = (f0 - fm) / h
-    partials = 0.5 * (forward + backward)
-    smooth = ~np.any(np.abs(forward - backward)
-                     > 100.0 * h * (1.0 + np.abs(f0) + np.abs(partials)), axis=-1)
-    elliptic = smooth & np.all(partials > 0.0, axis=-1)
-    n = x.shape[-1]
-    return list(map(EllipticityRecord, x.reshape(-1, n), partials.reshape(-1, n),
-                    elliptic.ravel().tolist(), smooth.ravel().tolist()))
-
-
 def hessian_transform(f, kappa):
     """Hessian of the conjugate W = f o T expressed through f's jets:
 
@@ -370,32 +287,3 @@ def hr_inequality(a):
     lhs = _last_axis_sum(2.0 * T(a))     # 2 T(a) = (a - 1)/(a + 1)
     rhs = 2.0 * _last_axis_sum(a) - a.shape[-1]
     return lhs, rhs, lhs <= rhs + 1e-12
-
-
-def admissible_constant(F, C, bracket):
-    """Diagonal root F(x, ..., x) = C inside a bracket.
-
-    Validates a sign change over the bracket, that the root has a strictly
-    positive diagonal derivative (central difference of step 1e-6), and (when F carries a cone predicate) that
-    the diagonal point is admissible."""
-    a, b = bracket
-
-    def diag(x):
-        return F.eval(np.repeat(np.asarray(x, dtype=float)[..., None], F.n, axis=-1)) - C
-
-    fa, fb = diag(a), diag(b)
-    if not (np.isfinite(fa) and np.isfinite(fb)):
-        raise RootBracketError("bracket endpoints do not evaluate finitely")
-    if fa * fb > 0:
-        raise RootBracketError("bracket does not straddle a sign change")
-    lo, hi = sorted((float(a), float(b)))
-    side, root = np.sign(diag(lo)), 0.5 * (lo + hi)
-    while hi - lo > 1e-13 and lo < root < hi:   # bisect to 1e-13 or one ulp
-        lo, hi = (root, hi) if np.sign(diag(root)) == side else (lo, root)
-        root = 0.5 * (lo + hi)
-    slope = central_gradient(lambda r: diag(r[..., 0]), [root], 1e-6)[0]
-    if slope <= 0:
-        raise RootBracketError("diagonal derivative nonpositive at the root")
-    if F.cone is not None and not F.cone(np.full(F.n, root)):
-        raise RootBracketError("diagonal root falls outside the admissible cone")
-    return root

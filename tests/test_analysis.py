@@ -22,13 +22,11 @@ from horocorr.analysis import (
     gauss_winding,
     make_example,
     product_mesh,
-    profile_curvature,
     profile_curve,
-    profile_position,
     self_intersections,
 )
-from horocorr.conformal import ConformalMetric, horospherical_scalar, schouten
-from horocorr.correspondence import ricatti
+from horocorr.conformal import ConformalMetric, schouten
+from horocorr.correspondence import CANONICAL, lambda_kappa, ricatti
 from horocorr.errors import (
     RootBracketError,
     SamplingError,
@@ -234,9 +232,9 @@ class TestGalleryEntries:
         assert np.allclose(curve.phi[0], expected, atol=1e-12)
 
     def test_profile_closes_up(self):
-        curve = profile_curve(16)
-        assert np.allclose(curve.phi_fn(np.array([curve.period])),
-                           curve.phi_fn(np.array([0.0])), atol=1e-12)
+        start, end = (analysis._profile_frame(np.array([u])) for u in (0.0, 4 * np.pi))
+        for a, b in zip(start, end):
+            assert np.allclose(a, b, atol=1e-12)
 
     def test_band_value_at_half(self):
         metric = make_example("incomplete-band").payload
@@ -275,13 +273,6 @@ class TestGalleryEntries:
 
 
 class TestProfileJets:
-    @pytest.mark.parametrize("m", [5, 1024, 8192])
-    def test_curve_matches_public_functions(self, m):
-        curve = profile_curve(m)
-        np.testing.assert_array_equal(curve.phi, profile_position(curve.u))
-        np.testing.assert_array_equal(curve.eta, analysis._profile_normal(curve.u))
-        np.testing.assert_array_equal(curve.kappa, profile_curvature(curve.u))
-
     def test_one_jet_evaluation_per_build(self, monkeypatch):
         calls = []
         jets = analysis._profile_jets
@@ -307,23 +298,32 @@ class TestCurveType:
             make_example("alpha-product").payload.flowed(float("inf"))
 
     def test_flowed_matches_direct_formula(self):
-        curve = profile_curve(128)
         t = 0.35
-        moved = curve.flowed(t)
-        expected_phi = curve.phi * math.cosh(t) + curve.eta * math.sinh(t)
-        assert np.allclose(moved.phi, expected_phi, atol=1e-12)
-        assert np.allclose(moved.kappa, ricatti(curve.kappa, t), atol=1e-12)
+        for curve in (profile_curve(128), circle_curve(0.7, 256)):
+            moved = curve.flowed(t)
+            expected_phi = curve.phi * math.cosh(t) + curve.eta * math.sinh(t)
+            assert np.allclose(moved.phi, expected_phi, atol=1e-12)
+            np.testing.assert_array_equal(moved.kappa, ricatti(curve.kappa, t))
+            np.testing.assert_array_equal(moved.u, curve.u)
+            assert moved.period == curve.period
 
-    def test_resample_matches_fresh_build(self):
-        again = profile_curve(64).resample(256)
-        fresh = profile_curve(256)
-        assert np.allclose(again.phi, fresh.phi, atol=1e-12)
-        assert np.allclose(again.kappa, fresh.kappa, atol=1e-12)
-
-    def test_resample_needs_samplers(self):
-        bare = replace(profile_curve(64), phi_fn=None, eta_fn=None)
-        with pytest.raises(SamplingError):
-            bare.resample(128)
+    @pytest.mark.parametrize("rho0, m", [(0.7, 256), (2.0, 5)])
+    def test_circle_matches_closed_form(self, rho0, m):
+        # the geodesic circle of radius rho0 with its outward normal, in closed form
+        u = np.linspace(0.0, 2.0 * math.pi, m, endpoint=False)
+        phi = np.stack([np.full_like(u, math.cosh(rho0)),
+                        math.sinh(rho0) * np.cos(u),
+                        math.sinh(rho0) * np.sin(u)], axis=-1)
+        eta = np.stack([np.full_like(u, math.sinh(rho0)),
+                        math.cosh(rho0) * np.cos(u),
+                        math.cosh(rho0) * np.sin(u)], axis=-1)
+        kappa = np.full(np.shape(u), -1.0 / math.tanh(rho0))
+        curve = circle_curve(rho0, m)
+        np.testing.assert_array_equal(curve.u, u)
+        np.testing.assert_array_equal(curve.phi, phi)
+        np.testing.assert_array_equal(curve.eta, eta)
+        np.testing.assert_array_equal(curve.kappa, kappa)
+        assert curve.period == 2.0 * math.pi
 
 
 class TestWinding:
@@ -632,14 +632,17 @@ class TestEmbeddingTime:
 
 class TestCurvatureSign:
     def test_profile_stays_horospherically_convex(self):
-        kappa = profile_curvature(np.linspace(0, 4 * np.pi, 4096, endpoint=False))
+        kappa = profile_curve(4096).kappa
         assert np.max(kappa) < 1.0
         assert np.min(kappa) > -20.0
 
     def test_product_scalar_curvature_negative(self):
-        kappa = profile_curvature(np.linspace(0, 4 * np.pi, 256, endpoint=False))
-        for k in kappa:
-            assert horospherical_scalar(np.array([k, 0.0, 0.0, 0.0])) < 0.0
+        # scalar curvature of the product with three flat directions:
+        # 2(n - 1) times the sum of the Schouten entries T(-kappa_i)
+        spectrum = np.zeros((256, 4))
+        spectrum[:, 0] = profile_curve(256).kappa
+        schouten_entries = lambda_kappa(spectrum, CANONICAL, "kappa_to_lambda")
+        assert np.all(6.0 * np.sum(schouten_entries, axis=-1) < 0.0)
 
 
 class TestBoundaryAtInfinity:

@@ -9,11 +9,8 @@ from horocorr.analysis import make_example
 from horocorr.conformal import (
     LENGTH_CAP,
     ConformalMetric,
-    beta,
     flow_time_for_bound,
     generalized_eigvalsh,
-    horospherical_curvature,
-    horospherical_scalar,
     path_length,
     realizability_report,
     rescale,
@@ -23,7 +20,6 @@ from horocorr.errors import (
     ChartDomainError,
     DimensionMismatch,
     SamplingError,
-    SingularParameterError,
 )
 from horocorr.sphere import (
     BandChart,
@@ -142,7 +138,6 @@ class TestSchouten:
             f=lambda s: 0.2 * np.sin(s),
             fs=lambda s: 0.2 * np.cos(s),
             fss=lambda s: -0.2 * np.sin(s),
-            h=1e-4,
         )
         exact = ConformalMetric(chart, rho)
         approx = ConformalMetric(chart, rho.without_jets())
@@ -153,13 +148,11 @@ class TestSchouten:
                 atol=5e-6)
 
     def test_eigenvalues_chart_invariant(self):
-        from horocorr.sphere import field_from_ambient
-
         F = lambda x: 0.3 * x[..., 2] + 0.1 * np.cos(x[..., 0])
         band = BandChart(2)
         stereo = StereographicChart(2)
-        m_band = ConformalMetric(band, field_from_ambient(band, F))
-        m_st = ConformalMetric(stereo, field_from_ambient(stereo, F))
+        m_band = ConformalMetric(band, ScalarField(lambda u: F(band.embed(u))))
+        m_st = ConformalMetric(stereo, ScalarField(lambda u: F(stereo.embed(u))))
         u_band = np.array([0.4, 0.9])
         x = band.embed(u_band)
         u_st = x[:-1] / (1.0 + x[-1])
@@ -186,54 +179,6 @@ class TestGeneralizedEigvalsh:
     def test_rejects_indefinite_metric(self):
         with pytest.raises(np.linalg.LinAlgError):
             generalized_eigvalsh(np.eye(2), np.diag([1.0, -1.0]))
-
-
-class TestHorosphericalCurvature:
-    def test_totally_geodesic_pair(self):
-        sectional, _ = horospherical_curvature(0.0, 0.0)
-        assert sectional == -1.0
-
-    def test_horosphere_limit(self):
-        sectional, _ = horospherical_curvature(-1.0, -1.0)
-        assert sectional == 0.0
-
-    def test_schouten_entry_matches_dictionary(self):
-        _, entry = horospherical_curvature(-3.0, 0.0)
-        assert entry == pytest.approx(0.25)
-
-    def test_convexity_boundary_rejected(self):
-        with pytest.raises(SingularParameterError):
-            horospherical_curvature(1.0, -0.5)
-
-    def test_batch_matches_stacked_scalar_calls(self):
-        kappa_i = np.array([[0.0, -1.0, -3.0], [0.5, 0.9, -1e3]])
-        kappa_j = np.array([0.0, -0.5, 0.99])
-        sectional, entry = horospherical_curvature(kappa_i, kappa_j)
-        want = np.array([[horospherical_curvature(a, b) for a, b in zip(row, kappa_j)]
-                         for row in kappa_i])
-        np.testing.assert_array_equal(sectional, want[..., 0])
-        np.testing.assert_array_equal(entry, want[..., 1])
-        assert all(isinstance(x, np.float64) for x in horospherical_curvature(0.3, 0.1))
-
-    def test_scalar_negative_for_product_spectrum(self):
-        for kappa in (0.0, 0.3, 0.9):
-            assert horospherical_scalar([kappa, 0.0, 0.0, 0.0]) < 0.0
-
-
-class TestBeta:
-    def test_constant(self):
-        metric = ConformalMetric(StereographicChart(2), constant_field(0.7))
-        assert beta(metric, np.zeros(2)) == pytest.approx(math.exp(1.4), abs=1e-12)
-
-    def test_round(self):
-        metric = ConformalMetric(BandChart(2), constant_field(0.0))
-        assert beta(metric, np.array([0.2, 0.1])) == pytest.approx(1.0, abs=1e-12)
-
-    def test_band_monotone_toward_boundary(self):
-        metric = band_metric()
-        values = [beta(metric, np.array([s, 0.0]))
-                  for s in np.linspace(0.9, 0.99, 12)]
-        assert all(b > a for a, b in zip(values, values[1:]))
 
 
 class TestPathLength:

@@ -17,7 +17,6 @@ from horocorr.conformal import (
 from horocorr.correspondence import (
     CANONICAL,
     OPPOSITE,
-    compactified_sectional,
     extrinsic_curvatures,
     fg_metric,
     flow_metric_factor,
@@ -300,13 +299,6 @@ class TestFgMetric:
     def test_negative_r_rejected(self):
         with pytest.raises(SingularParameterError):
             fg_metric(band_metric(), np.array([0.1, 0.1]), -0.5)
-
-
-class TestCompactifiedSectional:
-    def test_values(self):
-        assert compactified_sectional(0.3, 0.0) == 0.3
-        assert compactified_sectional(0.5, 2.0) == 0.0
-        assert compactified_sectional(-0.5, 1.0) == pytest.approx(-0.625)
 
 
 class TestSupportAndGauss:

@@ -1,11 +1,20 @@
-"""Every name a module of the package imports is read somewhere in it."""
+"""Every name a module of the package imports is read somewhere in it, and
+every public function or class it defines is reached by the program."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "horocorr").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "horocorr").glob("*.py"))
+BENCH_SOURCES = sorted((ROOT / "perfbench").glob("*.py"))
+
+# public names kept with no program caller, each with its reason
+KEEP = {
+    # inverse of to_poincare_ball: the tests build hyperboloid points from it
+    "from_poincare_ball",
+}
 
 
 def unused_imports(source):
@@ -36,3 +45,58 @@ def test_guard_flags_an_unused_name():
     source = ("import os\nimport numpy as np\nfrom math import pi, tau\n"
               "from a.b import c as d\nx = np.linalg.norm(pi)\n")
     assert unused_imports(source) == ["d", "os", "tau"]
+
+
+def unreached(modules, bench_sources, keep=()):
+    """Public top-level functions and classes of the package that nothing
+    reaches, as sorted "module.name" strings.
+
+    modules maps module names to their source.  A name is reached when
+    another module imports it from its module, its own module reads it, or
+    a benchmark source names it (as a name, attribute, import or string).
+    """
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    imported = {(node.module.rpartition(".")[2], alias.name)
+                for tree in trees.values() for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level and node.module
+                for alias in node.names}
+    named = set()
+    for source in bench_sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name.rpartition(".")[2])
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                named.add(node.value)
+    missing = []
+    for module, tree in trees.items():
+        reached = named | set(keep) | {
+            node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        missing += [f"{module}.{node.name}" for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")
+                    and node.name not in reached
+                    and (module, node.name) not in imported]
+    return sorted(missing)
+
+
+def test_every_public_name_reached():
+    modules = {path.stem: path.read_text() for path in SOURCES}
+    bench = [path.read_text() for path in BENCH_SOURCES]
+    assert bench
+    assert unreached(modules, bench, KEEP) == []
+
+
+def test_guard_flags_an_unreached_name():
+    modules = {
+        "a": ("def used(): pass\ndef own(): pass\ndef orphan(): pass\n"
+              "def _private(): pass\ndef benched(): pass\nclass Kept: pass\n"
+              "class Lonely: pass\nx = own()\n"),
+        "b": "from .a import used\ndef orphan(): pass\norphan = 1\n",
+    }
+    bench = ['SPANS = [("a", "benched")]\n']
+    assert unreached(modules, bench, {"Kept"}) == ["a.Lonely", "a.orphan", "b.orphan"]

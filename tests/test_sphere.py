@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from horocorr.errors import ChartDomainError, DimensionMismatch
 from horocorr.sphere import (
+    DEFAULT_FD_STEP,
     BandChart,
     StereographicChart,
     axis_values,
@@ -14,7 +15,6 @@ from horocorr.sphere import (
     central_jet,
     constant_field,
     fd_jet,
-    field_from_ambient,
     gradient_hessian,
     radial_band_field,
     ScalarField,
@@ -123,14 +123,13 @@ class TestStackedStencils:
                 gradient_hessian(field, BandChart(2), u)
 
 
-def band_example_field(h=1e-4):
+def band_example_field():
     # rho(s) = -1/2 log(1 - s^2) on |s| < 1, with analytic jets
     return radial_band_field(
         f=lambda s: -0.5 * np.log(1.0 - s * s),
         fs=lambda s: s / (1.0 - s * s),
         fss=lambda s: (1.0 + s * s) / (1.0 - s * s) ** 2,
         domain_s=lambda s: abs(s) < 1.0,
-        h=h,
     )
 
 
@@ -233,18 +232,18 @@ class TestFdJet:
 
     def test_stencil_domain_guard(self):
         chart = BandChart(2)
-        field = band_example_field(h=1e-2)
+        field = band_example_field()
         with pytest.raises(ChartDomainError):
             fd_jet(field, np.array([0.995, 0.0]), h=1e-2, chart=chart)
 
     def test_stencil_room_is_what_the_stencil_reaches(self):
         # central_jet reaches +-h along each axis and the +-h diagonal
         # corners, so a point 1.5h inside the domain edge has room and a
-        # point 0.5h inside does not
+        # point 0.5h inside does not; h is the step gradient_hessian takes
         chart = BandChart(2)
-        h = 1e-3
+        h = DEFAULT_FD_STEP
         field = radial_band_field(f=np.exp, fs=np.exp, fss=np.exp,
-                                  domain_s=lambda s: np.abs(s) < 0.5, h=h)
+                                  domain_s=lambda s: np.abs(s) < 0.5)
         u = np.array([0.5 - 1.5 * h, 0.7])
         value, grad, hess = fd_jet(field, u, h=h, chart=chart)
         assert value == pytest.approx(math.exp(u[0]), rel=1e-12)
@@ -316,8 +315,8 @@ class TestGradientHessian:
         F = lambda x: np.sin(x[..., 0]) * x[..., 2] + 0.3 * x[..., 1]
         band = BandChart(2)
         stereo = StereographicChart(2)
-        f_band = field_from_ambient(band, F)
-        f_st = field_from_ambient(stereo, F)
+        f_band = ScalarField(lambda u: F(band.embed(u)))
+        f_st = ScalarField(lambda u: F(stereo.embed(u)))
         for u_band in (np.array([0.4, 0.9]), np.array([-0.3, 2.2])):
             x = band.embed(u_band)
             # invert the stereographic embedding: u = (x_1..x_n)/(1 + x_{n+1})
