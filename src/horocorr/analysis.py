@@ -250,14 +250,14 @@ def make_example(name, **params):
         resolved = {}
     elif name == "incomplete-band":
         _no_extra(name, params)
-        payload = ConformalMetric(BandChart(2), incomplete_band_field())
+        payload = ConformalMetric(BandChart(), incomplete_band_field())
         resolved = {}
     elif name == "cylinder-delaunay":
         t = float(params.pop("t", 1.0))
         _no_extra(name, params)
         if t <= 0.0:
             raise SingularParameterError("cylinder example needs flow offset t > 0")
-        payload = ConformalMetric(BandChart(2), cylinder_field(), t=t)
+        payload = ConformalMetric(BandChart(), cylinder_field(), t=t)
         resolved = {"t": t}
     elif name == "alpha-curve":
         m = int(params.pop("m", 4096))
@@ -446,12 +446,12 @@ def _mesh_crossings(mesh):
 
 @dataclass(frozen=True)
 class EmbeddingReport:
-    """Certified first embedded flow time: crossing counts straddle the
-    reported time within the bisection tolerance."""
+    """Certified first embedded flow time: the payload has no self-crossings
+    at t_embedded and crossings_before of them one tolerance earlier (None
+    when it is embedded from the start)."""
 
     t_embedded: float
     crossings_before: Optional[int]
-    crossings_after: int
     tolerance: float
 
 
@@ -469,7 +469,7 @@ def first_embedded_time(payload, t_max=5.0, tol=1e-2):
 
     c0 = count(0.0)
     if c0 == 0:
-        return EmbeddingReport(0.0, None, 0, tol)
+        return EmbeddingReport(0.0, None, tol)
     c_top = count(t_max)
     if c_top != 0:
         raise RootBracketError(
@@ -483,7 +483,7 @@ def first_embedded_time(payload, t_max=5.0, tol=1e-2):
             hi = mid
         else:
             lo, c_lo = mid, c_mid
-    return EmbeddingReport(hi, c_lo, 0, tol)
+    return EmbeddingReport(hi, c_lo, tol)
 
 
 # -- boundary at infinity -----------------------------------------------------
@@ -623,8 +623,6 @@ def boundary_at_infinity(entry, escape_threshold=0.999, t=1.0, n_directions=64):
     chart = metric.chart
     angles = np.linspace(0.0, 2.0 * np.pi, n_directions, endpoint=False)
     if chart.kind == "band":
-        if chart.n != 2:
-            raise SingularParameterError("band boundary tracing implemented for n = 2")
         ladder = 1.0 - 2.0 ** -np.arange(1.0, LADDER_DEPTH + 1)
         arcs = np.concatenate([sign * domain_edge(metric, sign, np.pi / 2) * ladder
                                for sign in (1.0, -1.0)])

@@ -4,9 +4,8 @@ Two chart kinds cover every example in the package:
 
 * StereographicChart: coordinates u in R^n, embedding
   x(u) = (2u, 1-|u|^2)/(1+|u|^2), metric (2/(1+|u|^2))^2 * identity.
-* BandChart: coordinates (s, a_1, ..., a_{n-1}) with s in (-pi/2, pi/2) an
-  arc parameter and hyperspherical angles a on the S^{n-1} factor; metric
-  ds^2 + cos^2(s) g_{S^{n-1}}.
+* BandChart, on S^2 only: coordinates (s, a) with s in (-pi/2, pi/2) the
+  arc from the equator and a the angle along it; metric ds^2 + cos^2(s) da^2.
 
 Scalar fields are closures over chart coordinates with optional analytic
 gradient/Hessian; the Hessian callable returns raw coordinate partials
@@ -33,12 +32,6 @@ DEFAULT_FD_STEP = 1e-4
 def _diag(d):
     """Diagonal matrices with the entries of d's last axis."""
     return d[..., :, None] * np.eye(d.shape[-1])
-
-
-def _running_products(x):
-    """1, x_1, x_1 x_2, ..., x_1 ... x_m along the last axis."""
-    ones = np.ones(x.shape[:-1] + (1,))
-    return np.concatenate([ones, np.cumprod(x, axis=-1)], axis=-1)
 
 
 def _require(chart, u):
@@ -105,93 +98,39 @@ class StereographicChart:
 
 
 class BandChart:
-    """Warped chart ds^2 + cos^2(s) g_{S^{n-1}} around an equator of S^n.
+    """Chart ds^2 + cos^2(s) da^2 on S^2 around its equator.
 
-    Coordinates: u[0] = s in (-pi/2, pi/2); u[1:] are hyperspherical angles
-    on the S^{n-1} factor (for n = 2 a single angle, arbitrary real; for
-    n >= 3 the middle angles must stay in (0, pi)).  n = 1 means just the
-    s coordinate on a half great circle.
+    Coordinates u = (s, a): s in (-pi/2, pi/2) is the arc from the equator
+    and a, any real number, the angle along it; the embedding is
+    x(s, a) = (cos s cos a, cos s sin a, sin s).
     """
 
-    def __init__(self, n):
-        if n < 1:
-            raise ChartDomainError("sphere dimension must be >= 1")
-        self.n = n
-
+    n = 2
     kind = "band"
 
     def contains(self, u):
         u = np.asarray(u, dtype=float)
-        if u.shape[-1] != self.n:
+        if u.shape[-1] != 2:
             return np.zeros(u.shape[:-1], dtype=bool)
-        # middle hyperspherical angles degenerate at 0 and pi
-        middle = u[..., 1:-1]
-        return (np.all(np.isfinite(u), axis=-1)
-                & (np.abs(u[..., 0]) < np.pi / 2)
-                & np.all((middle > 0.0) & (middle < np.pi), axis=-1))
-
-    # -- S^{n-1} factor in hyperspherical angles -------------------------------
-
-    def _factor_embed(self, a):
-        # y_1 = cos a1, y_2 = sin a1 cos a2, ..., y_m+1 = sin a1 ... sin a_m
-        ones = np.ones(a.shape[:-1] + (1,))
-        return _running_products(np.sin(a)) * np.concatenate([np.cos(a), ones], axis=-1)
-
-    def _factor_metric_diag(self, a):
-        return _running_products(np.sin(a) ** 2)[..., :-1]
-
-    def _factor_christoffels(self, a):
-        m = self.n - 1
-        h = self._factor_metric_diag(a)
-        gamma = np.zeros(a.shape[:-1] + (m, m, m))
-        for i in range(m):
-            for k in range(i):
-                cot = 1.0 / np.tan(a[..., k])
-                gamma[..., k, i, i] = -(h[..., i] / h[..., k]) * cot
-                gamma[..., i, i, k] = cot
-                gamma[..., i, k, i] = cot
-        return gamma
-
-    def _factor_jacobian(self, a):
-        # d y_i / d a_j: entry i vanishes for i < j, picks up -sin at i = j,
-        # and swaps its sin(a_j) factor for cos(a_j) when i > j
-        m = self.n - 1
-        sin, cos = np.sin(a), np.cos(a)
-        dy = np.zeros(a.shape[:-1] + (m + 1, m))
-        for j in range(m):
-            dy[..., j, j] = -np.prod(sin[..., :j], axis=-1) * sin[..., j]
-            for i in range(j + 1, m + 1):
-                prod = cos[..., j]
-                for l in range(i):
-                    if l != j:
-                        prod = prod * sin[..., l]
-                if i < m:
-                    prod = prod * cos[..., i]
-                dy[..., i, j] = prod
-        return dy
-
-    # -- full chart ------------------------------------------------------------
+        return np.all(np.isfinite(u), axis=-1) & (np.abs(u[..., 0]) < np.pi / 2)
 
     def embed(self, u):
         u = _require(self, u)
-        s = u[..., :1]
+        s, a = u[..., :1], u[..., 1:]
         return np.concatenate(
-            [np.cos(s) * self._factor_embed(u[..., 1:]), np.sin(s)], axis=-1)
+            [np.cos(s) * np.cos(a), np.cos(s) * np.sin(a), np.sin(s)], axis=-1)
 
     def jacobian(self, u):
         u = _require(self, u)
-        s = u[..., :1]
-        a = u[..., 1:]
-        ds = np.concatenate([-np.sin(s) * self._factor_embed(a), np.cos(s)], axis=-1)
-        dy = np.cos(s)[..., None] * self._factor_jacobian(a)
-        da = np.concatenate([dy, np.zeros(a.shape[:-1] + (1, self.n - 1))], axis=-2)
-        return np.concatenate([ds[..., :, None], da], axis=-1)
+        s, a = u[..., :1], u[..., 1:]
+        sin_s, cos_s, sin_a, cos_a = np.sin(s), np.cos(s), np.sin(a), np.cos(a)
+        ds = np.concatenate([-sin_s * cos_a, -sin_s * sin_a, cos_s], axis=-1)
+        da = np.concatenate([cos_s * -sin_a, cos_s * cos_a, np.zeros_like(s)], axis=-1)
+        return np.stack([ds, da], axis=-1)
 
     def _metric_diag(self, u):
-        u = _require(self, u)
-        ones = np.ones(u.shape[:-1] + (1,))
-        angular = np.cos(u[..., :1]) ** 2 * self._factor_metric_diag(u[..., 1:])
-        return np.concatenate([ones, angular], axis=-1)
+        s = _require(self, u)[..., :1]
+        return np.concatenate([np.ones_like(s), np.cos(s) ** 2], axis=-1)
 
     def metric(self, u):
         return _diag(self._metric_diag(u))
@@ -200,16 +139,13 @@ class BandChart:
         return _diag(1.0 / self._metric_diag(u))
 
     def christoffels(self, u):
+        # Gamma^s_aa = tan(s) cos^2(s);  Gamma^a_sa = Gamma^a_as = -tan(s)
         u = _require(self, u)
-        n = self.n
-        gamma = np.zeros(u.shape[:-1] + (n, n, n))
-        tan_s = np.tan(u[..., 0])[..., None]
-        # Gamma^s_ab = tan(s) g_ab;  Gamma^a_sb = -tan(s) delta^a_b
-        gamma[..., 0, 1:, 1:] = tan_s[..., None] * _diag(self._metric_diag(u)[..., 1:])
-        a = np.arange(1, n)
-        gamma[..., a, 0, a] = -tan_s
-        gamma[..., a, a, 0] = -tan_s
-        gamma[..., 1:, 1:, 1:] = self._factor_christoffels(u[..., 1:])
+        s = u[..., :1]
+        tan_s = np.tan(s)
+        gamma = np.zeros(u.shape[:-1] + (2, 2, 2))
+        gamma[..., 0, 1, 1:] = tan_s * np.cos(s) ** 2
+        gamma[..., 1, 0, 1:] = gamma[..., 1, 1:, 0] = -tan_s
         return gamma
 
 

@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import SingularParameterError
 from .minkowski import _last_axis_sum
-from .sphere import central_gradient, central_jet
 
 METRIC_SIDE = "metric"            # f acting on Schouten eigenvalues, cone in C
 HYPERSURFACE_SIDE = "hypersurface"  # W acting on principal curvatures, cone in K
@@ -262,16 +261,15 @@ def hessian_transform(f, kappa):
         d2W/dk_i dk_j = f_ij / ((1+k_i)^2 (1+k_j)^2) - 2 delta_ij f_i / (1+k_i)^3
 
     evaluated at lambda = T(kappa), broadcasting over the leading axes of
-    kappa; jets f lacks come from central differences of step 1e-4.  f must
-    be metric-side."""
+    kappa.  f must be metric-side and carry analytic gradient and Hessian."""
     if f.side != METRIC_SIDE:
         raise SingularParameterError("hessian transform starts from a metric-side function")
+    if f.gradient is None or f.hessian is None:
+        raise SingularParameterError("hessian transform needs analytic jets of f")
     kappa = np.asarray(kappa, dtype=float)
     lam = T(kappa)
-    grad = (central_gradient(f.eval, lam, 1e-4) if f.gradient is None
-            else np.asarray(f.gradient(lam), dtype=float))
-    hess = (central_jet(f.eval, lam, 1e-4)[2] if f.hessian is None
-            else np.asarray(f.hessian(lam), dtype=float))
+    grad = np.asarray(f.gradient(lam), dtype=float)
+    hess = np.asarray(f.hessian(lam), dtype=float)
     one = 1.0 + kappa
     out = hess / (one[..., :, None]**2 * one[..., None, :]**2)
     i = np.arange(kappa.shape[-1])

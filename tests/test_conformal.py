@@ -33,7 +33,7 @@ from test_sphere import band_example_field
 
 
 def band_metric(t=0.0):
-    return ConformalMetric(BandChart(2), band_example_field(), t)
+    return ConformalMetric(BandChart(), band_example_field(), t)
 
 
 def cylinder_metric(t=1.0):
@@ -42,7 +42,7 @@ def cylinder_metric(t=1.0):
         fs=lambda s: np.tan(s),
         fss=lambda s: 1.0 / np.cos(s) ** 2,
     )
-    return ConformalMetric(BandChart(2), rho, t)
+    return ConformalMetric(BandChart(), rho, t)
 
 
 def with_angle(s, angle):
@@ -110,7 +110,7 @@ class TestSchouten:
         np.testing.assert_allclose(rep.eigenvalues, 0.25, atol=1e-10)
 
     def test_round_metric_eigenvalue_half(self):
-        metric = ConformalMetric(BandChart(2), constant_field(0.0))
+        metric = ConformalMetric(BandChart(), constant_field(0.0))
         rep = schouten(metric, np.array([0.4, 1.3]))
         np.testing.assert_allclose(rep.eigenvalues, 0.5, atol=1e-12)
 
@@ -133,7 +133,7 @@ class TestSchouten:
                 atol=1e-10)
 
     def test_fd_and_analytic_agree(self):
-        chart = BandChart(2)
+        chart = BandChart()
         rho = radial_band_field(
             f=lambda s: 0.2 * np.sin(s),
             fs=lambda s: 0.2 * np.cos(s),
@@ -149,7 +149,7 @@ class TestSchouten:
 
     def test_eigenvalues_chart_invariant(self):
         F = lambda x: 0.3 * x[..., 2] + 0.1 * np.cos(x[..., 0])
-        band = BandChart(2)
+        band = BandChart()
         stereo = StereographicChart(2)
         m_band = ConformalMetric(band, ScalarField(lambda u: F(band.embed(u))))
         m_st = ConformalMetric(stereo, ScalarField(lambda u: F(stereo.embed(u))))
@@ -193,7 +193,7 @@ class TestPathLength:
         assert length == pytest.approx(math.pi / 2, abs=1e-4)
 
     def test_round_quarter_circle(self):
-        metric = ConformalMetric(BandChart(2), constant_field(0.0))
+        metric = ConformalMetric(BandChart(), constant_field(0.0))
         length = path_length(
             metric,
             curve=lambda tau: np.stack([np.zeros_like(tau), tau * math.pi / 2], -1),
@@ -202,8 +202,8 @@ class TestPathLength:
         assert length == pytest.approx(math.pi / 2, abs=1e-10)
 
     def test_conformal_scaling(self):
-        base = ConformalMetric(BandChart(2), constant_field(0.0))
-        scaled = ConformalMetric(BandChart(2), constant_field(0.7))
+        base = ConformalMetric(BandChart(), constant_field(0.0))
+        scaled = ConformalMetric(BandChart(), constant_field(0.7))
         curve = lambda tau: np.stack([0.3 * tau - 0.1, 0.9 * tau], -1)
         velocity = constant_velocity(0.3, 0.9)
         a = path_length(base, curve, velocity=velocity)
@@ -222,7 +222,7 @@ class TestPathLength:
 
 
 def round_metric(c=0.0):
-    return ConformalMetric(BandChart(2), constant_field(c))
+    return ConformalMetric(BandChart(), constant_field(c))
 
 
 # (metric, curve, velocity or None for finite differences)
@@ -272,7 +272,7 @@ class TestPathLengthMatchesReference:
         # e^rho = 1/cos^2 s: shell k carries about 2^k, passing 1e6 near
         # k = 20, while the last node's speed stays near 1e31
         rho = radial_band_field(f=lambda s: -2.0 * np.log(np.cos(s)))
-        metric = ConformalMetric(BandChart(2), rho)
+        metric = ConformalMetric(BandChart(), rho)
         assert reference_path_length(metric, meridian) == math.inf
         assert path_length(metric, meridian) == math.inf
 

@@ -56,7 +56,7 @@ def generic_band_metric():
         fs=lambda s: 0.2 * np.cos(s),
         fss=lambda s: -0.2 * np.sin(s),
     )
-    return ConformalMetric(BandChart(2), rho)
+    return ConformalMetric(BandChart(), rho)
 
 
 class TestImmerse:
@@ -103,7 +103,7 @@ class TestImmerse:
         assert worst < 1e-8
 
     def test_minkowski_constraints_fd(self, rng):
-        metric = ConformalMetric(BandChart(2), band_metric().rho.without_jets())
+        metric = ConformalMetric(BandChart(), band_metric().rho.without_jets())
         for _ in range(20):
             u = np.array([rng.uniform(-0.8, 0.8), rng.uniform(0.0, 6.0)])
             p = immerse(metric, u, t=0.5)
@@ -275,7 +275,7 @@ class TestFgMetric:
         np.testing.assert_allclose(fg_metric(metric, u, 0.0), expected, atol=1e-14)
 
     def test_round_metric_closed_form(self):
-        metric = ConformalMetric(BandChart(2), constant_field(0.0))
+        metric = ConformalMetric(BandChart(), constant_field(0.0))
         u = np.array([0.3, 1.0])
         g = metric.chart.metric(u)
         for r in np.linspace(0.0, 1.9, 20):
@@ -490,4 +490,4 @@ class TestBatchConvention:
         with pytest.raises(ChartDomainError):
             schouten(metric, pts)
         with pytest.raises(ChartDomainError):
-            BandChart(2).embed(np.array([[0.1, 0.0], [0.5 * math.pi, 0.0]]))
+            BandChart().embed(np.array([[0.1, 0.0], [0.5 * math.pi, 0.0]]))

@@ -120,7 +120,7 @@ class TestStackedStencils:
         field = ScalarField(one_point)
         for u in (np.array([0.3, 0.2]), np.array([[0.3, 0.2], [0.1, 0.4]])):
             with pytest.raises(DimensionMismatch):
-                gradient_hessian(field, BandChart(2), u)
+                gradient_hessian(field, BandChart(), u)
 
 
 def band_example_field():
@@ -140,28 +140,28 @@ class TestCharts:
         np.testing.assert_allclose(chart.metric_inverse(np.zeros(2)), 0.25 * np.eye(2))
 
     def test_band_christoffels_vanish_on_equator(self):
-        chart = BandChart(2)
+        chart = BandChart()
         gamma = chart.christoffels(np.array([0.0, 0.3]))
         np.testing.assert_allclose(gamma[0], 0.0, atol=1e-15)
 
     def test_band_radial_christoffel_value(self):
         # Gamma^s_theta,theta = tan(s) cos(s)^2 at s = pi/6
-        chart = BandChart(2)
+        chart = BandChart()
         gamma = chart.christoffels(np.array([np.pi / 6, 1.1]))
         assert gamma[0, 1, 1] == pytest.approx(math.sqrt(3) / 4, abs=1e-12)
         assert gamma[0, 0, 0] == 0.0
         assert gamma[0, 0, 1] == 0.0
 
     def test_christoffels_symmetric_lower_indices(self, rng):
-        for chart in (BandChart(3), StereographicChart(3)):
+        for chart in (BandChart(), StereographicChart(3)):
             for _ in range(20):
-                u = rng.uniform(0.2, 1.0, size=3)
+                u = rng.uniform(0.2, 1.0, size=chart.n)
                 gamma = chart.christoffels(u)
                 np.testing.assert_allclose(gamma, np.swapaxes(gamma, 1, 2), atol=1e-14)
 
     def test_embedding_is_unit_and_matches_metric(self, rng):
         # J^T J equals the chart metric (the embedding is isometric)
-        for chart in (BandChart(2), BandChart(3), StereographicChart(2)):
+        for chart in (BandChart(), StereographicChart(2), StereographicChart(3)):
             for _ in range(20):
                 u = rng.uniform(0.2, 1.0, size=chart.n)
                 x = chart.embed(u)
@@ -170,24 +170,24 @@ class TestCharts:
                 np.testing.assert_allclose(J.T @ J, chart.metric(u), atol=1e-10)
 
     def test_band_jacobian_matches_fd(self, rng):
-        chart = BandChart(3)
         h = 1e-6
-        for _ in range(10):
-            u = rng.uniform(0.3, 1.0, size=3)
-            J = chart.jacobian(u)
-            for i in range(3):
-                e = np.zeros(3)
-                e[i] = h
-                fd = (chart.embed(u + e) - chart.embed(u - e)) / (2 * h)
-                np.testing.assert_allclose(J[:, i], fd, atol=1e-8)
+        for chart in (BandChart(), StereographicChart(3)):
+            for _ in range(10):
+                u = rng.uniform(0.3, 1.0, size=chart.n)
+                J = chart.jacobian(u)
+                for i in range(chart.n):
+                    e = np.zeros(chart.n)
+                    e[i] = h
+                    fd = (chart.embed(u + e) - chart.embed(u - e)) / (2 * h)
+                    np.testing.assert_allclose(J[:, i], fd, atol=1e-8)
 
     def test_band_range_error(self):
         with pytest.raises(ChartDomainError):
-            BandChart(2).embed(np.array([np.pi / 2, 0.0]))
+            BandChart().embed(np.array([np.pi / 2, 0.0]))
 
     def test_metric_compatibility_invariant(self, rng):
         # d_k g_ij = Gamma^m_ki g_mj + Gamma^m_kj g_im at 100 random band points
-        chart = BandChart(2)
+        chart = BandChart()
         h = 1e-6
         worst = 0.0
         for _ in range(100):
@@ -231,7 +231,7 @@ class TestFdJet:
             fd_jet(field, np.array([0.0]), h=0.0, chart=StereographicChart(1))
 
     def test_stencil_domain_guard(self):
-        chart = BandChart(2)
+        chart = BandChart()
         field = band_example_field()
         with pytest.raises(ChartDomainError):
             fd_jet(field, np.array([0.995, 0.0]), h=1e-2, chart=chart)
@@ -240,7 +240,7 @@ class TestFdJet:
         # central_jet reaches +-h along each axis and the +-h diagonal
         # corners, so a point 1.5h inside the domain edge has room and a
         # point 0.5h inside does not; h is the step gradient_hessian takes
-        chart = BandChart(2)
+        chart = BandChart()
         h = DEFAULT_FD_STEP
         field = radial_band_field(f=np.exp, fs=np.exp, fss=np.exp,
                                   domain_s=lambda s: np.abs(s) < 0.5)
@@ -276,24 +276,24 @@ class TestFdJet:
 
 class TestGradientHessian:
     def test_constant_field(self):
-        chart = BandChart(2)
+        chart = BandChart()
         out = gradient_hessian(constant_field(3.0), chart, np.array([0.4, 1.0]))
         np.testing.assert_allclose(out.gradient, 0.0)
         assert out.grad_norm_sq == 0.0
         np.testing.assert_allclose(out.covariant_hessian, 0.0)
 
     def test_band_example_first_derivative(self):
-        chart = BandChart(2)
+        chart = BandChart()
         out = gradient_hessian(band_example_field(), chart, np.array([0.5, 0.3]))
         assert out.gradient[0] == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_band_example_second_derivative(self):
-        chart = BandChart(2)
+        chart = BandChart()
         out = gradient_hessian(band_example_field(), chart, np.array([0.5, 0.3]))
         assert out.covariant_hessian[0, 0] == pytest.approx(1.25 / 0.5625, abs=1e-12)
 
     def test_band_example_fd_matches_analytic(self):
-        chart = BandChart(2)
+        chart = BandChart()
         u = np.array([0.5, 0.3])
         exact = gradient_hessian(band_example_field(), chart, u)
         fd = gradient_hessian(band_example_field().without_jets(), chart, u)
@@ -303,7 +303,7 @@ class TestGradientHessian:
 
     def test_angular_covariant_hessian(self):
         # for a radial field, rho_{theta,theta} = -Gamma^s_theta,theta rho_s
-        chart = BandChart(2)
+        chart = BandChart()
         u = np.array([0.5, 0.3])
         out = gradient_hessian(band_example_field(), chart, u)
         s = u[0]
@@ -313,7 +313,7 @@ class TestGradientHessian:
     def test_chart_agreement_on_grad_norm(self):
         # the same intrinsic field through two charts gives the same |grad|^2
         F = lambda x: np.sin(x[..., 0]) * x[..., 2] + 0.3 * x[..., 1]
-        band = BandChart(2)
+        band = BandChart()
         stereo = StereographicChart(2)
         f_band = ScalarField(lambda u: F(band.embed(u)))
         f_st = ScalarField(lambda u: F(stereo.embed(u)))
@@ -326,6 +326,6 @@ class TestGradientHessian:
             assert a == pytest.approx(b, abs=1e-6)
 
     def test_domain_error(self):
-        chart = BandChart(2)
+        chart = BandChart()
         with pytest.raises(ChartDomainError):
             gradient_hessian(band_example_field(), chart, np.array([1.2, 0.0]))
