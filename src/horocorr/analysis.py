@@ -23,7 +23,8 @@ from .sphere import BandChart, StereographicChart, constant_field, radial_band_f
 
 FRAME_RTOL = 1e-8
 SCAN_EPS = 1e-9        # shortest segment, smallest doubled face area a scan accepts
-LADDER_DEPTH = 40      # ladder levels boundary_at_infinity probes toward the edge
+LADDER_DEPTH = 40      # ladder level of boundary_at_infinity's deepest probe
+ESCAPE_RATIO = 1.5     # growth of phi_0 over the last ladder step that escapes
 CLUSTER_RADIUS = 0.05  # angle within which escape directions share a cluster
 
 
@@ -536,7 +537,7 @@ def domain_edge(metric, sign, limit):
 
 
 def _near(v, centers, radius):
-    """Whether each row of v lies within radius of the matching centre, by
+    """Whether the direction v lies within radius of each row of centers, by
     arccos of the clipped dot product.  vecdot runs the same dot kernel as
     `u @ w` on two vectors, so every decision is bit for bit that of one
     pairwise comparison."""
@@ -551,66 +552,42 @@ def _cluster_directions(dirs, radius):
     of it, by arccos of the clipped dot product; that cluster's sum and
     normalised centre are updated.  Otherwise the direction starts a new
     cluster.  Joining moves a centre, so the result depends on the input
-    order.
-
-    The clusters are built one at a time, in creation order.  A direction
-    reaches cluster j only after clusters 0..j-1 turned it down, so
-    cluster j depends on nothing but the directions those clusters left
-    and its own earlier members; its founder is the first direction left.
-    Each round speculates that the rest of the leftover directions see
-    the current centre, forms the running sums of the speculated members
-    with one sequential cumsum (the same additions as the one-at-a-time
-    sums), and checks every direction against the centre it would really
-    have seen.  Everything before the first mismatch is right, and so is
-    the mismatched direction's check; both are committed and the next
-    round starts after them.
+    order.  One `_near` call tests a direction against every centre.
     """
-    clusters = []
-    rest = dirs
-    while len(rest):
-        total = rest[0]
-        center = total / np.linalg.norm(total)
-        members = np.zeros(len(rest), dtype=bool)
-        members[0] = True
-        start = 1
-        while start < len(rest):
-            tail = rest[start:]
-            guess = _near(tail, center, radius)
-            sums = np.cumsum(np.concatenate([total[None], tail[guess]]), axis=0)
-            # sqrt(vecdot) is each row's np.linalg.norm, bit for bit
-            centers = sums / np.sqrt(np.vecdot(sums, sums))[:, None]
-            before = np.cumsum(guess) - guess
-            near = _near(tail, centers[before], radius)
-            wrong = np.flatnonzero(near != guess)
-            if not wrong.size:
-                members[start:] = guess
-                center = centers[-1]
-                break
-            e = wrong[0]
-            members[start:start + e + 1] = near[:e + 1]
-            total, center = sums[before[e]], centers[before[e]]
-            if near[e]:
-                total = total + tail[e]
-                center = total / np.linalg.norm(total)
-            start += e + 1
-        clusters.append(BoundaryCluster(center.copy(), int(np.count_nonzero(members))))
-        rest = rest[~members]
-    return clusters
+    sums, centers = np.empty_like(dirs), np.empty_like(dirs)
+    counts = []
+    for v in dirs:
+        hit = np.flatnonzero(_near(v, centers[:len(counts)], radius))
+        if hit.size:
+            k = hit[0]
+            sums[k] += v
+            counts[k] += 1
+        else:
+            k = len(counts)
+            sums[k] = v
+            counts.append(1)
+        centers[k] = sums[k] / np.linalg.norm(sums[k])
+    return list(map(BoundaryCluster, centers, counts))
 
 
-def boundary_at_infinity(entry, escape_threshold=0.999, t=1.0, n_directions=64):
-    """Ideal boundary estimate of a gallery entry's conformal-metric payload.
+def boundary_at_infinity(entry, t=1.0, n_directions=64):
+    """Ideal boundary of a gallery entry's conformal-metric payload, as
+    clusters of escape directions within CLUSTER_RADIUS.
 
-    Samples the domain along LADDER_DEPTH ladder levels accumulating at its
-    edge, immerses at flow time t, projects to the ball, keeps points with
-    |p| > escape_threshold and clusters their directions within
-    CLUSTER_RADIUS.  A compact image yields an empty list.  Parameters that
-    would make that answer meaningless are refused: escape_threshold must
-    lie in (0, 1), t must be finite and n_directions at least 1.
+    Each ray (a sign and one of n_directions angles on the band chart, an
+    angle on the stereographic chart) is probed at its two deepest ladder
+    levels toward the domain edge: arcs 1 - 2^-(LADDER_DEPTH - 1) and
+    1 - 2^-LADDER_DEPTH of the edge on the band, radii 2^(LADDER_DEPTH - 2)
+    and 2^(LADDER_DEPTH - 1) on the stereographic chart.  A ray with a probe
+    outside the domain is dropped.  Both probes are immersed at flow time t,
+    and the ray escapes when the height phi_0 at the deeper probe is more
+    than ESCAPE_RATIO times that at the other.  Its direction is the ball
+    direction of its deepest probe, which matches the probe's Gauss point
+    chart.embed(u): the ideal boundary is the boundary of the Gauss image,
+    whatever t.  A compact image yields an empty list.  Parameters that
+    would make that answer meaningless are refused: t must be finite and
+    n_directions at least 1.
     """
-    if not 0.0 < escape_threshold < 1.0:
-        raise SingularParameterError(
-            f"escape threshold must lie in (0, 1), got {escape_threshold}")
     if n_directions < 1:
         raise SingularParameterError(
             f"need at least one direction, got n_directions={n_directions}")
@@ -623,19 +600,20 @@ def boundary_at_infinity(entry, escape_threshold=0.999, t=1.0, n_directions=64):
     chart = metric.chart
     angles = np.linspace(0.0, 2.0 * np.pi, n_directions, endpoint=False)
     if chart.kind == "band":
-        ladder = 1.0 - 2.0 ** -np.arange(1.0, LADDER_DEPTH + 1)
-        arcs = np.concatenate([sign * domain_edge(metric, sign, np.pi / 2) * ladder
-                               for sign in (1.0, -1.0)])
-        probes = np.stack(np.meshgrid(arcs, angles, indexing="ij"), axis=-1)
+        ladder = 1.0 - 2.0 ** -np.array([LADDER_DEPTH - 1.0, LADDER_DEPTH])
+        arcs = np.stack([sign * domain_edge(metric, sign, np.pi / 2) * ladder
+                         for sign in (1.0, -1.0)])
+        probes = np.stack(np.broadcast_arrays(
+            arcs[:, None, :], angles[None, :, None]), axis=-1)
     elif chart.kind == "stereographic":
-        radii = 2.0 ** np.arange(float(LADDER_DEPTH))
+        radii = 2.0 ** np.array([LADDER_DEPTH - 2.0, LADDER_DEPTH - 1.0])
         circle = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
-        probes = radii[:, None, None] * circle
+        probes = radii[:, None] * circle[:, None, :]
     else:
         raise SingularParameterError(f"unknown chart kind {chart.kind!r}")
-    probes = probes.reshape(-1, 2)
-    probes = probes[metric.rho.in_domain(chart, probes)]
-    p = to_poincare_ball(immerse(metric, probes, t).phi)
-    norm = np.linalg.norm(p, axis=-1)
-    escaped = norm > escape_threshold
-    return _cluster_directions(p[escaped] / norm[escaped][:, None], CLUSTER_RADIUS)
+    probes = probes.reshape(-1, 2, 2)
+    probes = probes[np.all(metric.rho.in_domain(chart, probes), axis=-1)]
+    phi = immerse(metric, probes, t).phi
+    escaped = phi[:, 1, 0] > ESCAPE_RATIO * phi[:, 0, 0]
+    p = to_poincare_ball(phi[escaped, 1])
+    return _cluster_directions(p / np.linalg.norm(p, axis=-1)[:, None], CLUSTER_RADIUS)

@@ -32,7 +32,7 @@ from .correspondence import extrinsic_curvatures, immerse, lambda_kappa
 from .errors import GeometryError
 from .minkowski import to_poincare_ball
 from .sphere import DEFAULT_FD_STEP, axis_values
-from .verify import CRITERIA, check_weingarten_calculus, run_all
+from .verify import CRITERIA, run_all
 
 EXAMPLE_CHOICES = GALLERY_NAMES + ("alpha",)
 
@@ -281,8 +281,7 @@ def cmd_gauss_degree(args):
 
 def cmd_boundary(args):
     clusters = boundary_at_infinity(
-        _gallery_entry(args), escape_threshold=args.eps,
-        t=args.t, n_directions=args.samples)
+        _gallery_entry(args), t=args.t, n_directions=args.samples)
     defects = [abs(float(np.linalg.norm(c.direction)) - 1.0) for c in clusters]
     _emit_json({
         "config": _config(args),
@@ -296,12 +295,6 @@ def cmd_boundary(args):
             "pass": all(d <= 1e-9 for d in defects)}],
     }, args.out)
     return 0
-
-
-def cmd_weingarten_check(args):
-    result = check_weingarten_calculus(seed=args.seed)
-    print(result.line())
-    return 0 if result.passed else 1
 
 
 def cmd_verify(args):
@@ -384,12 +377,8 @@ def build_parser():
 
     p = commands.add_parser("boundary", help="escape directions of a metric example")
     p.add_argument("name", choices=EXAMPLE_CHOICES)
-    _add_options(p, "samples", "t", "eps", "rho0", "out", samples=64, t=1.0, eps=0.999)
+    _add_options(p, "samples", "t", "rho0", "out", samples=64, t=1.0)
     p.set_defaults(func=cmd_boundary)
-
-    p = commands.add_parser("weingarten-check", help="eigenvalue-calculus spot checks")
-    _add_options(p, "seed")
-    p.set_defaults(func=cmd_weingarten_check)
 
     p = commands.add_parser("verify", help="run the acceptance battery")
     p.add_argument("--only", action="append",

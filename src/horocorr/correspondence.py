@@ -26,7 +26,12 @@ from typing import Optional
 import numpy as np
 
 from .conformal import generalized_eigvalsh, schouten
-from .errors import HyperquadricError, ImmersionError, SingularParameterError
+from .errors import (
+    ChartDomainError,
+    HyperquadricError,
+    ImmersionError,
+    SingularParameterError,
+)
 from .minkowski import mink_inner, on_null_cone
 from .sphere import DEFAULT_FD_STEP, central_gradient, gradient_hessian
 from .weingarten import T, T_INV, flow_shift
@@ -65,14 +70,20 @@ def immerse(metric, u, t=0.0):
     A pure evaluation: degenerate inputs give the degenerate output (rho = 0
     collapses to the base point).  Whether the scale t is immersed is the
     "eigenvalues reach the 1/2 bound" flag of
-    realizability_report(rescale(metric, t), u)."""
+    realizability_report(rescale(metric, t), u).  Raises ChartDomainError,
+    naming the first such point, where rho + t or |grad rho|^2 is not finite."""
     u = np.asarray(u, dtype=float)
     chart = metric.chart
     x = chart.embed(u)
     jets = gradient_hessian(metric.rho, chart, u)
+    w = np.asarray(metric.effective(u) + t)
+    bad = ~(np.isfinite(w) & np.isfinite(jets.grad_norm_sq))
+    if np.any(bad):
+        point = np.broadcast_to(u, bad.shape + u.shape[-1:])[bad][0]
+        raise ChartDomainError(
+            f"rho or its gradient is not finite at chart point {point}")
     grad_ambient = (chart.jacobian(u)
                     @ (chart.metric_inverse(u) @ jets.gradient[..., None]))[..., 0]
-    w = np.asarray(metric.effective(u) + t)
     ew, emw = np.exp(w), np.exp(-w)
     one_x = np.concatenate([np.ones(x.shape[:-1] + (1,)), x], axis=-1)
     radial = np.concatenate([np.zeros(x.shape[:-1] + (1,)), grad_ambient - x], axis=-1)

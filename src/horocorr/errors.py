@@ -19,8 +19,9 @@ class HyperquadricError(GeometryError):
 
 
 class ChartDomainError(GeometryError):
-    """A chart point is outside its admissible range or domain, or a
-    finite-difference stencil around it escapes the domain."""
+    """A chart point is outside its admissible range or domain, a
+    finite-difference stencil around it escapes the domain, or the field
+    or its gradient is not finite there."""
 
 
 class ImmersionError(GeometryError):

@@ -13,6 +13,7 @@ from horocorr import analysis
 from horocorr.analysis import (
     CurveImmersion,
     EmbeddingReport,
+    GalleryEntry,
     MeshImmersion,
     BoundaryCluster,
     CrossingRecord,
@@ -28,18 +29,25 @@ from horocorr.analysis import (
 from horocorr.conformal import ConformalMetric, schouten
 from horocorr.correspondence import CANONICAL, lambda_kappa, ricatti
 from horocorr.errors import (
+    ChartDomainError,
     RootBracketError,
     SamplingError,
     SingularParameterError,
 )
 from horocorr.minkowski import from_poincare_ball, mink_inner
-from horocorr.sphere import BandChart, ScalarField, constant_field, radial_band_field
+from horocorr.sphere import (
+    BandChart,
+    ScalarField,
+    StereographicChart,
+    constant_field,
+    radial_band_field,
+)
 from horocorr.verify import check_unfolding
 
 
 def reference_cluster_directions(dirs, radius):
-    # the original per-pair greedy loop, kept as the oracle for the
-    # array version in analysis._cluster_directions
+    # the original per-pair greedy loop, kept as the oracle for
+    # analysis._cluster_directions, which tests all centres at once
     clusters = []
     for v in dirs:
         for c in clusters:
@@ -51,6 +59,41 @@ def reference_cluster_directions(dirs, radius):
         else:
             clusters.append([v.copy(), 1])
     return [BoundaryCluster(c[0] / np.linalg.norm(c[0]), c[1]) for c in clusters]
+
+
+def band_horosphere():
+    """rho = -log(2 sin^2(pi/4 - s/2)), which is -log(1 - sin s), on the band:
+    a horosphere whose one ideal point is the north pole."""
+    return ConformalMetric(BandChart(), radial_band_field(
+        f=lambda s: -np.log(2.0 * np.sin(np.pi / 4 - s / 2) ** 2),
+        fs=lambda s: 1.0 / np.tan(np.pi / 4 - s / 2),
+        fss=lambda s: 0.5 / np.sin(np.pi / 4 - s / 2) ** 2))
+
+
+def stereographic_horosphere():
+    """rho = log((1 + |u|^2)/2) on the stereographic chart: a horosphere
+    whose one ideal point is the chart's missing pole."""
+    def value(u):
+        return np.log(0.5 * (1.0 + np.sum(u * u, axis=-1)))
+
+    def gradient(u):
+        return 2.0 * u / (1.0 + np.sum(u * u, axis=-1))[..., None]
+
+    def hessian(u):
+        f = 1.0 + np.sum(u * u, axis=-1)[..., None, None]
+        return 2.0 * np.eye(2) / f - 4.0 * u[..., :, None] * u[..., None, :] / f**2
+
+    return ConformalMetric(StereographicChart(2), ScalarField(value, gradient, hessian))
+
+
+def boundary_entry(name):
+    # the gallery's metric examples and the two horospheres, which are not
+    # in the gallery
+    if name == "band-horosphere":
+        return GalleryEntry(name, {}, band_horosphere())
+    if name == "stereographic-horosphere":
+        return GalleryEntry(name, {}, stereographic_horosphere())
+    return make_example(name)
 
 
 def reference_domain_edge(metric, sign, limit):
@@ -676,9 +719,6 @@ class TestBoundaryAtInfinity:
             boundary_at_infinity(make_example("alpha-curve"))
 
     @pytest.mark.parametrize("kwargs", [
-        {"escape_threshold": 0.0}, {"escape_threshold": 1.0},
-        {"escape_threshold": 1.5}, {"escape_threshold": -0.5},
-        {"escape_threshold": math.nan}, {"escape_threshold": math.inf},
         {"n_directions": 0}, {"n_directions": -1},
         {"t": math.inf}, {"t": -math.inf}, {"t": math.nan},
     ])
@@ -702,21 +742,57 @@ class TestBoundaryAtInfinity:
         (dirs, radius), = seen
         assert_same_clusters(got, reference_cluster_directions(dirs, radius))
 
-    def test_near_tests_per_cluster_not_per_direction(self, monkeypatch):
-        # 3968 escaped directions in 128 clusters: a per-direction loop would
-        # test 3968 times, the cluster rounds test twice per cluster
-        calls = []
-        near = analysis._near
+    @pytest.mark.parametrize("t", [0.0, 0.5, 1.0, 2.0, 4.0, 8.0])
+    @pytest.mark.parametrize("name, clusters", [
+        ("band-horosphere", 1), ("stereographic-horosphere", 1),
+        ("cylinder-delaunay", 2), ("incomplete-band", 128),
+        ("geodesic-sphere", 0)])
+    def test_cluster_count_does_not_depend_on_t(self, name, clusters, t):
+        # the normal flow does not move the ideal boundary
+        assert len(boundary_at_infinity(boundary_entry(name), t=t)) == clusters
 
-        def counted(*args):
-            calls.append(1)
-            return near(*args)
+    @pytest.mark.parametrize("t", [0.0, 1.0, 8.0])
+    @pytest.mark.parametrize("name, rays", [
+        ("band-horosphere", 64), ("stereographic-horosphere", 64),
+        ("cylinder-delaunay", 128), ("incomplete-band", 128),
+        ("geodesic-sphere", 0)])
+    def test_escape_directions_are_gauss_points(self, monkeypatch, name, rays, t):
+        # the ideal boundary is the boundary of the Gauss image: each escape
+        # direction is chart.embed of its ray's deepest probe
+        immersed, clustered = [], []
+        immerse, cluster = analysis.immerse, analysis._cluster_directions
 
-        monkeypatch.setattr(analysis, "_near", counted)
-        clusters = boundary_at_infinity(make_example("incomplete-band"))
-        assert len(clusters) == 128
-        assert sum(c.count for c in clusters) == 3968
-        assert len(calls) <= 2 * 128
+        def recording_immerse(metric, u, t):
+            point = immerse(metric, u, t)
+            immersed.append(point)
+            return point
+
+        def recording_cluster(dirs, radius):
+            clustered.append(dirs)
+            return cluster(dirs, radius)
+
+        monkeypatch.setattr(analysis, "immerse", recording_immerse)
+        monkeypatch.setattr(analysis, "_cluster_directions", recording_cluster)
+        entry = boundary_entry(name)
+        boundary_at_infinity(entry, t=t)
+        (point,), (dirs,) = immersed, clustered
+        assert point.point.shape == (len(point.point), 2, 2)
+        escaped = point.phi[:, 1, 0] > analysis.ESCAPE_RATIO * point.phi[:, 0, 0]
+        assert np.count_nonzero(escaped) == len(dirs) == rays
+        gauss = entry.payload.chart.embed(point.point[escaped, 1])
+        assert np.max(np.abs(dirs - gauss), initial=0.0) < 1e-10
+
+    def test_nonfinite_probe_raises(self):
+        # rho = -log1p(-sin s) is the band horosphere written naively: sin s
+        # rounds to 1 at the deepest band probe, so rho is inf there
+        entry = GalleryEntry("naive-horosphere", {}, ConformalMetric(
+            BandChart(), radial_band_field(
+                f=lambda s: -np.log1p(-np.sin(s)),
+                fs=lambda s: np.cos(s) / (1.0 - np.sin(s)),
+                fss=lambda s: 1.0 / (1.0 - np.sin(s)))))
+        with np.errstate(divide="ignore"), pytest.raises(
+                ChartDomainError, match="not finite at chart point"):
+            boundary_at_infinity(entry)
 
 
 def band_with_edges(below, above):

@@ -53,7 +53,7 @@ class TestUsageErrors:
             main([])
         assert err.value.code == 2
 
-    @pytest.mark.parametrize("flag,value", [("--eps", "1.0"), ("--samples", "0")])
+    @pytest.mark.parametrize("flag,value", [("--samples", "0")])
     def test_boundary_meaningless_parameter(self, capsys, flag, value):
         code, out, err = run(capsys, "boundary", "incomplete-band", flag, value)
         assert code == 1
@@ -64,7 +64,7 @@ class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
         ("gauss-degree", "alpha", "--seed", "3"),
         ("verify", "--t", "1"),
-        ("weingarten-check", "--samples", "5"),
+        ("boundary", "incomplete-band", "--eps", "0.999"),
         ("embed-check", "alpha", "--rho0", "0.3"),
     ])
     def test_dropped_option(self, argv):
@@ -81,8 +81,7 @@ class TestUsageErrors:
             "flow": {"samples", "t", "h", "seed", "rho0", "out"},
             "embed-check": {"samples", "t", "eps", "out"},
             "gauss-degree": {"samples"},
-            "boundary": {"samples", "t", "eps", "rho0", "out"},
-            "weingarten-check": {"seed"},
+            "boundary": {"samples", "t", "rho0", "out"},
             "verify": {"only", "out"},
         }
         commands = next(a for a in build_parser()._actions
@@ -91,8 +90,8 @@ class TestUsageErrors:
                         if a.option_strings and a.dest != "help"}
                  for name, sub in commands.choices.items()}
         assert taken == expected
-        # 30 of the 72 values the eight shared options gave nine commands
-        assert sum(len(opts - {"only"}) for opts in taken.values()) == 30
+        # 28 of the 64 values the eight shared options gave eight commands
+        assert sum(len(opts - {"only"}) for opts in taken.values()) == 28
 
 
 class TestWinding:
@@ -269,11 +268,6 @@ class TestVerify:
         assert out.startswith("PASS unfolding: max_error=0.000e+00 tol=0.0e+00")
         assert "250 at t=5 (m=8192)" in out
 
-    def test_weingarten_check_passes(self, capsys):
-        code, out, _ = run(capsys, "weingarten-check")
-        assert code == 0
-        assert out.startswith("PASS")
-
 
 class TestParserReuse:
     CALLS = [
@@ -285,7 +279,7 @@ class TestParserReuse:
         ("immerse", "klein-bottle"),
         ("immerse", "geodesic-sphere", "--samples", "6", "--format", "json"),
         ("schouten", "cylinder-delaunay", "--samples", "10", "--seed", "3"),
-        ("boundary", "geodesic-sphere", "--samples", "8", "--eps", "0.99"),
+        ("boundary", "geodesic-sphere", "--samples", "8", "--t", "2"),
         ("verify", "--only", "gauss-degree", "--only", "degenerate-collapse"),
         ("verify", "--only", "gauss-degree"),
     ]

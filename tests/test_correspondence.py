@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -110,6 +111,20 @@ class TestImmerse:
             assert abs(mink_inner(p.phi, p.phi) + 1.0) < 1e-5
             assert abs(mink_inner(p.eta, p.eta) - 1.0) < 1e-5
             assert abs(mink_inner(p.phi, p.eta)) < 1e-5
+
+    def test_nonfinite_rho_names_the_first_point(self):
+        # rho = -log1p(-sin s) is the band horosphere written naively: sin s
+        # rounds to 1 at s = (pi/2)(1 - 2^-40), so rho and its gradient are inf
+        naive = ConformalMetric(BandChart(), radial_band_field(
+            f=lambda s: -np.log1p(-np.sin(s)),
+            fs=lambda s: np.cos(s) / (1.0 - np.sin(s)),
+            fss=lambda s: 1.0 / (1.0 - np.sin(s))))
+        s = 0.5 * math.pi * (1.0 - 2.0 ** -40)
+        u = np.array([[0.3, 0.0], [s, 0.5], [s, 1.0]])
+        with np.errstate(divide="ignore"):
+            assert np.all(np.isinf(naive.rho.value(u[1:])))
+            with pytest.raises(ChartDomainError, match=re.escape(f"point {u[1]}")):
+                immerse(naive, u, 1.0)
 
     def test_spectral_gate(self):
         metric = ConformalMetric(StereographicChart(2), constant_field(0.0))
