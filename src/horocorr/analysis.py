@@ -333,22 +333,25 @@ def self_intersections(payload):
 
 def _box_pairs(lo, hi):
     """Index pairs (i, j), i < j, of the closed boxes [lo, hi] (shape (n, d))
-    that overlap, in lexicographic order.  Sort and sweep: in the order of
-    the lower x bounds, a box meets the later boxes whose lower x bound lies
-    in its x extent, one run per box; the runs are expanded together and
-    then cut down one axis at a time."""
+    that overlap, in lexicographic order.  Sort and sweep (Baraff, Cornell
+    1992): in the order of the lower x bounds, a box meets the later boxes
+    whose lower x bound lies in its x extent, one run per box.  The runs are
+    expanded together and cut down one axis at a time, all in sorted
+    positions on axis-major copies of the bounds; only the survivors map
+    back to box indices, ordered by one sort of the int64 key i * n + j."""
+    n = len(lo)
     order = np.argsort(lo[:, 0], kind="stable")
-    stop = np.searchsorted(lo[order, 0], hi[order, 0], side="right")
-    counts = stop - np.arange(1, len(order) + 1)
-    a = np.repeat(np.arange(len(order)), counts)
+    lo, hi = lo[order].T.copy(), hi[order].T.copy()
+    stop = np.searchsorted(lo[0], hi[0], side="right")
+    counts = stop - np.arange(1, n + 1)
+    a = np.repeat(np.arange(n), counts)
     b = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - stop, counts)
+    for k in range(1, len(lo)):
+        keep = np.flatnonzero((lo[k][b] <= hi[k][a]) & (lo[k][a] <= hi[k][b]))
+        a, b = a[keep], b[keep]
     i, j = order[a], order[b]
-    for k in range(1, lo.shape[1]):
-        keep = (lo[j, k] <= hi[i, k]) & (lo[i, k] <= hi[j, k])
-        i, j = i[keep], j[keep]
-    i, j = np.minimum(i, j), np.maximum(i, j)
-    rank = np.lexsort((j, i))
-    return i[rank], j[rank]
+    key = np.sort(np.minimum(i, j) * n + np.maximum(i, j))
+    return key // n, key % n
 
 
 def _cross(u, v):
@@ -398,19 +401,25 @@ def _segment_hits_triangle(p0, p1, tri):
 
 
 # An edge test is skipped only when both endpoints lie more than this, in
-# ball units, on one side of the other face's plane.  LAPACK's solve is
-# backward stable, so a hit it reports (beta, gamma, t all in (0, 1)) lies
-# within about 1e-14 of the plane and no skipped test could report one; the
-# rounded normal tilts by 1e-16 / sin(smallest angle), small unless needle-thin.
+# ball units, on one side of the other face's plane, and a face pair only
+# when all three corners of one face do.  LAPACK's solve is backward stable,
+# so a hit it reports (beta, gamma, t all in (0, 1)) lies within about 1e-14
+# of the plane and no skipped test could report one.  Nor could a skipped
+# pair: the hit lies on an edge of one face and within about 1e-14 of the
+# other, so neither face lies wholly beyond the margin of the other's plane.
+# The rounded normal tilts by 1e-16 / sin(smallest angle), small unless
+# needle-thin.
 PLANE_MARGIN = 1e-12
 
 
 def _mesh_crossings(mesh):
     """Narrow phase: each pair's six edge tests, in the order edges (0, 1),
     (1, 2), (2, 0), each of face i against face j and then of face j against
-    face i, the first hit winning.  Tests whose edge does not straddle the
-    other face's plane are dropped (Moller, JGT 1997); the rest go through
-    one `_segment_hits_triangle` call.  That kernel must stay LAPACK's: the
+    face i, the first hit winning.  Pairs sharing a vertex are dropped, and
+    so are pairs with a face wholly on one side of the other's plane; of the
+    rest, tests whose edge does not straddle the other face's plane are
+    dropped (Moller, JGT 1997), and the slots left go through one
+    `_segment_hits_triangle` call.  That kernel must stay LAPACK's: the
     v = 0 row of `product_mesh` lies exactly in the ball plane p3 = 0, so its
     edges meet other faces exactly on their edges (beta + gamma = 1), where
     rounding decides the hit, and a Cramer's-rule solve reports other counts."""
@@ -422,7 +431,9 @@ def _mesh_crossings(mesh):
         raise SamplingError("degenerate triangle in the mesh")
     offset = np.vecdot(normal, tri[:, 0])
     i, j = _box_pairs(tri.min(axis=1), tri.max(axis=1))
-    shared = (faces[i][:, :, None] == faces[j][:, None, :]).any(axis=(1, 2))
+    cols = faces.T.copy()
+    fi, fj = [c[i] for c in cols], [c[j] for c in cols]
+    shared = np.logical_or.reduce([x == y for x in fi for y in fj])
     i, j = i[~shared], j[~shared]
     # axis 1: face i's corners over face j's plane, then face j's over face i's
     face = np.stack([i, j], axis=1)
@@ -432,6 +443,9 @@ def _mesh_crossings(mesh):
     above, below = height > tol, height < -tol
     a, b = np.array([0, 1, 2]), np.array([1, 2, 0])
     straddle = ~((above[..., a] & above[..., b]) | (below[..., a] & below[..., b]))
+    # a face with no edge straddling the other's plane has all three corners
+    # beyond the margin on one side of it, so the pair cannot cross
+    straddle &= straddle.any(-1).all(-1)[:, None, None]
     # surviving (pair, edge, direction) slots, in test order
     k, e, d = np.nonzero(straddle.transpose(0, 2, 1))
     edge = face[k, d]
@@ -462,8 +476,8 @@ def first_embedded_time(payload, t_max=5.0, tol=1e-2):
     Raises when the payload still crosses itself at t_max; returns time 0
     immediately for already-embedded input.
     """
-    if tol <= 0.0 or t_max <= 0.0:
-        raise SingularParameterError("need positive t_max and tolerance")
+    if not (0.0 < tol < np.inf and 0.0 < t_max < np.inf):
+        raise SingularParameterError("need finite positive t_max and tolerance")
 
     def count(t):
         return len(self_intersections(payload.flowed(t) if t else payload))

@@ -229,6 +229,12 @@ class TestReports:
         assert code == 1
         assert "not embedded by t_max" in err
 
+    def test_embed_check_nonfinite_eps(self, capsys):
+        code, out, err = run(capsys, "embed-check", "alpha", "--eps", "nan")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: need finite positive t_max and tolerance")
+
 
 class TestVerify:
     def test_subset_report(self, tmp_path, capsys):
