@@ -509,53 +509,56 @@ class BoundaryCluster:
     count: int
 
 
-def domain_edge(metric, sign, limit):
-    """Largest radius along a coordinate ray that stays inside the field's
-    domain, by 60 bisection levels against the domain predicate.
+def domain_edge(metric, limit):
+    """Signed arc interval (lo, hi), lo < 0 < hi, of the field's domain along
+    the first chart axis: on each ray, limit if its far end is inside, else
+    the largest radius in [1e-9, limit] inside, by 60 bisection levels.
 
-    One in_domain call tests both ends of [1e-9, limit].  The levels then go
-    six at a time: the 63 midpoints the next six levels could reach, each
-    formed by the same 0.5 * (lo + hi), are tested in one in_domain call and
-    the walk down that tree takes the branches the one-level bisection would,
-    so lo is bit for bit the same, from 11 calls in place of 62.
+    The rays are bisected together, the negative one in signed coordinates,
+    which negates each midpoint exactly.  One in_domain call tests the ends
+    +-1e-9 and +-limit.  Each further call tests the 63 midpoints per ray the
+    next six levels could reach, each formed by the same 0.5 * (lo + hi), and
+    the walk takes the branches the one-level bisection would: each end has
+    its bits, from 11 calls for both rays in place of 62 per ray.
     """
     def inside(s):
         probes = np.zeros((len(s), metric.chart.n))
-        probes[:, 0] = sign * s
-        return metric.rho.in_domain(metric.chart, probes)
+        probes[:, 0] = s
+        return metric.rho.in_domain(metric.chart, probes).tolist()
 
-    near_ok, far_ok = inside(np.array([1e-9, limit]))
-    if not near_ok:
+    near_up, near_down, far_up, far_down = inside(np.array([1e-9, -1e-9, limit, -limit]))
+    if not (near_up and near_down):
         raise SamplingError("field domain does not contain the chart center")
-    if far_ok:
-        return limit
-    lo, hi = 1e-9, limit
+    if far_up and far_down:
+        return -limit, limit
+    los, his = [1e-9, -1e-9], [limit, -limit]
     for _ in range(10):
-        # the next six levels' midpoints in heap order: node k's children
-        # are 2k + 1 (mid inside, so lo moves up) and 2k + 2 (hi moves down)
-        los, his, mids = np.array([lo]), np.array([hi]), []
+        # level blocks with the rays interleaved: a node's children sit in the
+        # next block at its own index (mid inside) and one block further on
+        lo, hi, mids = np.array(los), np.array(his), []
         for _ in range(6):
-            mid = 0.5 * (los + his)
+            mid = 0.5 * (lo + hi)
             mids.append(mid)
-            los = np.stack([mid, los], axis=-1).ravel()
-            his = np.stack([his, mid], axis=-1).ravel()
+            lo, hi = np.concatenate([mid, lo]), np.concatenate([hi, mid])
         mids = np.concatenate(mids)
-        ok = inside(mids)
-        k = 0
-        for _ in range(6):
-            if ok[k]:
-                lo, k = mids[k], 2 * k + 1
-            else:
-                hi, k = mids[k], 2 * k + 2
-    return float(lo)
+        ok, mids = inside(mids), mids.tolist()
+        for ray in (0, 1):
+            k = ray
+            for width in (2, 4, 8, 16, 32, 64):
+                if ok[k]:
+                    los[ray], k = mids[k], k + width
+                else:
+                    his[ray], k = mids[k], k + 2 * width
+    return (-limit if far_down else los[1]), (limit if far_up else los[0])
 
 
 def _near(v, centers, radius):
     """Whether the direction v lies within radius of each row of centers, by
     arccos of the clipped dot product.  vecdot runs the same dot kernel as
     `u @ w` on two vectors, so every decision is bit for bit that of one
-    pairwise comparison."""
-    return np.arccos(np.clip(np.vecdot(v, centers), -1.0, 1.0)) < radius
+    pairwise comparison; clip and arccos run in place on its result."""
+    cos = np.vecdot(v, centers)
+    return np.arccos(np.clip(cos, -1.0, 1.0, out=cos), out=cos) < radius
 
 
 def _cluster_directions(dirs, radius):
@@ -571,16 +574,17 @@ def _cluster_directions(dirs, radius):
     sums, centers = np.empty_like(dirs), np.empty_like(dirs)
     counts = []
     for v in dirs:
-        hit = np.flatnonzero(_near(v, centers[:len(counts)], radius))
-        if hit.size:
-            k = hit[0]
+        near = _near(v, centers[:len(counts)], radius)
+        k = near.argmax() if counts else 0
+        if counts and near[k]:
             sums[k] += v
             counts[k] += 1
         else:
             k = len(counts)
             sums[k] = v
             counts.append(1)
-        centers[k] = sums[k] / np.linalg.norm(sums[k])
+        s = sums[k]   # norm of a 1-D array: the square root of its dot product
+        centers[k] = s / math.sqrt(s.dot(s))
     return list(map(BoundaryCluster, centers, counts))
 
 
@@ -615,8 +619,7 @@ def boundary_at_infinity(entry, t=1.0, n_directions=64):
     angles = np.linspace(0.0, 2.0 * np.pi, n_directions, endpoint=False)
     if chart.kind == "band":
         ladder = 1.0 - 2.0 ** -np.array([LADDER_DEPTH - 1.0, LADDER_DEPTH])
-        arcs = np.stack([sign * domain_edge(metric, sign, np.pi / 2) * ladder
-                         for sign in (1.0, -1.0)])
+        arcs = np.multiply.outer(domain_edge(metric, np.pi / 2)[::-1], ladder)
         probes = np.stack(np.broadcast_arrays(
             arcs[:, None, :], angles[None, :, None]), axis=-1)
     elif chart.kind == "stereographic":

@@ -27,7 +27,7 @@ from .analysis import (
     make_example,
     self_intersections,
 )
-from .conformal import ConformalMetric, realizability_report, rescale, schouten
+from .conformal import ConformalMetric, eigenvalue_realizability, rescale, schouten
 from .correspondence import extrinsic_curvatures, immerse, lambda_kappa
 from .errors import GeometryError
 from .minkowski import to_poincare_ball
@@ -81,9 +81,8 @@ def _gallery_entry(args):
 def _band_range(metric, fraction):
     """Arc range (lo, hi) covering the given fraction of the band metric's
     domain on either side of the equator."""
-    limit = math.pi / 2 - 1e-9
-    return (-fraction * domain_edge(metric, -1.0, limit),
-            fraction * domain_edge(metric, 1.0, limit))
+    lo, hi = domain_edge(metric, math.pi / 2 - 1e-9)
+    return fraction * lo, fraction * hi
 
 
 def _metric_mesh(metric, n_az, n_lat, t):
@@ -192,8 +191,9 @@ def cmd_schouten(args):
         raise GeometryError("schouten reports need a conformal-metric example")
     rng = np.random.default_rng(args.seed)
     pts = _metric_samples(metric, args.samples, rng)
-    report = realizability_report(metric, pts)
-    tensor = schouten(metric, pts[:50]).tensor
+    sch = schouten(metric, pts)
+    report = eigenvalue_realizability(sch.eigenvalues)
+    tensor = sch.tensor[:50]
     asym = float(np.max(np.abs(tensor - np.swapaxes(tensor, -1, -2))))
     _emit_json({
         "config": _config(args),

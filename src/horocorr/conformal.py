@@ -154,19 +154,21 @@ class RealizabilityReport:
 
 
 def realizability_report(metric, samples):
-    """Aggregate Schouten eigenvalue extremes over a sample set.
-
-    The metric is realizable iff every eigenvalue lies in [-B, 1/2 - eps],
-    with B = REALIZABLE_FLOOR and eps = REALIZABLE_MARGIN.  Samples are chart
-    points, an (m, n) array or a list of (n,) points; points outside the
-    domain are skipped.
-    """
+    """eigenvalue_realizability of the Schouten eigenvalues at a sample set:
+    chart points, an (m, n) array or a list of (n,) points.  Points outside
+    the domain are skipped."""
     pts = np.asarray(samples, dtype=float)
     pts = pts[metric.rho.in_domain(metric.chart, pts)]
-    count = len(pts)
-    if count == 0:
+    if len(pts) == 0:
         raise SamplingError("no usable samples for the realizability report")
-    ev = schouten(metric, pts).eigenvalues
+    return eigenvalue_realizability(schouten(metric, pts).eigenvalues)
+
+
+def eigenvalue_realizability(ev):
+    """Eigenvalue extremes of Schouten eigenvalues ev, one ascending row per
+    sample.  The metric is realizable iff every eigenvalue lies in
+    [-B, 1/2 - eps], with B = REALIZABLE_FLOOR and eps = REALIZABLE_MARGIN.
+    """
     lam_min, lam_max = float(ev[:, 0].min()), float(ev[:, -1].max())
     flags = []
     if lam_min < -REALIZABLE_FLOOR:
@@ -179,6 +181,6 @@ def realizability_report(metric, samples):
         lambda_max=lam_max,
         realizable=realizable,
         suggested_t0=flow_time_for_bound(lam_max, REALIZABLE_MARGIN),
-        n_samples=count,
+        n_samples=len(ev),
         flags=tuple(flags),
     )

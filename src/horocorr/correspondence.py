@@ -33,7 +33,7 @@ from .errors import (
     SingularParameterError,
 )
 from .minkowski import mink_inner, on_null_cone
-from .sphere import DEFAULT_FD_STEP, central_gradient, gradient_hessian
+from .sphere import DEFAULT_FD_STEP, central_gradient, gradient_norm
 from .weingarten import T, T_INV, flow_shift
 
 CANONICAL = "canonical"   # orientation with kappa < 1 on convex hypersurfaces
@@ -75,19 +75,19 @@ def immerse(metric, u, t=0.0):
     u = np.asarray(u, dtype=float)
     chart = metric.chart
     x = chart.embed(u)
-    jets = gradient_hessian(metric.rho, chart, u)
+    grad, grad_norm_sq = gradient_norm(metric.rho, chart, u)
     w = np.asarray(metric.effective(u) + t)
-    bad = ~(np.isfinite(w) & np.isfinite(jets.grad_norm_sq))
+    bad = ~(np.isfinite(w) & np.isfinite(grad_norm_sq))
     if np.any(bad):
         point = np.broadcast_to(u, bad.shape + u.shape[-1:])[bad][0]
         raise ChartDomainError(
             f"rho or its gradient is not finite at chart point {point}")
     grad_ambient = (chart.jacobian(u)
-                    @ (chart.metric_inverse(u) @ jets.gradient[..., None]))[..., 0]
+                    @ (chart.metric_inverse(u) @ grad[..., None]))[..., 0]
     ew, emw = np.exp(w), np.exp(-w)
     one_x = np.concatenate([np.ones(x.shape[:-1] + (1,)), x], axis=-1)
     radial = np.concatenate([np.zeros(x.shape[:-1] + (1,)), grad_ambient - x], axis=-1)
-    height = 0.5 * ew * (1.0 + emw**2 * (1.0 + jets.grad_norm_sq))
+    height = 0.5 * ew * (1.0 + emw**2 * (1.0 + grad_norm_sq))
     phi = height[..., None] * one_x + emw[..., None] * radial
     psi = ew[..., None] * one_x
     return HypersurfacePoint(phi=phi, eta=psi - phi, psi=psi, point=u, t=t)

@@ -317,6 +317,28 @@ class GradHess:
     covariant_hessian: np.ndarray  # rho_{i,j} = d_i d_j rho - Gamma^k_ij d_k rho
 
 
+def _jets(field, chart, u, hessian):
+    """u as a float array, the gradient, its squared norm and the raw Hessian,
+    which the analytic route evaluates only when hessian is true."""
+    u = np.asarray(u, dtype=float)
+    inside = field.in_domain(chart, u)
+    if not np.all(inside):
+        raise ChartDomainError(f"point {u[~inside][0]} outside the field domain")
+    if field.gradient is not None and field.hessian is not None:
+        grad = np.asarray(field.gradient(u), dtype=float)
+        raw_hess = np.asarray(field.hessian(u), dtype=float) if hessian else None
+    else:
+        _, grad, raw_hess = fd_jet(field, u, DEFAULT_FD_STEP, chart)
+    norm_sq = np.einsum("...i,...ij,...j->...", grad, chart.metric_inverse(u), grad)
+    return u, grad, norm_sq, raw_hess
+
+
+def gradient_norm(field, chart, u):
+    """gradient_hessian's gradient and grad_norm_sq, bit for bit, without the
+    Hessian."""
+    return _jets(field, chart, u, False)[1:3]
+
+
 def gradient_hessian(field, chart, u):
     """First and covariant second derivatives of a field at chart points
     (broadcasting over the leading axes of u).
@@ -325,15 +347,6 @@ def gradient_hessian(field, chart, u):
     differences of step DEFAULT_FD_STEP (requiring stencil room inside the
     domain).  Raises ChartDomainError if any point is outside the domain.
     """
-    u = np.asarray(u, dtype=float)
-    inside = field.in_domain(chart, u)
-    if not np.all(inside):
-        raise ChartDomainError(f"point {u[~inside][0]} outside the field domain")
-    if field.gradient is not None and field.hessian is not None:
-        grad = np.asarray(field.gradient(u), dtype=float)
-        raw_hess = np.asarray(field.hessian(u), dtype=float)
-    else:
-        _, grad, raw_hess = fd_jet(field, u, DEFAULT_FD_STEP, chart)
+    u, grad, norm_sq, raw_hess = _jets(field, chart, u, True)
     cov = raw_hess - np.einsum("...kij,...k->...ij", chart.christoffels(u), grad)
-    norm_sq = np.einsum("...i,...ij,...j->...", grad, chart.metric_inverse(u), grad)
     return GradHess(grad, norm_sq, cov)

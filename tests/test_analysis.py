@@ -868,35 +868,15 @@ def band_with_edges(below, above):
         f=lambda s: np.zeros(np.shape(s)), domain_s=lambda s: (s > below) & (s < above)))
 
 
+def reference_domain_interval(metric, limit):
+    # the oracle's two rays as the signed interval analysis.domain_edge returns
+    return (-reference_domain_edge(metric, -1.0, limit),
+            reference_domain_edge(metric, 1.0, limit))
+
+
 class TestDomainEdge:
-    @pytest.mark.parametrize("name", ["incomplete-band", "cylinder-delaunay"])
-    @pytest.mark.parametrize("sign", [1.0, -1.0])
-    @pytest.mark.parametrize("limit", [math.pi / 2, math.pi / 2 - 1e-9])
-    def test_matches_reference_on_examples(self, name, sign, limit):
-        metric = make_example(name).payload
-        want = reference_domain_edge(metric, sign, limit)
-        got = analysis.domain_edge(metric, sign, limit)
-        assert type(got) is float
-        assert got == want
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.floats(1e-8, 1.5), st.floats(1e-8, 1.5), st.sampled_from([1.0, -1.0]),
-           st.floats(0.1, 3.0))
-    def test_matches_reference_on_any_edge(self, above, below, sign, limit):
-        metric = band_with_edges(-below, above)
-        assert analysis.domain_edge(metric, sign, limit) == \
-            reference_domain_edge(metric, sign, limit)
-
-    def test_edge_past_the_limit_returns_the_limit(self):
-        metric = ConformalMetric(BandChart(), constant_field(0.0))
-        assert analysis.domain_edge(metric, 1.0, 1.25) == 1.25
-
-    def test_domain_missing_the_center_raises(self):
-        with pytest.raises(SamplingError, match="chart center"):
-            analysis.domain_edge(band_with_edges(0.1, 1.0), 1.0, math.pi / 2)
-
-    def test_few_batched_domain_calls(self, monkeypatch):
-        # the one-level bisection makes 62 calls of one point each
+    @pytest.fixture
+    def domain_calls(self, monkeypatch):
         calls = []
         in_domain = ScalarField.in_domain
 
@@ -905,8 +885,49 @@ class TestDomainEdge:
             return in_domain(self, *args)
 
         monkeypatch.setattr(ScalarField, "in_domain", counted)
-        analysis.domain_edge(make_example("incomplete-band").payload, 1.0, math.pi / 2)
-        assert len(calls) <= 11
+        return calls
+
+    @pytest.mark.parametrize("name", ["incomplete-band", "cylinder-delaunay"])
+    @pytest.mark.parametrize("limit", [math.pi / 2, math.pi / 2 - 1e-9])
+    def test_matches_reference_on_examples(self, name, limit):
+        metric = make_example(name).payload
+        lo, hi = analysis.domain_edge(metric, limit)
+        assert type(lo) is float and type(hi) is float
+        assert lo < 0.0 < hi
+        assert (lo, hi) == reference_domain_interval(metric, limit)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(1e-8, 1.5), st.floats(1e-8, 1.5), st.floats(0.1, 3.0))
+    def test_matches_reference_on_any_edge(self, above, below, limit):
+        assume(above != below)
+        metric = band_with_edges(-below, above)
+        assert analysis.domain_edge(metric, limit) == reference_domain_interval(metric, limit)
+
+    def test_edge_past_the_limit_returns_the_limit(self, domain_calls):
+        # with both far ends inside, the one call on the four ends decides
+        metric = ConformalMetric(BandChart(), constant_field(0.0))
+        assert analysis.domain_edge(metric, 1.25) == (-1.25, 1.25)
+        assert len(domain_calls) == 1
+
+    @pytest.mark.parametrize("below, above", [(-0.3, 1.4), (-1.4, 0.3)])
+    def test_one_ray_returns_the_limit_and_the_other_bisects(self, below, above):
+        metric = band_with_edges(below, above)
+        lo, hi = analysis.domain_edge(metric, 1.2)
+        assert (lo, hi) == reference_domain_interval(metric, 1.2)
+        assert (lo == -1.2) != (hi == 1.2)
+        assert type(lo) is float and type(hi) is float
+
+    @pytest.mark.parametrize("below, above", [(0.1, 1.0), (0.0, 1.0), (-1.0, 0.0)])
+    def test_domain_missing_the_center_raises(self, below, above):
+        # both near ends outside, then only the negative one, then only the
+        # positive one
+        with pytest.raises(SamplingError, match="chart center"):
+            analysis.domain_edge(band_with_edges(below, above), math.pi / 2)
+
+    def test_few_batched_domain_calls(self, domain_calls):
+        # the one-level bisection makes 62 calls of one point per ray
+        analysis.domain_edge(make_example("incomplete-band").payload, math.pi / 2)
+        assert len(domain_calls) <= 11
 
 
 def unit_directions(d):

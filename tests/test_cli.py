@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from horocorr import cli
+from horocorr import cli, conformal
 from horocorr.cli import build_parser, main
 
 
@@ -186,6 +186,21 @@ class TestReports:
         assert report["results"]["lambda_max"] == pytest.approx(half, abs=1e-9)
         assert report["results"]["lambda_min"] == pytest.approx(-half, abs=1e-9)
         assert report["invariant_checks"][0]["pass"] is True
+
+    def test_schouten_solves_each_sample_once(self, monkeypatch, capsys):
+        # the symmetry check reads the tensors of the report's own solve
+        solved = []
+        eigvalsh = conformal.generalized_eigvalsh
+
+        def counted(A, B):
+            solved.append(len(A))
+            return eigvalsh(A, B)
+
+        monkeypatch.setattr(conformal, "generalized_eigvalsh", counted)
+        code, out, _ = run(capsys, "schouten", "incomplete-band", "--samples", "80")
+        assert code == 0
+        assert solved == [80]
+        assert json.loads(out)["results"]["n_samples"] == 80
 
     def test_flow_csv_schema_and_consistency(self, tmp_path, capsys):
         path = tmp_path / "sweep.csv"

@@ -16,6 +16,7 @@ from horocorr.sphere import (
     constant_field,
     fd_jet,
     gradient_hessian,
+    gradient_norm,
     radial_band_field,
     ScalarField,
 )
@@ -329,3 +330,35 @@ class TestGradientHessian:
         chart = BandChart()
         with pytest.raises(ChartDomainError):
             gradient_hessian(band_example_field(), chart, np.array([1.2, 0.0]))
+
+
+class TestGradientNorm:
+    @pytest.mark.parametrize("jets", ["analytic", "fd"])
+    @pytest.mark.parametrize("chart", [BandChart(), StereographicChart(2)],
+                             ids=["band", "stereographic"])
+    def test_bits_of_gradient_hessian(self, jets, chart, rng):
+        field = band_example_field() if chart.kind == "band" else ScalarField(
+            lambda u: np.sin(u[..., 0]) * u[..., 1],
+            lambda u: np.stack([np.cos(u[..., 0]) * u[..., 1], np.sin(u[..., 0])], -1),
+            lambda u: np.zeros(np.shape(u) + (2,)))
+        if jets == "fd":
+            field = field.without_jets()
+        u = np.column_stack([rng.uniform(-0.9, 0.9, 40), rng.uniform(0.0, 6.0, 40)])
+        grad, norm_sq = gradient_norm(field, chart, u)
+        full = gradient_hessian(field, chart, u)
+        assert grad.tobytes() == full.gradient.tobytes()
+        assert norm_sq.tobytes() == full.grad_norm_sq.tobytes()
+
+    def test_analytic_hessian_not_evaluated(self):
+        band = band_example_field()
+
+        def hessian(u):
+            raise AssertionError("the Hessian was evaluated")
+
+        field = ScalarField(band.value, band.gradient, hessian, band.domain)
+        grad, _ = gradient_norm(field, BandChart(), np.array([0.5, 0.3]))
+        assert grad[0] == pytest.approx(2.0 / 3.0, abs=1e-12)
+
+    def test_domain_error(self):
+        with pytest.raises(ChartDomainError):
+            gradient_norm(band_example_field(), BandChart(), np.array([1.2, 0.0]))

@@ -361,6 +361,11 @@ class TestMoebiusCore:
 
 BIG = np.finfo(float).max
 
+# T's denominator 2x + 2 is 1e154 at 5e153; the others cross it nearby
+WIDE_DENOMINATORS = [5e153, math.nextafter(5e153, math.inf), 1e154,
+                     math.nextafter(1e154, math.inf), -1e154, 1e155, -1e155,
+                     1e200, -1e200, 1e300, -1e300]
+
 
 class TestMobiusLargeInput:
     # (map, x, limit of the map as x -> +-infinity)
@@ -411,6 +416,34 @@ class TestMobiusLargeInput:
     def test_affine_map_at_large_input(self):
         identity = Mobius(np.eye(2), two_sided=True)
         assert identity(BIG) == BIG and identity(-1e308) == -1e308
+
+    @given(st.sampled_from([T, T_INV, flow_shift(1.0), flow_shift(-0.3)]),
+           st.lists(st.one_of(st.sampled_from(WIDE_DENOMINATORS),
+                              st.floats(-1e300, 1e300), st.floats(-10.0, 10.0)),
+                    min_size=1, max_size=6),
+           st.sampled_from(["0d", "1d", "2d"]))
+    @example(T, [0.3, 1e155, 2.0], "1d")
+    @example(T, [math.nextafter(5e153, math.inf)], "0d")
+    @example(flow_shift(1.0), [-1e200, 1e300, 0.5, 3.0], "2d")
+    @settings(max_examples=200, deadline=None)
+    def test_derivative_matches_masked_formula(self, f, values, layout):
+        # the unmasked branch runs only while no |denominator| exceeds 1e154;
+        # either way the bits are those of the masked formula
+        x = np.array(values[0]) if layout == "0d" else np.array(values)
+        if layout == "2d" and len(values) % 2 == 0:
+            x = x.reshape(2, -1)
+        assert outcome(f.derivative, x) == outcome(
+            lambda v: masked_derivative(f, v), x)
+
+
+def masked_derivative(f, x):
+    """Mobius.derivative as it was before its unmasked branch: every input
+    divides through the wide-denominator masks."""
+    _, s, denom = f._check(x)
+    (a, b), (c, d) = f.matrix
+    wide = np.abs(denom) > 1e154
+    once = np.where(wide, denom, 1.0)
+    return (a * d - b * c) * s**2 / np.where(wide, 1.0, denom)**2 / once / once
 
 
 def reference_terms(self, x):
