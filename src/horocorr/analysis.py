@@ -147,6 +147,8 @@ def _profile_frame(u):
 
 
 def profile_curve(m=4096):
+    if m < 3:
+        raise SamplingError("a closed polygon needs at least three samples")
     period = 4.0 * math.pi
     u = np.linspace(0.0, period, m, endpoint=False)
     phi, eta, kappa = _profile_frame(u)
@@ -306,20 +308,11 @@ def gauss_winding(curve):
 
 # -- crossing detection -------------------------------------------------------
 
-@dataclass(frozen=True)
-class CrossingRecord:
-    """One transversal crossing between parameter cells i and j (segment or
-    face indices), with its ball-coordinate location."""
-
-    i: int
-    j: int
-    point: np.ndarray
-    params: Optional[tuple] = None
-
-
 def self_intersections(payload):
-    """All transversal self-crossings of the projected payload, in
-    lexicographic (i, j) order.  Segments (curves) and triangles (meshes) go
+    """All transversal self-crossings of the projected payload, as a (k, 2)
+    int64 array of the crossing cells' index pairs (i, j) (segments for
+    curves, faces for meshes), i < j, in lexicographic order; (0, 2) when
+    there are none.  Segments (curves) and triangles (meshes) go
     through one sweep over their closed bounding boxes, `_box_pairs`, then
     one narrow phase over all overlapping pairs.  Curves skip segment pairs
     within 2 of each other around the closed curve; meshes skip face pairs
@@ -372,19 +365,14 @@ def _curve_crossings(curve):
     apart = (j - i >= 3) & (j - i <= m - 3)
     i, j = i[apart], j[apart]
     d1, d2, c, pi = seg[i], seg[j], p[j], p[i]
-    w = c - pi
-    hit = ((_cross(d1, w) * _cross(d1, c + d2 - pi) < 0.0)
+    hit = ((_cross(d1, c - pi) * _cross(d1, c + d2 - pi) < 0.0)
            & (_cross(d2, pi - c) * _cross(d2, b[i] - c) < 0.0))
-    i, j, d1, d2, w = i[hit], j[hit], d1[hit], d2[hit], w[hit]
-    ti = _cross(w, d2) / _cross(d1, d2)
-    tj = _cross(w, d1) / _cross(d1, d2)
-    return list(map(CrossingRecord, i.tolist(), j.tolist(),
-                    p[i] + ti[:, None] * d1, zip(ti.tolist(), tj.tolist())))
+    return np.stack([i[hit], j[hit]], axis=1)
 
 
 def _segment_hits_triangle(p0, p1, tri):
-    """Strict interior crossings of segments p0->p1 with triangles tri
-    (stacked along the first axis)."""
+    """Mask of the segments p0->p1 that cross the interior of triangles tri
+    (stacked along the first axis), strictly inside both."""
     e1 = tri[:, 1] - tri[:, 0]
     e2 = tri[:, 2] - tri[:, 0]
     d = p1 - p0
@@ -397,7 +385,7 @@ def _segment_hits_triangle(p0, p1, tri):
         sol[ok] = np.linalg.solve(M[ok], rhs)[..., 0]
     beta, gamma, t = sol[:, 0], sol[:, 1], sol[:, 2]
     inside = (beta > 0) & (gamma > 0) & (beta + gamma < 1) & (t > 0) & (t < 1)
-    return ok & inside, p0 + t[:, None] * d
+    return ok & inside
 
 
 # An edge test is skipped only when both endpoints lie more than this, in
@@ -413,9 +401,9 @@ PLANE_MARGIN = 1e-12
 
 
 def _mesh_crossings(mesh):
-    """Narrow phase: each pair's six edge tests, in the order edges (0, 1),
-    (1, 2), (2, 0), each of face i against face j and then of face j against
-    face i, the first hit winning.  Pairs sharing a vertex are dropped, and
+    """Narrow phase: a pair crosses when any of its six edge tests hits,
+    edges (0, 1), (1, 2), (2, 0) of face i against face j and of face j
+    against face i.  Pairs sharing a vertex are dropped, and
     so are pairs with a face wholly on one side of the other's plane; of the
     rest, tests whose edge does not straddle the other face's plane are
     dropped (Moller, JGT 1997), and the slots left go through one
@@ -449,12 +437,10 @@ def _mesh_crossings(mesh):
     # surviving (pair, edge, direction) slots, in test order
     k, e, d = np.nonzero(straddle.transpose(0, 2, 1))
     edge = face[k, d]
-    hit, pt = _segment_hits_triangle(
+    hit = _segment_hits_triangle(
         tri[edge, a[e]], tri[edge, b[e]], tri[plane[k, d]])
-    k, pt = k[hit], pt[hit]
-    first = np.diff(k, prepend=-1) != 0
-    k = k[first]
-    return list(map(CrossingRecord, i[k].tolist(), j[k].tolist(), pt[first]))
+    k = np.unique(k[hit])
+    return np.stack([i[k], j[k]], axis=1)
 
 
 # -- embedding time -----------------------------------------------------------

@@ -158,9 +158,7 @@ def realizability_report(metric, samples):
     chart points, an (m, n) array or a list of (n,) points.  Points outside
     the domain are skipped."""
     pts = np.asarray(samples, dtype=float)
-    pts = pts[metric.rho.in_domain(metric.chart, pts)]
-    if len(pts) == 0:
-        raise SamplingError("no usable samples for the realizability report")
+    pts = pts[metric.rho.in_domain(metric.chart, pts)].reshape(-1, metric.chart.n)
     return eigenvalue_realizability(schouten(metric, pts).eigenvalues)
 
 
@@ -168,7 +166,9 @@ def eigenvalue_realizability(ev):
     """Eigenvalue extremes of Schouten eigenvalues ev, one ascending row per
     sample.  The metric is realizable iff every eigenvalue lies in
     [-B, 1/2 - eps], with B = REALIZABLE_FLOOR and eps = REALIZABLE_MARGIN.
-    """
+    Raises SamplingError when there is no sample."""
+    if len(ev) == 0:
+        raise SamplingError("no usable samples for the realizability report")
     lam_min, lam_max = float(ev[:, 0].min()), float(ev[:, -1].max())
     flags = []
     if lam_min < -REALIZABLE_FLOOR:

@@ -75,15 +75,14 @@ def immerse(metric, u, t=0.0):
     u = np.asarray(u, dtype=float)
     chart = metric.chart
     x = chart.embed(u)
-    grad, grad_norm_sq = gradient_norm(metric.rho, chart, u)
+    grad, grad_norm_sq, ginv = gradient_norm(metric.rho, chart, u)
     w = np.asarray(metric.effective(u) + t)
     bad = ~(np.isfinite(w) & np.isfinite(grad_norm_sq))
     if np.any(bad):
         point = np.broadcast_to(u, bad.shape + u.shape[-1:])[bad][0]
         raise ChartDomainError(
             f"rho or its gradient is not finite at chart point {point}")
-    grad_ambient = (chart.jacobian(u)
-                    @ (chart.metric_inverse(u) @ grad[..., None]))[..., 0]
+    grad_ambient = (chart.jacobian(u) @ (ginv @ grad[..., None]))[..., 0]
     ew, emw = np.exp(w), np.exp(-w)
     one_x = np.concatenate([np.ones(x.shape[:-1] + (1,)), x], axis=-1)
     radial = np.concatenate([np.zeros(x.shape[:-1] + (1,)), grad_ambient - x], axis=-1)
@@ -104,7 +103,7 @@ def extrinsic_curvatures(metric, u, t=0.0, h=DEFAULT_FD_STEP, return_point=False
     the second form II_ij = -<d_i eta, d_j phi> symmetrized, and the kappa's
     solve det(II - kappa I) = 0 via Cholesky whitening of I.  Raises
     ImmersionError('not an immersion') when I is not positive definite at
-    some point.
+    some point, and ChartDomainError unless the step h has 0 < h < inf.
     """
     u = np.asarray(u, dtype=float)
     base = immerse(metric, u, t) if return_point else None

@@ -237,10 +237,17 @@ def call_stacked(f, points, lead):
     return values
 
 
+def _check_step(h):
+    if not np.all((0.0 < h) & (h < np.inf)):
+        raise ChartDomainError("finite-difference step must be positive")
+
+
 def _stencil_points(x, h):
     """The points central_jet evaluates, stacked after x's leading axes: x,
     x + h e_i, x - h e_i, then the corners (x + a h e_i) + b h e_j of each
-    axis pair i < j in blocks (a, b) = (+,+), (+,-), (-,+), (-,-)."""
+    axis pair i < j in blocks (a, b) = (+,+), (+,-), (-,+), (-,-).  Raises
+    ChartDomainError unless 0 < h < inf."""
+    _check_step(h)
     n = x.shape[-1]
     axial = h * np.concatenate([np.eye(n), -np.eye(n)])
     first = x[..., None, :] + axial
@@ -255,8 +262,10 @@ def axis_values(f, x, h):
     axis of x, stacked along a new axis placed after x's leading axes.
 
     f, scalar- or array-valued, is called once on all 2n points stacked so
-    (see call_stacked).  h may broadcast over x's leading axes.
+    (see call_stacked).  h may broadcast over x's leading axes.  Raises
+    ChartDomainError unless 0 < h < inf.
     """
+    _check_step(h)
     x = np.asarray(x, dtype=float)
     eye = np.eye(x.shape[-1])
     points = x[..., None, :] + np.multiply.outer(h, np.concatenate([eye, -eye]))
@@ -299,11 +308,9 @@ def central_jet(f, x, h):
 def fd_jet(field, u, h, chart):
     """(value, gradient, Hessian) of a field by central differences.
 
-    Raises ChartDomainError if h <= 0 or the stencil of any point leaves the
-    field's domain on the chart.
+    Raises ChartDomainError unless 0 < h < inf, or if the stencil of any
+    point leaves the field's domain on the chart.
     """
-    if h <= 0:
-        raise ChartDomainError("finite-difference step must be positive")
     u = np.asarray(u, dtype=float)
     if not np.all(field.in_domain(chart, _stencil_points(u, h))):
         raise ChartDomainError("stencil escapes the field domain; reduce h or move inward")
@@ -318,8 +325,9 @@ class GradHess:
 
 
 def _jets(field, chart, u, hessian):
-    """u as a float array, the gradient, its squared norm and the raw Hessian,
-    which the analytic route evaluates only when hessian is true."""
+    """u as a float array, the gradient, its squared norm, the inverse metric
+    and the raw Hessian, which the analytic route evaluates only when hessian
+    is true."""
     u = np.asarray(u, dtype=float)
     inside = field.in_domain(chart, u)
     if not np.all(inside):
@@ -329,14 +337,15 @@ def _jets(field, chart, u, hessian):
         raw_hess = np.asarray(field.hessian(u), dtype=float) if hessian else None
     else:
         _, grad, raw_hess = fd_jet(field, u, DEFAULT_FD_STEP, chart)
-    norm_sq = np.einsum("...i,...ij,...j->...", grad, chart.metric_inverse(u), grad)
-    return u, grad, norm_sq, raw_hess
+    ginv = chart.metric_inverse(u)
+    norm_sq = np.einsum("...i,...ij,...j->...", grad, ginv, grad)
+    return u, grad, norm_sq, ginv, raw_hess
 
 
 def gradient_norm(field, chart, u):
     """gradient_hessian's gradient and grad_norm_sq, bit for bit, without the
-    Hessian."""
-    return _jets(field, chart, u, False)[1:3]
+    Hessian, and the inverse metric of the norm, for raising the gradient."""
+    return _jets(field, chart, u, False)[1:4]
 
 
 def gradient_hessian(field, chart, u):
@@ -347,6 +356,6 @@ def gradient_hessian(field, chart, u):
     differences of step DEFAULT_FD_STEP (requiring stencil room inside the
     domain).  Raises ChartDomainError if any point is outside the domain.
     """
-    u, grad, norm_sq, raw_hess = _jets(field, chart, u, True)
+    u, grad, norm_sq, _, raw_hess = _jets(field, chart, u, True)
     cov = raw_hess - np.einsum("...kij,...k->...ij", chart.christoffels(u), grad)
     return GradHess(grad, norm_sq, cov)

@@ -16,7 +16,6 @@ from horocorr.analysis import (
     GalleryEntry,
     MeshImmersion,
     BoundaryCluster,
-    CrossingRecord,
     boundary_at_infinity,
     circle_curve,
     first_embedded_time,
@@ -128,7 +127,7 @@ def reference_curve_crossings(curve):
     seg = b - p
     lo = np.minimum(p, b)
     hi = np.maximum(p, b)
-    records = []
+    pairs = []
     for i in range(m):
         js = np.arange(i + 3, m)
         if i <= 1:
@@ -149,16 +148,8 @@ def reference_curve_crossings(curve):
         s1 = d2[:, 0] * (p[i, 1] - c[:, 1]) - d2[:, 1] * (p[i, 0] - c[:, 0])
         s2 = d2[:, 0] * (b[i, 1] - c[:, 1]) - d2[:, 1] * (b[i, 0] - c[:, 0])
         hit = (r1 * r2 < 0.0) & (s1 * s2 < 0.0)
-        for idx in np.nonzero(hit)[0]:
-            j = int(js[idx])
-            denom = d1[0] * d2[idx, 1] - d1[1] * d2[idx, 0]
-            ti = ((c[idx, 0] - p[i, 0]) * d2[idx, 1]
-                  - (c[idx, 1] - p[i, 1]) * d2[idx, 0]) / denom
-            tj = ((c[idx, 0] - p[i, 0]) * d1[1]
-                  - (c[idx, 1] - p[i, 1]) * d1[0]) / denom
-            records.append(CrossingRecord(
-                i=i, j=j, point=p[i] + ti * d1, params=(float(ti), float(tj))))
-    return records
+        pairs += [(i, int(j)) for j in js[hit]]
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
 
 def reference_mesh_crossings(mesh):
@@ -168,7 +159,7 @@ def reference_mesh_crossings(mesh):
     tri = mesh.ball_points()[faces]
     lo = tri.min(axis=1)
     hi = tri.max(axis=1)
-    records = []
+    pairs = []
     n_faces = len(faces)
     for i in range(n_faces):
         js = np.arange(i + 1, n_faces)
@@ -181,30 +172,21 @@ def reference_mesh_crossings(mesh):
         if len(js) == 0:
             continue
         found = np.zeros(len(js), dtype=bool)
-        where = np.zeros((len(js), 3))
         for a, b in ((0, 1), (1, 2), (2, 0)):
-            hit, pt = analysis._segment_hits_triangle(
+            found |= analysis._segment_hits_triangle(
                 np.broadcast_to(tri[i, a], (len(js), 3)),
                 np.broadcast_to(tri[i, b], (len(js), 3)), tri[js])
-            new = hit & ~found
-            where[new] = pt[new]
-            found |= hit
-            hit, pt = analysis._segment_hits_triangle(
+            found |= analysis._segment_hits_triangle(
                 tri[js][:, a], tri[js][:, b],
                 np.broadcast_to(tri[i], (len(js), 3, 3)))
-            new = hit & ~found
-            where[new] = pt[new]
-            found |= hit
-        for idx in np.nonzero(found)[0]:
-            records.append(CrossingRecord(
-                i=i, j=int(js[idx]), point=where[idx]))
-    return records
+        pairs += [(i, int(j)) for j in js[found]]
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
 
 def brute_force_mesh_crossings(mesh):
     # every face pair i < j at once: the closed-box test on all axes, the
-    # shared-vertex drop, then the six edge tests of the per-face loop in its
-    # slot order, the first hit winning; no sort, sweep or plane rejection
+    # shared-vertex drop, then the six edge tests of the per-face loop; no
+    # sort, sweep or plane rejection
     faces = mesh.faces
     tri = mesh.ball_points()[faces]
     lo = tri.min(axis=1)
@@ -217,23 +199,17 @@ def brute_force_mesh_crossings(mesh):
     shared = (faces[i][:, :, None] == faces[j][:, None, :]).any(axis=(1, 2))
     i, j = i[~shared], j[~shared]
     found = np.zeros(len(i), dtype=bool)
-    where = np.zeros((len(i), 3))
     for a, b in ((0, 1), (1, 2), (2, 0)):
         for edge, other in ((i, j), (j, i)):
-            hit, pt = analysis._segment_hits_triangle(
+            found |= analysis._segment_hits_triangle(
                 tri[edge, a], tri[edge, b], tri[other])
-            new = hit & ~found
-            where[new] = pt[new]
-            found |= hit
-    return [CrossingRecord(i=int(i[k]), j=int(j[k]), point=where[k])
-            for k in np.nonzero(found)[0]]
+    return np.stack([i[found], j[found]], axis=1).astype(np.int64)
 
 
 def assert_same_records(got, want):
-    assert [(r.i, r.j, r.params) for r in got] == [(r.i, r.j, r.params) for r in want]
-    for a, b in zip(got, want):
-        assert type(a.i) is int and type(a.j) is int
-        np.testing.assert_array_equal(a.point, b.point)
+    assert got.dtype == np.int64 and got.shape == (len(got), 2)
+    assert want.dtype == np.int64 and want.shape == (len(want), 2)
+    np.testing.assert_array_equal(got, want)
 
 
 def assert_same_clusters(got, want):
@@ -250,15 +226,16 @@ def lifted_normal(phi, w):
     return w / np.sqrt(mink_inner(w, w))[..., None]
 
 
-def piercing_mesh():
-    """Two transversal triangles whose normal flows pull them apart."""
+def piercing_mesh(shift=0.0):
+    """Two transversal triangles whose normal flows pull them apart; a shift
+    moves the second along the first axis, 0.5 clear of the first."""
     ball = np.array([
         [-0.02, -0.10, -0.10],
         [-0.02, 0.20, -0.10],
         [-0.02, -0.10, 0.20],
-        [-0.12, 0.00, 0.00],
-        [0.08, -0.06, 0.00],
-        [0.08, 0.06, 0.00],
+        [-0.12 + shift, 0.00, 0.00],
+        [0.08 + shift, -0.06, 0.00],
+        [0.08 + shift, 0.06, 0.00],
     ])
     phi = from_poincare_ball(ball)
     eta = np.vstack([
@@ -339,6 +316,12 @@ class TestCurveType:
         with pytest.raises(SingularParameterError):
             replace(curve, eta=1.1 * curve.eta)
 
+    @pytest.mark.parametrize("m", [2, 0, -5])
+    def test_profile_needs_three_samples(self, m):
+        with pytest.raises(SamplingError, match="at least three samples"):
+            profile_curve(m)
+        assert profile_curve(3).resolution == 3
+
     def test_nonfinite_flow_time_rejected(self):
         # NaN and inf frames fail the frame check instead of building NaN data
         with pytest.raises(SingularParameterError):
@@ -390,7 +373,13 @@ class TestWinding:
 
 class TestCrossings:
     def test_circle_is_embedded(self):
-        assert self_intersections(circle_curve(0.9, 512)) == []
+        assert self_intersections(circle_curve(0.9, 512)).shape == (0, 2)
+
+    @pytest.mark.parametrize("payload", [circle_curve(0.7, 256), piercing_mesh(0.5)],
+                             ids=["circle", "faces-apart"])
+    def test_no_crossing_is_empty_pair_array(self, payload):
+        pairs = self_intersections(payload)
+        assert pairs.dtype == np.int64 and pairs.shape == (0, 2)
 
     def test_profile_count_stable_under_refinement(self):
         count = len(self_intersections(profile_curve(4096)))
@@ -399,15 +388,12 @@ class TestCrossings:
 
     def test_records_well_formed(self):
         curve = profile_curve(2048)
-        records = self_intersections(curve)
+        pairs = self_intersections(curve)
         m = curve.resolution
-        for rec in records:
-            assert 0 <= rec.i < rec.j < m
-            gap = min(rec.j - rec.i, m - (rec.j - rec.i))
-            assert gap > 2
-            ti, tj = rec.params
-            assert 0.0 < ti < 1.0 and 0.0 < tj < 1.0
-            assert np.linalg.norm(rec.point) < 1.0
+        assert len(pairs) > 0
+        for i, j in pairs:
+            assert 0 <= i < j < m
+            assert min(j - i, m - (j - i)) > 2
 
     def test_flow_does_not_clear_triple_cover(self):
         # the direction map winds three times; an embedded closed curve
@@ -426,9 +412,7 @@ class TestCrossings:
             self_intersections(stalled)
 
     def test_mesh_pierce_detected(self):
-        records = self_intersections(piercing_mesh())
-        assert len(records) == 1
-        assert (records[0].i, records[0].j) == (0, 1)
+        np.testing.assert_array_equal(self_intersections(piercing_mesh()), [[0, 1]])
 
     def test_product_mesh_crosses_itself(self):
         mesh = make_example("alpha-product", m_u=96, m_v=5, length=0.6).payload
@@ -540,8 +524,8 @@ class TestSweepMatchesReference:
         for shift in range(curve.resolution):
             rolled = replace(curve, phi=np.roll(curve.phi, shift, axis=0),
                              eta=np.roll(curve.eta, shift, axis=0))
-            assert self_intersections(rolled) == []
-            assert reference_curve_crossings(rolled) == []
+            assert self_intersections(rolled).shape == (0, 2)
+            assert reference_curve_crossings(rolled).shape == (0, 2)
 
     @pytest.mark.parametrize("t", FLOW_TIMES)
     def test_product_mesh(self, t):
@@ -558,7 +542,7 @@ class TestSweepMatchesReference:
     def check_product_mesh(params, t):
         mesh = make_example("alpha-product", **params).payload.flowed(t)
         got = self_intersections(mesh)
-        assert got
+        assert len(got) > 0
         assert_same_records(got, brute_force_mesh_crossings(mesh))
 
     def test_piercing_mesh(self):
@@ -573,9 +557,9 @@ class TestSweepMatchesReference:
     ], ids=["default-t0", "default-t5", "piercing"])
     def test_brute_force_matches_per_face_loop(self, mesh):
         # the oracle above against the original per-face loop
-        records = brute_force_mesh_crossings(mesh)
-        assert records
-        assert_same_records(records, reference_mesh_crossings(mesh))
+        pairs = brute_force_mesh_crossings(mesh)
+        assert len(pairs) > 0
+        assert_same_records(pairs, reference_mesh_crossings(mesh))
 
 
 @st.composite

@@ -100,6 +100,13 @@ class TestWinding:
         assert code == 0
         assert out.strip() == "3"
 
+    @pytest.mark.parametrize("samples", ["0", "-5", "2"])
+    def test_too_few_samples(self, capsys, samples):
+        code, out, err = run(capsys, "gauss-degree", "alpha", f"--samples={samples}")
+        assert code == 1
+        assert out == ""
+        assert err == "error: a closed polygon needs at least three samples\n"
+
     def test_metric_example_rejected(self, capsys):
         code, _, err = run(capsys, "gauss-degree", "incomplete-band")
         assert code == 1
@@ -243,6 +250,19 @@ class TestReports:
                            "--samples", "512", "--t", "2.0")
         assert code == 1
         assert "not embedded by t_max" in err
+
+    def test_schouten_without_samples(self, capsys):
+        code, out, err = run(capsys, "schouten", "incomplete-band", "--samples", "0")
+        assert code == 1
+        assert out == ""
+        assert err == "error: no usable samples for the realizability report\n"
+
+    @pytest.mark.parametrize("h", ["0", "-1e-4", "nan", "inf"])
+    def test_flow_step_must_be_positive_and_finite(self, capsys, h):
+        code, out, err = run(capsys, "flow", "incomplete-band", f"--h={h}")
+        assert code == 1
+        assert out == ""
+        assert err == "error: finite-difference step must be positive\n"
 
     def test_embed_check_nonfinite_eps(self, capsys):
         code, out, err = run(capsys, "embed-check", "alpha", "--eps", "nan")

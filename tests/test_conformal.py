@@ -9,6 +9,7 @@ from horocorr.analysis import make_example
 from horocorr.conformal import (
     LENGTH_CAP,
     ConformalMetric,
+    eigenvalue_realizability,
     flow_time_for_bound,
     generalized_eigvalsh,
     path_length,
@@ -366,9 +367,17 @@ class TestRescaleAndRealizability:
         assert "Schouten not bounded below" in rep.flags
         assert not rep.realizable
 
-    def test_empty_samples_error(self):
-        with pytest.raises(SamplingError):
-            realizability_report(band_metric(), [])
+    @pytest.mark.parametrize("samples", [[], np.zeros((0, 2)), [[2.0, 0.0]]],
+                             ids=["empty-list", "empty-array", "outside-domain"])
+    def test_empty_samples_error(self, samples):
+        with pytest.raises(SamplingError, match="no usable samples"):
+            realizability_report(band_metric(), samples)
+
+    def test_empty_eigenvalues_error(self):
+        # the check realizability_report shares, reached directly by the
+        # schouten command with no samples
+        with pytest.raises(SamplingError, match="no usable samples"):
+            eigenvalue_realizability(np.empty((0, 2)))
 
     def test_flow_time_examples(self):
         assert flow_time_for_bound(-1.0, 0.1) == 0.0

@@ -41,6 +41,7 @@ from horocorr.sphere import (
     radial_band_field,
 )
 
+from test_analysis import band_horosphere, stereographic_horosphere
 from test_conformal import band_metric, cylinder_metric
 from test_minkowski import geodesic_point
 
@@ -126,6 +127,21 @@ class TestImmerse:
             with pytest.raises(ChartDomainError, match=re.escape(f"point {u[1]}")):
                 immerse(naive, u, 1.0)
 
+    @pytest.mark.parametrize("metric", [band_metric(), sphere_metric()],
+                             ids=["band", "stereographic"])
+    def test_one_metric_inverse_call(self, metric, monkeypatch):
+        # |grad rho|^2 and the raised gradient share one inverse metric
+        calls = []
+        inverse = metric.chart.metric_inverse
+
+        def counted(u):
+            calls.append(u)
+            return inverse(u)
+
+        monkeypatch.setattr(metric.chart, "metric_inverse", counted)
+        immerse(metric, np.array([[0.3, 0.2], [-0.4, 1.0]]), 0.5)
+        assert len(calls) == 1
+
     def test_spectral_gate(self):
         metric = ConformalMetric(StereographicChart(2), constant_field(0.0))
         gate = "eigenvalues reach the 1/2 bound"
@@ -165,6 +181,28 @@ class TestExtrinsicCurvatures:
             lam = schouten(rescale(metric, 1.0), u).eigenvalues
             predicted = np.sort(lambda_kappa(lam, CANONICAL, "lambda_to_kappa"))
             np.testing.assert_allclose(kappas, predicted, atol=1e-3)
+
+    @pytest.mark.parametrize("t", [0.0, 1.0])
+    @pytest.mark.parametrize("horosphere", [band_horosphere, stereographic_horosphere])
+    def test_horosphere_exact_oracle(self, horosphere, t, rng):
+        # a horosphere has Schouten eigenvalues 0 and kappa = -1, at every
+        # flow time: the flow moves it to another horosphere
+        metric = horosphere()
+        if metric.chart.kind == "band":
+            u = np.column_stack([rng.uniform(-1.2, 1.2, 50), rng.uniform(0.0, 6.0, 50)])
+        else:
+            u = rng.uniform(-2.0, 2.0, (50, 2))
+        lam = schouten(rescale(metric, t), u).eigenvalues
+        assert np.abs(lam).max() <= 1e-12
+        kappas = extrinsic_curvatures(metric, u, t=t)
+        assert np.abs(kappas + 1.0).max() <= 1e-8
+
+    @pytest.mark.parametrize("h", [0.0, -1e-4, math.nan, math.inf])
+    @pytest.mark.parametrize("return_point", [False, True])
+    def test_step_must_be_positive_and_finite(self, h, return_point):
+        with pytest.raises(ChartDomainError, match="step must be positive"):
+            extrinsic_curvatures(band_metric(), np.array([[0.2, 0.4]]), t=1.0, h=h,
+                                 return_point=return_point)
 
     def test_degenerate_is_not_an_immersion(self):
         metric = ConformalMetric(StereographicChart(2), constant_field(0.0))

@@ -226,10 +226,11 @@ class TestFdJet:
         err2 = abs(g2[0] - math.cos(0.7))
         assert err1 / err2 >= 3.5  # halving h must cut the error ~4x
 
-    def test_rejects_nonpositive_step(self):
+    @pytest.mark.parametrize("h", [0.0, -1e-4, math.nan, math.inf])
+    def test_rejects_nonpositive_step(self, h):
         field = ScalarField(lambda u: 0.0)
-        with pytest.raises(ChartDomainError):
-            fd_jet(field, np.array([0.0]), h=0.0, chart=StereographicChart(1))
+        with pytest.raises(ChartDomainError, match="step must be positive"):
+            fd_jet(field, np.array([0.0]), h=h, chart=StereographicChart(1))
 
     def test_stencil_domain_guard(self):
         chart = BandChart()
@@ -344,10 +345,11 @@ class TestGradientNorm:
         if jets == "fd":
             field = field.without_jets()
         u = np.column_stack([rng.uniform(-0.9, 0.9, 40), rng.uniform(0.0, 6.0, 40)])
-        grad, norm_sq = gradient_norm(field, chart, u)
+        grad, norm_sq, ginv = gradient_norm(field, chart, u)
         full = gradient_hessian(field, chart, u)
         assert grad.tobytes() == full.gradient.tobytes()
         assert norm_sq.tobytes() == full.grad_norm_sq.tobytes()
+        assert ginv.tobytes() == chart.metric_inverse(u).tobytes()
 
     def test_analytic_hessian_not_evaluated(self):
         band = band_example_field()
@@ -356,7 +358,7 @@ class TestGradientNorm:
             raise AssertionError("the Hessian was evaluated")
 
         field = ScalarField(band.value, band.gradient, hessian, band.domain)
-        grad, _ = gradient_norm(field, BandChart(), np.array([0.5, 0.3]))
+        grad, _, _ = gradient_norm(field, BandChart(), np.array([0.5, 0.3]))
         assert grad[0] == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_domain_error(self):
