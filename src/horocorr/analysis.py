@@ -242,14 +242,16 @@ def make_example(name, **params):
     if name == "geodesic-sphere":
         rho0 = float(params.pop("rho0", 0.5 * math.log(2.0)))
         _no_extra(name, params)
+        if not abs(rho0) < math.inf:
+            raise SingularParameterError(f"rho0 = {rho0} is not finite")
         if rho0 == 0.0:
             raise SingularParameterError(
                 "rho0 = 0 collapses to a point; use round-degenerate for that")
-        payload = ConformalMetric(StereographicChart(2), constant_field(rho0))
+        payload = ConformalMetric(StereographicChart(), constant_field(rho0))
         resolved = {"rho0": rho0}
     elif name == "round-degenerate":
         _no_extra(name, params)
-        payload = ConformalMetric(StereographicChart(2), constant_field(0.0))
+        payload = ConformalMetric(StereographicChart(), constant_field(0.0))
         resolved = {}
     elif name == "incomplete-band":
         _no_extra(name, params)
@@ -258,8 +260,8 @@ def make_example(name, **params):
     elif name == "cylinder-delaunay":
         t = float(params.pop("t", 1.0))
         _no_extra(name, params)
-        if t <= 0.0:
-            raise SingularParameterError("cylinder example needs flow offset t > 0")
+        if not 0.0 < t < math.inf:
+            raise SingularParameterError("cylinder example needs finite flow offset t > 0")
         payload = ConformalMetric(BandChart(), cylinder_field(), t=t)
         resolved = {"t": t}
     elif name == "alpha-curve":

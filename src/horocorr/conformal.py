@@ -17,7 +17,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import ChartDomainError, SamplingError
+from .errors import ChartDomainError, SamplingError, SingularParameterError
 from .sphere import ScalarField, call_stacked, central_gradient, gradient_hessian
 
 REALIZABLE_MARGIN = 1e-3   # strict gap eps below the 1/2 eigenvalue bound
@@ -50,7 +50,6 @@ class ConformalMetric:
 class SchoutenReport:
     tensor: np.ndarray       # lower indices, in chart coordinates
     eigenvalues: np.ndarray  # relative to ghat, sorted ascending
-    point: np.ndarray
 
 
 def generalized_eigvalsh(A, B):
@@ -79,7 +78,7 @@ def schouten(metric, u):
               + grad[..., :, None] * grad[..., None, :]
               - 0.5 * jets.grad_norm_sq[..., None, None] * g)
     eigenvalues = generalized_eigvalsh(tensor, metric.ghat(u))
-    return SchoutenReport(tensor, eigenvalues, u)
+    return SchoutenReport(tensor, eigenvalues)
 
 
 def path_length(metric, curve, velocity=None):
@@ -130,7 +129,10 @@ def path_length(metric, curve, velocity=None):
 
 
 def rescale(metric, dt):
-    """Shift the scale offset by dt; eigenvalues scale by e^{-2 dt}."""
+    """Shift the scale offset by dt; eigenvalues scale by e^{-2 dt}.
+    Raises SingularParameterError unless dt is finite."""
+    if not math.isfinite(dt):
+        raise SingularParameterError(f"rescale offset {dt} is not finite")
     return ConformalMetric(metric.chart, metric.rho, metric.t + dt)
 
 

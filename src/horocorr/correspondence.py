@@ -50,8 +50,6 @@ class HypersurfacePoint:
     phi: np.ndarray
     eta: np.ndarray
     psi: np.ndarray
-    point: np.ndarray
-    t: float
     tangents: Optional[np.ndarray] = None       # rows: d phi / d u^i
     first_form: Optional[np.ndarray] = None
     second_form: Optional[np.ndarray] = None
@@ -89,7 +87,7 @@ def immerse(metric, u, t=0.0):
     height = 0.5 * ew * (1.0 + emw**2 * (1.0 + grad_norm_sq))
     phi = height[..., None] * one_x + emw[..., None] * radial
     psi = ew[..., None] * one_x
-    return HypersurfacePoint(phi=phi, eta=psi - phi, psi=psi, point=u, t=t)
+    return HypersurfacePoint(phi=phi, eta=psi - phi, psi=psi)
 
 
 def extrinsic_curvatures(metric, u, t=0.0, h=DEFAULT_FD_STEP, return_point=False):
@@ -129,7 +127,7 @@ def extrinsic_curvatures(metric, u, t=0.0, h=DEFAULT_FD_STEP, return_point=False
         raise ImmersionError("not an immersion") from None
     if return_point:
         point = HypersurfacePoint(
-            phi=base.phi, eta=base.eta, psi=base.psi, point=u, t=t,
+            phi=base.phi, eta=base.eta, psi=base.psi,
             tangents=dphi, first_form=I, second_form=II)
         return kappas, point
     return kappas
@@ -184,10 +182,10 @@ def fg_metric(metric, u, r):
     return ghat - r**2 * rep.tensor + 0.25 * r**4 * Q
 
 
-def support_and_gauss(point):
+def support_and_gauss(psi):
     """Support value and Gauss point from the light-cone map psi = e^rho (1, G),
     over the leading axes of psi; psi must be null within relative 1e-8."""
-    psi = point.psi if isinstance(point, HypersurfacePoint) else np.asarray(point, float)
+    psi = np.asarray(psi, dtype=float)
     p0 = psi[..., 0]
     if np.any(p0 <= 0.0):
         raise HyperquadricError("light-cone map must have positive height")

@@ -1,10 +1,10 @@
-"""Charts on the round sphere S^n and scalar fields on spherical domains.
+"""Charts on the round sphere S^2 and scalar fields on spherical domains.
 
 Two chart kinds cover every example in the package:
 
-* StereographicChart: coordinates u in R^n, embedding
+* StereographicChart: coordinates u in R^2, embedding
   x(u) = (2u, 1-|u|^2)/(1+|u|^2), metric (2/(1+|u|^2))^2 * identity.
-* BandChart, on S^2 only: coordinates (s, a) with s in (-pi/2, pi/2) the
+* BandChart: coordinates (s, a) with s in (-pi/2, pi/2) the
   arc from the equator and a the angle along it; metric ds^2 + cos^2(s) da^2.
 
 Scalar fields are closures over chart coordinates with optional analytic
@@ -44,13 +44,9 @@ def _require(chart, u):
 
 
 class StereographicChart:
-    """Conformal chart on S^n minus one pole; coordinates range over all of R^n."""
+    """Conformal chart on S^2 minus one pole; coordinates range over all of R^2."""
 
-    def __init__(self, n):
-        if n < 1:
-            raise ChartDomainError("sphere dimension must be >= 1")
-        self.n = n
-
+    n = 2
     kind = "stereographic"
 
     def contains(self, u):

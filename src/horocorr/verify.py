@@ -212,7 +212,7 @@ def check_boundary_expansion(seed=24):
     equivalence with the normal-flow metric factor under r = 2e^{-t}."""
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
-    round_metric = ConformalMetric(StereographicChart(2), constant_field(0.0))
+    round_metric = ConformalMetric(StereographicChart(), constant_field(0.0))
     pts = rng.uniform(-3.0, 3.0, size=(20, 2))
     ghat = round_metric.chart.metric(pts)
     worst_round = 0.0

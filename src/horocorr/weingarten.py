@@ -25,10 +25,6 @@ from .minkowski import _last_axis_sum
 METRIC_SIDE = "metric"            # f acting on Schouten eigenvalues, cone in C
 HYPERSURFACE_SIDE = "hypersurface"  # W acting on principal curvatures, cone in K
 
-CONE_C = "C"        # all x_i < 1/2
-CONE_K = "K"        # all x_i > -1
-_CONE_ENTRIES = {CONE_C: lambda x: x < 0.5, CONE_K: lambda x: x > -1.0}
-
 
 @dataclass(frozen=True)
 class Mobius:
@@ -63,10 +59,6 @@ class Mobius:
         denom = c * u + d * s
         inside = np.abs(denom) >= 1e-14 * s if self.two_sided else denom > 0.0
         return x, (inside if direct else np.isfinite(x) & inside), u, s, denom
-
-    def contains(self, x):
-        """Mask over the entries of x: finite and inside the domain."""
-        return self._terms(x)[1]
 
     def _check(self, x):
         """u, s and c u + d s of _terms(x); raises SingularParameterError
@@ -113,14 +105,6 @@ def flow_shift(t):
     return Mobius(np.array([[1.0, -th], [-th, 1.0]]), two_sided=True)
 
 
-def in_cone(x, tag):
-    """Mask over the leading axes of x: every entry of the last axis obeys
-    the inequality of the cone."""
-    if tag not in _CONE_ENTRIES:
-        raise SingularParameterError(f"unknown cone tag {tag!r}")
-    return np.all(_CONE_ENTRIES[tag](np.asarray(x, dtype=float)), axis=-1)
-
-
 def t_map(x, direction="k_to_c"):
     """Componentwise Moebius map between the two eigenvalue cones.
 
@@ -140,27 +124,14 @@ class CurvatureFunction:
 
     Every callable broadcasts over the leading axes of an (..., n) array of
     eigenvalue points: eval -> (...) values, gradient -> (..., n), hessian
-    -> (..., n, n), cone -> (...) mask of the admissible open set (sampled,
-    not certified).  Callables that a batch or a stencil reaches must return
+    -> (..., n, n).  Callables that a batch or a stencil reaches must return
     one value per point, even for one (n,) point, since a stencil stacks it.
     """
 
     side: str
-    n: int
     eval: Callable[[np.ndarray], np.ndarray]
     gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
     hessian: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    cone: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    name: str = ""
-
-    def __call__(self, x):
-        """One value per point of x; SingularParameterError if eval breaks that."""
-        x = np.asarray(x, dtype=float)
-        values = np.asarray(self.eval(x), dtype=float)
-        if values.shape != x.shape[:-1]:
-            raise SingularParameterError(
-                f"eval gave shape {values.shape}, not one value per point of {x.shape[:-1]}")
-        return values[()]
 
 
 def _sigma(x, k):
@@ -195,21 +166,13 @@ def elementary_symmetric(n, k, side=METRIC_SIDE):
         H = _sigma(np.where(pair, 0.0, x[..., None, None, :]), k - 2)
         return np.where(eye, 0.0, H)
 
-    base_tag = CONE_C if side == METRIC_SIDE else CONE_K
     return CurvatureFunction(
-        side=side,
-        n=n,
-        eval=lambda x: _sigma(x, k),
-        gradient=gradient,
-        hessian=hessian,
-        cone=lambda x: in_cone(x, base_tag) & (_sigma(x, k) > 0.0),
-        name=f"sigma_{k}",
-    )
+        side=side, eval=lambda x: _sigma(x, k), gradient=gradient, hessian=hessian)
 
 
-def _pull_back(F, mobius, side, name):
+def _pull_back(F, mobius, side):
     """F o mobius for a componentwise Moebius map, with the gradient by the
-    chain rule and the cone predicate pulled back (False off its domain)."""
+    chain rule."""
 
     def value(x):
         return F.eval(mobius(x))
@@ -220,32 +183,20 @@ def _pull_back(F, mobius, side, name):
             outer = np.asarray(F.gradient(mobius(x)), dtype=float)
             return outer * mobius.derivative(x)
 
-    cone = None
-    if F.cone is not None:
-        def cone(x):
-            x = np.asarray(x, dtype=float)
-            inside = np.all(mobius.contains(x), axis=-1)
-            out = np.zeros(inside.shape, dtype=bool)
-            # F.cone never sees a batch without a point inside the domain
-            if np.any(inside):
-                out[inside] = F.cone(mobius(x[inside]))
-            return out[()]
-
-    return CurvatureFunction(
-        side=side, n=F.n, eval=value, gradient=gradient, cone=cone, name=name)
+    return CurvatureFunction(side=side, eval=value, gradient=gradient)
 
 
 def conjugate(F):
     """Transport a curvature function to the other side of the dictionary:
     metric-side f becomes W = f o T, hypersurface-side W becomes f = W o T^{-1}.
-    Cone predicates and analytic gradients are transported along."""
+    Analytic gradients are transported along."""
     if F.side == METRIC_SIDE:
         mobius, new_side = T, HYPERSURFACE_SIDE
     elif F.side == HYPERSURFACE_SIDE:
         mobius, new_side = T_INV, METRIC_SIDE
     else:
         raise SingularParameterError(f"unknown side {F.side!r}")
-    return _pull_back(F, mobius, new_side, f"conj[{F.name}]" if F.name else "")
+    return _pull_back(F, mobius, new_side)
 
 
 def flow_conjugate(W, t):
@@ -253,8 +204,7 @@ def flow_conjugate(W, t):
     W^t(x) = W((x - tanh t)/(1 - x tanh t)) componentwise."""
     if W.side != HYPERSURFACE_SIDE:
         raise SingularParameterError("flow conjugation acts on hypersurface-side functions")
-    return _pull_back(W, flow_shift(t), HYPERSURFACE_SIDE,
-                      f"{W.name}^t" if W.name else "")
+    return _pull_back(W, flow_shift(t), HYPERSURFACE_SIDE)
 
 
 def hessian_transform(f, kappa):

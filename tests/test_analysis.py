@@ -82,7 +82,7 @@ def stereographic_horosphere():
         f = 1.0 + np.sum(u * u, axis=-1)[..., None, None]
         return 2.0 * np.eye(2) / f - 4.0 * u[..., :, None] * u[..., None, :] / f**2
 
-    return ConformalMetric(StereographicChart(2), ScalarField(value, gradient, hessian))
+    return ConformalMetric(StereographicChart(), ScalarField(value, gradient, hessian))
 
 
 def boundary_entry(name):
@@ -288,8 +288,12 @@ class TestGalleryEntries:
             make_example("klein-bottle")
         with pytest.raises(SingularParameterError):
             make_example("alpha-curve", radius=2.0)
-        with pytest.raises(SingularParameterError):
-            make_example("cylinder-delaunay", t=-1.0)
+        for t in (-1.0, math.nan, math.inf):
+            with pytest.raises(SingularParameterError, match="finite flow offset t > 0"):
+                make_example("cylinder-delaunay", t=t)
+        for rho0 in (math.nan, math.inf, -math.inf):
+            with pytest.raises(SingularParameterError, match="not finite"):
+                make_example("geodesic-sphere", rho0=rho0)
 
     def test_product_vertices_inside_ball(self):
         mesh = make_example("alpha-product", m_u=24, m_v=5, length=0.8).payload
@@ -815,7 +819,7 @@ class TestBoundaryAtInfinity:
 
         def recording_immerse(metric, u, t):
             point = immerse(metric, u, t)
-            immersed.append(point)
+            immersed.append((u, point))
             return point
 
         def recording_cluster(dirs, radius):
@@ -826,11 +830,11 @@ class TestBoundaryAtInfinity:
         monkeypatch.setattr(analysis, "_cluster_directions", recording_cluster)
         entry = boundary_entry(name)
         boundary_at_infinity(entry, t=t)
-        (point,), (dirs,) = immersed, clustered
-        assert point.point.shape == (len(point.point), 2, 2)
+        ((u, point),), (dirs,) = immersed, clustered
+        assert u.shape == (len(u), 2, 2)
         escaped = point.phi[:, 1, 0] > analysis.ESCAPE_RATIO * point.phi[:, 0, 0]
         assert np.count_nonzero(escaped) == len(dirs) == rays
-        gauss = entry.payload.chart.embed(point.point[escaped, 1])
+        gauss = entry.payload.chart.embed(u[escaped, 1])
         assert np.max(np.abs(dirs - gauss), initial=0.0) < 1e-10
 
     def test_nonfinite_probe_raises(self):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from horocorr import cli, conformal
+from horocorr.analysis import GalleryEntry, circle_curve
 from horocorr.cli import build_parser, main
 
 
@@ -62,6 +63,31 @@ class TestUsageErrors:
 
 
     @pytest.mark.parametrize("argv", [
+        ("schouten", "incomplete-band", "--samples", "-5"),
+        ("flow", "incomplete-band", "--samples", "-1"),
+        ("immerse", "geodesic-sphere", "--samples", "-3"),
+        ("gauss-degree", "alpha", "--samples=-5"),
+    ])
+    def test_negative_samples(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            main(list(argv))
+        assert err.value.code == 2
+        assert "argument --samples: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ("schouten", "geodesic-sphere", "--rho0", "nan"),
+        ("schouten", "geodesic-sphere", "--rho0", "inf"),
+        ("flow", "geodesic-sphere", "--t", "nan"),
+        ("flow", "geodesic-sphere", "--t", "inf"),
+    ])
+    def test_nonfinite_parameter(self, capsys, argv):
+        # pytest turns a RuntimeWarning into an error, so none is printed
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "not finite" in err
+
+    @pytest.mark.parametrize("argv", [
         ("gauss-degree", "alpha", "--seed", "3"),
         ("verify", "--t", "1"),
         ("boundary", "incomplete-band", "--eps", "0.999"),
@@ -100,7 +126,7 @@ class TestWinding:
         assert code == 0
         assert out.strip() == "3"
 
-    @pytest.mark.parametrize("samples", ["0", "-5", "2"])
+    @pytest.mark.parametrize("samples", ["0", "2"])
     def test_too_few_samples(self, capsys, samples):
         code, out, err = run(capsys, "gauss-degree", "alpha", f"--samples={samples}")
         assert code == 1
@@ -250,6 +276,17 @@ class TestReports:
                            "--samples", "512", "--t", "2.0")
         assert code == 1
         assert "not embedded by t_max" in err
+
+    def test_embed_check_embedded_curve(self, capsys, monkeypatch):
+        # no gallery curve embeds under the flow, so swap in a round circle
+        circle = GalleryEntry("circle", {}, circle_curve(0.7, 64))
+        monkeypatch.setattr(cli, "_gallery_entry", lambda args: circle)
+        code, out, _ = run(capsys, "embed-check", "alpha")
+        assert code == 0
+        report = json.loads(out)
+        assert report["results"] == {"t_embedded": 0.0, "crossings_before": None,
+                                     "crossings_now": 0}
+        assert report["invariant_checks"] == []
 
     def test_schouten_without_samples(self, capsys):
         code, out, err = run(capsys, "schouten", "incomplete-band", "--samples", "0")

@@ -21,6 +21,7 @@ from horocorr.errors import (
     ChartDomainError,
     DimensionMismatch,
     SamplingError,
+    SingularParameterError,
 )
 from horocorr.sphere import (
     BandChart,
@@ -104,7 +105,7 @@ class TestSchouten:
     def test_constant_factor_isotropy(self):
         # rho = c constant: tensor is (1/2) e^{-2c} ghat and lambda = 1/2 e^{-2c}
         c = 0.5 * math.log(2.0)
-        metric = ConformalMetric(StereographicChart(2), constant_field(c))
+        metric = ConformalMetric(StereographicChart(), constant_field(c))
         rep = schouten(metric, np.array([0.3, -0.8]))
         g = metric.chart.metric(np.array([0.3, -0.8]))
         np.testing.assert_allclose(rep.tensor, 0.5 * g, atol=1e-10)
@@ -151,7 +152,7 @@ class TestSchouten:
     def test_eigenvalues_chart_invariant(self):
         F = lambda x: 0.3 * x[..., 2] + 0.1 * np.cos(x[..., 0])
         band = BandChart()
-        stereo = StereographicChart(2)
+        stereo = StereographicChart()
         m_band = ConformalMetric(band, ScalarField(lambda u: F(band.embed(u))))
         m_st = ConformalMetric(stereo, ScalarField(lambda u: F(stereo.embed(u))))
         u_band = np.array([0.4, 0.9])
@@ -333,7 +334,7 @@ class TestRescaleAndRealizability:
 
     def test_rescale_scaling_law(self):
         c = 0.5 * math.log(2.0)
-        metric = ConformalMetric(StereographicChart(2), constant_field(c))
+        metric = ConformalMetric(StereographicChart(), constant_field(c))
         rep = schouten(rescale(metric, 1.0), np.array([0.1, 0.2]))
         np.testing.assert_allclose(rep.eigenvalues, 0.25 * math.exp(-2.0), atol=1e-12)
 
@@ -344,9 +345,14 @@ class TestRescaleAndRealizability:
         two = schouten(rescale(rescale(metric, 0.4), 0.5), u).eigenvalues
         np.testing.assert_allclose(one, two, rtol=1e-14)
 
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf])
+    def test_rescale_rejects_nonfinite_offset(self, dt):
+        with pytest.raises(SingularParameterError, match="not finite"):
+            rescale(band_metric(), dt)
+
     def test_constant_example_realizable(self):
         metric = ConformalMetric(
-            StereographicChart(2), constant_field(0.5 * math.log(2.0)))
+            StereographicChart(), constant_field(0.5 * math.log(2.0)))
         rep = realizability_report(metric, [np.array([0.0, 0.0]), np.array([1.0, 0.5])])
         assert rep.realizable
         assert rep.lambda_min == pytest.approx(0.25, abs=1e-10)
@@ -354,7 +360,7 @@ class TestRescaleAndRealizability:
         assert rep.suggested_t0 == 0.0
 
     def test_round_not_realizable(self):
-        metric = ConformalMetric(StereographicChart(2), constant_field(0.0))
+        metric = ConformalMetric(StereographicChart(), constant_field(0.0))
         rep = realizability_report(metric, [np.zeros(2)])
         assert not rep.realizable
         assert flow_time_for_bound(rep.lambda_max, 0.1) == pytest.approx(

@@ -49,7 +49,7 @@ RHO0 = 0.5 * math.log(2.0)
 
 
 def sphere_metric(rho0=RHO0):
-    return ConformalMetric(StereographicChart(2), constant_field(rho0))
+    return ConformalMetric(StereographicChart(), constant_field(rho0))
 
 
 def generic_band_metric():
@@ -63,7 +63,7 @@ def generic_band_metric():
 
 class TestImmerse:
     def test_degenerate_collapse(self, rng):
-        metric = ConformalMetric(StereographicChart(2), constant_field(0.0))
+        metric = ConformalMetric(StereographicChart(), constant_field(0.0))
         for _ in range(20):
             u = rng.uniform(-2.0, 2.0, size=2)
             p = immerse(metric, u)
@@ -143,7 +143,7 @@ class TestImmerse:
         assert len(calls) == 1
 
     def test_spectral_gate(self):
-        metric = ConformalMetric(StereographicChart(2), constant_field(0.0))
+        metric = ConformalMetric(StereographicChart(), constant_field(0.0))
         gate = "eigenvalues reach the 1/2 bound"
         assert gate in realizability_report(rescale(metric, 0.0), [0, 0]).flags
         # flowing far enough opens the gate
@@ -205,7 +205,7 @@ class TestExtrinsicCurvatures:
                                  return_point=return_point)
 
     def test_degenerate_is_not_an_immersion(self):
-        metric = ConformalMetric(StereographicChart(2), constant_field(0.0))
+        metric = ConformalMetric(StereographicChart(), constant_field(0.0))
         with pytest.raises(ImmersionError, match="not an immersion"):
             extrinsic_curvatures(metric, np.array([0.2, -0.4]))
 
@@ -366,7 +366,7 @@ class TestSupportAndGauss:
         metric = band_metric()
         u = np.array([0.5, 1.1])
         p = immerse(metric, u, t=0.3)
-        data = support_and_gauss(p)
+        data = support_and_gauss(p.psi)
         assert data.rho_tilde == pytest.approx(metric.rho.value(u) + 0.3, rel=1e-12)
         np.testing.assert_allclose(data.gauss_point, metric.chart.embed(u), atol=1e-10)
         assert np.linalg.norm(data.gauss_point) == pytest.approx(1.0, abs=1e-10)
@@ -387,7 +387,7 @@ class TestMinImmersionTime:
         assert t0 == 0.0
 
     def test_round_metric_value(self):
-        metric = ConformalMetric(StereographicChart(2), constant_field(0.0))
+        metric = ConformalMetric(StereographicChart(), constant_field(0.0))
         report = realizability_report(metric, [np.zeros(2), np.ones(2)])
         assert flow_time_for_bound(report.lambda_max, 0.1) == pytest.approx(0.111572, abs=1e-6)
 
@@ -526,7 +526,7 @@ class TestBatchConvention:
         metric = band_metric()
         u = np.array([0.3, 1.0])
         p = immerse(metric, u, 0.5)
-        assert p.phi.shape == (4,) and p.point.shape == (2,)
+        assert p.phi.shape == p.eta.shape == p.psi.shape == (4,)
         jets = gradient_hessian(metric.rho, metric.chart, u)
         assert jets.gradient.shape == (2,) and np.ndim(jets.grad_norm_sq) == 0
         rep = schouten(metric, u)

@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is read somewhere in it, and
-every public function or class it defines is reached by the program."""
+"""Every name a module of the package imports is read somewhere in it,
+every public function or class it defines is reached by the program, and
+every field of its dataclasses is read by the program."""
 
 import ast
 from pathlib import Path
@@ -100,3 +101,61 @@ def test_guard_flags_an_unreached_name():
     }
     bench = ['SPANS = [("a", "benched")]\n']
     assert unreached(modules, bench, {"Kept"}) == ["a.Lonely", "a.orphan", "b.orphan"]
+
+
+# dataclass fields kept with no program reader, each with its reason
+ORACLE = "frame of extrinsic_curvatures(return_point=True), the curvature oracle"
+KEEP_FIELDS = {
+    "correspondence.HypersurfacePoint.tangents": ORACLE,
+    "correspondence.HypersurfacePoint.first_form": ORACLE,
+    "correspondence.HypersurfacePoint.second_form": ORACLE,
+    "correspondence.SupportData.rho_tilde":
+        "the paper's horospherical support function; the tests check rho + t",
+}
+
+
+def _decorator_name(node):
+    node = node.func if isinstance(node, ast.Call) else node
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
+
+
+def unread_fields(modules, readers, keep=()):
+    """Fields of the dataclasses of the package that no reader source loads
+    as an attribute, as sorted "module.Class.field" strings.
+
+    modules maps module names to their source; a field counts as read when
+    some source in readers has an attribute load of its name.
+    """
+    loaded = {node.attr for source in readers for node in ast.walk(ast.parse(source))
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    missing = []
+    for module, source in modules.items():
+        for cls in ast.parse(source).body:
+            if not (isinstance(cls, ast.ClassDef) and any(
+                    _decorator_name(d) == "dataclass" for d in cls.decorator_list)):
+                continue
+            fields = [stmt.target.id for stmt in cls.body
+                      if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+            missing += [f"{module}.{cls.name}.{field}" for field in fields
+                        if field not in loaded and f"{module}.{cls.name}.{field}" not in keep]
+    return sorted(missing)
+
+
+def test_every_dataclass_field_read():
+    modules = {path.stem: path.read_text() for path in SOURCES}
+    readers = list(modules.values()) + [path.read_text() for path in BENCH_SOURCES]
+    assert unread_fields(modules, readers, KEEP_FIELDS) == []
+
+
+def test_guard_flags_an_unread_field():
+    modules = {
+        "a": ("from dataclasses import dataclass\nimport dataclasses\n"
+              "@dataclass(frozen=True)\nclass P:\n    x: float\n    y: int = 0\n"
+              "    kept: str = ''\n    LIMIT = 3\n"
+              "@dataclasses.dataclass\nclass Q:\n    z: float\n"
+              "class Plain:\n    w: float\n"
+              "def use(p, q):\n    p.y = q\n    return p.x\n"),
+    }
+    bench = ["def probe(q):\n    return q.LIMIT\n"]
+    assert unread_fields(modules, [modules["a"]] + bench, {"a.P.kept"}) == [
+        "a.P.y", "a.Q.z"]
