@@ -112,12 +112,14 @@ class GalleryEntry:
 def _profile_jets(u):
     """Position and first two derivatives of the triple-cover profile curve."""
     u = np.asarray(u, dtype=float)
-    r = np.sin(u / 2) * np.cos(u)
-    R = np.cos(u / 2) - np.cos(3 * u / 2) / 3
-    rp = 0.5 * np.cos(u / 2) * np.cos(u) - np.sin(u / 2) * np.sin(u)
-    rpp = -1.25 * np.sin(u / 2) * np.cos(u) - np.cos(u / 2) * np.sin(u)
-    Rp = -0.5 * np.sin(u / 2) + 0.5 * np.sin(3 * u / 2)
-    Rpp = -0.25 * np.cos(u / 2) + 0.75 * np.cos(3 * u / 2)
+    angles = np.stack([u / 2, u, 3 * u / 2])
+    (sin1, sin2, sin3), (cos1, cos2, cos3) = np.sin(angles), np.cos(angles)
+    r = sin1 * cos2
+    R = cos1 - cos3 / 3
+    rp = 0.5 * cos1 * cos2 - sin1 * sin2
+    rpp = -1.25 * sin1 * cos2 - cos1 * sin2
+    Rp = -0.5 * sin1 + 0.5 * sin3
+    Rpp = -0.25 * cos1 + 0.75 * cos3
     chr_, shr = np.cosh(r), np.sinh(r)
     chR, shR = np.cosh(R), np.sinh(R)
     a = np.stack([chr_ * chR, shr * chR, shR], axis=-1)
@@ -147,8 +149,9 @@ def _profile_frame(u):
 
 
 def profile_curve(m=4096):
-    if m < 3:
-        raise SamplingError("a closed polygon needs at least three samples")
+    # the direction map turns three times: with m <= 6 each step is >= half a turn
+    if m < 7:
+        raise SamplingError("the profile curve needs at least seven samples")
     period = 4.0 * math.pi
     u = np.linspace(0.0, period, m, endpoint=False)
     phi, eta, kappa = _profile_frame(u)
@@ -218,12 +221,11 @@ GALLERY_NAMES = (
 
 
 def incomplete_band_field():
-    """rho(s) = -log sqrt(1 - s^2) on |s| < 1, with analytic jets."""
+    """rho(s) = -log sqrt(1 - s^2) on the band |s| < 1, with analytic jets."""
     return radial_band_field(
         f=lambda s: -0.5 * np.log1p(-s * s),
         fs=lambda s: s / (1.0 - s * s),
         fss=lambda s: (1.0 + s * s) / (1.0 - s * s) ** 2,
-        domain_s=lambda s: np.abs(s) < 1.0,
     )
 
 
@@ -255,7 +257,7 @@ def make_example(name, **params):
         resolved = {}
     elif name == "incomplete-band":
         _no_extra(name, params)
-        payload = ConformalMetric(BandChart(), incomplete_band_field())
+        payload = ConformalMetric(BandChart(1.0), incomplete_band_field())
         resolved = {}
     elif name == "cylinder-delaunay":
         t = float(params.pop("t", 1.0))
@@ -497,49 +499,6 @@ class BoundaryCluster:
     count: int
 
 
-def domain_edge(metric, limit):
-    """Signed arc interval (lo, hi), lo < 0 < hi, of the field's domain along
-    the first chart axis: on each ray, limit if its far end is inside, else
-    the largest radius in [1e-9, limit] inside, by 60 bisection levels.
-
-    The rays are bisected together, the negative one in signed coordinates,
-    which negates each midpoint exactly.  One in_domain call tests the ends
-    +-1e-9 and +-limit.  Each further call tests the 63 midpoints per ray the
-    next six levels could reach, each formed by the same 0.5 * (lo + hi), and
-    the walk takes the branches the one-level bisection would: each end has
-    its bits, from 11 calls for both rays in place of 62 per ray.
-    """
-    def inside(s):
-        probes = np.zeros((len(s), metric.chart.n))
-        probes[:, 0] = s
-        return metric.rho.in_domain(metric.chart, probes).tolist()
-
-    near_up, near_down, far_up, far_down = inside(np.array([1e-9, -1e-9, limit, -limit]))
-    if not (near_up and near_down):
-        raise SamplingError("field domain does not contain the chart center")
-    if far_up and far_down:
-        return -limit, limit
-    los, his = [1e-9, -1e-9], [limit, -limit]
-    for _ in range(10):
-        # level blocks with the rays interleaved: a node's children sit in the
-        # next block at its own index (mid inside) and one block further on
-        lo, hi, mids = np.array(los), np.array(his), []
-        for _ in range(6):
-            mid = 0.5 * (lo + hi)
-            mids.append(mid)
-            lo, hi = np.concatenate([mid, lo]), np.concatenate([hi, mid])
-        mids = np.concatenate(mids)
-        ok, mids = inside(mids), mids.tolist()
-        for ray in (0, 1):
-            k = ray
-            for width in (2, 4, 8, 16, 32, 64):
-                if ok[k]:
-                    los[ray], k = mids[k], k + width
-                else:
-                    his[ray], k = mids[k], k + 2 * width
-    return (-limit if far_down else los[1]), (limit if far_up else los[0])
-
-
 def _near(v, centers, radius):
     """Whether the direction v lies within radius of each row of centers, by
     arccos of the clipped dot product.  vecdot runs the same dot kernel as
@@ -583,22 +542,20 @@ def boundary_at_infinity(entry, t=1.0, n_directions=64):
     Each ray (a sign and one of n_directions angles on the band chart, an
     angle on the stereographic chart) is probed at its two deepest ladder
     levels toward the domain edge: arcs 1 - 2^-(LADDER_DEPTH - 1) and
-    1 - 2^-LADDER_DEPTH of the edge on the band, radii 2^(LADDER_DEPTH - 2)
-    and 2^(LADDER_DEPTH - 1) on the stereographic chart.  A ray with a probe
-    outside the domain is dropped.  Both probes are immersed at flow time t,
+    1 - 2^-LADDER_DEPTH of the float below the band's edge, radii
+    2^(LADDER_DEPTH - 2) and 2^(LADDER_DEPTH - 1) on the stereographic
+    chart, all inside the chart.  Both probes are immersed at flow time t,
     and the ray escapes when the height phi_0 at the deeper probe is more
     than ESCAPE_RATIO times that at the other.  Its direction is the ball
     direction of its deepest probe, which matches the probe's Gauss point
     chart.embed(u): the ideal boundary is the boundary of the Gauss image,
     whatever t.  A compact image yields an empty list.  Parameters that
-    would make that answer meaningless are refused: t must be finite and
-    n_directions at least 1.
+    would make that answer meaningless are refused: n_directions must be at
+    least 1, and immerse refuses a non-finite t.
     """
     if n_directions < 1:
         raise SingularParameterError(
             f"need at least one direction, got n_directions={n_directions}")
-    if not math.isfinite(t):
-        raise SingularParameterError(f"flow time must be finite, got {t}")
     metric = entry.payload
     if not isinstance(metric, ConformalMetric):
         raise SingularParameterError(
@@ -607,7 +564,8 @@ def boundary_at_infinity(entry, t=1.0, n_directions=64):
     angles = np.linspace(0.0, 2.0 * np.pi, n_directions, endpoint=False)
     if chart.kind == "band":
         ladder = 1.0 - 2.0 ** -np.array([LADDER_DEPTH - 1.0, LADDER_DEPTH])
-        arcs = np.multiply.outer(domain_edge(metric, np.pi / 2)[::-1], ladder)
+        edge = np.nextafter(chart.edge, 0.0)
+        arcs = np.multiply.outer([edge, -edge], ladder)
         probes = np.stack(np.broadcast_arrays(
             arcs[:, None, :], angles[None, :, None]), axis=-1)
     elif chart.kind == "stereographic":
@@ -616,9 +574,7 @@ def boundary_at_infinity(entry, t=1.0, n_directions=64):
         probes = radii[:, None] * circle[:, None, :]
     else:
         raise SingularParameterError(f"unknown chart kind {chart.kind!r}")
-    probes = probes.reshape(-1, 2, 2)
-    probes = probes[np.all(metric.rho.in_domain(chart, probes), axis=-1)]
-    phi = immerse(metric, probes, t).phi
+    phi = immerse(metric, probes.reshape(-1, 2, 2), t).phi
     escaped = phi[:, 1, 0] > ESCAPE_RATIO * phi[:, 0, 0]
     p = to_poincare_ball(phi[escaped, 1])
     return _cluster_directions(p / np.linalg.norm(p, axis=-1)[:, None], CLUSTER_RADIUS)

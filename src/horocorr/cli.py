@@ -20,7 +20,6 @@ from .analysis import (
     CurveImmersion,
     MeshImmersion,
     boundary_at_infinity,
-    domain_edge,
     first_embedded_time,
     gauss_winding,
     grid_faces,
@@ -79,10 +78,10 @@ def _gallery_entry(args):
 
 
 def _band_range(metric, fraction):
-    """Arc range (lo, hi) covering the given fraction of the band metric's
-    domain on either side of the equator."""
-    lo, hi = domain_edge(metric, math.pi / 2 - 1e-9)
-    return fraction * lo, fraction * hi
+    """Arc range (lo, hi) covering the given fraction of the band chart's
+    domain on either side of the equator, kept 1e-9 off the poles."""
+    edge = min(np.nextafter(metric.chart.edge, 0.0), math.pi / 2 - 1e-9)
+    return -fraction * edge, fraction * edge
 
 
 def _metric_mesh(metric, n_az, n_lat, t):
@@ -230,7 +229,7 @@ def cmd_flow(args):
               + ["max_discrepancy"])
     # a sample is skipped when the +-h stencil of the extrinsic route leaves
     # the domain or the flowed spectrum reaches the lambda = 1/2 pole
-    stencil = axis_values(lambda v: metric.rho.in_domain(metric.chart, v), pts, args.h)
+    stencil = axis_values(metric.chart.contains, pts, args.h)
     pts = pts[np.all(stencil, axis=(0, 2))]
     lam = schouten(scaled, pts).eigenvalues
     window = lam[:, -1] < 0.5

@@ -105,7 +105,7 @@ def path_length(metric, curve, velocity=None):
     mid = 1.0 - 3.0 * half
     tau = np.stack([mid, 1.0 - mid])[..., None] + half[:, None] * nodes
     u = call_stacked(curve, tau, tau.shape)
-    inside = metric.rho.in_domain(metric.chart, u)
+    inside = metric.chart.contains(u)
     if not np.all(inside):
         raise ChartDomainError(f"curve leaves the domain interior at tau={tau[~inside][0]}")
     if velocity is not None:
@@ -158,9 +158,9 @@ class RealizabilityReport:
 def realizability_report(metric, samples):
     """eigenvalue_realizability of the Schouten eigenvalues at a sample set:
     chart points, an (m, n) array or a list of (n,) points.  Points outside
-    the domain are skipped."""
+    the chart's domain are skipped."""
     pts = np.asarray(samples, dtype=float)
-    pts = pts[metric.rho.in_domain(metric.chart, pts)].reshape(-1, metric.chart.n)
+    pts = pts[metric.chart.contains(pts)].reshape(-1, metric.chart.n)
     return eigenvalue_realizability(schouten(metric, pts).eigenvalues)
 
 

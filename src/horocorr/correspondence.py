@@ -68,8 +68,11 @@ def immerse(metric, u, t=0.0):
     A pure evaluation: degenerate inputs give the degenerate output (rho = 0
     collapses to the base point).  Whether the scale t is immersed is the
     "eigenvalues reach the 1/2 bound" flag of
-    realizability_report(rescale(metric, t), u).  Raises ChartDomainError,
-    naming the first such point, where rho + t or |grad rho|^2 is not finite."""
+    realizability_report(rescale(metric, t), u).  Raises
+    SingularParameterError unless t is finite, and ChartDomainError, naming
+    the first such point, where rho + t or |grad rho|^2 is not finite."""
+    if not np.all(np.isfinite(t)):
+        raise SingularParameterError(f"flow time {t} is not finite")
     u = np.asarray(u, dtype=float)
     chart = metric.chart
     x = chart.embed(u)

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatch, HyperquadricError
+from .errors import DimensionMismatch, HyperquadricError, SingularParameterError
 
 # relative tolerance of hyperboloid membership checks
 MEMBERSHIP_RTOL = 1e-9
@@ -107,7 +107,10 @@ def normal_flow(phi, eta, t):
     flow time t, for phi on the hyperboloid and eta on de Sitter space with
     <phi,eta> = 0; the frame is not checked here.  A scalar t takes math's
     cosh and sinh, whose bits numpy's do not always match; an array t
-    broadcasts against the leading axes."""
+    broadcasts against the leading axes.  Raises SingularParameterError
+    unless every t is finite."""
+    if not np.all(np.isfinite(t)):
+        raise SingularParameterError(f"flow time {t} is not finite")
     phi, eta = _check_dims(phi, eta)
     ch, sh = ((math.cosh(t), math.sinh(t)) if np.ndim(t) == 0
               else (np.cosh(t)[..., None], np.sinh(t)[..., None]))

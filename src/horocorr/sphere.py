@@ -4,13 +4,13 @@ Two chart kinds cover every example in the package:
 
 * StereographicChart: coordinates u in R^2, embedding
   x(u) = (2u, 1-|u|^2)/(1+|u|^2), metric (2/(1+|u|^2))^2 * identity.
-* BandChart: coordinates (s, a) with s in (-pi/2, pi/2) the
-  arc from the equator and a the angle along it; metric ds^2 + cos^2(s) da^2.
+* BandChart(edge): coordinates (s, a) with |s| < edge <= pi/2 the arc
+  from the equator and a the angle along it; metric ds^2 + cos^2(s) da^2.
 
-Scalar fields are closures over chart coordinates with optional analytic
-gradient/Hessian; the Hessian callable returns raw coordinate partials
-d_i d_j rho, and the covariant correction -Gamma^k_ij d_k rho is applied
-uniformly by gradient_hessian.
+A scalar field lives on all of its chart's domain, chart.contains.  Fields
+are closures over chart coordinates with optional analytic gradient/Hessian;
+the Hessian callable returns raw coordinate partials d_i d_j rho, and the
+covariant correction -Gamma^k_ij d_k rho is applied by gradient_hessian.
 
 Chart points are arrays whose last axis holds the n coordinates.  Charts,
 fields, stencils and jets broadcast over the leading axes, as
@@ -94,9 +94,9 @@ class StereographicChart:
 
 
 class BandChart:
-    """Chart ds^2 + cos^2(s) da^2 on S^2 around its equator.
-
-    Coordinates u = (s, a): s in (-pi/2, pi/2) is the arc from the equator
+    """Chart ds^2 + cos^2(s) da^2 on the band |s| < edge of S^2 around its
+    equator, edge in (0, pi/2] (ChartDomainError otherwise; pi/2 leaves out
+    only the poles).  Coordinates u = (s, a): s is the arc from the equator
     and a, any real number, the angle along it; the embedding is
     x(s, a) = (cos s cos a, cos s sin a, sin s).
     """
@@ -104,11 +104,17 @@ class BandChart:
     n = 2
     kind = "band"
 
+    def __init__(self, edge=np.pi / 2):
+        # written as "not within range" so that NaN fails
+        if not 0.0 < edge <= np.pi / 2:
+            raise ChartDomainError(f"band edge {edge} is not in (0, pi/2]")
+        self.edge = float(edge)
+
     def contains(self, u):
         u = np.asarray(u, dtype=float)
         if u.shape[-1] != 2:
             return np.zeros(u.shape[:-1], dtype=bool)
-        return np.all(np.isfinite(u), axis=-1) & (np.abs(u[..., 0]) < np.pi / 2)
+        return np.all(np.isfinite(u), axis=-1) & (np.abs(u[..., 0]) < self.edge)
 
     def embed(self, u):
         u = _require(self, u)
@@ -147,38 +153,27 @@ class BandChart:
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Scalar field on (part of) a chart, with optional analytic jets.
+    """Scalar field on a chart's whole domain, with optional analytic jets.
 
     Points are arrays whose last axis holds the n chart coordinates, and
     every call broadcasts over the leading axes, as in horocorr.minkowski:
     value(u) -> (...) values; gradient(u) -> (..., n) partials; hessian(u)
     -> (..., n, n) raw coordinate partials d_i d_j (covariant correction
-    applied downstream); domain(u) -> (...) mask restricting the field
-    inside the chart, None meaning the whole chart range.
+    applied downstream).
 
     Callables that a batch or a stencil reaches must broadcast in the same
-    way.  Finite-difference jets evaluate value, and check domain, once on
-    the whole stencil stacked after the points' leading axes, even at one
-    point; a value without those leading axes raises DimensionMismatch.
+    way.  Finite-difference jets evaluate value once on the whole stencil
+    stacked after the points' leading axes, even at one point; a value
+    without those leading axes raises DimensionMismatch.
     """
 
     value: Callable[[np.ndarray], np.ndarray]
     gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
     hessian: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    domain: Optional[Callable[[np.ndarray], np.ndarray]] = None
-
-    def in_domain(self, chart, u):
-        """Mask over the leading axes of u: inside the chart and the domain."""
-        u = np.asarray(u, dtype=float)
-        inside = chart.contains(u)
-        # domain never sees a batch without a point inside the chart
-        if self.domain is None or not np.any(inside):
-            return inside
-        return inside & np.asarray(self.domain(u), dtype=bool)
 
     def without_jets(self):
         """Copy of the field that forgets analytic derivatives (forces FD)."""
-        return ScalarField(self.value, None, None, self.domain)
+        return ScalarField(self.value)
 
 
 def constant_field(c):
@@ -189,11 +184,11 @@ def constant_field(c):
     )
 
 
-def radial_band_field(f, fs=None, fss=None, domain_s=None):
+def radial_band_field(f, fs=None, fss=None):
     """Field on a band chart depending on the arc coordinate s = u[..., 0] only.
 
-    f, fs, fss: value and its first/second s-derivatives; domain_s(s) -> mask
-    optionally restricts the s-range.  Each takes an array of s values.
+    f, fs, fss: value and its first/second s-derivatives, each taking an
+    array of s values.  The band's edge, not the field, bounds the s-range.
     """
 
     def value(u):
@@ -215,12 +210,7 @@ def radial_band_field(f, fs=None, fss=None, domain_s=None):
             H[..., 0, 0] = fss(u[..., 0])
             return H
 
-    domain = None
-    if domain_s is not None:
-        def domain(u):
-            return domain_s(np.asarray(u, dtype=float)[..., 0])
-
-    return ScalarField(value, gradient, hessian, domain)
+    return ScalarField(value, gradient, hessian)
 
 
 def call_stacked(f, points, lead):
@@ -305,11 +295,11 @@ def fd_jet(field, u, h, chart):
     """(value, gradient, Hessian) of a field by central differences.
 
     Raises ChartDomainError unless 0 < h < inf, or if the stencil of any
-    point leaves the field's domain on the chart.
+    point leaves the chart's domain.
     """
     u = np.asarray(u, dtype=float)
-    if not np.all(field.in_domain(chart, _stencil_points(u, h))):
-        raise ChartDomainError("stencil escapes the field domain; reduce h or move inward")
+    if not np.all(chart.contains(_stencil_points(u, h))):
+        raise ChartDomainError("stencil escapes the chart domain; reduce h or move inward")
     return central_jet(field.value, u, h)
 
 
@@ -325,9 +315,9 @@ def _jets(field, chart, u, hessian):
     and the raw Hessian, which the analytic route evaluates only when hessian
     is true."""
     u = np.asarray(u, dtype=float)
-    inside = field.in_domain(chart, u)
+    inside = chart.contains(u)
     if not np.all(inside):
-        raise ChartDomainError(f"point {u[~inside][0]} outside the field domain")
+        raise ChartDomainError(f"point {u[~inside][0]} outside the chart domain")
     if field.gradient is not None and field.hessian is not None:
         grad = np.asarray(field.gradient(u), dtype=float)
         raw_hess = np.asarray(field.hessian(u), dtype=float) if hessian else None

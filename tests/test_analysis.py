@@ -95,29 +95,6 @@ def boundary_entry(name):
     return make_example(name)
 
 
-def reference_domain_edge(metric, sign, limit):
-    # the original one-level bisection with one point per in_domain call,
-    # kept as the oracle for the batched levels in analysis.domain_edge
-    probe = np.zeros(metric.chart.n)
-
-    def inside(s):
-        probe[0] = sign * s
-        return metric.rho.in_domain(metric.chart, probe)
-
-    if not inside(1e-9):
-        raise SamplingError("field domain does not contain the chart center")
-    lo, hi = 1e-9, limit
-    if inside(hi):
-        return hi
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if inside(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 def reference_curve_crossings(curve):
     # the original per-segment loop, kept as the oracle for the sweep in
     # analysis._curve_crossings
@@ -320,18 +297,28 @@ class TestCurveType:
         with pytest.raises(SingularParameterError):
             replace(curve, eta=1.1 * curve.eta)
 
-    @pytest.mark.parametrize("m", [2, 0, -5])
-    def test_profile_needs_three_samples(self, m):
-        with pytest.raises(SamplingError, match="at least three samples"):
+    @pytest.mark.parametrize("m", [6, 3, 2, 0, -5])
+    def test_profile_needs_seven_samples(self, m):
+        with pytest.raises(SamplingError, match="at least seven samples"):
             profile_curve(m)
-        assert profile_curve(3).resolution == 3
+        assert profile_curve(7).resolution == 7
 
-    def test_nonfinite_flow_time_rejected(self):
-        # NaN and inf frames fail the frame check instead of building NaN data
-        with pytest.raises(SingularParameterError):
-            profile_curve(64).flowed(float("nan"))
-        with pytest.raises(SingularParameterError), np.errstate(invalid="ignore"):
-            make_example("alpha-product").payload.flowed(float("inf"))
+    def test_profile_winding_is_three_or_refused(self):
+        # the direction map turns three times; at m = 3..6 every step is at
+        # least half a turn, too coarse for gauss_winding to read the turns
+        for m in range(3, 41):
+            try:
+                assert gauss_winding(profile_curve(m)) == 3, m
+            except SamplingError:
+                pass
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_flow_time_rejected(self, t):
+        # refused by name before cosh and sinh build NaN or inf frames
+        with pytest.raises(SingularParameterError, match="flow time .* is not finite"):
+            profile_curve(64).flowed(t)
+        with pytest.raises(SingularParameterError, match="flow time .* is not finite"):
+            make_example("alpha-product").payload.flowed(t)
 
     def test_flowed_matches_direct_formula(self):
         t = 0.35
@@ -517,9 +504,12 @@ class TestSweepMatchesReference:
                             reference_curve_crossings(curve))
 
     def test_every_small_profile_curve(self):
-        # the adjacency window at its edges: m = 4, 5 leave no pair at all
+        # the adjacency window at its edges: m = 4, 5 leave no pair at all;
+        # profile_curve refuses m < 7, so the frame is sampled directly
         for m in range(4, 41):
-            curve = profile_curve(m)
+            u = np.linspace(0.0, 4.0 * math.pi, m, endpoint=False)
+            phi, eta, _ = analysis._profile_frame(u)
+            curve = CurveImmersion(u=u, phi=phi, eta=eta, period=4.0 * math.pi)
             assert_same_records(self_intersections(curve),
                                 reference_curve_crossings(curve))
 
@@ -849,73 +839,28 @@ class TestBoundaryAtInfinity:
                 ChartDomainError, match="not finite at chart point"):
             boundary_at_infinity(entry)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(0.0, math.pi / 2, exclude_min=True), st.integers(1, 8))
+    def test_every_ray_of_any_band_is_immersed(self, edge, n_directions):
+        # the ladder is scaled from the float below the chart's edge, so no
+        # probe leaves the chart and no ray is dropped
+        immersed, immerse = [], analysis.immerse
 
-def band_with_edges(below, above):
-    # a band field whose domain is below < s < above
-    return ConformalMetric(BandChart(), radial_band_field(
-        f=lambda s: np.zeros(np.shape(s)), domain_s=lambda s: (s > below) & (s < above)))
+        def recording_immerse(metric, u, t):
+            immersed.append(u)
+            return immerse(metric, u, t)
 
-
-def reference_domain_interval(metric, limit):
-    # the oracle's two rays as the signed interval analysis.domain_edge returns
-    return (-reference_domain_edge(metric, -1.0, limit),
-            reference_domain_edge(metric, 1.0, limit))
-
-
-class TestDomainEdge:
-    @pytest.fixture
-    def domain_calls(self, monkeypatch):
-        calls = []
-        in_domain = ScalarField.in_domain
-
-        def counted(self, *args):
-            calls.append(1)
-            return in_domain(self, *args)
-
-        monkeypatch.setattr(ScalarField, "in_domain", counted)
-        return calls
-
-    @pytest.mark.parametrize("name", ["incomplete-band", "cylinder-delaunay"])
-    @pytest.mark.parametrize("limit", [math.pi / 2, math.pi / 2 - 1e-9])
-    def test_matches_reference_on_examples(self, name, limit):
-        metric = make_example(name).payload
-        lo, hi = analysis.domain_edge(metric, limit)
-        assert type(lo) is float and type(hi) is float
-        assert lo < 0.0 < hi
-        assert (lo, hi) == reference_domain_interval(metric, limit)
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.floats(1e-8, 1.5), st.floats(1e-8, 1.5), st.floats(0.1, 3.0))
-    def test_matches_reference_on_any_edge(self, above, below, limit):
-        assume(above != below)
-        metric = band_with_edges(-below, above)
-        assert analysis.domain_edge(metric, limit) == reference_domain_interval(metric, limit)
-
-    def test_edge_past_the_limit_returns_the_limit(self, domain_calls):
-        # with both far ends inside, the one call on the four ends decides
-        metric = ConformalMetric(BandChart(), constant_field(0.0))
-        assert analysis.domain_edge(metric, 1.25) == (-1.25, 1.25)
-        assert len(domain_calls) == 1
-
-    @pytest.mark.parametrize("below, above", [(-0.3, 1.4), (-1.4, 0.3)])
-    def test_one_ray_returns_the_limit_and_the_other_bisects(self, below, above):
-        metric = band_with_edges(below, above)
-        lo, hi = analysis.domain_edge(metric, 1.2)
-        assert (lo, hi) == reference_domain_interval(metric, 1.2)
-        assert (lo == -1.2) != (hi == 1.2)
-        assert type(lo) is float and type(hi) is float
-
-    @pytest.mark.parametrize("below, above", [(0.1, 1.0), (0.0, 1.0), (-1.0, 0.0)])
-    def test_domain_missing_the_center_raises(self, below, above):
-        # both near ends outside, then only the negative one, then only the
-        # positive one
-        with pytest.raises(SamplingError, match="chart center"):
-            analysis.domain_edge(band_with_edges(below, above), math.pi / 2)
-
-    def test_few_batched_domain_calls(self, domain_calls):
-        # the one-level bisection makes 62 calls of one point per ray
-        analysis.domain_edge(make_example("incomplete-band").payload, math.pi / 2)
-        assert len(domain_calls) <= 11
+        chart = BandChart(edge)
+        entry = GalleryEntry("band", {}, ConformalMetric(chart, analysis.cylinder_field()))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(analysis, "immerse", recording_immerse)
+            boundary_at_infinity(entry, n_directions=n_directions)
+        (u,) = immersed
+        assert u.shape == (2 * n_directions, 2, 2)
+        assert np.all(chart.contains(u))
+        ladder = 1.0 - 2.0 ** -np.array([analysis.LADDER_DEPTH - 1.0, analysis.LADDER_DEPTH])
+        np.testing.assert_array_equal(np.abs(u[..., 0]), np.broadcast_to(
+            np.nextafter(edge, 0.0) * ladder, u.shape[:-1]))
 
 
 def unit_directions(d):

@@ -79,6 +79,9 @@ class TestUsageErrors:
         ("schouten", "geodesic-sphere", "--rho0", "inf"),
         ("flow", "geodesic-sphere", "--t", "nan"),
         ("flow", "geodesic-sphere", "--t", "inf"),
+        ("immerse", "geodesic-sphere", "--t", "nan"),
+        ("immerse", "alpha", "--t", "nan"),
+        ("immerse", "alpha-product", "--t", "inf"),
     ])
     def test_nonfinite_parameter(self, capsys, argv):
         # pytest turns a RuntimeWarning into an error, so none is printed
@@ -86,6 +89,8 @@ class TestUsageErrors:
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and "not finite" in err
+        if argv[0] == "immerse":
+            assert "flow time" in err
 
     @pytest.mark.parametrize("argv", [
         ("gauss-degree", "alpha", "--seed", "3"),
@@ -126,12 +131,12 @@ class TestWinding:
         assert code == 0
         assert out.strip() == "3"
 
-    @pytest.mark.parametrize("samples", ["0", "2"])
+    @pytest.mark.parametrize("samples", ["0", "2", "6"])
     def test_too_few_samples(self, capsys, samples):
         code, out, err = run(capsys, "gauss-degree", "alpha", f"--samples={samples}")
         assert code == 1
         assert out == ""
-        assert err == "error: a closed polygon needs at least three samples\n"
+        assert err == "error: the profile curve needs at least seven samples\n"
 
     def test_metric_example_rejected(self, capsys):
         code, _, err = run(capsys, "gauss-degree", "incomplete-band")

@@ -113,6 +113,15 @@ class TestImmerse:
             assert abs(mink_inner(p.eta, p.eta) - 1.0) < 1e-5
             assert abs(mink_inner(p.phi, p.eta)) < 1e-5
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf,
+                                   np.array([0.5, math.nan, 1.0])])
+    def test_nonfinite_flow_time_is_named(self, t):
+        # the error names the flow time, not rho or its gradient
+        pts = np.array([[0.2, 0.0], [0.5, 1.0], [-0.4, 3.0]])
+        for metric in (band_metric(), sphere_metric()):
+            with pytest.raises(SingularParameterError, match="flow time .* is not finite"):
+                immerse(metric, pts, t)
+
     def test_nonfinite_rho_names_the_first_point(self):
         # rho = -log1p(-sin s) is the band horosphere written naively: sin s
         # rounds to 1 at s = (pi/2)(1 - 2^-40), so rho and its gradient are inf

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from horocorr.errors import ChartDomainError, DimensionMismatch
+from horocorr.errors import ChartDomainError, DimensionMismatch, GeometryError
 from horocorr.sphere import (
     DEFAULT_FD_STEP,
     BandChart,
@@ -125,12 +125,11 @@ class TestStackedStencils:
 
 
 def band_example_field():
-    # rho(s) = -1/2 log(1 - s^2) on |s| < 1, with analytic jets
+    # rho(s) = -1/2 log(1 - s^2), with analytic jets; it lives on BandChart(1.0)
     return radial_band_field(
         f=lambda s: -0.5 * np.log(1.0 - s * s),
         fs=lambda s: s / (1.0 - s * s),
         fss=lambda s: (1.0 + s * s) / (1.0 - s * s) ** 2,
-        domain_s=lambda s: abs(s) < 1.0,
     )
 
 
@@ -185,6 +184,27 @@ class TestCharts:
     def test_band_range_error(self):
         with pytest.raises(ChartDomainError):
             BandChart().embed(np.array([np.pi / 2, 0.0]))
+        with pytest.raises(ChartDomainError):
+            BandChart(1.0).embed(np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("edge", [0.0, -0.5, np.nextafter(np.pi / 2, 2.0), 2.0,
+                                      math.nan, math.inf, -math.inf])
+    def test_band_edge_outside_the_hemisphere_raises(self, edge):
+        # the band's edge is a latitude in (0, pi/2]; a NaN edge would make
+        # contains refuse every point
+        with pytest.raises(GeometryError, match="band edge"):
+            BandChart(edge)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.0, np.pi / 2, exclude_min=True),
+           st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=8),
+           st.floats(-1e6, 1e6))
+    def test_band_contains_is_the_edge(self, edge, s, a):
+        s = np.array(s)
+        u = np.column_stack([s, np.full_like(s, a)])
+        chart = BandChart(edge)
+        assert chart.edge == edge
+        np.testing.assert_array_equal(chart.contains(u), np.abs(s) < edge)
 
     def test_metric_compatibility_invariant(self, rng):
         # d_k g_ij = Gamma^m_ki g_mj + Gamma^m_kj g_im at 100 random band points
@@ -233,7 +253,7 @@ class TestFdJet:
             fd_jet(field, np.zeros(2), h=h, chart=StereographicChart())
 
     def test_stencil_domain_guard(self):
-        chart = BandChart()
+        chart = BandChart(1.0)
         field = band_example_field()
         with pytest.raises(ChartDomainError):
             fd_jet(field, np.array([0.995, 0.0]), h=1e-2, chart=chart)
@@ -242,10 +262,9 @@ class TestFdJet:
         # central_jet reaches +-h along each axis and the +-h diagonal
         # corners, so a point 1.5h inside the domain edge has room and a
         # point 0.5h inside does not; h is the step gradient_hessian takes
-        chart = BandChart()
+        chart = BandChart(0.5)
         h = DEFAULT_FD_STEP
-        field = radial_band_field(f=np.exp, fs=np.exp, fss=np.exp,
-                                  domain_s=lambda s: np.abs(s) < 0.5)
+        field = radial_band_field(f=np.exp, fs=np.exp, fss=np.exp)
         u = np.array([0.5 - 1.5 * h, 0.7])
         value, grad, hess = fd_jet(field, u, h=h, chart=chart)
         assert value == pytest.approx(math.exp(u[0]), rel=1e-12)
@@ -328,8 +347,8 @@ class TestGradientHessian:
             assert a == pytest.approx(b, abs=1e-6)
 
     def test_domain_error(self):
-        chart = BandChart()
-        with pytest.raises(ChartDomainError):
+        chart = BandChart(1.0)
+        with pytest.raises(ChartDomainError, match="outside the chart domain"):
             gradient_hessian(band_example_field(), chart, np.array([1.2, 0.0]))
 
 
@@ -357,10 +376,10 @@ class TestGradientNorm:
         def hessian(u):
             raise AssertionError("the Hessian was evaluated")
 
-        field = ScalarField(band.value, band.gradient, hessian, band.domain)
+        field = ScalarField(band.value, band.gradient, hessian)
         grad, _, _ = gradient_norm(field, BandChart(), np.array([0.5, 0.3]))
         assert grad[0] == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_domain_error(self):
         with pytest.raises(ChartDomainError):
-            gradient_norm(band_example_field(), BandChart(), np.array([1.2, 0.0]))
+            gradient_norm(band_example_field(), BandChart(1.0), np.array([1.2, 0.0]))
