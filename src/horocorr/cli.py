@@ -28,7 +28,7 @@ from .analysis import (
 )
 from .conformal import ConformalMetric, eigenvalue_realizability, rescale, schouten
 from .correspondence import extrinsic_curvatures, immerse, lambda_kappa
-from .errors import GeometryError
+from .errors import GeometryError, SamplingError
 from .minkowski import to_poincare_ball
 from .sphere import DEFAULT_FD_STEP, axis_values
 from .verify import CRITERIA, run_all
@@ -86,7 +86,9 @@ def _band_range(metric, fraction):
 
 def _metric_mesh(metric, n_az, n_lat, t):
     """Latitude-longitude triangulation of a two-dimensional metric example,
-    with vertices in the Poincare ball."""
+    with vertices in the Poincare ball; three azimuths at least."""
+    if n_az < 3:
+        raise SamplingError(f"the mesh needs at least three azimuths, got {n_az}")
     azimuths = np.linspace(0.0, 2.0 * math.pi, n_az, endpoint=False)
     if metric.chart.kind == "band":
         rows = np.linspace(*_band_range(metric, 0.98), n_lat)
@@ -148,7 +150,7 @@ def cmd_immerse(args):
     fmt = args.format or ("obj" if args.out else "json")
     faces, polylines = [], []
     if isinstance(payload, ConformalMetric):
-        n_az = args.samples or 32
+        n_az = args.samples
         verts, faces = _metric_mesh(payload, n_az, max(5, n_az // 2), args.t)
     else:
         moved = payload.flowed(args.t) if args.t else payload

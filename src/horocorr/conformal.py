@@ -1,13 +1,12 @@
-"""The conformal metric ghat = e^{2(rho+t)} g_{S^n} and its curvature data.
+"""The conformal metric ghat = e^{2(rho+t)} g_{S^2} and its curvature data.
 
-The central object is the Schouten tensor of ghat, computed from the round
+The central object is the Schouten tensor of ghat, defined from the round
 metric by the conformal transformation law
 
-    Sch = 1/2 g_S - Hess(rho) + d rho (x) d rho - 1/2 |grad rho|^2 g_S,
+    Sch = 1/2 g_S - Hess(rho) + d rho (x) d rho - 1/2 |grad rho|^2 g_S.
 
-taken as the defining expression for every n >= 2 (for n >= 3 it agrees with
-the trace-adjusted Ricci tensor).  Eigenvalues are always reported relative to
-ghat, sorted ascending; they are the lambda's of the hypersurface dictionary.
+Eigenvalues are always reported relative to ghat, sorted ascending; they are
+the lambda's of the hypersurface dictionary.
 Point functions broadcast over the leading axes of their chart points.
 """
 
@@ -17,7 +16,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import ChartDomainError, SamplingError, SingularParameterError
+from .errors import ChartDomainError, DimensionMismatch, SamplingError, SingularParameterError
+from .minkowski import _last_axis_sum
 from .sphere import ScalarField, call_stacked, central_gradient, gradient_hessian
 
 REALIZABLE_MARGIN = 1e-3   # strict gap eps below the 1/2 eigenvalue bound
@@ -41,9 +41,8 @@ class ConformalMetric:
         return self.rho.value(np.asarray(u, dtype=float)) + self.t
 
     def ghat(self, u):
-        """The conformal metric e^{2(rho+t)} g_S in chart coordinates."""
-        factor = np.exp(2.0 * self.effective(u))
-        return factor[..., None, None] * self.chart.metric(u)
+        """The diagonal (..., 2) of e^{2(rho+t)} g_S in chart coordinates."""
+        return np.exp(2.0 * self.effective(u))[..., None] * self.chart.metric(u)
 
 
 @dataclass(frozen=True)
@@ -53,14 +52,26 @@ class SchoutenReport:
 
 
 def generalized_eigvalsh(A, B):
-    """Eigenvalues of A v = lambda B v for symmetric A and positive definite
-    B, ascending, stacked over the leading axes: Cholesky whitening B = L L^T,
-    then the ordinary symmetric eigenvalues of L^{-1} A L^{-T}.
-
-    Raises numpy.linalg.LinAlgError when some B is not positive definite.
-    """
-    Linv = np.linalg.inv(np.linalg.cholesky(B))
-    return np.linalg.eigvalsh(Linv @ A @ np.swapaxes(Linv, -1, -2))
+    """Eigenvalues of the 2x2 pencils A v = lambda B v (A symmetric, B
+    positive definite), ascending, stacked over the leading axes: the closed
+    form m -+ hypot((c00 - c11)/2, c01), m = (c00 + c11)/2, of the whitened
+    C = L^{-1} A L^{-T}, B = L L^T (Golub and Van Loan, section 8.1).  Raises
+    DimensionMismatch unless A and B are 2x2, and numpy.linalg.LinAlgError,
+    before any arithmetic that could warn, unless every B is finite and
+    positive definite."""
+    if np.shape(A)[-2:] != (2, 2) or np.shape(B)[-2:] != (2, 2):
+        raise DimensionMismatch(f"pencil of shapes {np.shape(A)}, {np.shape(B)} is not 2x2")
+    b00, b01, b11 = B[..., 0, 0], B[..., 0, 1], B[..., 1, 1]
+    det = b00 * b11 - b01 * b01 if np.all(np.isfinite(B)) else np.nan
+    if not np.all((b00 > 0.0) & (det > 0.0)):   # written so that NaN fails
+        raise np.linalg.LinAlgError("B is not positive definite")
+    # B = L L^T: L^{-1} has rows e0 / l00 and (e1 - k e0) / l11, k = b01 / b00,
+    # with l00^2 = b00 and l11^2 = det / b00
+    k, a00, a01, a11 = b01 / b00, A[..., 0, 0], A[..., 0, 1], A[..., 1, 1]
+    cross = a01 - k * a00
+    c00, c01, c11 = a00 / b00, cross / np.sqrt(det), (a11 - k * (a01 + cross)) / (det / b00)
+    m, r = 0.5 * (c00 + c11), np.hypot(0.5 * (c00 - c11), c01)
+    return np.stack([m - r, m + r], axis=-1)
 
 
 def schouten(metric, u):
@@ -71,13 +82,11 @@ def schouten(metric, u):
     """
     u = np.asarray(u, dtype=float)
     jets = gradient_hessian(metric.rho, metric.chart, u)
-    g = metric.chart.metric(u)
+    g = metric.chart.metric(u)[..., None, :] * np.eye(2)   # dense, as the tensor
     grad = jets.gradient
-    tensor = (0.5 * g
-              - jets.covariant_hessian
-              + grad[..., :, None] * grad[..., None, :]
+    tensor = (0.5 * g - jets.covariant_hessian + grad[..., :, None] * grad[..., None, :]
               - 0.5 * jets.grad_norm_sq[..., None, None] * g)
-    eigenvalues = generalized_eigvalsh(tensor, metric.ghat(u))
+    eigenvalues = generalized_eigvalsh(tensor, metric.ghat(u)[..., None, :] * np.eye(2))
     return SchoutenReport(tensor, eigenvalues)
 
 
@@ -115,7 +124,7 @@ def path_length(metric, curve, velocity=None):
         room = np.minimum(tau, 1.0 - tau)
         h = np.minimum(np.maximum(1e-9, 1e-6 * room), room)
         v = central_gradient(lambda s: curve(s[..., 0]), tau[..., None], h)[..., 0, :]
-    norm_sq = np.einsum("...i,...ij,...j->...", v, metric.chart.metric(u), v)
+    norm_sq = _last_axis_sum(v * metric.chart.metric(u) * v)
     speed = np.exp(metric.effective(u)) * np.sqrt(np.maximum(norm_sq, 0.0))
     shells = half * (speed @ weights)
     partial = np.cumsum(shells)

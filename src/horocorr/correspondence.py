@@ -83,7 +83,7 @@ def immerse(metric, u, t=0.0):
         point = np.broadcast_to(u, bad.shape + u.shape[-1:])[bad][0]
         raise ChartDomainError(
             f"rho or its gradient is not finite at chart point {point}")
-    grad_ambient = (chart.jacobian(u) @ (ginv @ grad[..., None]))[..., 0]
+    grad_ambient = (chart.jacobian(u) @ (ginv * grad)[..., None])[..., 0]
     ew, emw = np.exp(w), np.exp(-w)
     one_x = np.concatenate([np.ones(x.shape[:-1] + (1,)), x], axis=-1)
     radial = np.concatenate([np.zeros(x.shape[:-1] + (1,)), grad_ambient - x], axis=-1)
@@ -102,7 +102,7 @@ def extrinsic_curvatures(metric, u, t=0.0, h=DEFAULT_FD_STEP, return_point=False
     come from central differences of the immersion, one immerse call on the
     stacked stencil; the first fundamental form is I_ij = <d_i phi, d_j phi>,
     the second form II_ij = -<d_i eta, d_j phi> symmetrized, and the kappa's
-    solve det(II - kappa I) = 0 via Cholesky whitening of I.  Raises
+    solve det(II - kappa I) = 0 (generalized_eigvalsh).  Raises
     ImmersionError('not an immersion') when I is not positive definite at
     some point, and ChartDomainError unless the step h has 0 < h < inf.
     """
@@ -174,15 +174,15 @@ def flow_metric_factor(kappa, t):
 
 
 def fg_metric(metric, u, r):
-    """Boundary expansion ghat - r^2 Sch + (r^4/4) Q in chart coordinates,
-    with Q_ij = ghat^{kl} Sch_ik Sch_jl."""
+    """Boundary expansion ghat - r^2 Sch + (r^4/4) Q, a (..., 2, 2) tensor in
+    chart coordinates, with Q_ij = ghat^{kl} Sch_ik Sch_jl (ghat diagonal)."""
     if r < 0:
         raise SingularParameterError("expansion parameter r must be >= 0")
     u = np.asarray(u, dtype=float)
     rep = schouten(metric, u)
     ghat = metric.ghat(u)
-    Q = rep.tensor @ np.linalg.inv(ghat) @ rep.tensor
-    return ghat - r**2 * rep.tensor + 0.25 * r**4 * Q
+    Q = (rep.tensor / ghat[..., None, :]) @ rep.tensor
+    return ghat[..., None, :] * np.eye(2) - r**2 * rep.tensor + 0.25 * r**4 * Q
 
 
 def support_and_gauss(psi):

@@ -3,9 +3,10 @@
 Two chart kinds cover every example in the package:
 
 * StereographicChart: coordinates u in R^2, embedding
-  x(u) = (2u, 1-|u|^2)/(1+|u|^2), metric (2/(1+|u|^2))^2 * identity.
+  x(u) = (2u, 1-|u|^2)/(1+|u|^2), metric (2/(1+|u|^2))^2 (du_1^2 + du_2^2).
 * BandChart(edge): coordinates (s, a) with |s| < edge <= pi/2 the arc
   from the equator and a the angle along it; metric ds^2 + cos^2(s) da^2.
+Both metrics are diagonal: metric(u) is the (..., 2) diagonal.
 
 A scalar field lives on all of its chart's domain, chart.contains.  Fields
 are closures over chart coordinates with optional analytic gradient/Hessian;
@@ -27,11 +28,6 @@ from .errors import ChartDomainError, DimensionMismatch
 from .minkowski import _last_axis_sum
 
 DEFAULT_FD_STEP = 1e-4
-
-
-def _diag(d):
-    """Diagonal matrices with the entries of d's last axis."""
-    return d[..., :, None] * np.eye(d.shape[-1])
 
 
 def _require(chart, u):
@@ -71,16 +67,12 @@ class StereographicChart:
         bottom = -4.0 * u[..., None, :] / f**2
         return np.concatenate([top, bottom], axis=-2)
 
-    def _metric_diag(self, u):
-        u = np.asarray(u, dtype=float)
-        conf = 2.0 / (1.0 + self._norm_sq(u))
-        return conf**2 * np.ones(self.n)
-
     def metric(self, u):
-        return _diag(self._metric_diag(u))
+        u = np.asarray(u, dtype=float)
+        return (2.0 / (1.0 + self._norm_sq(u))) ** 2 * np.ones(self.n)
 
     def metric_inverse(self, u):
-        return _diag(1.0 / self._metric_diag(u))
+        return 1.0 / self.metric(u)
 
     def christoffels(self, u):
         # conformal metric e^{2f} delta with f = log 2 - log(1+|u|^2):
@@ -130,15 +122,12 @@ class BandChart:
         da = np.concatenate([cos_s * -sin_a, cos_s * cos_a, np.zeros_like(s)], axis=-1)
         return np.stack([ds, da], axis=-1)
 
-    def _metric_diag(self, u):
+    def metric(self, u):
         s = _require(self, u)[..., :1]
         return np.concatenate([np.ones_like(s), np.cos(s) ** 2], axis=-1)
 
-    def metric(self, u):
-        return _diag(self._metric_diag(u))
-
     def metric_inverse(self, u):
-        return _diag(1.0 / self._metric_diag(u))
+        return 1.0 / self.metric(u)
 
     def christoffels(self, u):
         # Gamma^s_aa = tan(s) cos^2(s);  Gamma^a_sa = Gamma^a_as = -tan(s)
@@ -312,8 +301,8 @@ class GradHess:
 
 def _jets(field, chart, u, hessian):
     """u as a float array, the gradient, its squared norm, the inverse metric
-    and the raw Hessian, which the analytic route evaluates only when hessian
-    is true."""
+    (diagonal) and the raw Hessian, which the analytic route evaluates only
+    when hessian is true."""
     u = np.asarray(u, dtype=float)
     inside = chart.contains(u)
     if not np.all(inside):
@@ -324,13 +313,12 @@ def _jets(field, chart, u, hessian):
     else:
         _, grad, raw_hess = fd_jet(field, u, DEFAULT_FD_STEP, chart)
     ginv = chart.metric_inverse(u)
-    norm_sq = np.einsum("...i,...ij,...j->...", grad, ginv, grad)
-    return u, grad, norm_sq, ginv, raw_hess
+    return u, grad, _last_axis_sum(grad * ginv * grad), ginv, raw_hess
 
 
 def gradient_norm(field, chart, u):
     """gradient_hessian's gradient and grad_norm_sq, bit for bit, without the
-    Hessian, and the inverse metric of the norm, for raising the gradient."""
+    Hessian, and the inverse metric (diagonal) that raises the gradient."""
     return _jets(field, chart, u, False)[1:4]
 
 

@@ -166,7 +166,7 @@ def check_pullback_identity(seed=22):
     for _, metric, pts, t0 in _sample_plans(rng, 200):
         dpsi = central_gradient(lambda v: immerse(metric, v, t0).psi, pts, 1e-4)
         induced = mink_inner(dpsi[:, :, None, :], dpsi[:, None, :, :])
-        target = rescale(metric, t0).ghat(pts)
+        target = rescale(metric, t0).ghat(pts)[:, None, :] * np.eye(2)
         rel = (np.max(np.abs(induced - target), axis=(1, 2))
                / np.max(np.abs(target), axis=(1, 2)))
         worst = max(worst, float(np.max(rel)))
@@ -214,7 +214,7 @@ def check_boundary_expansion(seed=24):
     rng = np.random.default_rng(seed)
     round_metric = ConformalMetric(StereographicChart(), constant_field(0.0))
     pts = rng.uniform(-3.0, 3.0, size=(20, 2))
-    ghat = round_metric.chart.metric(pts)
+    ghat = round_metric.chart.metric(pts)[:, None, :] * np.eye(2)
     worst_round = 0.0
     for r in np.linspace(0.0, 1.9, 20):
         target = (1.0 - r**2 / 4.0) ** 2 * ghat
@@ -226,7 +226,7 @@ def check_boundary_expansion(seed=24):
     # equal (1 - 2 lam)^2 e^{-2t} (cosh t - kappa sinh t)^2
     sphere = make_example("geodesic-sphere").payload
     pts = rng.uniform(-2.0, 2.0, size=(50, 2))
-    ghat = sphere.ghat(pts)
+    ghat = sphere.ghat(pts)[:, None, :] * np.eye(2)
     lam = schouten(sphere, pts).eigenvalues
     kap = lambda_kappa(lam)
     worst_flow = 0.0
@@ -262,7 +262,7 @@ def check_band_reproductions(seed=25):
     # all arcs are drawn before all angles; the draw order fixes the samples
     s = rng.uniform(0.0, 0.95, size=100)
     u = np.column_stack([s, rng.uniform(0.0, 2.0 * math.pi, size=100)])
-    correction = schouten(band, u).tensor[:, 0, 0] - 0.5 * band.chart.metric(u)[:, 0, 0]
+    correction = schouten(band, u).tensor[:, 0, 0] - 0.5 * band.chart.metric(u)[:, 0]
     expected = -(1.0 + 0.5 * s * s) / (1.0 - s * s) ** 2
     worst_radial = float(np.max(np.abs(correction - expected)))
 

@@ -205,6 +205,22 @@ class TestImmerseExport:
         assert text.count("\nl ") + text.startswith("l ") >= 1
         assert sum(1 for l in text.splitlines() if l.startswith("v ")) == 128
 
+    @pytest.mark.parametrize("name", ["geodesic-sphere", "incomplete-band"])
+    @pytest.mark.parametrize("samples", [0, 1, 2])
+    def test_metric_mesh_needs_three_azimuths(self, capsys, name, samples):
+        # 0 once fell back to 32 azimuths, 1 repeats a vertex in every face
+        # and 2 covers each quad twice
+        code, out, err = run(capsys, "immerse", name, "--samples", str(samples))
+        assert (code, out) == (1, "")
+        assert err == f"error: the mesh needs at least three azimuths, got {samples}\n"
+
+    def test_metric_mesh_of_three_azimuths(self, capsys):
+        code, out, _ = run(capsys, "immerse", "geodesic-sphere", "--samples", "3")
+        assert code == 0
+        results = json.loads(out)["results"]
+        # 5 latitude rows of 3 azimuths: 4 bands of 3 quads, two faces each
+        assert (results["vertices"], results["faces"]) == (15, 24)
+
     def test_json_summary_keeps_vertices_in_ball(self, capsys):
         code, out, _ = run(capsys, "immerse", "cylinder-delaunay",
                            "--samples", "16")

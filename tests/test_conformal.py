@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 from scipy.linalg import eigh
 
@@ -75,7 +78,7 @@ def reference_path_length(metric, curve, velocity=None):
             h = min(max(1e-9, 1e-6 * room), room)
             v = (np.asarray(curve(tau + h), dtype=float)
                  - np.asarray(curve(tau - h), dtype=float)) / (2 * h)
-        g = metric.chart.metric(u)
+        g = np.diag(metric.chart.metric(u))
         return math.exp(metric.effective(u)) * math.sqrt(max(float(v @ g @ v), 0.0))
 
     def shell(a, b):
@@ -108,7 +111,7 @@ class TestSchouten:
         metric = ConformalMetric(StereographicChart(), constant_field(c))
         rep = schouten(metric, np.array([0.3, -0.8]))
         g = metric.chart.metric(np.array([0.3, -0.8]))
-        np.testing.assert_allclose(rep.tensor, 0.5 * g, atol=1e-10)
+        np.testing.assert_allclose(rep.tensor, 0.5 * np.diag(g), atol=1e-10)
         np.testing.assert_allclose(rep.eigenvalues, 0.25, atol=1e-10)
 
     def test_round_metric_eigenvalue_half(self):
@@ -122,7 +125,7 @@ class TestSchouten:
         for s in (0.0, 0.3, 0.5, 0.7, 0.9):
             rep = schouten(metric, np.array([s, 0.7]))
             g = metric.chart.metric(np.array([s, 0.7]))
-            correction = rep.tensor[0, 0] - 0.5 * g[0, 0]
+            correction = rep.tensor[0, 0] - 0.5 * g[0]
             expected = -(1.0 + 0.5 * s * s) / (1.0 - s * s) ** 2
             assert correction == pytest.approx(expected, abs=1e-10)
 
@@ -163,24 +166,100 @@ class TestSchouten:
             schouten(m_st, u_st).eigenvalues, atol=1e-6)
 
 
+def spd_pencil_matrix(angle, scale, log_cond):
+    """The 2x2 positive definite matrix with eigenvalues scale and
+    scale * 10^-log_cond along axes turned by angle."""
+    c, s = math.cos(angle), math.sin(angle)
+    R = np.array([[c, -s], [s, c]])
+    B = R @ np.diag([scale, scale * 10.0 ** -log_cond]) @ R.T
+    return 0.5 * (B + B.T)
+
+
+def whitened_eigvalsh(A, B):
+    """The pencil's eigenvalues by LAPACK: Cholesky whitening, then eigvalsh."""
+    Linv = np.linalg.inv(np.linalg.cholesky(B))
+    return np.linalg.eigvalsh(Linv @ A @ Linv.T)
+
+
+def assert_matches_whitened(A, B):
+    # the closed form and LAPACK both lose about cond(B) eps, relative to
+    # the larger eigenvalue of the pencil (1 at least)
+    got, want = generalized_eigvalsh(A, B), whitened_eigvalsh(A, B)
+    tol = 8.0 * np.linalg.cond(B) * np.finfo(float).eps * max(1.0, np.abs(want).max())
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=tol)
+    assert got[0] <= got[1]
+
+
+finite = st.floats(-1e3, 1e3)
+
+
 class TestGeneralizedEigvalsh:
     def test_matches_scipy_on_random_spd_pairs(self, rng):
-        for n in (1, 2, 3, 5):
-            X = rng.normal(size=(40, n, n))
-            Y = rng.normal(size=(40, n, n))
-            A = X + np.swapaxes(X, -1, -2)
-            B = Y @ np.swapaxes(Y, -1, -2) + 0.1 * np.eye(n)
-            got = generalized_eigvalsh(A, B)
-            assert got.shape == (40, n)
-            for a, b, row in zip(A, B, got):
-                want = eigh(a, b, eigvals_only=True)
-                np.testing.assert_allclose(row, want, rtol=1e-9,
-                                           atol=1e-9 * np.max(np.abs(want)))
-            np.testing.assert_allclose(generalized_eigvalsh(A[0], B[0]), got[0])
+        X = rng.normal(size=(40, 2, 2))
+        Y = rng.normal(size=(40, 2, 2))
+        A = X + np.swapaxes(X, -1, -2)
+        B = Y @ np.swapaxes(Y, -1, -2) + 0.1 * np.eye(2)
+        got = generalized_eigvalsh(A, B)
+        assert got.shape == (40, 2)
+        for a, b, row in zip(A, B, got):
+            want = eigh(a, b, eigvals_only=True)
+            np.testing.assert_allclose(row, want, rtol=1e-9,
+                                       atol=1e-9 * np.max(np.abs(want)))
+        np.testing.assert_allclose(generalized_eigvalsh(A[0], B[0]), got[0])
 
-    def test_rejects_indefinite_metric(self):
-        with pytest.raises(np.linalg.LinAlgError):
-            generalized_eigvalsh(np.eye(2), np.diag([1.0, -1.0]))
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(0.0, math.pi), st.floats(1e-3, 1e3), st.floats(0.0, 8.0),
+           finite, finite, finite)
+    def test_matches_whitened_eigvalsh(self, angle, scale, log_cond, a00, a01, a11):
+        A = np.array([[a00, a01], [a01, a11]])
+        assert_matches_whitened(A, spd_pencil_matrix(angle, scale, log_cond))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(0.0, math.pi), st.floats(1e-3, 1e3), st.floats(0.0, 8.0),
+           st.floats(-1e3, 1e3), st.floats(-12.0, -4.0), finite, finite, finite)
+    def test_near_equal_eigenvalues(self, angle, scale, log_cond, c, log_small,
+                                    e00, e01, e11):
+        # A = c B + small: both eigenvalues lie near c
+        B = spd_pencil_matrix(angle, scale, log_cond)
+        A = c * B + 10.0 ** log_small * np.array([[e00, e01], [e01, e11]])
+        assert_matches_whitened(A, B)
+
+    @pytest.mark.parametrize("B", [
+        np.zeros((2, 2)),
+        np.diag([0.0, 1.0]),
+        np.diag([-1.0, 1.0]),
+        np.array([[1.0, 2.0], [2.0, 4.0]]),        # det B = 0
+        np.array([[1.0, 3.0], [3.0, 4.0]]),        # det B < 0
+        np.diag([1.0, -1.0]),
+        np.array([[np.nan, 0.0], [0.0, 1.0]]),
+        np.array([[1.0, np.nan], [np.nan, 1.0]]),
+        np.array([[1.0, 0.0], [0.0, np.nan]]),
+        np.array([[np.inf, np.inf], [np.inf, np.inf]]),
+    ], ids=["zero", "b00-zero", "b00-negative", "det-zero", "det-negative",
+            "indefinite", "nan-b00", "nan-b01", "nan-b11", "inf"])
+    def test_rejects_without_warning(self, B):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError):
+                generalized_eigvalsh(np.eye(2), B)
+            # one such B in a stack refuses the whole stack
+            stack = np.stack([np.eye(2), B, np.eye(2)])
+            with pytest.raises(np.linalg.LinAlgError):
+                generalized_eigvalsh(np.stack([np.eye(2)] * 3), stack)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(-1e3, 1e3), finite, finite)
+    def test_rejects_any_non_positive_determinant(self, b00, b01, b11):
+        assume(b00 <= 0.0 or b00 * b11 - b01 * b01 <= 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError):
+                generalized_eigvalsh(np.eye(2), np.array([[b00, b01], [b01, b11]]))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 3), (2, 3)])
+    def test_only_two_by_two(self, shape):
+        with pytest.raises(DimensionMismatch):
+            generalized_eigvalsh(np.ones(shape), np.eye(*shape))
 
 
 class TestPathLength:

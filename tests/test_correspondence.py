@@ -35,6 +35,7 @@ from horocorr.errors import (
 from horocorr.minkowski import mink_inner
 from horocorr.sphere import (
     BandChart,
+    ScalarField,
     StereographicChart,
     constant_field,
     gradient_hessian,
@@ -246,7 +247,7 @@ class TestExtrinsicCurvatures:
                 induced = np.array(
                     [[mink_inner(a, b) for b in dpsi] for a in dpsi])
                 expected = math.exp(
-                    2.0 * (metric.rho.value(u) + metric.t + t)) * metric.chart.metric(u)
+                    2.0 * (metric.rho.value(u) + metric.t + t)) * np.diag(metric.chart.metric(u))
                 np.testing.assert_allclose(
                     induced, expected, atol=1e-5 * max(1.0, np.abs(expected).max()))
 
@@ -333,13 +334,13 @@ class TestFgMetric:
     def test_r_zero_is_the_metric(self):
         metric = band_metric()
         u = np.array([0.4, 0.2])
-        expected = math.exp(2 * metric.rho.value(u)) * metric.chart.metric(u)
+        expected = math.exp(2 * metric.rho.value(u)) * np.diag(metric.chart.metric(u))
         np.testing.assert_allclose(fg_metric(metric, u, 0.0), expected, atol=1e-14)
 
     def test_round_metric_closed_form(self):
         metric = ConformalMetric(BandChart(), constant_field(0.0))
         u = np.array([0.3, 1.0])
-        g = metric.chart.metric(u)
+        g = np.diag(metric.chart.metric(u))
         for r in np.linspace(0.0, 1.9, 20):
             np.testing.assert_allclose(
                 fg_metric(metric, u, r), (1.0 - r**2 / 4.0) ** 2 * g, atol=1e-10)
@@ -349,7 +350,7 @@ class TestFgMetric:
         # normalized by 4 e^{-2t}/(1-kappa)^2
         metric = sphere_metric()
         u = np.array([0.5, -0.2])
-        ghat = math.exp(2 * RHO0) * metric.chart.metric(u)
+        ghat = math.exp(2 * RHO0) * np.diag(metric.chart.metric(u))
         kappa = -3.0
         for t in (0.1, 0.5, 1.0, 2.5):
             r = 2.0 * math.exp(-t)
@@ -553,3 +554,77 @@ class TestBatchConvention:
             schouten(metric, pts)
         with pytest.raises(ChartDomainError):
             BandChart().embed(np.array([[0.1, 0.0], [0.5 * math.pi, 0.0]]))
+
+
+def mercator_shift(b, reflect=False):
+    """The conformal map of S^2 that adds b to the Mercator coordinate
+    atanh(sin s) of band chart points (s, a), then maps s to -s if reflect,
+    with its log conformal factor log|Phi'| = log cos s' - log cos s."""
+    sign = -1.0 if reflect else 1.0
+
+    def phi(u):
+        u = np.asarray(u, dtype=float)
+        s = sign * np.arcsin(np.tanh(np.arctanh(np.sin(u[..., 0])) + b))
+        return np.stack([s, u[..., 1]], -1)
+
+    def log_factor(u):
+        return np.log(np.cos(phi(u)[..., 0])) - np.log(np.cos(np.asarray(u)[..., 0]))
+
+    return phi, log_factor
+
+
+def dilation(c):
+    """The conformal map u -> c u of stereographic chart points, with its log
+    conformal factor log c + log(1 + |u|^2) - log(1 + c^2 |u|^2)."""
+    def phi(u):
+        return c * np.asarray(u, dtype=float)
+
+    def log_factor(u):
+        nsq = np.sum(np.asarray(u, dtype=float) ** 2, axis=-1)
+        return math.log(c) + np.log1p(nsq) - np.log1p(c * c * nsq)
+
+    return phi, log_factor
+
+
+def assert_mobius_equivariant(metric, phi, log_factor, u, t):
+    # rho~ = rho o Phi + log|Phi'| makes Phi an isometry from e^{2 rho~} g_S
+    # to e^{2 rho} g_S, so the hypersurface of rho~ at u is that of rho at
+    # Phi(u) moved by an isometry of H^3: their Minkowski Gram matrices and
+    # principal curvatures agree.  rho~ carries no jets (finite differences).
+    rho = metric.rho
+    tilde = ConformalMetric(
+        metric.chart, ScalarField(lambda v: rho.value(phi(v)) + log_factor(v)), metric.t)
+    a, b = immerse(tilde, u, t).phi, immerse(metric, phi(u), t).phi
+    gram_a = mink_inner(a[:, None, :], a[None, :, :])
+    gram_b = mink_inner(b[:, None, :], b[None, :, :])
+    # the O(h^2) error of the jets reaches 5e-7 of the largest entry where
+    # the band field steepens, at s = 0.9
+    np.testing.assert_allclose(gram_a, gram_b, rtol=0.0, atol=2e-6 * np.abs(gram_b).max())
+    np.testing.assert_allclose(extrinsic_curvatures(tilde, u, t),
+                               extrinsic_curvatures(metric, phi(u), t), rtol=0.0, atol=1e-4)
+
+
+class TestMobiusEquivariance:
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(1.0 / 3.0, 3.0),
+           st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+                    min_size=2, max_size=6))
+    def test_stereographic_dilation_of_the_geodesic_sphere(self, c, points):
+        phi, log_factor = dilation(c)
+        assert_mobius_equivariant(make_example("geodesic-sphere").payload,
+                                  phi, log_factor, np.array(points), 0.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(-1.0, 1.0), st.booleans(),
+           st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 2.0 * math.pi)),
+                    min_size=2, max_size=6))
+    def test_mercator_shift_of_the_incomplete_band(self, b, reflect, points):
+        # arcs s with s and Phi(s) both within 0.9 of the equator, inside the
+        # band |s| < 1 with room for every stencil
+        phi, log_factor = mercator_shift(b, reflect)
+        unshift, _ = mercator_shift(-b)
+        lo, hi = np.clip(unshift(np.array([[-0.9, 0.0], [0.9, 0.0]]))[:, 0], -0.9, 0.9)
+        fraction, angle = np.array(points).T
+        u = np.column_stack([lo + fraction * (hi - lo), angle])
+        assert_mobius_equivariant(make_example("incomplete-band").payload,
+                                  phi, log_factor, u, 1.0)

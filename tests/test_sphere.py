@@ -136,8 +136,20 @@ def band_example_field():
 class TestCharts:
     def test_stereographic_metric_at_origin(self):
         chart = StereographicChart()
-        np.testing.assert_allclose(chart.metric(np.zeros(2)), 4.0 * np.eye(2))
-        np.testing.assert_allclose(chart.metric_inverse(np.zeros(2)), 0.25 * np.eye(2))
+        np.testing.assert_allclose(chart.metric(np.zeros(2)), [4.0, 4.0])
+        np.testing.assert_allclose(chart.metric_inverse(np.zeros(2)), [0.25, 0.25])
+
+    @pytest.mark.parametrize("chart", [BandChart(), StereographicChart()],
+                             ids=["band", "stereographic"])
+    def test_metric_is_the_diagonal_and_its_reciprocal(self, chart, rng):
+        # both metrics are diagonal: metric and metric_inverse return the
+        # (..., 2) diagonal over any leading axes
+        u = np.stack([rng.uniform(-1.2, 1.2, (3, 4)), rng.uniform(0.0, 6.0, (3, 4))], -1)
+        g, ginv = chart.metric(u), chart.metric_inverse(u)
+        assert g.shape == ginv.shape == (3, 4, 2)
+        assert ginv.tobytes() == (1.0 / g).tobytes()
+        for point, diagonal in zip(u.reshape(-1, 2), g.reshape(-1, 2)):
+            assert chart.metric(point).tobytes() == diagonal.tobytes()
 
     def test_band_christoffels_vanish_on_equator(self):
         chart = BandChart()
@@ -167,7 +179,7 @@ class TestCharts:
                 x = chart.embed(u)
                 assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
                 J = chart.jacobian(u)
-                np.testing.assert_allclose(J.T @ J, chart.metric(u), atol=1e-10)
+                np.testing.assert_allclose(J.T @ J, np.diag(chart.metric(u)), atol=1e-10)
 
     def test_band_jacobian_matches_fd(self, rng):
         h = 1e-6
@@ -214,11 +226,11 @@ class TestCharts:
         for _ in range(100):
             u = np.array([rng.uniform(-1.2, 1.2), rng.uniform(0.0, 2 * np.pi)])
             gamma = chart.christoffels(u)
-            g = chart.metric(u)
+            g = np.diag(chart.metric(u))
             for k in range(2):
                 e = np.zeros(2)
                 e[k] = h
-                dg = (chart.metric(u + e) - chart.metric(u - e)) / (2 * h)
+                dg = np.diag(chart.metric(u + e) - chart.metric(u - e)) / (2 * h)
                 pred = np.einsum("mi,mj->ij", gamma[:, k, :], g) \
                     + np.einsum("mj,im->ij", gamma[:, k, :], g)
                 worst = max(worst, np.abs(dg - pred).max())
