@@ -457,7 +457,6 @@ class EmbeddingReport:
 
     t_embedded: float
     crossings_before: Optional[int]
-    tolerance: float
 
 
 def first_embedded_time(payload, t_max=5.0, tol=1e-2):
@@ -474,7 +473,7 @@ def first_embedded_time(payload, t_max=5.0, tol=1e-2):
 
     c0 = count(0.0)
     if c0 == 0:
-        return EmbeddingReport(0.0, None, tol)
+        return EmbeddingReport(0.0, None)
     c_top = count(t_max)
     if c_top != 0:
         raise RootBracketError(
@@ -488,7 +487,7 @@ def first_embedded_time(payload, t_max=5.0, tol=1e-2):
             hi = mid
         else:
             lo, c_lo = mid, c_mid
-    return EmbeddingReport(hi, c_lo, tol)
+    return EmbeddingReport(hi, c_lo)
 
 
 # -- boundary at infinity -----------------------------------------------------

@@ -41,15 +41,19 @@ def _resolve_name(name):
     return "alpha-curve" if name == "alpha" else name
 
 
-def _config(args):
-    skip = {"func"}
-    return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
-
-
-def _emit_json(payload, out):
-    text = json.dumps(payload, indent=2, default=float)
-    if out:
-        with open(out, "w") as f:
+def _report(args, results, *checks):
+    """Write a command's JSON report, to --out or standard output: the
+    resolved configuration, the results, and one entry per invariant check
+    given as a (name, max_error, tolerance, passed) tuple."""
+    text = json.dumps({
+        "config": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
+        "results": results,
+        "invariant_checks": [
+            {"name": name, "max_error": max_error, "tolerance": tolerance, "pass": passed}
+            for name, max_error, tolerance, passed in checks],
+    }, indent=2, default=float)
+    if args.out:
+        with open(args.out, "w") as f:
             f.write(text + "\n")
     else:
         print(text)
@@ -138,8 +142,7 @@ def cmd_gallery(args):
         info.update(vertices=len(payload.phi), faces=len(payload.faces))
     else:
         info.update(chart=payload.chart.kind, offset=payload.t)
-    _emit_json({"config": _config(args), "results": info,
-                "invariant_checks": []}, args.out)
+    _report(args, info)
     return 0
 
 
@@ -171,17 +174,11 @@ def cmd_immerse(args):
     elif fmt == "csv":
         _emit_csv(["x", "y", "z"], verts.tolist(), args.out)
     else:
-        _emit_json({
-            "config": _config(args),
-            "results": {"vertices": len(verts), "faces": len(faces),
-                        "ball_radius_min": float(radii.min()),
-                        "ball_radius_max": float(radii.max())},
-            "invariant_checks": [{
-                "name": "vertices-inside-ball",
-                "max_error": float(radii.max()),
-                "tolerance": 1.0,
-                "pass": bool(radii.max() < 1.0)}],
-        }, args.out)
+        _report(args, {"vertices": len(verts), "faces": len(faces),
+                       "ball_radius_min": float(radii.min()),
+                       "ball_radius_max": float(radii.max())},
+                ("vertices-inside-ball", float(radii.max()), 1.0,
+                 bool(radii.max() < 1.0)))
     return 0
 
 
@@ -196,22 +193,14 @@ def cmd_schouten(args):
     report = eigenvalue_realizability(sch.eigenvalues)
     tensor = sch.tensor[:50]
     asym = float(np.max(np.abs(tensor - np.swapaxes(tensor, -1, -2))))
-    _emit_json({
-        "config": _config(args),
-        "results": {
-            "lambda_min": report.lambda_min,
-            "lambda_max": report.lambda_max,
-            "realizable": report.realizable,
-            "suggested_t0": report.suggested_t0,
-            "n_samples": report.n_samples,
-            "flags": list(report.flags),
-        },
-        "invariant_checks": [{
-            "name": "schouten-symmetry",
-            "max_error": asym,
-            "tolerance": 1e-10,
-            "pass": asym <= 1e-10}],
-    }, args.out)
+    _report(args, {
+        "lambda_min": report.lambda_min,
+        "lambda_max": report.lambda_max,
+        "realizable": report.realizable,
+        "suggested_t0": report.suggested_t0,
+        "n_samples": report.n_samples,
+        "flags": list(report.flags),
+    }, ("schouten-symmetry", asym, 1e-10, asym <= 1e-10))
     return 0
 
 
@@ -254,15 +243,9 @@ def cmd_embed_check(args):
     if isinstance(payload, ConformalMetric):
         raise GeometryError("embeddedness checks need a curve or mesh example")
     report = first_embedded_time(payload, t_max=args.t, tol=args.eps)
-    _emit_json({
-        "config": _config(args),
-        "results": {
-            "t_embedded": report.t_embedded,
-            "crossings_before": report.crossings_before,
-            "crossings_now": len(self_intersections(payload)),
-        },
-        "invariant_checks": [],
-    }, args.out)
+    _report(args, {"t_embedded": report.t_embedded,
+                   "crossings_before": report.crossings_before,
+                   "crossings_now": len(self_intersections(payload))})
     return 0
 
 
@@ -279,17 +262,11 @@ def cmd_boundary(args):
     clusters = boundary_at_infinity(
         _gallery_entry(args), t=args.t, n_directions=args.samples)
     defects = [abs(float(np.linalg.norm(c.direction)) - 1.0) for c in clusters]
-    _emit_json({
-        "config": _config(args),
-        "results": {"clusters": [
-            {"direction": list(map(float, c.direction)), "count": c.count}
-            for c in clusters]},
-        "invariant_checks": [{
-            "name": "directions-unit-length",
-            "max_error": max(defects, default=0.0),
-            "tolerance": 1e-9,
-            "pass": all(d <= 1e-9 for d in defects)}],
-    }, args.out)
+    _report(args,
+            {"clusters": [{"direction": list(map(float, c.direction)), "count": c.count}
+                          for c in clusters]},
+            ("directions-unit-length", max(defects, default=0.0), 1e-9,
+             all(d <= 1e-9 for d in defects)))
     return 0
 
 
@@ -298,14 +275,8 @@ def cmd_verify(args):
     for result in results:
         print(result.line())
     if args.out:
-        _emit_json({
-            "config": _config(args),
-            "results": [vars(r) for r in results],
-            "invariant_checks": [{
-                "name": r.name, "max_error": r.max_error,
-                "tolerance": r.tolerance, "pass": r.passed}
-                for r in results],
-        }, args.out)
+        _report(args, [vars(r) for r in results],
+                *[(r.name, r.max_error, r.tolerance, r.passed) for r in results])
     return 0 if all(r.passed for r in results) else 1
 
 

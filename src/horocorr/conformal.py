@@ -120,9 +120,10 @@ def path_length(metric, curve, velocity=None):
     if velocity is not None:
         v = call_stacked(velocity, tau, tau.shape)
     else:
-        # capped by the distance to the nearer endpoint, so tau +- h stays in [0, 1]
+        # capped by the distance to the nearer endpoint, so tau +- h stays in [0, 1];
+        # the floor scales with tau so that nodes near 0 are not secants through it
         room = np.minimum(tau, 1.0 - tau)
-        h = np.minimum(np.maximum(1e-9, 1e-6 * room), room)
+        h = np.minimum(np.maximum(1e-9 * tau, 1e-6 * room), room)
         v = central_gradient(lambda s: curve(s[..., 0]), tau[..., None], h)[..., 0, :]
     norm_sq = _last_axis_sum(v * metric.chart.metric(u) * v)
     speed = np.exp(metric.effective(u)) * np.sqrt(np.maximum(norm_sq, 0.0))

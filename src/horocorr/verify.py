@@ -2,16 +2,20 @@
 
 Each check exercises one contract end to end (immersion formulas, curvature
 cross-oracles, flow laws, boundary behavior, eigenvalue calculus) and returns
-a CheckResult with the worst observed error, the tolerance it was held to,
-and a human-readable detail line.  run_all() executes the full battery in
-order; the suite is deterministic (fixed seeds).
+its verdict, the worst observed error, the tolerance it was held to, and a
+human-readable detail line.  @criterion registers it in CRITERIA, in battery
+order, under its name and an optional wall-clock limit; the registered
+callable times the whole check, fails it when the runtime reaches the limit,
+and returns a CheckResult.  run_all() executes the full battery in order;
+the suite is deterministic (fixed seeds).
 
-One check, unfolding-by-flow, judges a negative result: the winding count of
-the gallery profile curve obstructs embedding at every flow time, so the check
+One check, unfolding, judges a negative result: the winding count of the
+gallery profile curve obstructs embedding at every flow time, so the check
 passes when the measured crossing counts, the winding and the refused
 bisection reproduce that obstruction, and fails if the curve ever clears.
 """
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -70,7 +74,32 @@ class CheckResult:
     def line(self):
         verdict = "PASS" if self.passed else "FAIL"
         return (f"{verdict} {self.name}: max_error={self.max_error:.3e} "
-                f"tol={self.tolerance:.1e} [{self.runtime:.1f}s] {self.details}")
+                f"tol={self.tolerance:.1e} [{1e3 * self.runtime:.1f} ms] {self.details}")
+
+
+CRITERIA = ()   # (name, check) pairs in battery order, filled at import
+
+
+def criterion(name, limit=math.inf):
+    """Register a check, which returns (passed, max_error, tolerance, details),
+    under name; the registered callable takes the check's keywords, times the
+    whole check and fails it when the runtime in seconds reaches limit."""
+
+    def register(check):
+        global CRITERIA
+
+        @functools.wraps(check)
+        def timed(**kwargs):
+            start = time.perf_counter()
+            passed, max_error, tolerance, details = check(**kwargs)
+            runtime = time.perf_counter() - start
+            return CheckResult(name, bool(passed and runtime < limit), max_error,
+                               tolerance, details, runtime)
+
+        CRITERIA += ((name, timed),)
+        return timed
+
+    return register
 
 
 def _sample_plans(rng, n_each):
@@ -99,21 +128,19 @@ def _sample_plans(rng, n_each):
     ]
 
 
-def check_gauss_degree():
+@criterion("gauss-degree", limit=5.0)
+def _gauss_degree():
     """Direction-map winding of the profile curve: exactly 3, grid-stable."""
-    start = time.perf_counter()
     w_coarse = gauss_winding(profile_curve(4096))
     w_fine = gauss_winding(profile_curve(8192))
-    runtime = time.perf_counter() - start
-    err = float(abs(w_coarse - 3) + abs(w_fine - 3))
-    passed = (w_coarse == 3 and w_fine == 3 and runtime < 5.0)
-    details = f"winding {w_coarse} at 4096 samples, {w_fine} at 8192"
-    return CheckResult("gauss-degree", passed, err, 0.0, details, runtime)
+    return (w_coarse == 3 and w_fine == 3,
+            float(abs(w_coarse - 3) + abs(w_fine - 3)), 0.0,
+            f"winding {w_coarse} at 4096 samples, {w_fine} at 8192")
 
 
-def check_curvature_cross_oracle(seed=20):
+@criterion("curvature-cross-oracle", limit=60.0)
+def _curvature_cross_oracle(seed=20):
     """Extrinsic principal curvatures vs the Schouten-eigenvalue route."""
-    start = time.perf_counter()
     rng = np.random.default_rng(seed)
     worst = 0.0
     notes = []
@@ -127,15 +154,12 @@ def check_curvature_cross_oracle(seed=20):
             leg = max(leg, float(np.max(np.abs(kappas + 3.0))))
         notes.append(f"{name} {leg:.1e}")
         worst = max(worst, leg)
-    runtime = time.perf_counter() - start
-    passed = worst <= 1e-3 and runtime < 60.0
-    return CheckResult("curvature-cross-oracle", passed, worst, 1e-3,
-                       "; ".join(notes), runtime)
+    return worst <= 1e-3, worst, 1e-3, "; ".join(notes)
 
 
-def check_minkowski_constraints(seed=21):
+@criterion("minkowski-constraints")
+def _minkowski_constraints(seed=21):
     """Quadric membership of phi, eta and the null map at immersed samples."""
-    start = time.perf_counter()
     rng = np.random.default_rng(seed)
 
     def frame_errors(metric, pts, t0):
@@ -151,16 +175,13 @@ def check_minkowski_constraints(seed=21):
     band = plans[1][1]
     fd_metric = ConformalMetric(band.chart, band.rho.without_jets(), band.t)
     fd = frame_errors(fd_metric, plans[1][2], 1.0)
-    runtime = time.perf_counter() - start
-    passed = bool(analytic <= 1e-8 and fd <= 1e-5)
-    details = f"analytic jets {analytic:.1e} (tol 1e-8); fd jets {fd:.1e} (tol 1e-5)"
-    return CheckResult("minkowski-constraints", passed, max(analytic, fd),
-                       1e-5, details, runtime)
+    return (analytic <= 1e-8 and fd <= 1e-5, max(analytic, fd), 1e-5,
+            f"analytic jets {analytic:.1e} (tol 1e-8); fd jets {fd:.1e} (tol 1e-5)")
 
 
-def check_pullback_identity(seed=22):
+@criterion("pullback-identity")
+def _pullback_identity(seed=22):
     """Induced metric of the null map equals the rescaled round metric."""
-    start = time.perf_counter()
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _, metric, pts, t0 in _sample_plans(rng, 200):
@@ -170,15 +191,13 @@ def check_pullback_identity(seed=22):
         rel = (np.max(np.abs(induced - target), axis=(1, 2))
                / np.max(np.abs(target), axis=(1, 2)))
         worst = max(worst, float(np.max(rel)))
-    runtime = time.perf_counter() - start
-    return CheckResult("pullback-identity", worst <= 1e-5, worst, 1e-5,
-                       "relative error over 600 samples", runtime)
+    return worst <= 1e-5, worst, 1e-5, "relative error over 600 samples"
 
 
-def check_ricatti_consistency(seed=23):
+@criterion("ricatti-consistency")
+def _ricatti_consistency(seed=23):
     """Flowed extrinsic curvatures vs the fraction-linear evolution law,
     plus the horosphere-convergence envelope on a fixed grid."""
-    start = time.perf_counter()
     rng = np.random.default_rng(seed)
     worst = 0.0
     times = np.array([0.0, 0.5, 1.0, 2.0])
@@ -199,18 +218,16 @@ def check_ricatti_consistency(seed=23):
         lhs = np.abs(ricatti(kappas, t) + 1.0)
         bound = 2.0 * (1.0 + np.abs(kappas)) * math.exp(-2.0 * t) / (1.0 - kappa_top)
         violation = max(violation, float(np.max(lhs - bound)))
-    runtime = time.perf_counter() - start
-    passed = worst <= 1e-3 and violation <= 1e-12
     details = (f"flow-law error {worst:.1e}; envelope margin "
                f"{-violation:.1e} (never violated)" if violation <= 0 else
                f"flow-law error {worst:.1e}; envelope violated by {violation:.1e}")
-    return CheckResult("ricatti-consistency", passed, worst, 1e-3, details, runtime)
+    return worst <= 1e-3 and violation <= 1e-12, worst, 1e-3, details
 
 
-def check_boundary_expansion(seed=24):
+@criterion("boundary-expansion")
+def _boundary_expansion(seed=24):
     """Closed-form boundary expansion for the round metric, and its
     equivalence with the normal-flow metric factor under r = 2e^{-t}."""
-    start = time.perf_counter()
     rng = np.random.default_rng(seed)
     round_metric = ConformalMetric(StereographicChart(), constant_field(0.0))
     pts = rng.uniform(-3.0, 3.0, size=(20, 2))
@@ -236,16 +253,14 @@ def check_boundary_expansion(seed=24):
         pred = np.sort((1.0 - 2.0 * lam) ** 2 * math.exp(-2.0 * t)
                        * flow_metric_factor(kap, t), axis=-1)
         worst_flow = max(worst_flow, float(np.max(np.abs(actual - pred))))
-    runtime = time.perf_counter() - start
-    passed = worst_round <= 1e-10 and worst_flow <= 1e-6
-    details = f"round closed form {worst_round:.1e}; flow-factor match {worst_flow:.1e}"
-    return CheckResult("boundary-expansion", passed,
-                       max(worst_round, worst_flow), 1e-6, details, runtime)
+    return (worst_round <= 1e-10 and worst_flow <= 1e-6,
+            max(worst_round, worst_flow), 1e-6,
+            f"round closed form {worst_round:.1e}; flow-factor match {worst_flow:.1e}")
 
 
-def check_band_reproductions(seed=25):
+@criterion("band-reproductions")
+def _band_reproductions(seed=25):
     """Quantitative facts about the incomplete-band metric."""
-    start = time.perf_counter()
     rng = np.random.default_rng(seed)
     band = make_example("incomplete-band").payload
 
@@ -272,18 +287,16 @@ def check_band_reproductions(seed=25):
     report = realizability_report(band, probes)
     flagged = any("not bounded below" in f for f in report.flags)
 
-    runtime = time.perf_counter() - start
     passed = (err_len <= 1e-4 and err_jets <= 1e-6 and err_fd <= 1e-4
               and worst_radial <= 1e-5 and flagged)
     details = (f"meridian {length:.6f}; jets {err_jets:.1e}/{err_fd:.1e} "
                f"(analytic/fd); radial entry {worst_radial:.1e}; "
                f"flags={list(report.flags)}")
-    return CheckResult("band-reproductions", passed,
-                       max(err_len, err_jets, err_fd, worst_radial),
-                       1e-4, details, runtime)
+    return passed, max(err_len, err_jets, err_fd, worst_radial), 1e-4, details
 
 
-def check_unfolding():
+@criterion("unfolding", limit=120.0)
+def _unfolding():
     """Whether flowing the profile curve outward reproduces its obstruction.
 
     The curve's direction map winds three times around the circle and the
@@ -293,9 +306,9 @@ def check_unfolding():
     along the flow, crossings at t = 0, at t = 5 and at every grid time, and
     a bisection that refuses a certificate.  A winding-1 circle runs the
     same code as a control and must wind once and be embedded at t = 0.
-    The reported max_error is the number of these clauses that fail.
+    The reported max_error is the number of these clauses that fail; the
+    registry applies the time limit.
     """
-    start = time.perf_counter()
     curve = profile_curve(8192)
     c0 = len(self_intersections(curve))
     c_top = len(self_intersections(curve.flowed(5.0)))
@@ -319,10 +332,9 @@ def check_unfolding():
     control = first_embedded_time(circle, t_max=5.0)
     control_ok = control_windings == [1] and control.t_embedded == 0.0
 
-    runtime = time.perf_counter() - start
     obstructed = len(windings) == 1 and windings[0] != 1
     clauses = (obstructed, c0 >= 1, c_top >= 1, min(grid_counts) >= 1,
-               certificate is None, control_ok, runtime < 120.0)
+               certificate is None, control_ok)
     failed = sum(not clause for clause in clauses)
     details = (f"crossings {c0} at t=0, {c_top} at t=5 (m=8192); "
                f"count trend {grid_counts[0]}->{grid_counts[-1]} at m=1024 "
@@ -332,19 +344,19 @@ def check_unfolding():
                f"bisection said: {message or 'found ' + repr(certificate)}; "
                f"control circle winds {control_windings}, embedded at "
                f"t={control.t_embedded}")
-    return CheckResult("unfolding", failed == 0, float(failed), 0.0, details, runtime)
+    return failed == 0, float(failed), 0.0, details
 
 
-def check_weingarten_calculus(seed=26):
+@criterion("weingarten-calculus")
+def _weingarten_calculus(seed=26):
     """Eigenvalue-cone calculus: order inequality, cone identity, the
     nonnegative-trace implication, Hessian transform, flow semigroup, and
     the finite-difference arbitration of the flow-derivative factor."""
-    start = time.perf_counter()
     rng = np.random.default_rng(seed)
     notes = []
 
     draws = rng.uniform(-1.0 + 1e-6, 10.0, size=(100_000, 4))
-    lhs, rhs, _ = hr_inequality(draws)
+    lhs, rhs = hr_inequality(draws)
     worst_hr = float(np.max(lhs - rhs))
     notes.append(f"order inequality margin {-worst_hr:.2e} on 1e5 draws")
 
@@ -394,19 +406,16 @@ def check_weingarten_calculus(seed=26):
     notes.append(f"flow gradient vs fd {err_grad:.1e}, "
                  f"rival factor off by {rival_gap:.1e}")
 
-    runtime = time.perf_counter() - start
     passed = (worst_hr <= 1e-9 and cone_ok and back_ok
               and trace_margin >= -1e-9 and err_hess <= 1e-5
               and err_semi <= 1e-9 and err_grad <= 1e-6
               and rival_gap > 1e-4 and positive)
-    worst = max(worst_hr, err_hess, err_semi, err_grad)
-    return CheckResult("weingarten-calculus", passed, worst, 1e-5,
-                       "; ".join(notes), runtime)
+    return passed, max(worst_hr, err_hess, err_semi, err_grad), 1e-5, "; ".join(notes)
 
 
-def check_degenerate_collapse(seed=27):
+@criterion("degenerate-collapse")
+def _degenerate_collapse(seed=27):
     """Vanishing conformal factor collapses the immersion to a point."""
-    start = time.perf_counter()
     rng = np.random.default_rng(seed)
     metric = make_example("round-degenerate").payload
     target = np.array([1.0, 0.0, 0.0, 0.0])
@@ -417,15 +426,13 @@ def check_degenerate_collapse(seed=27):
         extrinsic_curvatures(metric, pts[0])
     except ImmersionError as exc:
         message = str(exc)
-    runtime = time.perf_counter() - start
-    passed = worst <= 1e-12 and "not an immersion" in message
-    details = f"phi offset {worst:.1e} at 100 points; curvature call said: {message!r}"
-    return CheckResult("degenerate-collapse", passed, worst, 1e-12, details, runtime)
+    return (worst <= 1e-12 and "not an immersion" in message, worst, 1e-12,
+            f"phi offset {worst:.1e} at 100 points; curvature call said: {message!r}")
 
 
-def check_boundary_at_infinity():
+@criterion("boundary-at-infinity")
+def _boundary_at_infinity():
     """Escape clusters of the noncompact gallery metrics."""
-    start = time.perf_counter()
     band = boundary_at_infinity(make_example("incomplete-band"))
     lat = np.array([math.asin(float(np.clip(c.direction[2], -1, 1)))
                     for c in band])
@@ -442,35 +449,12 @@ def check_boundary_at_infinity():
         cyl_ok = cyl_err <= 2e-2
 
     sphere = boundary_at_infinity(make_example("geodesic-sphere"))
-    runtime = time.perf_counter() - start
-    passed = band_ok and cyl_ok and sphere == []
     details = (f"band: {len(band)} clusters at |latitude| within {band_err:.1e} "
                f"of 1; cylinder: {len(cyl)} clusters, antipodal defect "
                f"{cyl_err:.1e}; compact example: {len(sphere)} clusters")
-    return CheckResult("boundary-at-infinity", passed,
-                       max(band_err, cyl_err if len(cyl) else 0.0),
-                       1e-2, details, runtime)
-
-
-CRITERIA = (
-    ("gauss-degree", check_gauss_degree),
-    ("curvature-cross-oracle", check_curvature_cross_oracle),
-    ("minkowski-constraints", check_minkowski_constraints),
-    ("pullback-identity", check_pullback_identity),
-    ("ricatti-consistency", check_ricatti_consistency),
-    ("boundary-expansion", check_boundary_expansion),
-    ("band-reproductions", check_band_reproductions),
-    ("unfolding", check_unfolding),
-    ("weingarten-calculus", check_weingarten_calculus),
-    ("degenerate-collapse", check_degenerate_collapse),
-    ("boundary-at-infinity", check_boundary_at_infinity),
-)
+    return (band_ok and cyl_ok and sphere == [],
+            max(band_err, cyl_err if len(cyl) else 0.0), 1e-2, details)
 
 
 def run_all(only=None):
-    results = []
-    for key, fn in CRITERIA:
-        if only is not None and key not in only:
-            continue
-        results.append(fn())
-    return results
+    return [check() for name, check in CRITERIA if only is None or name in only]

@@ -232,8 +232,8 @@ def hessian_transform(f, kappa):
 def hr_inequality(a):
     """Order inequality sum (a_i - 1)/(a_i + 1) <= 2 sum a_i - n for a_i > -1.
 
-    Returns (lhs, rhs, holds) over the leading axes of a.  Equality at a = 0."""
+    Returns (lhs, rhs) over the leading axes of a.  Equality at a = 0."""
     a = np.asarray(a, dtype=float)
     lhs = _last_axis_sum(2.0 * T(a))     # 2 T(a) = (a - 1)/(a + 1)
     rhs = 2.0 * _last_axis_sum(a) - a.shape[-1]
-    return lhs, rhs, lhs <= rhs + 1e-12
+    return lhs, rhs

@@ -41,7 +41,7 @@ from horocorr.sphere import (
     constant_field,
     radial_band_field,
 )
-from horocorr.verify import check_unfolding
+from horocorr.verify import CRITERIA
 
 
 def reference_cluster_directions(dirs, radius):
@@ -691,7 +691,10 @@ class TestEmbeddingTime:
         report = first_embedded_time(piercing_mesh(), t_max=2.0, tol=0.05)
         assert 0.0 < report.t_embedded < 2.0
         assert report.crossings_before >= 1
-        assert report.tolerance == 0.05
+        # tol sets the bracket: embedded at t_embedded, crossing one tol earlier
+        mesh = piercing_mesh()
+        assert len(self_intersections(mesh.flowed(report.t_embedded))) == 0
+        assert len(self_intersections(mesh.flowed(report.t_embedded - 0.05))) >= 1
 
     def test_bad_window_parameters(self):
         with pytest.raises(SingularParameterError):
@@ -712,11 +715,11 @@ class TestEmbeddingTime:
             try:
                 return first_embedded_time(payload, **kwargs)
             except RootBracketError:
-                return EmbeddingReport(2.0, 8, 1e-2)
+                return EmbeddingReport(2.0, 8)
 
         monkeypatch.setattr("horocorr.verify.first_embedded_time",
                             certify_everything)
-        result = check_unfolding()
+        result = dict(CRITERIA)["unfolding"]()
         assert not result.passed
         assert "found EmbeddingReport(t_embedded=2.0" in result.details
         assert "control circle winds [1], embedded at t=0.0" in result.details

@@ -329,6 +329,33 @@ class TestReports:
         assert err.startswith("error: need finite positive t_max and tolerance")
 
 
+REPORTS = [
+    ("gallery", "show", "alpha"),
+    ("immerse", "geodesic-sphere", "--samples", "6", "--format", "json"),
+    ("schouten", "cylinder-delaunay", "--samples", "10"),
+    ("embed-check", "alpha"),
+    ("boundary", "incomplete-band", "--samples", "8"),
+    ("verify", "--only", "gauss-degree", "--only", "degenerate-collapse"),
+]
+
+
+@pytest.mark.parametrize("argv", REPORTS, ids=[argv[0] for argv in REPORTS])
+def test_report_shape(argv, capsys, tmp_path, monkeypatch):
+    # every JSON report lists config, results and invariant_checks, in order
+    if argv[0] == "embed-check":   # no gallery curve embeds, and only then is there JSON
+        circle = GalleryEntry("circle", {}, circle_curve(0.7, 64))
+        monkeypatch.setattr(cli, "_gallery_entry", lambda args: circle)
+    path = tmp_path / "report.json"
+    code, _, _ = run(capsys, *argv, "--out", str(path))
+    assert code == 0
+    report = json.loads(path.read_text())
+    assert list(report) == ["config", "results", "invariant_checks"]
+    assert report["config"]["out"] == str(path)
+    for check in report["invariant_checks"]:
+        assert list(check) == ["name", "max_error", "tolerance", "pass"]
+        assert check["pass"] is True
+
+
 class TestVerify:
     def test_subset_report(self, tmp_path, capsys):
         path = tmp_path / "report.json"

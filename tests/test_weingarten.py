@@ -233,12 +233,12 @@ class TestHessianTransform:
 
 class TestOrderInequality:
     def test_equality_at_zero(self):
-        lhs, rhs, holds = hr_inequality(np.zeros(5))
-        assert holds and lhs == pytest.approx(rhs) == pytest.approx(-5.0)
+        lhs, rhs = hr_inequality(np.zeros(5))
+        assert lhs == pytest.approx(rhs) == pytest.approx(-5.0)
 
     def test_reference_point(self):
-        lhs, rhs, holds = hr_inequality(np.ones(4))
-        assert holds and lhs == pytest.approx(0.0) and rhs == pytest.approx(4.0)
+        lhs, rhs = hr_inequality(np.ones(4))
+        assert lhs == pytest.approx(0.0) and rhs == pytest.approx(4.0)
 
     def test_bulk_sweep(self, rng):
         a = rng.uniform(-1.0 + 1e-9, 10.0, size=(100_000, 4))
@@ -246,11 +246,10 @@ class TestOrderInequality:
         rhs = 2.0 * np.sum(a, axis=1) - 4
         assert np.all(lhs <= rhs + 1e-12)
         # the batch form repeats the reference arithmetic row by row
-        batch_lhs, batch_rhs, holds = hr_inequality(a)
+        batch_lhs, batch_rhs = hr_inequality(a)
         np.testing.assert_array_equal(batch_lhs, lhs)
         np.testing.assert_array_equal(batch_rhs, rhs)
-        assert np.all(holds)
-        assert hr_inequality(a[0]) == (lhs[0], rhs[0], True)
+        assert hr_inequality(a[0]) == (lhs[0], rhs[0])
 
     def test_domain_error(self):
         with pytest.raises(SingularParameterError):
@@ -545,7 +544,7 @@ class TestCalculusBatchConvention:
                 if jet is not None:
                     assert_stacks_singles(jet, x)
         assert_stacks_singles(lambda v: hessian_transform(F, v), x)
-        for part in range(3):
+        for part in range(2):
             assert_stacks_singles(lambda v: hr_inequality(v)[part], x)
 
     @given(batches(-0.9, 0.9), st.data(), st.floats(-1.0, 1.0))
@@ -562,5 +561,5 @@ class TestCalculusBatchConvention:
         value = elementary_symmetric(3, 2).eval(x)
         assert np.ndim(value) == 0
         assert value == reference_sigma(x, 2)
-        lhs, rhs, holds = hr_inequality(x)
-        assert np.ndim(lhs) == np.ndim(rhs) == np.ndim(holds) == 0
+        lhs, rhs = hr_inequality(x)
+        assert np.ndim(lhs) == np.ndim(rhs) == 0
