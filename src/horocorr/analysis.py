@@ -24,8 +24,12 @@ from .sphere import BandChart, StereographicChart, constant_field, radial_band_f
 FRAME_RTOL = 1e-8
 SCAN_EPS = 1e-9        # shortest segment, smallest doubled face area a scan accepts
 LADDER_DEPTH = 40      # ladder level of boundary_at_infinity's deepest probe
-ESCAPE_RATIO = 1.5     # growth of phi_0 over the last ladder step that escapes
+ESCAPE_RATIO = 1.2     # growth of phi_0 over the last ladder step that escapes:
+                       # below the band's sqrt(2) from t = 15, above a compact image's 1
 CLUSTER_RADIUS = 0.05  # angle within which escape directions share a cluster
+CLOSE = 1e-6           # angle within which a certified pair shares a cluster
+GAP = 2e-6             # margin beyond the radius that certifies a pair apart
+CERT_ROWS = 128        # rows of the pairwise-cosine table held at once
 
 
 def _check_frame(phi, eta):
@@ -507,6 +511,22 @@ def _near(v, centers, radius):
     return np.arccos(np.clip(cos, -1.0, 1.0, out=cos), out=cos) < radius
 
 
+def _separated_founders(dirs, radius):
+    """Index of the first direction within CLOSE of each direction, when
+    every pair lies within CLOSE or beyond radius + GAP (cosines CERT_ROWS
+    rows at a time) and 2 CLOSE < radius < pi - GAP; None otherwise."""
+    if not 2.0 * CLOSE < radius < math.pi - GAP:
+        return None
+    first = np.empty(len(dirs), dtype=np.intp)
+    for i in range(0, len(dirs), CERT_ROWS):
+        cos = dirs[i:i + CERT_ROWS] @ dirs.T
+        close = cos > math.cos(CLOSE)
+        if not np.all(close | (cos < math.cos(radius + GAP))):
+            return None
+        first[i:i + CERT_ROWS] = close.argmax(axis=1)
+    return first
+
+
 def _cluster_directions(dirs, radius):
     """Greedy clustering of the unit directions `dirs` (shape (m, d)).
 
@@ -516,7 +536,24 @@ def _cluster_directions(dirs, radius):
     normalised centre are updated.  Otherwise the direction starts a new
     cluster.  Joining moves a centre, so the result depends on the input
     order.  One `_near` call tests a direction against every centre.
+
+    Input that `_separated_founders` certifies skips the loop.  There,
+    being within CLOSE is an equivalence (two steps stay below 2 CLOSE <
+    radius + GAP), and a centre lies in the spherical hull of its members,
+    within CLOSE of each; so a direction lies within CLOSE < radius of its
+    own class's centre and beyond radius + GAP - CLOSE of every other, a
+    1e-6 rad margin against rounding.  Each direction joins the cluster of
+    the first direction within CLOSE of it; sums add members in input
+    order and centres are s / sqrt(s . s), the loop's own arithmetic.
     """
+    first = _separated_founders(dirs, radius)
+    if first is not None:
+        founders, label = np.unique(first, return_inverse=True)
+        counts, sums = np.bincount(label), dirs[founders]
+        for k in np.flatnonzero(counts > 1):
+            sums[k] = np.cumsum(dirs[label == k], axis=0)[-1]
+        centers = sums / np.sqrt(np.vecdot(sums, sums))[:, None]
+        return list(map(BoundaryCluster, centers, counts.tolist()))
     sums, centers = np.empty_like(dirs), np.empty_like(dirs)
     counts = []
     for v in dirs:

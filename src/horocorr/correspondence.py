@@ -70,7 +70,8 @@ def immerse(metric, u, t=0.0):
     "eigenvalues reach the 1/2 bound" flag of
     realizability_report(rescale(metric, t), u).  Raises
     SingularParameterError unless t is finite, and ChartDomainError, naming
-    the first such point, where rho + t or |grad rho|^2 is not finite."""
+    the first such point, where phi or psi is not finite: where rho + t or
+    |grad rho|^2 is not finite, or exp(+-(rho + t)) overflows."""
     if not np.all(np.isfinite(t)):
         raise SingularParameterError(f"flow time {t} is not finite")
     u = np.asarray(u, dtype=float)
@@ -78,18 +79,20 @@ def immerse(metric, u, t=0.0):
     x = chart.embed(u)
     grad, grad_norm_sq, ginv = gradient_norm(metric.rho, chart, u)
     w = np.asarray(metric.effective(u) + t)
-    bad = ~(np.isfinite(w) & np.isfinite(grad_norm_sq))
-    if np.any(bad):
+    with np.errstate(over="ignore", invalid="ignore"):
+        grad_ambient = (chart.jacobian(u) @ (ginv * grad)[..., None])[..., 0]
+        ew, emw = np.exp(w), np.exp(-w)
+        one_x = np.concatenate([np.ones(x.shape[:-1] + (1,)), x], axis=-1)
+        radial = np.concatenate([np.zeros(x.shape[:-1] + (1,)), grad_ambient - x], axis=-1)
+        height = 0.5 * ew * (1.0 + emw**2 * (1.0 + grad_norm_sq))
+        phi = height[..., None] * one_x + emw[..., None] * radial
+        psi = ew[..., None] * one_x
+    if not (np.isfinite(phi).all() and np.isfinite(psi).all()):
+        bad = ~(np.isfinite(phi).all(axis=-1) & np.isfinite(psi).all(axis=-1))
         point = np.broadcast_to(u, bad.shape + u.shape[-1:])[bad][0]
         raise ChartDomainError(
-            f"rho or its gradient is not finite at chart point {point}")
-    grad_ambient = (chart.jacobian(u) @ (ginv * grad)[..., None])[..., 0]
-    ew, emw = np.exp(w), np.exp(-w)
-    one_x = np.concatenate([np.ones(x.shape[:-1] + (1,)), x], axis=-1)
-    radial = np.concatenate([np.zeros(x.shape[:-1] + (1,)), grad_ambient - x], axis=-1)
-    height = 0.5 * ew * (1.0 + emw**2 * (1.0 + grad_norm_sq))
-    phi = height[..., None] * one_x + emw[..., None] * radial
-    psi = ew[..., None] * one_x
+            f"the immersion is not finite at chart point {point}: rho + t or "
+            "|grad rho|^2 is not finite, or exp(+-(rho + t)) overflows")
     return HypersurfacePoint(phi=phi, eta=psi - phi, psi=psi)
 
 

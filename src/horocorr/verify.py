@@ -434,8 +434,8 @@ def _degenerate_collapse(seed=27):
 def _boundary_at_infinity():
     """Escape clusters of the noncompact gallery metrics."""
     band = boundary_at_infinity(make_example("incomplete-band"))
-    lat = np.array([math.asin(float(np.clip(c.direction[2], -1, 1)))
-                    for c in band])
+    z = np.clip([c.direction[2] for c in band], -1.0, 1.0)
+    lat = np.array([math.asin(v) for v in z.tolist()])
     band_err = float(np.max(np.abs(np.abs(lat) - 1.0))) if len(lat) else math.inf
     band_ok = len(lat) > 0 and lat.max() > 0 > lat.min() and band_err <= 1e-2
 

@@ -778,6 +778,8 @@ class TestBoundaryAtInfinity:
         "incomplete-band", "cylinder-delaunay", "geodesic-sphere"])
     @pytest.mark.parametrize("n_directions", [64, 16])
     def test_clusters_match_reference_loop(self, monkeypatch, name, n_directions):
+        # the escape directions are tight poles or rays spaced beyond the
+        # radius, so the certified path builds the clusters without the loop
         seen = []
         cluster = analysis._cluster_directions
 
@@ -786,17 +788,38 @@ class TestBoundaryAtInfinity:
             return cluster(dirs, radius)
 
         monkeypatch.setattr(analysis, "_cluster_directions", recording)
+        near_calls = spy_near(monkeypatch)
         got = boundary_at_infinity(make_example(name), n_directions=n_directions)
         (dirs, radius), = seen
+        assert near_calls == []
         assert_same_clusters(got, reference_cluster_directions(dirs, radius))
 
-    @pytest.mark.parametrize("t", [0.0, 0.5, 1.0, 2.0, 4.0, 8.0])
+    def test_dense_band_rays_fall_back_to_the_loop(self, monkeypatch):
+        # at 68 directions the band's rays lie closer than the radius and
+        # chain, so they are not certified; the loop gives 68 clusters
+        seen = []
+        cluster = analysis._cluster_directions
+
+        def recording(dirs, radius):
+            seen.append((dirs, radius))
+            return cluster(dirs, radius)
+
+        monkeypatch.setattr(analysis, "_cluster_directions", recording)
+        near_calls = spy_near(monkeypatch)
+        got = boundary_at_infinity(make_example("incomplete-band"), n_directions=68)
+        (dirs, radius), = seen
+        assert len(dirs) == 136 and len(got) == 68
+        assert len(near_calls) == 136
+        assert_same_clusters(got, reference_cluster_directions(dirs, radius))
+
+    @pytest.mark.parametrize("t", [0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 15.0, 30.0, 300.0])
     @pytest.mark.parametrize("name, clusters", [
         ("band-horosphere", 1), ("stereographic-horosphere", 1),
         ("cylinder-delaunay", 2), ("incomplete-band", 128),
         ("geodesic-sphere", 0)])
     def test_cluster_count_does_not_depend_on_t(self, name, clusters, t):
-        # the normal flow does not move the ideal boundary
+        # the normal flow does not move the ideal boundary; from t = 15 on
+        # the band's phi_0 grows by only sqrt(2) over the last ladder step
         assert len(boundary_at_infinity(boundary_entry(name), t=t)) == clusters
 
     @pytest.mark.parametrize("t", [0.0, 1.0, 8.0])
@@ -886,6 +909,39 @@ def unit_directions(d):
 
 
 RADII = st.floats(0.0, math.pi, exclude_min=True)
+
+
+def spy_near(patch):
+    # the radii handed to analysis._near: one call per direction the loop
+    # visits, none on the certified path
+    calls, near = [], analysis._near
+
+    def recording(v, centers, radius):
+        calls.append(radius)
+        return near(v, centers, radius)
+
+    patch.setattr(analysis, "_near", recording)
+    return calls
+
+
+@st.composite
+def separated_directions(draw, d):
+    # near-repeats, jittered by at most 1e-9, of bases that lie with their
+    # antipodes pairwise beyond radius + 1e-3: every pair is within CLOSE
+    # or beyond radius + GAP, so the certificate holds
+    radius = draw(st.floats(1e-5, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bases = []
+    for v in rng.normal(size=(draw(st.integers(1, 8)), d)):
+        v /= np.linalg.norm(v)
+        if all(math.acos(min(1.0, abs(v @ b))) > radius + 1e-3 for b in bases):
+            bases.append(v)
+    bases = np.array(bases + [-b for b in bases])
+    m = draw(st.integers(0, 120))
+    dirs = bases[rng.integers(0, len(bases), m)]
+    jitter = rng.uniform(-1e-9, 1e-9, size=(m, d)) / math.sqrt(d)
+    dirs = dirs + jitter * (rng.random((m, 1)) < draw(st.floats(0.0, 1.0)))
+    return dirs / np.linalg.norm(dirs, axis=1)[:, None], radius
 
 
 @st.composite
@@ -994,3 +1050,37 @@ class TestClusterDirections:
         got = analysis._cluster_directions(dirs, 0.1)
         assert sum(c.count for c in got) == 5000
         assert_same_clusters(got, reference_cluster_directions(dirs, 0.1))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([2, 3]).flatmap(separated_directions))
+    def test_separated_directions_skip_the_loop(self, case):
+        dirs, radius = case
+        with pytest.MonkeyPatch.context() as patch:
+            near_calls = spy_near(patch)
+            got = analysis._cluster_directions(dirs, radius)
+        assert near_calls == []
+        assert_same_clusters(got, reference_cluster_directions(dirs, radius))
+
+    @pytest.mark.parametrize("offset", [1e-7, -1e-7])
+    def test_pair_near_the_radius_falls_back_to_the_loop(self, monkeypatch, offset):
+        # neither within CLOSE nor beyond radius + GAP: not certified
+        dirs = on_circle(0.0, 0.05 + offset, 0.0)
+        near_calls = spy_near(monkeypatch)
+        got = analysis._cluster_directions(dirs, 0.05)
+        assert len(near_calls) == 3
+        assert [c.count for c in got] == ([2, 1] if offset > 0 else [3])
+        assert_same_clusters(got, reference_cluster_directions(dirs, 0.05))
+
+    @pytest.mark.parametrize("radius", [
+        analysis.CLOSE, 2.0 * analysis.CLOSE, math.pi - analysis.GAP, math.pi])
+    def test_radius_without_room_for_the_certificate(self, monkeypatch, radius):
+        # a tight cluster and its antipode, certified at radius 0.05; c lies
+        # 5e-7 from -a, so within pi of a, which joins them at radius pi
+        a = np.array([0.0, 0.6, 0.8])
+        b, c = a + [1e-9, 0.0, 0.0], -a + [5e-7, 0.0, 0.0]
+        dirs = np.array([a, -a, b / np.linalg.norm(b), c / np.linalg.norm(c), a])
+        assert analysis._separated_founders(dirs, 0.05) is not None
+        near_calls = spy_near(monkeypatch)
+        got = analysis._cluster_directions(dirs, radius)
+        assert len(near_calls) == len(dirs)
+        assert_same_clusters(got, reference_cluster_directions(dirs, radius))

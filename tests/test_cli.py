@@ -93,6 +93,18 @@ class TestUsageErrors:
             assert "flow time" in err
 
     @pytest.mark.parametrize("argv", [
+        ("boundary", "incomplete-band", "--t", "700"),
+        ("immerse", "geodesic-sphere", "--t", "800"),
+    ])
+    def test_overflowing_flow_time(self, capsys, argv):
+        # e^(rho + t) overflows: an error, not 0 clusters or a point said to
+        # be off the hyperboloid
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "not finite at chart point" in err
+
+    @pytest.mark.parametrize("argv", [
         ("gauss-degree", "alpha", "--seed", "3"),
         ("verify", "--t", "1"),
         ("boundary", "incomplete-band", "--eps", "0.999"),

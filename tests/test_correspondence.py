@@ -137,6 +137,16 @@ class TestImmerse:
             with pytest.raises(ChartDomainError, match=re.escape(f"point {u[1]}")):
                 immerse(naive, u, 1.0)
 
+    @pytest.mark.parametrize("t", [800.0, -800.0])
+    def test_overflowing_flow_names_the_first_point(self, t):
+        # e^(rho + t) or e^-(rho + t) overflows although rho and t are
+        # finite; pytest turns a RuntimeWarning into an error, so none is seen
+        u = np.array([[0.3, 0.0], [0.5, 1.0]])
+        for metric in (band_metric(), sphere_metric()):
+            with pytest.raises(ChartDomainError,
+                               match=re.escape(f"not finite at chart point {u[0]}")):
+                immerse(metric, u, t)
+
     @pytest.mark.parametrize("metric", [band_metric(), sphere_metric()],
                              ids=["band", "stereographic"])
     def test_one_metric_inverse_call(self, metric, monkeypatch):
