@@ -33,14 +33,15 @@ CERT_ROWS = 128        # rows of the pairwise-cosine table held at once
 
 
 def _check_frame(phi, eta):
-    # written as "not within tolerance" so that NaN fails the check
-    tol = FRAME_RTOL * np.maximum(1.0, phi[..., 0] ** 2)
-    if not np.all(np.abs(mink_inner(phi, phi) + 1.0) <= tol):
-        raise SingularParameterError("curve positions leave the hyperboloid")
-    if not np.all(np.abs(mink_inner(eta, eta) - 1.0) <= tol):
-        raise SingularParameterError("normals are not unit spacelike")
-    if not np.all(np.abs(mink_inner(phi, eta)) <= tol):
-        raise SingularParameterError("normals are not orthogonal to positions")
+    # written as "not within tolerance" so that NaN, as from squares that overflow, fails
+    with np.errstate(over="ignore", invalid="ignore"):
+        tol = FRAME_RTOL * np.maximum(1.0, phi[..., 0] ** 2)
+        if not np.all(np.abs(mink_inner(phi, phi) + 1.0) <= tol):
+            raise SingularParameterError("curve positions leave the hyperboloid")
+        if not np.all(np.abs(mink_inner(eta, eta) - 1.0) <= tol):
+            raise SingularParameterError("normals are not unit spacelike")
+        if not np.all(np.abs(mink_inner(phi, eta)) <= tol):
+            raise SingularParameterError("normals are not orthogonal to positions")
 
 
 @dataclass(frozen=True)

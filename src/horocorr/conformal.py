@@ -40,15 +40,17 @@ class ConformalMetric:
     def effective(self, u):
         return self.rho.value(np.asarray(u, dtype=float)) + self.t
 
-    def ghat(self, u):
-        """The diagonal (..., 2) of e^{2(rho+t)} g_S in chart coordinates."""
-        return np.exp(2.0 * self.effective(u))[..., None] * self.chart.metric(u)
+    def ghat(self, u, g=None):
+        """Diagonal (..., 2) of e^{2(rho+t)} g_S; g, if given, is chart.metric(u)."""
+        g = self.chart.metric(u) if g is None else g
+        return np.exp(2.0 * self.effective(u))[..., None] * g
 
 
 @dataclass(frozen=True)
 class SchoutenReport:
     tensor: np.ndarray       # lower indices, in chart coordinates
     eigenvalues: np.ndarray  # relative to ghat, sorted ascending
+    ghat: np.ndarray         # the diagonal metric.ghat(u) they were solved against
 
 
 def generalized_eigvalsh(A, B):
@@ -79,15 +81,16 @@ def schouten(metric, u):
 
     The tensor is returned with lower indices in chart coordinates; the
     eigenvalues solve Sch v = lambda ghat v and do not depend on the chart.
+    g and ghat share the jets' one chart metric evaluation; the report hands ghat on.
     """
-    u = np.asarray(u, dtype=float)
     jets = gradient_hessian(metric.rho, metric.chart, u)
-    g = metric.chart.metric(u)[..., None, :] * np.eye(2)   # dense, as the tensor
+    g = jets.metric[..., None, :] * np.eye(2)   # dense, as the tensor
     grad = jets.gradient
     tensor = (0.5 * g - jets.covariant_hessian + grad[..., :, None] * grad[..., None, :]
               - 0.5 * jets.grad_norm_sq[..., None, None] * g)
-    eigenvalues = generalized_eigvalsh(tensor, metric.ghat(u)[..., None, :] * np.eye(2))
-    return SchoutenReport(tensor, eigenvalues)
+    ghat = metric.ghat(u, jets.metric)
+    eigenvalues = generalized_eigvalsh(tensor, ghat[..., None, :] * np.eye(2))
+    return SchoutenReport(tensor, eigenvalues, ghat)
 
 
 def path_length(metric, curve, velocity=None):

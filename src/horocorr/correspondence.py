@@ -32,7 +32,7 @@ from .errors import (
     ImmersionError,
     SingularParameterError,
 )
-from .minkowski import mink_inner, on_null_cone
+from .minkowski import FLOW_LIMIT, mink_inner, on_null_cone
 from .sphere import DEFAULT_FD_STEP, central_gradient, gradient_norm
 from .weingarten import T, T_INV, flow_shift
 
@@ -171,21 +171,29 @@ def ricatti(kappa, t):
 
 def flow_metric_factor(kappa, t):
     """Scale factor (cosh t - kappa sinh t)^2 of the induced metric under the
-    normal flow."""
+    normal flow; raises SingularParameterError unless |t| <= FLOW_LIMIT."""
+    if not abs(t) <= FLOW_LIMIT:   # written so that NaN fails
+        raise SingularParameterError(f"flow time {t} is not finite or |t| > {FLOW_LIMIT:.1f}")
     kappa = np.asarray(kappa, dtype=float)
     return (math.cosh(t) - kappa * math.sinh(t)) ** 2
 
 
 def fg_metric(metric, u, r):
     """Boundary expansion ghat - r^2 Sch + (r^4/4) Q, a (..., 2, 2) tensor in
-    chart coordinates, with Q_ij = ghat^{kl} Sch_ik Sch_jl (ghat diagonal)."""
-    if r < 0:
-        raise SingularParameterError("expansion parameter r must be >= 0")
-    u = np.asarray(u, dtype=float)
+    chart coordinates, with Q_ij = ghat^{kl} Sch_ik Sch_jl (ghat diagonal):
+    Sch and ghat (SchoutenReport.ghat) come from one schouten call and Q is
+    formed once.  r may be an array over the leading axes, as t in immerse;
+    only the r terms broadcast, their powers taken on an array for scalar r
+    too, so each slice of a batched call has the scalar call's bits.  Raises
+    SingularParameterError unless every r is >= 0 with r^4 finite."""
+    r = np.asarray(r, dtype=float)[..., None, None]
+    with np.errstate(over="ignore"):
+        r4 = r**4
+    if not np.all((r >= 0.0) & (r4 < np.inf)):   # written so that NaN fails
+        raise SingularParameterError("expansion parameter r must be >= 0 with r^4 finite")
     rep = schouten(metric, u)
-    ghat = metric.ghat(u)
-    Q = (rep.tensor / ghat[..., None, :]) @ rep.tensor
-    return ghat[..., None, :] * np.eye(2) - r**2 * rep.tensor + 0.25 * r**4 * Q
+    Q = (rep.tensor / rep.ghat[..., None, :]) @ rep.tensor
+    return rep.ghat[..., None, :] * np.eye(2) - r**2 * rep.tensor + 0.25 * r4 * Q
 
 
 def support_and_gauss(psi):

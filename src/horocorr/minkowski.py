@@ -25,6 +25,7 @@ from .errors import DimensionMismatch, HyperquadricError, SingularParameterError
 
 # relative tolerance of hyperboloid membership checks
 MEMBERSHIP_RTOL = 1e-9
+FLOW_LIMIT = 0.5 * math.acosh(np.finfo(float).max)   # largest |t| with cosh(t)^2 finite
 
 
 def _check_dims(u, v):
@@ -108,9 +109,9 @@ def normal_flow(phi, eta, t):
     <phi,eta> = 0; the frame is not checked here.  A scalar t takes math's
     cosh and sinh, whose bits numpy's do not always match; an array t
     broadcasts against the leading axes.  Raises SingularParameterError
-    unless every t is finite."""
-    if not np.all(np.isfinite(t)):
-        raise SingularParameterError(f"flow time {t} is not finite")
+    unless every |t| <= FLOW_LIMIT, past which cosh(t)^2 overflows (O(1) for scalar t)."""
+    if not np.all(np.abs(t) <= FLOW_LIMIT):   # written so that NaN fails
+        raise SingularParameterError(f"flow time {t} is not finite or |t| > {FLOW_LIMIT:.1f}")
     phi, eta = _check_dims(phi, eta)
     ch, sh = ((math.cosh(t), math.sinh(t)) if np.ndim(t) == 0
               else (np.cosh(t)[..., None], np.sinh(t)[..., None]))

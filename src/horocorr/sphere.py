@@ -297,12 +297,13 @@ class GradHess:
     gradient: np.ndarray        # coordinate partials d_i rho, (..., n)
     grad_norm_sq: np.ndarray    # |grad rho|^2 with respect to the chart metric, (...)
     covariant_hessian: np.ndarray  # rho_{i,j} = d_i d_j rho - Gamma^k_ij d_k rho
+    metric: np.ndarray          # diagonal chart.metric(u), evaluated once, (..., n)
 
 
 def _jets(field, chart, u, hessian):
-    """u as a float array, the gradient, its squared norm, the inverse metric
-    (diagonal) and the raw Hessian, which the analytic route evaluates only
-    when hessian is true."""
+    """u as a float array, the gradient, its squared norm, the inverse
+    metric, the raw Hessian, which the analytic route evaluates only when
+    hessian is true, and the metric (diagonals from one chart.metric call)."""
     u = np.asarray(u, dtype=float)
     inside = chart.contains(u)
     if not np.all(inside):
@@ -312,8 +313,9 @@ def _jets(field, chart, u, hessian):
         raw_hess = np.asarray(field.hessian(u), dtype=float) if hessian else None
     else:
         _, grad, raw_hess = fd_jet(field, u, DEFAULT_FD_STEP, chart)
-    ginv = chart.metric_inverse(u)
-    return u, grad, _last_axis_sum(grad * ginv * grad), ginv, raw_hess
+    g = chart.metric(u)
+    ginv = 1.0 / g    # chart.metric_inverse(u), bit for bit
+    return u, grad, _last_axis_sum(grad * ginv * grad), ginv, raw_hess, g
 
 
 def gradient_norm(field, chart, u):
@@ -324,12 +326,12 @@ def gradient_norm(field, chart, u):
 
 def gradient_hessian(field, chart, u):
     """First and covariant second derivatives of a field at chart points
-    (broadcasting over the leading axes of u).
+    (broadcasting over the leading axes of u), handing on the one chart.metric(u).
 
     Uses analytic jets when the field carries them, otherwise central
     differences of step DEFAULT_FD_STEP (requiring stencil room inside the
     domain).  Raises ChartDomainError if any point is outside the domain.
     """
-    u, grad, norm_sq, _, raw_hess = _jets(field, chart, u, True)
+    u, grad, norm_sq, _, raw_hess, g = _jets(field, chart, u, True)
     cov = raw_hess - np.einsum("...kij,...k->...ij", chart.christoffels(u), grad)
-    return GradHess(grad, norm_sq, cov)
+    return GradHess(grad, norm_sq, cov, g)

@@ -105,6 +105,22 @@ class TestUsageErrors:
         assert err.startswith("error:") and "not finite at chart point" in err
 
     @pytest.mark.parametrize("argv", [
+        ("immerse", "alpha", "--t", "800"),
+        ("immerse", "alpha-product", "--t", "1e308"),
+        ("embed-check", "alpha", "--t", "1e308"),
+        ("immerse", "alpha", "--t", "400", "--format", "csv"),
+        ("embed-check", "alpha", "--samples", "1024", "--t", "400"),
+    ])
+    def test_overflowing_normal_flow_time(self, capsys, argv):
+        # cosh(t)^2 overflows on a curve or mesh payload: one error line
+        # naming the flow time, not a traceback or a point said to be off
+        # the hyperboloid
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: flow time") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
         ("gauss-degree", "alpha", "--seed", "3"),
         ("verify", "--t", "1"),
         ("boundary", "incomplete-band", "--eps", "0.999"),

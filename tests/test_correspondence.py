@@ -149,18 +149,22 @@ class TestImmerse:
 
     @pytest.mark.parametrize("metric", [band_metric(), sphere_metric()],
                              ids=["band", "stereographic"])
-    def test_one_metric_inverse_call(self, metric, monkeypatch):
-        # |grad rho|^2 and the raised gradient share one inverse metric
+    def test_one_chart_metric_call(self, metric, monkeypatch):
+        # immerse raises the gradient and takes its norm with one metric
+        # evaluation; schouten builds g and ghat from the one its jets made
         calls = []
-        inverse = metric.chart.metric_inverse
+        chart_metric = metric.chart.metric
 
         def counted(u):
             calls.append(u)
-            return inverse(u)
+            return chart_metric(u)
 
-        monkeypatch.setattr(metric.chart, "metric_inverse", counted)
-        immerse(metric, np.array([[0.3, 0.2], [-0.4, 1.0]]), 0.5)
+        monkeypatch.setattr(metric.chart, "metric", counted)
+        pts = np.array([[0.3, 0.2], [-0.4, 1.0]])
+        immerse(metric, pts, 0.5)
         assert len(calls) == 1
+        schouten(metric, pts)
+        assert len(calls) == 2
 
     def test_spectral_gate(self):
         metric = ConformalMetric(StereographicChart(), constant_field(0.0))
@@ -323,6 +327,12 @@ class TestRicattiAndFlowFactor:
         assert flow_metric_factor(-1.0, 1.3) == pytest.approx(math.exp(2.6), rel=1e-12)
         assert flow_metric_factor(0.0, 1.0) == pytest.approx(math.cosh(1.0) ** 2)
 
+    @pytest.mark.parametrize("t", [800.0, -800.0, 400.0, 1e308, math.nan, math.inf])
+    def test_flow_factor_refuses_an_overflowing_time(self, t):
+        # cosh(t)^2 overflows: an error naming the time, not OverflowError
+        with pytest.raises(SingularParameterError, match="flow time"):
+            flow_metric_factor(0.3, t)
+
     def test_horosphere_limit_bound(self):
         # |ricatti(kappa,t) + 1| <= 2 (1+|kappa|) e^{-2t} / (1 - max(kappa0, 0))
         kappa0 = 0.9
@@ -372,6 +382,29 @@ class TestFgMetric:
     def test_negative_r_rejected(self):
         with pytest.raises(SingularParameterError):
             fg_metric(band_metric(), np.array([0.1, 0.1]), -0.5)
+
+    @pytest.mark.parametrize("r", [math.nan, math.inf, 1e200, -1e-300,
+                                   np.array([[0.5], [math.nan]]),
+                                   np.array([[0.5], [math.inf]]),
+                                   np.array([[1e200], [0.5]])])
+    def test_bad_r_rejected(self, r):
+        # nan, inf and an r whose r^4 overflows are refused, scalar or array,
+        # before any arithmetic could warn
+        with pytest.raises(SingularParameterError, match="expansion parameter"):
+            fg_metric(band_metric(), np.array([[0.1, 0.1], [0.3, 2.0]]), r)
+
+    def test_array_r_calls_schouten_once(self, monkeypatch):
+        calls = []
+
+        def counted(metric, u):
+            calls.append(np.shape(u))
+            return schouten(metric, u)
+
+        monkeypatch.setattr(correspondence, "schouten", counted)
+        pts = np.array([[0.2, 0.0], [0.5, 1.0], [-0.4, 3.0]])
+        out = fg_metric(band_metric(), pts, np.linspace(0.0, 1.9, 20)[:, None])
+        assert out.shape == (20, 3, 2, 2)
+        assert calls == [(3, 2)]
 
 
 class TestSupportAndGauss:
@@ -438,6 +471,8 @@ def _batch_cases():
 
 
 BATCH_CASES = _batch_cases()
+METRIC_CASES = [c for c in BATCH_CASES
+                if c[0] in ("geodesic-sphere", "incomplete-band", "cylinder-delaunay")]
 
 
 def assert_rows_agree(batch, rows, rel=1e-12):
@@ -513,6 +548,23 @@ class TestBatchConvention:
             for name in ("phi", "eta", "tangents", "first_form", "second_form"):
                 np.testing.assert_array_equal(getattr(point, name)[k],
                                               getattr(want_point, name))
+
+    @pytest.mark.parametrize("case", METRIC_CASES, ids=[c[0] for c in METRIC_CASES])
+    @given(unit=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+                         min_size=1, max_size=5),
+           rest=st.lists(st.floats(0.0, 1.9), min_size=0, max_size=19))
+    @settings(max_examples=25, deadline=None)
+    def test_fg_metric_r_on_the_batch_axis(self, case, unit, rest):
+        # k = 1..20 values of r in [0, 1.9], 0 among them, over the leading
+        # axes: each slice has the bits of the call with that r alone
+        _, metric, lo, hi, _ = case
+        lo, hi = np.array(lo), np.array(hi)
+        pts = lo + (hi - lo) * np.array(unit)
+        r = np.array([0.0] + rest)
+        batch = fg_metric(metric, pts, r[:, None])
+        assert batch.shape == (len(r), len(pts), 2, 2)
+        for k, rk in enumerate(r):
+            np.testing.assert_array_equal(batch[k], fg_metric(metric, pts, float(rk)))
 
     def test_two_immerse_calls(self, monkeypatch):
         # the whole stacked stencil, whatever n and t; the base points too

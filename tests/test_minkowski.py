@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from horocorr.errors import DimensionMismatch, HyperquadricError
+from horocorr.errors import DimensionMismatch, HyperquadricError, SingularParameterError
 from horocorr.minkowski import (
+    FLOW_LIMIT,
     MEMBERSHIP_RTOL,
     _last_axis_sum,
     from_poincare_ball,
@@ -169,6 +170,15 @@ class TestGeodesicPoint:
     def test_base_frame_evaluation(self):
         out = geodesic_point([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], 1.0)
         np.testing.assert_allclose(out, [math.cosh(1.0), math.sinh(1.0), 0.0])
+
+    def test_flow_limit(self):
+        # the base frame's squared height cosh(t)^2 stays finite up to the
+        # limit; past it, scalar or array, the flow time is refused by name
+        out = geodesic_point([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], FLOW_LIMIT)
+        assert math.isfinite(out[0] ** 2)
+        for t in (math.nextafter(FLOW_LIMIT, math.inf), -800.0, np.array([0.5, 400.0])):
+            with pytest.raises(SingularParameterError, match="flow time"):
+                normal_flow([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], t)
 
     def test_stays_on_hyperboloid(self, rng):
         for _ in range(100):
