@@ -295,7 +295,7 @@ _OPTIONS = {
     "eps": {"type": float},
     "out": {},
     "format": {"choices": ("json", "csv", "obj")},
-    "seed": {"type": int},
+    "seed": {"type": non_negative_int},
     "rho0": {"type": float},
 }
 _DEFAULTS = {"t": 0.0, "seed": 7}

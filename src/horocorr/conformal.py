@@ -16,8 +16,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import ChartDomainError, DimensionMismatch, SamplingError, SingularParameterError
-from .minkowski import _last_axis_sum
+from .errors import ChartDomainError, DimensionMismatch, SamplingError
+from .minkowski import _last_axis_sum, flow_time
 from .sphere import ScalarField, call_stacked, central_gradient, gradient_hessian
 
 REALIZABLE_MARGIN = 1e-3   # strict gap eps below the 1/2 eigenvalue bound
@@ -41,9 +41,10 @@ class ConformalMetric:
         return self.rho.value(np.asarray(u, dtype=float)) + self.t
 
     def ghat(self, u, g=None):
-        """Diagonal (..., 2) of e^{2(rho+t)} g_S; g, if given, is chart.metric(u)."""
+        """Diagonal (..., 2) of e^{2(rho+t)} g_S; g, if given, is chart.metric(u).
+        rho + t passes flow_time, so ghat is finite on every chart."""
         g = self.chart.metric(u) if g is None else g
-        return np.exp(2.0 * self.effective(u))[..., None] * g
+        return np.exp(2.0 * flow_time(self.effective(u), "rho + t"))[..., None] * g
 
 
 @dataclass(frozen=True)
@@ -57,21 +58,25 @@ def generalized_eigvalsh(A, B):
     """Eigenvalues of the 2x2 pencils A v = lambda B v (A symmetric, B
     positive definite), ascending, stacked over the leading axes: the closed
     form m -+ hypot((c00 - c11)/2, c01), m = (c00 + c11)/2, of the whitened
-    C = L^{-1} A L^{-T}, B = L L^T (Golub and Van Loan, section 8.1).  Raises
-    DimensionMismatch unless A and B are 2x2, and numpy.linalg.LinAlgError,
-    before any arithmetic that could warn, unless every B is finite and
-    positive definite."""
+    C = L^{-1} A L^{-T}, B = L L^T (Golub and Van Loan, section 8.1), at any
+    scale of B.  Raises DimensionMismatch unless A and B are 2x2, and
+    numpy.linalg.LinAlgError, before any arithmetic that could warn, unless
+    every B is finite and positive definite."""
     if np.shape(A)[-2:] != (2, 2) or np.shape(B)[-2:] != (2, 2):
         raise DimensionMismatch(f"pencil of shapes {np.shape(A)}, {np.shape(B)} is not 2x2")
     b00, b01, b11 = B[..., 0, 0], B[..., 0, 1], B[..., 1, 1]
-    det = b00 * b11 - b01 * b01 if np.all(np.isfinite(B)) else np.nan
-    if not np.all((b00 > 0.0) & (det > 0.0)):   # written so that NaN fails
+    # B = L L^T: L^{-1} has rows e0 / l00 and (e1 - k e0) / l11, k = b01 / b00, with
+    # l00^2 = b00, l11^2 = b11 - k b01 = det / b00; |b01| < sqrt(b00) sqrt(|b11|) bounds k
+    bounded = np.all(np.isfinite(B)) and np.all(
+        (b00 > 0.0) & (np.abs(b01) < np.sqrt(np.abs(b00)) * np.sqrt(np.abs(b11))))
+    k = b01 / b00 if bounded else np.nan
+    l11_sq = b11 - k * b01
+    if not np.all(l11_sq > 0.0):   # written so that NaN fails
         raise np.linalg.LinAlgError("B is not positive definite")
-    # B = L L^T: L^{-1} has rows e0 / l00 and (e1 - k e0) / l11, k = b01 / b00,
-    # with l00^2 = b00 and l11^2 = det / b00
-    k, a00, a01, a11 = b01 / b00, A[..., 0, 0], A[..., 0, 1], A[..., 1, 1]
+    a00, a01, a11 = A[..., 0, 0], A[..., 0, 1], A[..., 1, 1]
     cross = a01 - k * a00
-    c00, c01, c11 = a00 / b00, cross / np.sqrt(det), (a11 - k * (a01 + cross)) / (det / b00)
+    c00, c01, c11 = (a00 / b00, cross / (np.sqrt(b00) * np.sqrt(l11_sq)),
+                     (a11 - k * (a01 + cross)) / l11_sq)
     m, r = 0.5 * (c00 + c11), np.hypot(0.5 * (c00 - c11), c01)
     return np.stack([m - r, m + r], axis=-1)
 
@@ -142,10 +147,9 @@ def path_length(metric, curve, velocity=None):
 
 
 def rescale(metric, dt):
-    """Shift the scale offset by dt; eigenvalues scale by e^{-2 dt}.
-    Raises SingularParameterError unless dt is finite."""
-    if not math.isfinite(dt):
-        raise SingularParameterError(f"rescale offset {dt} is not finite")
+    """Shift the scale offset by dt, which passes flow_time; eigenvalues
+    scale by e^{-2 dt}."""
+    flow_time(dt)
     return ConformalMetric(metric.chart, metric.rho, metric.t + dt)
 
 

@@ -19,7 +19,6 @@ scale change of the metric; principal curvatures evolve by the fraction
 (cosh t - kappa sinh t)^2.
 """
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -32,7 +31,7 @@ from .errors import (
     ImmersionError,
     SingularParameterError,
 )
-from .minkowski import FLOW_LIMIT, mink_inner, on_null_cone
+from .minkowski import flow_time, mink_inner, on_null_cone
 from .sphere import DEFAULT_FD_STEP, central_gradient, gradient_norm
 from .weingarten import T, T_INV, flow_shift
 
@@ -68,12 +67,10 @@ def immerse(metric, u, t=0.0):
     A pure evaluation: degenerate inputs give the degenerate output (rho = 0
     collapses to the base point).  Whether the scale t is immersed is the
     "eigenvalues reach the 1/2 bound" flag of
-    realizability_report(rescale(metric, t), u).  Raises
-    SingularParameterError unless t is finite, and ChartDomainError, naming
-    the first such point, where phi or psi is not finite: where rho + t or
-    |grad rho|^2 is not finite, or exp(+-(rho + t)) overflows."""
-    if not np.all(np.isfinite(t)):
-        raise SingularParameterError(f"flow time {t} is not finite")
+    realizability_report(rescale(metric, t), u).  t passes flow_time.  Raises
+    ChartDomainError, naming the first such point, where phi * phi or psi is
+    not finite: rho + t or |grad rho|^2 is, or exp(+-(rho + t)) or phi^2 overflows."""
+    flow_time(t)
     u = np.asarray(u, dtype=float)
     chart = metric.chart
     x = chart.embed(u)
@@ -87,12 +84,13 @@ def immerse(metric, u, t=0.0):
         height = 0.5 * ew * (1.0 + emw**2 * (1.0 + grad_norm_sq))
         phi = height[..., None] * one_x + emw[..., None] * radial
         psi = ew[..., None] * one_x
-    if not (np.isfinite(phi).all() and np.isfinite(psi).all()):
-        bad = ~(np.isfinite(phi).all(axis=-1) & np.isfinite(psi).all(axis=-1))
+        phi_sq = phi * phi
+    if not (np.isfinite(phi_sq).all() and np.isfinite(psi).all()):
+        bad = ~(np.isfinite(phi_sq).all(axis=-1) & np.isfinite(psi).all(axis=-1))
         point = np.broadcast_to(u, bad.shape + u.shape[-1:])[bad][0]
         raise ChartDomainError(
             f"the immersion is not finite at chart point {point}: rho + t or "
-            "|grad rho|^2 is not finite, or exp(+-(rho + t)) overflows")
+            "|grad rho|^2 is not finite, or exp(+-(rho + t)) or phi^2 overflows")
     return HypersurfacePoint(phi=phi, eta=psi - phi, psi=psi)
 
 
@@ -107,7 +105,7 @@ def extrinsic_curvatures(metric, u, t=0.0, h=DEFAULT_FD_STEP, return_point=False
     the second form II_ij = -<d_i eta, d_j phi> symmetrized, and the kappa's
     solve det(II - kappa I) = 0 (generalized_eigvalsh).  Raises
     ImmersionError('not an immersion') when I is not positive definite at
-    some point, and ChartDomainError unless the step h has 0 < h < inf.
+    some point, and ChartDomainError unless the step h has 0 < h with 2h finite.
     """
     u = np.asarray(u, dtype=float)
     base = immerse(metric, u, t) if return_point else None
@@ -165,17 +163,15 @@ def lambda_kappa(value, orientation=CANONICAL, direction="lambda_to_kappa"):
 
 def ricatti(kappa, t):
     """Principal curvature after normal flow time t:
-    (kappa - tanh t)/(1 - kappa tanh t)."""
+    (kappa - tanh t)/(1 - kappa tanh t), t broadcasting against kappa."""
     return flow_shift(t)(kappa)
 
 
 def flow_metric_factor(kappa, t):
     """Scale factor (cosh t - kappa sinh t)^2 of the induced metric under the
-    normal flow; raises SingularParameterError unless |t| <= FLOW_LIMIT."""
-    if not abs(t) <= FLOW_LIMIT:   # written so that NaN fails
-        raise SingularParameterError(f"flow time {t} is not finite or |t| > {FLOW_LIMIT:.1f}")
-    kappa = np.asarray(kappa, dtype=float)
-    return (math.cosh(t) - kappa * math.sinh(t)) ** 2
+    normal flow, t passing flow_time and broadcasting against kappa."""
+    t = flow_time(t)
+    return (np.cosh(t) - np.asarray(kappa, dtype=float) * np.sinh(t)) ** 2
 
 
 def fg_metric(metric, u, r):

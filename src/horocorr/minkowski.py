@@ -25,7 +25,7 @@ from .errors import DimensionMismatch, HyperquadricError, SingularParameterError
 
 # relative tolerance of hyperboloid membership checks
 MEMBERSHIP_RTOL = 1e-9
-FLOW_LIMIT = 0.5 * math.acosh(np.finfo(float).max)   # largest |t| with cosh(t)^2 finite
+FLOW_LIMIT = 0.5 * np.log(np.finfo(float).max / 4.0)   # largest |w| with 4 e^{2w} finite
 
 
 def _check_dims(u, v):
@@ -103,15 +103,23 @@ def from_poincare_ball(p):
     return out
 
 
+def flow_time(t, name="flow time"):
+    """t, a float or an array, unchanged: the one guard of flow times and of rho + t.
+    Raises SingularParameterError naming the first entry that is NaN or past FLOW_LIMIT."""
+    bad = ~(np.abs(t) <= FLOW_LIMIT)   # written so that NaN fails
+    if np.any(bad):
+        raise SingularParameterError(f"{name} = {np.asarray(t)[bad][0]} is not finite "
+                                     f"or outside [-{FLOW_LIMIT:.3f}, {FLOW_LIMIT:.3f}]")
+    return t
+
+
 def normal_flow(phi, eta, t):
     """Frame (phi cosh t + eta sinh t, phi sinh t + eta cosh t) after normal
     flow time t, for phi on the hyperboloid and eta on de Sitter space with
     <phi,eta> = 0; the frame is not checked here.  A scalar t takes math's
     cosh and sinh, whose bits numpy's do not always match; an array t
-    broadcasts against the leading axes.  Raises SingularParameterError
-    unless every |t| <= FLOW_LIMIT, past which cosh(t)^2 overflows (O(1) for scalar t)."""
-    if not np.all(np.abs(t) <= FLOW_LIMIT):   # written so that NaN fails
-        raise SingularParameterError(f"flow time {t} is not finite or |t| > {FLOW_LIMIT:.1f}")
+    broadcasts against the leading axes.  t passes flow_time."""
+    flow_time(t)
     phi, eta = _check_dims(phi, eta)
     ch, sh = ((math.cosh(t), math.sinh(t)) if np.ndim(t) == 0
               else (np.cosh(t)[..., None], np.sinh(t)[..., None]))

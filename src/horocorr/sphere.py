@@ -213,15 +213,15 @@ def call_stacked(f, points, lead):
 
 
 def _check_step(h):
-    if not np.all((0.0 < h) & (h < np.inf)):
-        raise ChartDomainError("finite-difference step must be positive")
+    if not np.all((0.0 < h) & (h <= 0.5 * np.finfo(float).max)):   # 2h stays finite
+        raise ChartDomainError("finite-difference step must be positive with 2h finite")
 
 
 def _stencil_points(x, h):
     """The points central_jet evaluates, stacked after x's leading axes: x,
     x + h e_i, x - h e_i, then the corners (x + a h e_i) + b h e_j of each
     axis pair i < j in blocks (a, b) = (+,+), (+,-), (-,+), (-,-).  Raises
-    ChartDomainError unless 0 < h < inf."""
+    ChartDomainError unless 0 < h with 2h finite."""
     _check_step(h)
     n = x.shape[-1]
     axial = h * np.concatenate([np.eye(n), -np.eye(n)])
@@ -238,7 +238,7 @@ def axis_values(f, x, h):
 
     f, scalar- or array-valued, is called once on all 2n points stacked so
     (see call_stacked).  h may broadcast over x's leading axes.  Raises
-    ChartDomainError unless 0 < h < inf.
+    ChartDomainError unless 0 < h with 2h finite.
     """
     _check_step(h)
     x = np.asarray(x, dtype=float)
@@ -283,7 +283,7 @@ def central_jet(f, x, h):
 def fd_jet(field, u, h, chart):
     """(value, gradient, Hessian) of a field by central differences.
 
-    Raises ChartDomainError unless 0 < h < inf, or if the stencil of any
+    Raises ChartDomainError unless 0 < h with 2h finite, or if the stencil of any
     point leaves the chart's domain.
     """
     u = np.asarray(u, dtype=float)

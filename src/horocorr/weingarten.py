@@ -13,14 +13,13 @@ the hypersurface side by another componentwise Moebius shift by tanh(t).
 Both are instances of Mobius, whose one input check guards every such map.
 """
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import SingularParameterError
-from .minkowski import _last_axis_sum
+from .minkowski import _last_axis_sum, flow_time
 
 METRIC_SIDE = "metric"            # f acting on Schouten eigenvalues, cone in C
 HYPERSURFACE_SIDE = "hypersurface"  # W acting on principal curvatures, cone in K
@@ -28,8 +27,8 @@ HYPERSURFACE_SIDE = "hypersurface"  # W acting on principal curvatures, cone in 
 
 @dataclass(frozen=True)
 class Mobius:
-    """Componentwise fractional-linear map x -> (a x + b)/(c x + d) with
-    coefficient matrix ((a, b), (c, d)).
+    """Componentwise fractional-linear map x -> (a x + b)/(c x + d), with
+    coefficient matrix ((a, b), (c, d)) of floats or of arrays broadcasting with x.
 
     A one-sided map is defined on the open half-line c x + d > 0, so the sign
     of the matrix picks the side; a two-sided map excludes only its pole.
@@ -53,7 +52,7 @@ class Mobius:
         (_, _), (c, d) = self.matrix
         direct = x.size and -1e300 <= x.min() and x.max() <= 1e300
         u, s = (x, 1.0) if direct else (np.where(np.isfinite(x), x, 0.0), 1.0)
-        if not direct and c != 0.0 and u.size and np.max(np.abs(u)) > 1e300:
+        if not direct and np.any(c != 0.0) and u.size and np.max(np.abs(u)) > 1e300:
             huge = np.abs(u) > 1e300
             u, s = np.where(huge, np.sign(u), u), 1.0 / np.where(huge, np.abs(u), 1.0)
         denom = c * u + d * s
@@ -65,7 +64,8 @@ class Mobius:
         unless every entry of x is in the domain."""
         x, inside, u, s, denom = self._terms(x)
         if not np.all(inside):
-            raise SingularParameterError(f"input {x[~inside][0]:.6g} outside "
+            first = np.broadcast_to(x, inside.shape)[~inside][0]
+            raise SingularParameterError(f"input {first:.6g} outside "
                                          f"the domain of {self.matrix.tolist()}")
         return u, s, denom
 
@@ -98,11 +98,11 @@ def flow_shift(t):
     """Normal flow by time t on curvatures: x -> (x - tanh t)/(1 - x tanh t).
 
     Two-sided (only the focal pole 1 - x tanh t = 0 is excluded); shifts
-    compose by adding their times."""
-    if not math.isfinite(t):
-        raise SingularParameterError(f"flow time {t} is not finite")
-    th = math.tanh(t)
-    return Mobius(np.array([[1.0, -th], [-th, 1.0]]), two_sided=True)
+    compose by adding their times.  t passes flow_time and may be an array,
+    which broadcasts against x."""
+    th = np.tanh(flow_time(t))
+    one = np.ones_like(th)
+    return Mobius(np.array([[one, -th], [-th, one]]), two_sided=True)
 
 
 def t_map(x, direction="k_to_c"):

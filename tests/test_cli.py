@@ -1,14 +1,20 @@
 """End-to-end tests of the command-line front end."""
 
 import argparse
+import contextlib
 import csv
+import io
 import json
 import math
+import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from horocorr import cli, conformal
 from horocorr.analysis import GalleryEntry, circle_curve
@@ -19,6 +25,14 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def registered_options():
+    """The names of each subcommand's options, help excluded."""
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    return {name: {a.dest for a in sub._actions if a.option_strings and a.dest != "help"}
+            for name, sub in commands.choices.items()}
 
 
 class TestGallery:
@@ -92,17 +106,21 @@ class TestUsageErrors:
         if argv[0] == "immerse":
             assert "flow time" in err
 
-    @pytest.mark.parametrize("argv", [
-        ("boundary", "incomplete-band", "--t", "700"),
-        ("immerse", "geodesic-sphere", "--t", "800"),
+    @pytest.mark.parametrize("argv, message", [
+        (("boundary", "incomplete-band", "--t", "700"), "error: flow time = 700.0 "),
+        (("immerse", "geodesic-sphere", "--t", "800"), "error: flow time = 800.0 "),
+        (("schouten", "geodesic-sphere", "--rho0", "354.8"), "error: rho + t = 354.8 "),
+        (("immerse", "geodesic-sphere", "--rho0", "700"),
+         "error: the immersion is not finite at chart point "),
     ])
-    def test_overflowing_flow_time(self, capsys, argv):
-        # e^(rho + t) overflows: an error, not 0 clusters or a point said to
+    def test_overflowing_flow_time(self, capsys, argv, message):
+        # e^(rho + t) or phi^2 would overflow: one error line naming the flow
+        # time, rho + t or the chart point, not 0 clusters or a point said to
         # be off the hyperboloid
         code, out, err = run(capsys, *argv)
         assert code == 1
         assert out == ""
-        assert err.startswith("error:") and "not finite at chart point" in err
+        assert err.startswith(message) and err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [
         ("immerse", "alpha", "--t", "800"),
@@ -143,14 +161,73 @@ class TestUsageErrors:
             "boundary": {"samples", "t", "rho0", "out"},
             "verify": {"only", "out"},
         }
-        commands = next(a for a in build_parser()._actions
-                        if isinstance(a, argparse._SubParsersAction))
-        taken = {name: {a.dest for a in sub._actions
-                        if a.option_strings and a.dest != "help"}
-                 for name, sub in commands.choices.items()}
+        taken = registered_options()
         assert taken == expected
         # 28 of the 64 values the eight shared options gave eight commands
         assert sum(len(opts - {"only"}) for opts in taken.values()) == 28
+
+
+FUZZ_FLOATS = ("0", "1e-09", "-1e-09", "0.5", "1", "3.2", "20", "-20", "355", "356",
+               "700", "1e308", "inf", "-inf", "nan")
+FUZZ_VALUES = {"samples": ("0", "1", "3", "7", "16", "64", "-1"), "seed": ("0", "7", "-1"),
+               "format": cli._OPTIONS["format"]["choices"]}
+
+
+@st.composite
+def cli_argv(draw):
+    """An argv for any subcommand but verify, drawn from the option table:
+    an example, then a subset of the command's options with values from
+    small pools, every float value from FUZZ_FLOATS; reports go to the null
+    device."""
+    options = registered_options()
+    command = draw(st.sampled_from(sorted(set(options) - {"verify"})))
+    argv = [command] + (["show"] if command == "gallery" else [])
+    argv.append(draw(st.sampled_from(cli.EXAMPLE_CHOICES)))
+    for name in draw(st.lists(st.sampled_from(sorted(options[command])), unique=True)):
+        if name == "out":
+            value = os.devnull
+        elif cli._OPTIONS[name].get("type") is float:
+            value = draw(st.sampled_from(FUZZ_FLOATS))
+        else:
+            value = draw(st.sampled_from(FUZZ_VALUES[name]))
+        argv.append(f"--{name}={value}")
+    return argv
+
+
+class TestGeneratedArgv:
+    @settings(max_examples=300, deadline=None)
+    @given(cli_argv())
+    @example(["schouten", "geodesic-sphere", "--rho0=300"])
+    @example(["schouten", "geodesic-sphere", "--rho0=-300"])
+    @example(["schouten", "geodesic-sphere", "--rho0=354.8"])
+    @example(["schouten", "geodesic-sphere", "--rho0=700"])
+    @example(["schouten", "geodesic-sphere", "--rho0=1e308"])
+    @example(["flow", "geodesic-sphere", "--rho0=-200"])
+    @example(["flow", "geodesic-sphere", "--t=356"])
+    @example(["flow", "incomplete-band", "--h=1e308"])
+    @example(["immerse", "geodesic-sphere", "--rho0=700"])
+    @example(["immerse", "round-degenerate", "--t=356"])
+    @example(["immerse", "alpha", "--t=355", "--format=csv"])
+    @example(["boundary", "cylinder-delaunay", "--t=356"])
+    @example(["boundary", "incomplete-band", "--t=355"])
+    @example(["schouten", "incomplete-band", "--seed=-1"])
+    def test_every_argv_ends_cleanly(self, argv):
+        # exit 0; exit 1 with one error line; or argparse's exit 2, and no
+        # warning or other exception on the way
+        out, err = io.StringIO(), io.StringIO()
+        with (warnings.catch_warnings(), contextlib.redirect_stdout(out),
+              contextlib.redirect_stderr(err)):
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2), argv
+        if code == 1:
+            assert err.getvalue().startswith("error: "), argv
+            assert err.getvalue().count("\n") == 1, argv
+        elif code == 0:
+            assert "error" not in err.getvalue(), argv
 
 
 class TestWinding:
@@ -343,12 +420,12 @@ class TestReports:
         assert out == ""
         assert err == "error: no usable samples for the realizability report\n"
 
-    @pytest.mark.parametrize("h", ["0", "-1e-4", "nan", "inf"])
+    @pytest.mark.parametrize("h", ["0", "-1e-4", "nan", "inf", "1e308"])
     def test_flow_step_must_be_positive_and_finite(self, capsys, h):
         code, out, err = run(capsys, "flow", "incomplete-band", f"--h={h}")
         assert code == 1
         assert out == ""
-        assert err == "error: finite-difference step must be positive\n"
+        assert err == "error: finite-difference step must be positive with 2h finite\n"
 
     def test_embed_check_nonfinite_eps(self, capsys):
         code, out, err = run(capsys, "embed-check", "alpha", "--eps", "nan")

@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from horocorr.errors import (
     SamplingError,
     SingularParameterError,
 )
+from horocorr.minkowski import FLOW_LIMIT
 from horocorr.sphere import (
     BandChart,
     ScalarField,
@@ -191,6 +193,7 @@ def assert_matches_whitened(A, B):
 
 
 finite = st.floats(-1e3, 1e3)
+entry = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
 
 
 class TestGeneralizedEigvalsh:
@@ -247,10 +250,25 @@ class TestGeneralizedEigvalsh:
             with pytest.raises(np.linalg.LinAlgError):
                 generalized_eigvalsh(np.stack([np.eye(2)] * 3), stack)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(0.0, math.pi), st.floats(1e-3, 1e3), st.floats(0.0, 8.0),
+           entry, entry, entry, st.sampled_from([-700, 700]))
+    def test_independent_of_the_scale_of_B(self, angle, scale, log_cond,
+                                           a00, a01, a11, exponent):
+        # B scaled by 2^+-700, where det B = b00 b11 - b01^2 leaves float range:
+        # every step of the closed form scales exactly by the power of two,
+        # as long as no step reaches the subnormals
+        A = np.array([[a00, a01], [a01, a11]])
+        B = spd_pencil_matrix(angle, scale, log_cond)
+        np.testing.assert_array_equal(
+            generalized_eigvalsh(A, 2.0 ** exponent * B) * 2.0 ** exponent,
+            generalized_eigvalsh(A, B))
+
     @settings(max_examples=200, deadline=None)
     @given(st.floats(-1e3, 1e3), finite, finite)
     def test_rejects_any_non_positive_determinant(self, b00, b01, b11):
-        assume(b00 <= 0.0 or b00 * b11 - b01 * b01 <= 0.0)
+        # the exact determinant: its float form can round either way
+        assume(b00 <= 0.0 or Fraction(b00) * Fraction(b11) - Fraction(b01) ** 2 <= 0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(np.linalg.LinAlgError):
@@ -425,10 +443,21 @@ class TestRescaleAndRealizability:
         two = schouten(rescale(rescale(metric, 0.4), 0.5), u).eigenvalues
         np.testing.assert_allclose(one, two, rtol=1e-14)
 
-    @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf, 400.0])
     def test_rescale_rejects_nonfinite_offset(self, dt):
-        with pytest.raises(SingularParameterError, match="not finite"):
+        with pytest.raises(SingularParameterError, match="flow time = .* not finite"):
             rescale(band_metric(), dt)
+
+    def test_ghat_refuses_rho_plus_t_past_the_flow_limit(self):
+        # e^{2(rho + t)} times the stereographic factor 4 stays finite up to
+        # FLOW_LIMIT; past it ghat, and so schouten, names rho + t
+        u = np.zeros((3, 2))
+        at = ConformalMetric(StereographicChart(), constant_field(FLOW_LIMIT))
+        assert np.all(np.isfinite(at.ghat(u)))
+        past = rescale(ConformalMetric(StereographicChart(), constant_field(300.0)), 60.0)
+        for call in (past.ghat, lambda u: schouten(past, u)):
+            with pytest.raises(SingularParameterError, match=r"rho \+ t = 360.0 "):
+                call(u)
 
     def test_constant_example_realizable(self):
         metric = ConformalMetric(

@@ -137,15 +137,23 @@ class TestImmerse:
             with pytest.raises(ChartDomainError, match=re.escape(f"point {u[1]}")):
                 immerse(naive, u, 1.0)
 
-    @pytest.mark.parametrize("t", [800.0, -800.0])
-    def test_overflowing_flow_names_the_first_point(self, t):
-        # e^(rho + t) or e^-(rho + t) overflows although rho and t are
-        # finite; pytest turns a RuntimeWarning into an error, so none is seen
+    @pytest.mark.parametrize("t", [800.0, -800.0, np.array([0.5, 800.0])])
+    def test_overflowing_flow_time_is_named(self, t):
+        # past FLOW_LIMIT the flow guard names the time before any exponential
         u = np.array([[0.3, 0.0], [0.5, 1.0]])
         for metric in (band_metric(), sphere_metric()):
+            with pytest.raises(SingularParameterError, match="flow time = -?800.0 "):
+                immerse(metric, u, t)
+
+    @pytest.mark.parametrize("rho0", [700.0, -700.0])
+    def test_overflowing_rho_names_the_first_point(self, rho0):
+        # e^(rho + t), e^-(rho + t) or phi^2 overflows although rho and t are
+        # finite; pytest turns a RuntimeWarning into an error, so none is seen
+        u = np.array([[0.3, 0.0], [0.5, 1.0]])
+        for chart in (BandChart(), StereographicChart()):
             with pytest.raises(ChartDomainError,
                                match=re.escape(f"not finite at chart point {u[0]}")):
-                immerse(metric, u, t)
+                immerse(ConformalMetric(chart, constant_field(rho0)), u)
 
     @pytest.mark.parametrize("metric", [band_metric(), sphere_metric()],
                              ids=["band", "stereographic"])
@@ -326,6 +334,21 @@ class TestRicattiAndFlowFactor:
         assert flow_metric_factor(0.7, 0.0) == 1.0
         assert flow_metric_factor(-1.0, 1.3) == pytest.approx(math.exp(2.6), rel=1e-12)
         assert flow_metric_factor(0.0, 1.0) == pytest.approx(math.cosh(1.0) ** 2)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=8),
+           st.lists(st.floats(-0.9, 0.9), min_size=1, max_size=8))
+    def test_array_t_matches_one_call_per_t(self, ts, kappas):
+        # t on a new leading axis broadcasts against kappa, bit for bit
+        ts, kappas = np.array(ts), np.array(kappas)
+        for law in (ricatti, flow_metric_factor):
+            np.testing.assert_array_equal(
+                law(kappas, ts[:, None]), np.stack([law(kappas, t) for t in ts]))
+
+    def test_array_t_names_the_first_pole(self):
+        # the pole 1 - kappa tanh t = 0 of the second time is found in the grid
+        with pytest.raises(SingularParameterError, match="input 2 outside"):
+            ricatti(np.array([0.5, 2.0]), np.array([[0.1], [math.atanh(0.5)]]))
 
     @pytest.mark.parametrize("t", [800.0, -800.0, 400.0, 1e308, math.nan, math.inf])
     def test_flow_factor_refuses_an_overflowing_time(self, t):
