@@ -1,12 +1,18 @@
 """Command-line front end: gallery runs, curvature reports, flow sweeps,
 embeddedness checks, and mesh/report export.
 
+Each command is one row of _COMMANDS: handler, help, the kind of example it
+needs (schouten, flow and boundary a metric) and its options with their
+defaults.  main builds the named example once and refuses the wrong kind
+with one line, "error: <command> needs a <kind> example".
+
 Exit codes: 0 on success, 1 on a numerical or verification failure (with a
 diagnostic on standard error), 2 on a usage error.  Every JSON report embeds
 the resolved configuration so a run can be reproduced from its own output.
 """
 
 import argparse
+import collections
 import csv
 import functools
 import json
@@ -36,17 +42,12 @@ from .verify import CRITERIA, run_all
 EXAMPLE_CHOICES = GALLERY_NAMES + ("alpha",)
 
 
-def _resolve_name(name):
-    # short alias for the curve example
-    return "alpha-curve" if name == "alpha" else name
-
-
 def _report(args, results, *checks):
     """Write a command's JSON report, to --out or standard output: the
     resolved configuration, the results, and one entry per invariant check
     given as a (name, max_error, tolerance, passed) tuple."""
     text = json.dumps({
-        "config": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
+        "config": dict(sorted(vars(args).items())),
         "results": results,
         "invariant_checks": [
             {"name": name, "max_error": max_error, "tolerance": tolerance, "pass": passed}
@@ -71,7 +72,7 @@ def _emit_csv(header, rows, out):
 
 
 def _gallery_entry(args):
-    name = _resolve_name(args.name)
+    name = "alpha-curve" if args.name == "alpha" else args.name   # short alias
     params = {}
     # commands without --rho0 take no sphere, those without --samples no curve
     if name == "geodesic-sphere" and getattr(args, "rho0", None) is not None:
@@ -127,12 +128,11 @@ def _write_obj(path, verts, faces=(), polylines=()):
         f.write(text)
 
 
-def cmd_gallery(args):
+def cmd_gallery(args, entry):
     if args.action == "list":
         for name in GALLERY_NAMES:
             print(name)
         return 0
-    entry = _gallery_entry(args)
     payload = entry.payload
     info = {"name": entry.name, "params": entry.params,
             "payload": type(payload).__name__}
@@ -146,8 +146,7 @@ def cmd_gallery(args):
     return 0
 
 
-def cmd_immerse(args):
-    entry = _gallery_entry(args)
+def cmd_immerse(args, entry):
     payload = entry.payload
     # mesh files are the point of --out here, so default to obj for them
     fmt = args.format or ("obj" if args.out else "json")
@@ -182,11 +181,8 @@ def cmd_immerse(args):
     return 0
 
 
-def cmd_schouten(args):
-    entry = _gallery_entry(args)
+def cmd_schouten(args, entry):
     metric = entry.payload
-    if not isinstance(metric, ConformalMetric):
-        raise GeometryError("schouten reports need a conformal-metric example")
     rng = np.random.default_rng(args.seed)
     pts = _metric_samples(metric, args.samples, rng)
     sch = schouten(metric, pts)
@@ -204,11 +200,8 @@ def cmd_schouten(args):
     return 0
 
 
-def cmd_flow(args):
-    entry = _gallery_entry(args)
+def cmd_flow(args, entry):
     metric = entry.payload
-    if not isinstance(metric, ConformalMetric):
-        raise GeometryError("flow sweeps need a conformal-metric example")
     rng = np.random.default_rng(args.seed)
     pts = _metric_samples(metric, args.samples, rng)
     scaled = rescale(metric, args.t)
@@ -226,6 +219,8 @@ def cmd_flow(args):
     window = lam[:, -1] < 0.5
     pts, lam = pts[window], lam[window]
     skipped = args.samples - len(pts)
+    if not len(pts):
+        raise SamplingError(f"no usable samples for the flow sweep: skipped {skipped}")
     pred = np.sort(lambda_kappa(lam), axis=-1)
     ext = np.sort(extrinsic_curvatures(metric, pts, t=args.t, h=args.h), axis=-1)
     rows = np.column_stack([pts, metric.rho.value(pts), lam, ext, pred,
@@ -237,11 +232,8 @@ def cmd_flow(args):
     return 0
 
 
-def cmd_embed_check(args):
-    entry = _gallery_entry(args)
+def cmd_embed_check(args, entry):
     payload = entry.payload
-    if isinstance(payload, ConformalMetric):
-        raise GeometryError("embeddedness checks need a curve or mesh example")
     report = first_embedded_time(payload, t_max=args.t, tol=args.eps)
     _report(args, {"t_embedded": report.t_embedded,
                    "crossings_before": report.crossings_before,
@@ -249,18 +241,13 @@ def cmd_embed_check(args):
     return 0
 
 
-def cmd_gauss_degree(args):
-    entry = _gallery_entry(args)
-    curve = entry.payload
-    if not isinstance(curve, CurveImmersion):
-        raise GeometryError("winding counts need a curve example")
-    print(gauss_winding(curve))
+def cmd_gauss_degree(args, entry):
+    print(gauss_winding(entry.payload))
     return 0
 
 
-def cmd_boundary(args):
-    clusters = boundary_at_infinity(
-        _gallery_entry(args), t=args.t, n_directions=args.samples)
+def cmd_boundary(args, entry):
+    clusters = boundary_at_infinity(entry, t=args.t, n_directions=args.samples)
     defects = [abs(float(np.linalg.norm(c.direction)) - 1.0) for c in clusters]
     _report(args,
             {"clusters": [{"direction": list(map(float, c.direction)), "count": c.count}
@@ -270,7 +257,7 @@ def cmd_boundary(args):
     return 0
 
 
-def cmd_verify(args):
+def cmd_verify(args, entry):
     results = run_all(only=set(args.only) if args.only else None)
     for result in results:
         print(result.line())
@@ -287,7 +274,7 @@ def non_negative_int(text):
     return value
 
 
-# every option a subcommand may register, and the defaults it shares
+# every option a command may register, by name
 _OPTIONS = {
     "samples": {"type": non_negative_int},
     "t": {"type": float},
@@ -297,16 +284,38 @@ _OPTIONS = {
     "format": {"choices": ("json", "csv", "obj")},
     "seed": {"type": non_negative_int},
     "rho0": {"type": float},
+    "only": {"action": "append", "choices": [key for key, _ in CRITERIA]},
 }
-_DEFAULTS = {"t": 0.0, "seed": 7}
 
+# the payload types of each example kind a command may need
+_KINDS = {"metric": ConformalMetric, "curve or mesh": (CurveImmersion, MeshImmersion),
+          "curve": CurveImmersion}
 
-def _add_options(sub, *names, **defaults):
-    """Register the named options on a subcommand; keyword arguments set its
-    own defaults."""
-    defaults = {**_DEFAULTS, **defaults}
-    for name in names:
-        sub.add_argument(f"--{name}", default=defaults.get(name), **_OPTIONS[name])
+# handler(args, entry) -> exit code; kind is a key of _KINDS, or None for a
+# command that takes any example or none; options maps each name to its default
+Command = collections.namedtuple("Command", "handler help kind options")
+
+_COMMANDS = {
+    "gallery": Command(cmd_gallery, "list or inspect the examples", None,
+                       {"samples": None, "rho0": None, "out": None}),
+    "schouten": Command(cmd_schouten, "eigenvalue sweep of an example metric", "metric",
+                        {"samples": 200, "seed": 7, "rho0": None, "out": None}),
+    "immerse": Command(cmd_immerse, "export an immersed example", None,
+                       {"samples": 32, "t": 0.0, "rho0": None, "out": None,
+                        "format": None}),
+    "flow": Command(cmd_flow, "curvature sweep at a flow time (csv)", "metric",
+                    {"samples": 100, "t": 1.0, "h": DEFAULT_FD_STEP, "seed": 7,
+                     "rho0": None, "out": None}),
+    "embed-check": Command(cmd_embed_check, "self-intersections under the flow",
+                           "curve or mesh",
+                           {"samples": 2048, "t": 5.0, "eps": 1e-2, "out": None}),
+    "gauss-degree": Command(cmd_gauss_degree, "winding count of a curve example",
+                            "curve", {"samples": 4096}),
+    "boundary": Command(cmd_boundary, "escape directions of a metric example", "metric",
+                        {"samples": 64, "t": 1.0, "rho0": None, "out": None}),
+    "verify": Command(cmd_verify, "run the acceptance battery", None,
+                      {"only": None, "out": None}),
+}
 
 
 @functools.cache     # one parser per process: parse_args leaves it unchanged
@@ -316,50 +325,15 @@ def build_parser():
         description="hypersurface immersions from conformal metrics: "
                     "reports, sweeps, and mesh export")
     commands = parser.add_subparsers(dest="command", required=True)
-
-    p = commands.add_parser("gallery", help="list or inspect the examples")
-    p.add_argument("action", choices=("list", "show"))
-    p.add_argument("name", nargs="?", choices=EXAMPLE_CHOICES)
-    _add_options(p, "samples", "rho0", "out")
-    p.set_defaults(func=cmd_gallery)
-
-    p = commands.add_parser("schouten", help="eigenvalue sweep of an example metric")
-    p.add_argument("name", choices=EXAMPLE_CHOICES)
-    _add_options(p, "samples", "seed", "rho0", "out", samples=200)
-    p.set_defaults(func=cmd_schouten)
-
-    p = commands.add_parser("immerse", help="export an immersed example")
-    p.add_argument("name", choices=EXAMPLE_CHOICES)
-    _add_options(p, "samples", "t", "rho0", "out", "format", samples=32)
-    p.set_defaults(func=cmd_immerse)
-
-    p = commands.add_parser("flow", help="curvature sweep at a flow time (csv)")
-    p.add_argument("name", choices=EXAMPLE_CHOICES)
-    _add_options(p, "samples", "t", "h", "seed", "rho0", "out",
-                 samples=100, t=1.0, h=DEFAULT_FD_STEP)
-    p.set_defaults(func=cmd_flow)
-
-    p = commands.add_parser("embed-check", help="self-intersections under the flow")
-    p.add_argument("name", choices=EXAMPLE_CHOICES)
-    _add_options(p, "samples", "t", "eps", "out", samples=2048, t=5.0, eps=1e-2)
-    p.set_defaults(func=cmd_embed_check)
-
-    p = commands.add_parser("gauss-degree", help="winding count of a curve example")
-    p.add_argument("name", choices=EXAMPLE_CHOICES)
-    _add_options(p, "samples", samples=4096)
-    p.set_defaults(func=cmd_gauss_degree)
-
-    p = commands.add_parser("boundary", help="escape directions of a metric example")
-    p.add_argument("name", choices=EXAMPLE_CHOICES)
-    _add_options(p, "samples", "t", "rho0", "out", samples=64, t=1.0)
-    p.set_defaults(func=cmd_boundary)
-
-    p = commands.add_parser("verify", help="run the acceptance battery")
-    p.add_argument("--only", action="append",
-                   choices=[key for key, _ in CRITERIA])
-    _add_options(p, "out")
-    p.set_defaults(func=cmd_verify)
-
+    for command, row in _COMMANDS.items():
+        p = commands.add_parser(command, help=row.help)
+        if command == "gallery":
+            p.add_argument("action", choices=("list", "show"))
+            p.add_argument("name", nargs="?", choices=EXAMPLE_CHOICES)
+        elif command != "verify":
+            p.add_argument("name", choices=EXAMPLE_CHOICES)
+        for name, default in row.options.items():
+            p.add_argument(f"--{name}", default=default, **_OPTIONS[name])
     return parser
 
 
@@ -368,8 +342,14 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.command == "gallery" and args.action == "show" and args.name is None:
         parser.error("gallery show needs an example name")
+    row = _COMMANDS[args.command]
     try:
-        return args.func(args)
+        entry = None   # gallery list and verify build no example
+        if getattr(args, "name", None) and getattr(args, "action", "show") == "show":
+            entry = _gallery_entry(args)
+            if row.kind and not isinstance(entry.payload, _KINDS[row.kind]):
+                raise GeometryError(f"{args.command} needs a {row.kind} example")
+        return row.handler(args, entry)
     except GeometryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -87,6 +87,9 @@ def schouten(metric, u):
     The tensor is returned with lower indices in chart coordinates; the
     eigenvalues solve Sch v = lambda ghat v and do not depend on the chart.
     g and ghat share the jets' one chart metric evaluation; the report hands ghat on.
+    Raises ChartDomainError, naming the first such point, where ghat underflows
+    to 0, as e^{2(rho+t)} g does for rho + t near -FLOW_LIMIT far out on the
+    stereographic chart.
     """
     jets = gradient_hessian(metric.rho, metric.chart, u)
     g = jets.metric[..., None, :] * np.eye(2)   # dense, as the tensor
@@ -94,6 +97,10 @@ def schouten(metric, u):
     tensor = (0.5 * g - jets.covariant_hessian + grad[..., :, None] * grad[..., None, :]
               - 0.5 * jets.grad_norm_sq[..., None, None] * g)
     ghat = metric.ghat(u, jets.metric)
+    underflow = ~np.all(ghat > 0.0, axis=-1)
+    if np.any(underflow):
+        raise ChartDomainError(f"ghat underflows to 0 at chart point "
+                               f"{np.asarray(u, dtype=float)[underflow][0]}")
     eigenvalues = generalized_eigvalsh(tensor, ghat[..., None, :] * np.eye(2))
     return SchoutenReport(tensor, eigenvalues, ghat)
 

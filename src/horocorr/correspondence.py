@@ -68,13 +68,14 @@ def immerse(metric, u, t=0.0):
     collapses to the base point).  Whether the scale t is immersed is the
     "eigenvalues reach the 1/2 bound" flag of
     realizability_report(rescale(metric, t), u).  t passes flow_time.  Raises
-    ChartDomainError, naming the first such point, where phi * phi or psi is
-    not finite: rho + t or |grad rho|^2 is, or exp(+-(rho + t)) or phi^2 overflows."""
+    ChartDomainError at a point outside the chart and, naming the first such
+    point, where phi * phi or psi is not finite: rho + t or |grad rho|^2 is,
+    or exp(+-(rho + t)) or phi^2 overflows."""
     flow_time(t)
     u = np.asarray(u, dtype=float)
     chart = metric.chart
+    grad, grad_norm_sq, ginv = gradient_norm(metric.rho, chart, u)   # refuses u before embed
     x = chart.embed(u)
-    grad, grad_norm_sq, ginv = gradient_norm(metric.rho, chart, u)
     w = np.asarray(metric.effective(u) + t)
     with np.errstate(over="ignore", invalid="ignore"):
         grad_ambient = (chart.jacobian(u) @ (ginv * grad)[..., None])[..., 0]

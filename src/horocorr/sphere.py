@@ -2,7 +2,7 @@
 
 Two chart kinds cover every example in the package:
 
-* StereographicChart: coordinates u in R^2, embedding
+* StereographicChart: coordinates u in R^2 with |u_i| < 2^255, embedding
   x(u) = (2u, 1-|u|^2)/(1+|u|^2), metric (2/(1+|u|^2))^2 (du_1^2 + du_2^2).
 * BandChart(edge): coordinates (s, a) with |s| < edge <= pi/2 the arc
   from the equator and a the angle along it; metric ds^2 + cos^2(s) da^2.
@@ -40,16 +40,23 @@ def _require(chart, u):
 
 
 class StereographicChart:
-    """Conformal chart on S^2 minus one pole; coordinates range over all of R^2."""
+    """Conformal chart on S^2 minus one pole and the tiny cap about it past
+    the float range of the chart's metric.
+
+    Coordinates range over the square |u_i| < 2^255 (5.8e76) of R^2: there
+    |u|^2 < 2^511, so the (1 + |u|^2)^2 of the jacobian and of 1/metric stays
+    below 2^1023 and finite.  Past |u| of about 1.6e77 1/metric overflows.
+    """
 
     n = 2
     kind = "stereographic"
+    limit = 2.0 ** 255
 
     def contains(self, u):
         u = np.asarray(u, dtype=float)
         if u.shape[-1] != self.n:
             return np.zeros(u.shape[:-1], dtype=bool)
-        return np.all(np.isfinite(u), axis=-1)
+        return np.all(np.abs(u) < self.limit, axis=-1)   # NaN fails
 
     @staticmethod
     def _norm_sq(u):

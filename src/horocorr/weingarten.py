@@ -78,8 +78,6 @@ class Mobius:
         """Componentwise derivative (ad - bc)/(c x + d)^2."""
         _, s, denom = self._check(x)
         (a, b), (c, d) = self.matrix
-        if np.max(np.abs(denom), initial=0.0) <= 1e154:   # the masks divide by 1.0
-            return (a * d - b * c) * s**2 / denom**2
         wide = np.abs(denom) > 1e154   # denom**2 would overflow: divide twice
         once = np.where(wide, denom, 1.0)
         return (a * d - b * c) * s**2 / np.where(wide, 1.0, denom)**2 / once / once

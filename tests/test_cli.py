@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from horocorr import cli, conformal
-from horocorr.analysis import GalleryEntry, circle_curve
+from horocorr.analysis import GalleryEntry, circle_curve, make_example
 from horocorr.cli import build_parser, main
 
 
@@ -249,6 +249,28 @@ class TestWinding:
         assert "curve" in err
 
 
+def wrong_kinds():
+    """(command, example, kind) for every command that needs a kind of
+    example and every example whose payload is not of that kind."""
+    payloads = {name: make_example("alpha-curve" if name == "alpha" else name).payload
+                for name in cli.EXAMPLE_CHOICES}
+    return [(command, name, row.kind) for command, row in cli._COMMANDS.items()
+            if row.kind for name, payload in payloads.items()
+            if not isinstance(payload, cli._KINDS[row.kind])]
+
+
+class TestExampleKinds:
+    def test_every_kind_refuses_some_example(self):
+        refused = {command for command, _, _ in wrong_kinds()}
+        assert refused == {"schouten", "flow", "boundary", "embed-check", "gauss-degree"}
+
+    @pytest.mark.parametrize("command, name, kind", wrong_kinds())
+    def test_wrong_kind_is_one_error_line(self, capsys, command, name, kind):
+        code, out, err = run(capsys, command, name)
+        assert (code, out) == (1, "")
+        assert err == f"error: {command} needs a {kind} example\n"
+
+
 def reference_write_obj(path, verts, faces=(), polylines=()):
     # the original writer, one formatted numpy scalar at a time, kept as the
     # oracle for cli._write_obj
@@ -386,6 +408,16 @@ class TestReports:
         rows = list(csv.reader(out.splitlines()))
         assert len(rows) == 1 + 100 - skipped
         assert max(float(r[-1]) for r in rows[1:]) < 1e-3
+
+    @pytest.mark.parametrize("argv, skipped", [
+        (("flow", "geodesic-sphere", "--rho0", "-200"), 100),
+        (("flow", "incomplete-band", "--samples", "0"), 0),
+    ], ids=["every-sample-outside-window", "no-samples"])
+    def test_flow_without_rows_fails(self, capsys, argv, skipped):
+        # a header-only sweep is no sweep: exit 1 and one line with the count
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: no usable samples for the flow sweep: skipped {skipped}\n"
 
     def test_boundary_cylinder_two_poles(self, capsys):
         code, out, _ = run(capsys, "boundary", "cylinder-delaunay")

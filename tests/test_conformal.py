@@ -167,6 +167,16 @@ class TestSchouten:
             schouten(m_band, u_band).eigenvalues,
             schouten(m_st, u_st).eigenvalues, atol=1e-6)
 
+    @pytest.mark.parametrize("u", [[1e8, 0.0], [[0.5, 0.0], [0.0, -3e8]]])
+    def test_underflowing_ghat_raises_chart_domain_error(self, u):
+        # e^{2(rho+t)} g underflows to 0 at rho0 = -354 beyond |u| ~ 1.5e4: the
+        # pencil is singular, which is a chart point past the metric's float
+        # range, not numpy's LinAlgError
+        metric = make_example("geodesic-sphere", rho0=-354.0).payload
+        with pytest.raises(ChartDomainError,
+                           match=r"ghat underflows to 0 at chart point \[.*e\+08"):
+            schouten(metric, np.array(u))
+
 
 def spd_pencil_matrix(angle, scale, log_cond):
     """The 2x2 positive definite matrix with eigenvalues scale and

@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from horocorr import correspondence
@@ -28,6 +28,7 @@ from horocorr.correspondence import (
 )
 from horocorr.errors import (
     ChartDomainError,
+    GeometryError,
     HyperquadricError,
     ImmersionError,
     SingularParameterError,
@@ -192,6 +193,41 @@ class TestImmerse:
             flowed = geodesic_point(base.phi, base.eta, t, rtol=1e-7)
             np.testing.assert_allclose(
                 direct.phi, flowed, atol=1e-12 * max(1.0, abs(direct.phi[0])))
+
+
+# the values each point function returns, by name
+FAR_CALLS = {
+    "immerse": lambda metric, u: immerse(metric, u).phi,
+    "extrinsic_curvatures": extrinsic_curvatures,
+    "schouten": lambda metric, u: schouten(metric, u).eigenvalues,
+}
+HUGE = st.builds(lambda e, sign: sign * 10.0 ** e, st.floats(60.0, 308.0),
+                 st.sampled_from([-1.0, 1.0]))
+
+
+class TestFarStereographicPoints:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(sorted(FAR_CALLS)), st.sampled_from([RHO0, -354.0]),
+           HUGE, st.one_of(HUGE, st.floats(-10.0, 10.0)), st.booleans())
+    @example("immerse", RHO0, 1e80, 0.0, False)
+    @example("extrinsic_curvatures", RHO0, 1e150, 0.0, False)
+    @example("extrinsic_curvatures", RHO0, 1e200, 0.0, True)
+    @example("schouten", RHO0, 5e76, 5e76, False)
+    def test_points_past_the_metric_range_leave_the_chart(self, name, rho0, a, b, swap):
+        # past |u_i| = 2^255 1/metric or |u|^2 overflows: ChartDomainError
+        # before any warning; inside, finite values or one GeometryError
+        # (a stencil lost in rounding, or ghat underflowing at rho0 = -354)
+        u = np.array([b, a] if swap else [a, b])
+        metric = sphere_metric(rho0)
+        if np.all(np.abs(u) < StereographicChart.limit):
+            try:
+                values = FAR_CALLS[name](metric, u)
+            except GeometryError:
+                return
+            assert np.all(np.isfinite(values))
+        else:
+            with pytest.raises(ChartDomainError, match="outside the chart domain"):
+                FAR_CALLS[name](metric, u)
 
 
 class TestExtrinsicCurvatures:

@@ -151,6 +151,21 @@ class TestCharts:
         for point, diagonal in zip(u.reshape(-1, 2), g.reshape(-1, 2)):
             assert chart.metric(point).tobytes() == diagonal.tobytes()
 
+    def test_stereographic_domain_is_the_float_range_of_the_metric(self):
+        # every coordinate below 2^255: 1/metric, the jacobian and the
+        # Christoffels stay finite at the corner of that square, and no point
+        # on or past its edge is in the chart
+        chart = StereographicChart()
+        edge = chart.limit
+        corner = np.full(2, np.nextafter(edge, 0.0))
+        assert chart.contains(corner) and chart.contains(-corner)
+        for values in (chart.metric_inverse(corner), chart.jacobian(corner),
+                       chart.christoffels(corner), chart.embed(corner)):
+            assert np.all(np.isfinite(values))
+        outside = np.array([[edge, 0.0], [0.0, -edge], [1e80, 0.0], [1e200, 1.0],
+                            [np.inf, 0.0], [np.nan, 0.0]])
+        assert not np.any(chart.contains(outside))
+
     def test_band_christoffels_vanish_on_equator(self):
         chart = BandChart()
         gamma = chart.christoffels(np.array([0.0, 0.3]))

@@ -409,8 +409,9 @@ class TestMobiusLargeInput:
     @example(flow_shift(1.0), [-1e200, 1e300, 0.5, 3.0], "2d")
     @settings(max_examples=200, deadline=None)
     def test_derivative_matches_masked_formula(self, f, values, layout):
-        # the unmasked branch runs only while no |denominator| exceeds 1e154;
-        # either way the bits are those of the masked formula
+        # every input divides through the wide-denominator masks, which divide
+        # by exactly 1.0 while no |denominator| exceeds 1e154; the bits are
+        # those of the masked formula at every scale
         x = np.array(values[0]) if layout == "0d" else np.array(values)
         if layout == "2d" and len(values) % 2 == 0:
             x = x.reshape(2, -1)
@@ -419,8 +420,8 @@ class TestMobiusLargeInput:
 
 
 def masked_derivative(f, x):
-    """Mobius.derivative as it was before its unmasked branch: every input
-    divides through the wide-denominator masks."""
+    """Mobius.derivative's masked formula, written out as the oracle: every
+    input divides through the wide-denominator masks."""
     _, s, denom = f._check(x)
     (a, b), (c, d) = f.matrix
     wide = np.abs(denom) > 1e154
