@@ -74,11 +74,11 @@ def immerse(metric, u, t=0.0):
     flow_time(t)
     u = np.asarray(u, dtype=float)
     chart = metric.chart
-    grad, grad_norm_sq, ginv = gradient_norm(metric.rho, chart, u)   # refuses u before embed
-    x = chart.embed(u)
+    x, J, g = chart.geometry(u)   # refuses u before the field is evaluated
+    v, grad_norm_sq = gradient_norm(metric.rho, chart, u, g)
     w = np.asarray(metric.effective(u) + t)
-    with np.errstate(over="ignore", invalid="ignore"):
-        grad_ambient = (chart.jacobian(u) @ (ginv * grad)[..., None])[..., 0]
+    with np.errstate(over="ignore", invalid="ignore"):   # J @ v below, as two columns
+        grad_ambient = J[..., 0] * v[..., 0, None] + J[..., 1] * v[..., 1, None]
         ew, emw = np.exp(w), np.exp(-w)
         one_x = np.concatenate([np.ones(x.shape[:-1] + (1,)), x], axis=-1)
         radial = np.concatenate([np.zeros(x.shape[:-1] + (1,)), grad_ambient - x], axis=-1)
@@ -106,7 +106,7 @@ def extrinsic_curvatures(metric, u, t=0.0, h=DEFAULT_FD_STEP, return_point=False
     the second form II_ij = -<d_i eta, d_j phi> symmetrized, and the kappa's
     solve det(II - kappa I) = 0 (generalized_eigvalsh).  Raises
     ImmersionError('not an immersion') when I is not positive definite at
-    some point, and ChartDomainError unless the step h has 0 < h with 2h finite.
+    some point, and ChartDomainError unless 0 < h, 2h < inf and h > 1e6 ulp(u).
     """
     u = np.asarray(u, dtype=float)
     base = immerse(metric, u, t) if return_point else None
@@ -116,6 +116,11 @@ def extrinsic_curvatures(metric, u, t=0.0, h=DEFAULT_FD_STEP, return_point=False
         return np.stack([p.phi, p.eta], axis=-2)
 
     tangents = central_gradient(frame, u, h)
+    # where one ulp of u passes 1e-6 h (|u| near 1e6 at h = 1e-4), u +- h rounds off digits
+    lost = np.spacing(np.abs(u).max(axis=-1)) > 1e-6 * np.asarray(h)
+    if np.any(lost):
+        point = np.broadcast_to(u, lost.shape + u.shape[-1:])[lost][0]
+        raise ChartDomainError(f"step h = {h} is lost in rounding at chart point {point}")
     dphi, deta = tangents[..., 0, :], tangents[..., 1, :]
     I = mink_inner(dphi[..., :, None, :], dphi[..., None, :, :])
     II_raw = -mink_inner(deta[..., :, None, :], dphi[..., None, :, :])

@@ -20,9 +20,9 @@ class HyperquadricError(GeometryError):
 
 class ChartDomainError(GeometryError):
     """A chart point is outside its chart's domain, a finite-difference
-    stencil around it escapes that domain, the field or its gradient is not
-    finite there, the metric ghat underflows to 0 there, or a band chart's
-    edge is not in (0, pi/2]."""
+    stencil around it escapes that domain or is lost in rounding, the field
+    or its gradient is not finite there, the metric ghat underflows to 0
+    there, or a band chart's edge is not in (0, pi/2]."""
 
 
 class ImmersionError(GeometryError):

@@ -35,7 +35,7 @@ def _require(chart, u):
     inside = chart.contains(u)
     if not np.all(inside):
         raise ChartDomainError(
-            f"point {u[~inside][0]} outside {chart.kind} chart range")
+            f"point {u[~inside][0]} outside the chart domain")
     return u
 
 
@@ -62,21 +62,25 @@ class StereographicChart:
     def _norm_sq(u):
         return _last_axis_sum(u * u)[..., None]
 
-    def embed(self, u):
-        u = np.asarray(u, dtype=float)
+    def geometry(self, u):
+        """(embed(u), jacobian(u), metric(u)) from one range check and one |u|^2."""
+        u = _require(self, u)
         nsq = self._norm_sq(u)
-        return np.concatenate([2.0 * u, 1.0 - nsq], axis=-1) / (1.0 + nsq)
+        d = 1.0 + nsq
+        x = np.concatenate([2.0 * u, 1.0 - nsq], axis=-1) / d
+        f, f_sq = d[..., None], d[..., None] ** 2
+        top = 2.0 * (f * np.eye(self.n) - 2.0 * u[..., :, None] * u[..., None, :]) / f_sq
+        bottom = -4.0 * u[..., None, :] / f_sq
+        return x, np.concatenate([top, bottom], axis=-2), (2.0 / d) ** 2 * np.ones(self.n)
+
+    def embed(self, u):
+        return self.geometry(u)[0]
 
     def jacobian(self, u):
-        u = np.asarray(u, dtype=float)
-        f = 1.0 + self._norm_sq(u)[..., None]
-        top = 2.0 * (f * np.eye(self.n) - 2.0 * u[..., :, None] * u[..., None, :]) / f**2
-        bottom = -4.0 * u[..., None, :] / f**2
-        return np.concatenate([top, bottom], axis=-2)
+        return self.geometry(u)[1]
 
     def metric(self, u):
-        u = np.asarray(u, dtype=float)
-        return (2.0 / (1.0 + self._norm_sq(u))) ** 2 * np.ones(self.n)
+        return (2.0 / (1.0 + self._norm_sq(_require(self, u)))) ** 2 * np.ones(self.n)
 
     def metric_inverse(self, u):
         return 1.0 / self.metric(u)
@@ -84,12 +88,20 @@ class StereographicChart:
     def christoffels(self, u):
         # conformal metric e^{2f} delta with f = log 2 - log(1+|u|^2):
         # Gamma^k_ij = d_j f delta^k_i + d_i f delta^k_j - d_k f delta_ij
-        u = np.asarray(u, dtype=float)
+        u = _require(self, u)
         df = -2.0 * u / (1.0 + self._norm_sq(u))
         eye = np.eye(self.n)
         return (df[..., None, :, None] * eye[:, None, :]
                 + df[..., None, None, :] * eye[:, :, None]
                 - df[..., :, None, None] * eye[None, :, :])
+
+    def _christoffel_term(self, u, grad):
+        # Gamma^k_ij d_k rho = df_j rho_i + df_i rho_j - delta_ij (df . grad rho),
+        # summed in the order of christoffels' einsum; u already checked
+        df = -2.0 * u / (1.0 + self._norm_sq(u))
+        a, b = df[..., 0] * grad[..., 0], df[..., 1] * grad[..., 1]
+        cross = df[..., 1] * grad[..., 0] + df[..., 0] * grad[..., 1]
+        return np.stack([np.stack([a - b, cross], -1), np.stack([cross, b - a], -1)], -2)
 
 
 class BandChart:
@@ -115,19 +127,21 @@ class BandChart:
             return np.zeros(u.shape[:-1], dtype=bool)
         return np.all(np.isfinite(u), axis=-1) & (np.abs(u[..., 0]) < self.edge)
 
-    def embed(self, u):
-        u = _require(self, u)
-        s, a = u[..., :1], u[..., 1:]
-        return np.concatenate(
-            [np.cos(s) * np.cos(a), np.cos(s) * np.sin(a), np.sin(s)], axis=-1)
-
-    def jacobian(self, u):
+    def geometry(self, u):
+        """(embed(u), jacobian(u), metric(u)) from one range check and one sin/cos."""
         u = _require(self, u)
         s, a = u[..., :1], u[..., 1:]
         sin_s, cos_s, sin_a, cos_a = np.sin(s), np.cos(s), np.sin(a), np.cos(a)
+        x = np.concatenate([cos_s * cos_a, cos_s * sin_a, sin_s], axis=-1)
         ds = np.concatenate([-sin_s * cos_a, -sin_s * sin_a, cos_s], axis=-1)
         da = np.concatenate([cos_s * -sin_a, cos_s * cos_a, np.zeros_like(s)], axis=-1)
-        return np.stack([ds, da], axis=-1)
+        return x, np.stack([ds, da], axis=-1), np.concatenate([np.ones_like(s), cos_s**2], -1)
+
+    def embed(self, u):
+        return self.geometry(u)[0]
+
+    def jacobian(self, u):
+        return self.geometry(u)[1]
 
     def metric(self, u):
         s = _require(self, u)[..., :1]
@@ -145,6 +159,14 @@ class BandChart:
         gamma[..., 0, 1, 1:] = tan_s * np.cos(s) ** 2
         gamma[..., 1, 0, 1:] = gamma[..., 1, 1:, 0] = -tan_s
         return gamma
+
+    def _christoffel_term(self, u, grad):
+        # Gamma^k_ij d_k rho: -tan(s) rho_a at (s, a) and (a, s), and
+        # tan(s) cos^2(s) rho_s at (a, a); u already checked
+        tan_s, term = np.tan(u[..., 0]), np.zeros(u.shape + (2,))
+        term[..., 0, 1] = term[..., 1, 0] = -tan_s * grad[..., 1]
+        term[..., 1, 1] = tan_s * np.cos(u[..., 0]) ** 2 * grad[..., 0]
+        return term
 
 
 @dataclass(frozen=True)
@@ -307,28 +329,24 @@ class GradHess:
     metric: np.ndarray          # diagonal chart.metric(u), evaluated once, (..., n)
 
 
-def _jets(field, chart, u, hessian):
-    """u as a float array, the gradient, its squared norm, the inverse
-    metric, the raw Hessian, which the analytic route evaluates only when
-    hessian is true, and the metric (diagonals from one chart.metric call)."""
-    u = np.asarray(u, dtype=float)
-    inside = chart.contains(u)
-    if not np.all(inside):
-        raise ChartDomainError(f"point {u[~inside][0]} outside the chart domain")
+def _jets(field, chart, u, g, hessian):
+    """The gradient, the gradient raised by the metric, its squared norm and
+    the raw Hessian (analytic route: only when hessian is true) at float chart
+    points u, which g = chart.metric(u) has checked."""
     if field.gradient is not None and field.hessian is not None:
         grad = np.asarray(field.gradient(u), dtype=float)
         raw_hess = np.asarray(field.hessian(u), dtype=float) if hessian else None
     else:
         _, grad, raw_hess = fd_jet(field, u, DEFAULT_FD_STEP, chart)
-    g = chart.metric(u)
-    ginv = 1.0 / g    # chart.metric_inverse(u), bit for bit
-    return u, grad, _last_axis_sum(grad * ginv * grad), ginv, raw_hess, g
+    raised = grad * (1.0 / g)    # 1.0 / g has the bits of chart.metric_inverse(u)
+    return grad, raised, _last_axis_sum(raised * grad), raw_hess
 
 
-def gradient_norm(field, chart, u):
-    """gradient_hessian's gradient and grad_norm_sq, bit for bit, without the
-    Hessian, and the inverse metric (diagonal) that raises the gradient."""
-    return _jets(field, chart, u, False)[1:4]
+def gradient_norm(field, chart, u, g):
+    """The gradient raised by the metric, g^ij d_j rho, and gradient_hessian's
+    grad_norm_sq, bit for bit, without the Hessian, at float chart points u
+    whose metric diagonal g the caller evaluated (which checked the range)."""
+    return _jets(field, chart, u, g, False)[1:3]
 
 
 def gradient_hessian(field, chart, u):
@@ -339,6 +357,7 @@ def gradient_hessian(field, chart, u):
     differences of step DEFAULT_FD_STEP (requiring stencil room inside the
     domain).  Raises ChartDomainError if any point is outside the domain.
     """
-    u, grad, norm_sq, _, raw_hess, g = _jets(field, chart, u, True)
-    cov = raw_hess - np.einsum("...kij,...k->...ij", chart.christoffels(u), grad)
-    return GradHess(grad, norm_sq, cov, g)
+    u = np.asarray(u, dtype=float)
+    g = chart.metric(u)
+    grad, _, norm_sq, raw_hess = _jets(field, chart, u, g, True)
+    return GradHess(grad, norm_sq, raw_hess - chart._christoffel_term(u, grad), g)

@@ -159,21 +159,22 @@ class TestImmerse:
     @pytest.mark.parametrize("metric", [band_metric(), sphere_metric()],
                              ids=["band", "stereographic"])
     def test_one_chart_metric_call(self, metric, monkeypatch):
-        # immerse raises the gradient and takes its norm with one metric
-        # evaluation; schouten builds g and ghat from the one its jets made
+        # immerse checks the range once and evaluates the chart once, by
+        # geometry; schouten does both through one metric call, whose
+        # diagonal its jets, g and ghat share
         calls = []
-        chart_metric = metric.chart.metric
+        for name in ("contains", "geometry", "metric"):
+            def counted(u, method=getattr(metric.chart, name), name=name):
+                calls.append(name)
+                return method(u)
 
-        def counted(u):
-            calls.append(u)
-            return chart_metric(u)
-
-        monkeypatch.setattr(metric.chart, "metric", counted)
+            monkeypatch.setattr(metric.chart, name, counted)
         pts = np.array([[0.3, 0.2], [-0.4, 1.0]])
         immerse(metric, pts, 0.5)
-        assert len(calls) == 1
+        assert sorted(calls) == ["contains", "geometry"]
+        calls.clear()
         schouten(metric, pts)
-        assert len(calls) == 2
+        assert sorted(calls) == ["contains", "metric"]
 
     def test_spectral_gate(self):
         metric = ConformalMetric(StereographicChart(), constant_field(0.0))
@@ -228,6 +229,21 @@ class TestFarStereographicPoints:
         else:
             with pytest.raises(ChartDomainError, match="outside the chart domain"):
                 FAR_CALLS[name](metric, u)
+
+    def test_curvatures_far_out_are_right_or_refused(self):
+        # kappa = -3 exactly on the geodesic sphere; where one ulp of u passes
+        # 1e-6 h, rounding u +- h e_i would cost digits, so the point is refused
+        metric = sphere_metric()
+        answered = []
+        for k in range(77):
+            try:
+                kappas = extrinsic_curvatures(metric, np.array([10.0 ** k, 0.0]))
+            except ChartDomainError as err:
+                assert "lost in rounding" in str(err)
+                continue
+            np.testing.assert_allclose(kappas, -3.0, atol=1e-5)
+            answered.append(k)
+        assert answered == list(range(6))
 
 
 class TestExtrinsicCurvatures:

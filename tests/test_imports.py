@@ -1,6 +1,7 @@
 """Every name a module of the package imports is read somewhere in it,
 every public function or class it defines is reached by the program, and
-every field of its dataclasses is read by the program."""
+every field of its dataclasses and every public method of its classes is
+read by the program."""
 
 import ast
 from pathlib import Path
@@ -159,3 +160,54 @@ def test_guard_flags_an_unread_field():
     bench = ["def probe(q):\n    return q.LIMIT\n"]
     assert unread_fields(modules, [modules["a"]] + bench, {"a.P.kept"}) == [
         "a.P.y", "a.Q.z"]
+
+
+# chart methods kept with no program caller, each with its reason: the
+# benchmark's tracer wraps them by name (spans.CHART_METHODS) and its test
+# asserts that no name is absent, so they go when the benchmark stops naming them
+TRACED = "traced by name in perfbench/spans.py"
+KEEP_METHODS = {
+    f"sphere.{chart}.{method}": f"{TRACED}; {reason}"
+    for chart in ("BandChart", "StereographicChart")
+    for method, reason in {
+        "embed": "the tests' x(u), geometry(u)[0]",
+        "jacobian": "the tests' dx(u), geometry(u)[1]",
+        "metric_inverse": "the tests' oracle of the jets' 1 / metric",
+        "christoffels": "the tests' oracle of the closed-form _christoffel_term",
+    }.items()}
+
+
+def unloaded_methods(modules, readers, keep=()):
+    """Public methods of the classes of the package that no reader source
+    loads as an attribute, as sorted "module.Class.method" strings."""
+    loaded = {node.attr for source in readers for node in ast.walk(ast.parse(source))
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return sorted(
+        f"{module}.{cls.name}.{fn.name}"
+        for module, source in modules.items()
+        for cls in ast.parse(source).body if isinstance(cls, ast.ClassDef)
+        for fn in cls.body if isinstance(fn, ast.FunctionDef)
+        and not fn.name.startswith("_") and fn.name not in loaded
+        and f"{module}.{cls.name}.{fn.name}" not in keep)
+
+
+def test_every_public_method_loaded():
+    # the benchmark sources name chart methods whether or not the program
+    # calls them, so only the package's own sources count as readers here
+    modules = {path.stem: path.read_text() for path in SOURCES}
+    assert unloaded_methods(modules, modules.values(), KEEP_METHODS) == []
+
+
+def test_guard_flags_an_unloaded_method():
+    modules = {
+        "a": ("class Chart:\n    def used(self): pass\n    def planted(self): pass\n"
+              "    def kept(self): pass\n    def _private(self): pass\n"
+              "    def __call__(self): pass\n"
+              "def use(c):\n    return c.used()\n"),
+        "b": "class Other:\n    def planted(self): pass\n    def read(self): pass\n",
+    }
+    bench = ["def probe(o):\n    return o.read\n"]
+    assert unloaded_methods(modules, list(modules.values()), {"a.Chart.kept"}) == [
+        "a.Chart.planted", "b.Other.planted", "b.Other.read"]
+    assert unloaded_methods(modules, list(modules.values()) + bench, {"a.Chart.kept"}) == [
+        "a.Chart.planted", "b.Other.planted"]

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from horocorr.conformal import ConformalMetric
+from horocorr.correspondence import immerse
 from horocorr.errors import ChartDomainError, DimensionMismatch, GeometryError
 from horocorr.sphere import (
     DEFAULT_FD_STEP,
@@ -133,6 +135,9 @@ def band_example_field():
     )
 
 
+CHARTS = {"band": BandChart(), "stereographic": StereographicChart()}
+
+
 class TestCharts:
     def test_stereographic_metric_at_origin(self):
         chart = StereographicChart()
@@ -150,6 +155,34 @@ class TestCharts:
         assert ginv.tobytes() == (1.0 / g).tobytes()
         for point, diagonal in zip(u.reshape(-1, 2), g.reshape(-1, 2)):
             assert chart.metric(point).tobytes() == diagonal.tobytes()
+
+    @pytest.mark.parametrize("point", [[1e200, 0.0], [0.0, -1e200], [math.inf, 0.0],
+                                       [-math.inf, 0.0], [math.nan, 0.0]])
+    def test_stereographic_refuses_far_points_before_arithmetic(self, point):
+        # every evaluation checks the range first, so nothing overflows and
+        # warns on the way (pytest makes a RuntimeWarning an error)
+        chart = StereographicChart()
+        metric = ConformalMetric(chart, constant_field(0.5 * math.log(2.0)))
+        for evaluate in (chart.embed, chart.jacobian, chart.metric, chart.geometry,
+                         chart.metric_inverse, chart.christoffels, metric.ghat):
+            with pytest.raises(ChartDomainError, match="outside the chart domain"):
+                evaluate(np.array(point))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(sorted(CHARTS)),
+           st.lists(st.tuples(st.floats(-1.5, 1.5), st.floats(-1e3, 1e3),
+                              st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),
+                    min_size=1, max_size=6))
+    def test_closed_forms_match_the_dense_oracles(self, kind, rows):
+        # geometry's metric has the bits of metric(u), and the closed-form
+        # correction those of the dense einsum over christoffels up to the
+        # sign of zero: einsum's sums start from +0, and adding 0.0 maps -0
+        # to +0 and changes no other bit
+        chart = CHARTS[kind]
+        u, grad = np.array(rows)[:, :2], np.array(rows)[:, 2:]
+        assert chart.geometry(u)[2].tobytes() == chart.metric(u).tobytes()
+        dense = np.einsum("...kij,...k->...ij", chart.christoffels(u), grad)
+        assert (chart._christoffel_term(u, grad) + 0.0).tobytes() == dense.tobytes()
 
     def test_stereographic_domain_is_the_float_range_of_the_metric(self):
         # every coordinate below 2^255: 1/metric, the jacobian and the
@@ -209,9 +242,10 @@ class TestCharts:
                     np.testing.assert_allclose(J[:, i], fd, atol=1e-8)
 
     def test_band_range_error(self):
-        with pytest.raises(ChartDomainError):
+        # one refusal message on both charts
+        with pytest.raises(ChartDomainError, match="outside the chart domain"):
             BandChart().embed(np.array([np.pi / 2, 0.0]))
-        with pytest.raises(ChartDomainError):
+        with pytest.raises(ChartDomainError, match="outside the chart domain"):
             BandChart(1.0).embed(np.array([1.0, 0.0]))
 
     @pytest.mark.parametrize("edge", [0.0, -0.5, np.nextafter(np.pi / 2, 2.0), 2.0,
@@ -391,11 +425,14 @@ class TestGradientNorm:
         if jets == "fd":
             field = field.without_jets()
         u = np.column_stack([rng.uniform(-0.9, 0.9, 40), rng.uniform(0.0, 6.0, 40)])
-        grad, norm_sq, ginv = gradient_norm(field, chart, u)
+        # the jets take the metric diagonal from their caller: the geometry
+        # diagonal, as in immerse, and metric(u), as in gradient_hessian
+        g = chart.geometry(u)[2]
+        raised, norm_sq = gradient_norm(field, chart, u, g)
         full = gradient_hessian(field, chart, u)
-        assert grad.tobytes() == full.gradient.tobytes()
+        assert full.metric.tobytes() == g.tobytes()
+        assert raised.tobytes() == (full.gradient * chart.metric_inverse(u)).tobytes()
         assert norm_sq.tobytes() == full.grad_norm_sq.tobytes()
-        assert ginv.tobytes() == chart.metric_inverse(u).tobytes()
 
     def test_analytic_hessian_not_evaluated(self):
         band = band_example_field()
@@ -404,9 +441,18 @@ class TestGradientNorm:
             raise AssertionError("the Hessian was evaluated")
 
         field = ScalarField(band.value, band.gradient, hessian)
-        grad, _, _ = gradient_norm(field, BandChart(), np.array([0.5, 0.3]))
-        assert grad[0] == pytest.approx(2.0 / 3.0, abs=1e-12)
+        u = np.array([0.5, 0.3])
+        raised, _ = gradient_norm(field, BandChart(), u, BandChart().metric(u))
+        assert raised[0] == pytest.approx(2.0 / 3.0, abs=1e-12)   # g_ss = 1
 
     def test_domain_error(self):
-        with pytest.raises(ChartDomainError):
-            gradient_norm(band_example_field(), BandChart(1.0), np.array([1.2, 0.0]))
+        # the jets do not check the range: their callers' one chart call does,
+        # before any field callable runs
+        def refuse(u):
+            raise AssertionError("the field was evaluated")
+
+        field, u = ScalarField(refuse, refuse, refuse), np.array([1.2, 0.0])
+        with pytest.raises(ChartDomainError, match="outside the chart domain"):
+            immerse(ConformalMetric(BandChart(1.0), field), u)
+        with pytest.raises(ChartDomainError, match="outside the chart domain"):
+            gradient_hessian(field, BandChart(1.0), u)
