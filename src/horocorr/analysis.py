@@ -14,11 +14,12 @@ import numpy as np
 from .conformal import ConformalMetric
 from .correspondence import immerse, ricatti, support_and_gauss
 from .errors import (
+    HyperquadricError,
     RootBracketError,
     SamplingError,
     SingularParameterError,
 )
-from .minkowski import mink_inner, normal_flow, to_poincare_ball
+from .minkowski import _last_axis_sum, mink_inner, normal_flow, to_poincare_ball
 from .sphere import BandChart, StereographicChart, constant_field, radial_band_field
 
 FRAME_RTOL = 1e-8
@@ -44,6 +45,17 @@ def _check_frame(phi, eta):
             raise SingularParameterError("normals are not orthogonal to positions")
 
 
+def ball_vertices(phi, t):
+    """Poincare ball points of the hyperboloid rows phi at flow time t; raises
+    HyperquadricError naming the first that rounds onto the unit sphere."""
+    p = to_poincare_ball(phi)
+    inside = _last_axis_sum(p * p) < 1.0   # as |p| < 1; fails on the gallery from t near 34
+    if not np.all(inside):
+        raise HyperquadricError(f"vertex {np.argmin(inside)} rounds onto the unit "
+                                f"sphere at flow time t = {t}")
+    return p
+
+
 @dataclass(frozen=True)
 class CurveImmersion:
     """Sampled closed curve with its unit normal field: the samples u run
@@ -51,7 +63,7 @@ class CurveImmersion:
 
     phi rows sit on the hyperboloid, eta rows on the unit de Sitter quadric,
     pointwise orthogonal.  kappa, when present, holds the principal curvature
-    in the orientation of eta.
+    in the orientation of eta; t is the normal flow time the samples carry.
     """
 
     u: np.ndarray
@@ -59,6 +71,7 @@ class CurveImmersion:
     eta: np.ndarray
     period: float
     kappa: Optional[np.ndarray] = None
+    t: float = 0.0
 
     def __post_init__(self):
         _check_frame(self.phi, self.eta)
@@ -68,7 +81,7 @@ class CurveImmersion:
         return len(self.u)
 
     def ball_points(self):
-        return to_poincare_ball(self.phi)
+        return ball_vertices(self.phi, self.t)
 
     def gauss_directions(self):
         return support_and_gauss(self.phi + self.eta).gauss_point
@@ -82,27 +95,28 @@ class CurveImmersion:
             except SingularParameterError:
                 kappa = None
         phi, eta = normal_flow(self.phi, self.eta, t)
-        return replace(self, phi=phi, eta=eta, kappa=kappa)
+        return replace(self, phi=phi, eta=eta, kappa=kappa, t=self.t + t)
 
 
 @dataclass(frozen=True)
 class MeshImmersion:
     """Triangulated hypersurface sample: vertex positions and unit normals in
-    Minkowski coordinates plus a face index array."""
+    Minkowski coordinates plus a face index array, at normal flow time t."""
 
     phi: np.ndarray
     eta: np.ndarray
     faces: np.ndarray
+    t: float = 0.0
 
     def __post_init__(self):
         _check_frame(self.phi, self.eta)
 
     def ball_points(self):
-        return to_poincare_ball(self.phi)
+        return ball_vertices(self.phi, self.t)
 
     def flowed(self, t):
         phi, eta = normal_flow(self.phi, self.eta, t)
-        return MeshImmersion(phi=phi, eta=eta, faces=self.faces)
+        return MeshImmersion(phi=phi, eta=eta, faces=self.faces, t=self.t + t)
 
 
 @dataclass(frozen=True)
@@ -153,7 +167,7 @@ def _profile_frame(u):
     return a, n, mink_inner(dda, n) / mink_inner(da, da)
 
 
-def profile_curve(m=4096):
+def profile_curve(m):
     # the direction map turns three times: with m <= 6 each step is >= half a turn
     if m < 7:
         raise SamplingError("the profile curve needs at least seven samples")
@@ -176,7 +190,7 @@ def circle_curve(rho0, m=512):
                           kappa=np.full(m, -1.0 / math.tanh(rho0)))
 
 
-def product_mesh(m_u=96, m_v=9, length=1.0):
+def product_mesh(m_u, m_v, length):
     """Profile curve crossed with a geodesic translation family in R^{1,3}.
 
     Vertices are indexed row-major over the (u, v) grid; the u direction is
@@ -215,84 +229,60 @@ def grid_faces(index):
 
 # -- gallery ------------------------------------------------------------------
 
-GALLERY_NAMES = (
-    "geodesic-sphere",
-    "round-degenerate",
-    "incomplete-band",
-    "cylinder-delaunay",
-    "alpha-curve",
-    "alpha-product",
-)
+def _geodesic_sphere(rho0):
+    if not abs(rho0) < math.inf:
+        raise SingularParameterError(f"rho0 = {rho0} is not finite")
+    if rho0 == 0.0:
+        raise SingularParameterError(
+            "rho0 = 0 collapses to a point; use round-degenerate for that")
+    return ConformalMetric(StereographicChart(), constant_field(rho0))
 
 
-def incomplete_band_field():
+def _incomplete_band():
     """rho(s) = -log sqrt(1 - s^2) on the band |s| < 1, with analytic jets."""
-    return radial_band_field(
+    return ConformalMetric(BandChart(1.0), radial_band_field(
         f=lambda s: -0.5 * np.log1p(-s * s),
         fs=lambda s: s / (1.0 - s * s),
-        fss=lambda s: (1.0 + s * s) / (1.0 - s * s) ** 2,
-    )
+        fss=lambda s: (1.0 + s * s) / (1.0 - s * s) ** 2))
 
 
-def cylinder_field():
-    """rho(s) = -log cos s on the full band; complete toward both poles."""
-    return radial_band_field(
+def _cylinder(t):
+    """rho(s) = -log cos s on the full band, complete toward both poles."""
+    if not 0.0 < t < math.inf:
+        raise SingularParameterError("cylinder example needs finite flow offset t > 0")
+    return ConformalMetric(BandChart(), radial_band_field(
         f=lambda s: -np.log(np.cos(s)),
         fs=np.tan,
-        fss=lambda s: 1.0 / np.cos(s) ** 2,
-    )
+        fss=lambda s: 1.0 / np.cos(s) ** 2), t=t)
+
+
+# name -> (builder, {parameter: default}), in listing order
+_GALLERY = {
+    "geodesic-sphere": (_geodesic_sphere, {"rho0": 0.5 * math.log(2.0)}),
+    "round-degenerate": (
+        lambda: ConformalMetric(StereographicChart(), constant_field(0.0)), {}),
+    "incomplete-band": (_incomplete_band, {}),
+    "cylinder-delaunay": (_cylinder, {"t": 1.0}),
+    "alpha-curve": (profile_curve, {"m": 4096}),
+    "alpha-product": (product_mesh, {"m_u": 96, "m_v": 9, "length": 1.0}),
+}
+GALLERY_NAMES = tuple(_GALLERY)
 
 
 def make_example(name, **params):
-    """Construct a named gallery entry.  Unknown names and out-of-range
-    parameters raise; each payload reproduces its defining formula exactly."""
-    if name == "geodesic-sphere":
-        rho0 = float(params.pop("rho0", 0.5 * math.log(2.0)))
-        _no_extra(name, params)
-        if not abs(rho0) < math.inf:
-            raise SingularParameterError(f"rho0 = {rho0} is not finite")
-        if rho0 == 0.0:
-            raise SingularParameterError(
-                "rho0 = 0 collapses to a point; use round-degenerate for that")
-        payload = ConformalMetric(StereographicChart(), constant_field(rho0))
-        resolved = {"rho0": rho0}
-    elif name == "round-degenerate":
-        _no_extra(name, params)
-        payload = ConformalMetric(StereographicChart(), constant_field(0.0))
-        resolved = {}
-    elif name == "incomplete-band":
-        _no_extra(name, params)
-        payload = ConformalMetric(BandChart(1.0), incomplete_band_field())
-        resolved = {}
-    elif name == "cylinder-delaunay":
-        t = float(params.pop("t", 1.0))
-        _no_extra(name, params)
-        if not 0.0 < t < math.inf:
-            raise SingularParameterError("cylinder example needs finite flow offset t > 0")
-        payload = ConformalMetric(BandChart(), cylinder_field(), t=t)
-        resolved = {"t": t}
-    elif name == "alpha-curve":
-        m = int(params.pop("m", 4096))
-        _no_extra(name, params)
-        payload = profile_curve(m)
-        resolved = {"m": m}
-    elif name == "alpha-product":
-        m_u = int(params.pop("m_u", 96))
-        m_v = int(params.pop("m_v", 9))
-        length = float(params.pop("length", 1.0))
-        _no_extra(name, params)
-        payload = product_mesh(m_u, m_v, length)
-        resolved = {"m_u": m_u, "m_v": m_v, "length": length}
-    else:
+    """The named gallery entry; unknown names and parameters raise.  Each
+    parameter is coerced to its default's type and handed to the row's
+    builder, which refuses values out of range."""
+    if name not in _GALLERY:
         raise SingularParameterError(
             f"unknown example {name!r}; choose one of {', '.join(GALLERY_NAMES)}")
-    return GalleryEntry(name=name, params=resolved, payload=payload)
-
-
-def _no_extra(name, params):
-    if params:
-        raise SingularParameterError(
-            f"unexpected parameters for {name}: {sorted(params)}")
+    builder, defaults = _GALLERY[name]
+    extra = sorted(params.keys() - defaults.keys())
+    if extra:
+        raise SingularParameterError(f"unexpected parameters for {name}: {extra}")
+    resolved = {key: type(default)(params.get(key, default))
+                for key, default in defaults.items()}
+    return GalleryEntry(name=name, params=resolved, payload=builder(**resolved))
 
 
 # -- winding ------------------------------------------------------------------

@@ -25,6 +25,7 @@ from .analysis import (
     GALLERY_NAMES,
     CurveImmersion,
     MeshImmersion,
+    ball_vertices,
     boundary_at_infinity,
     first_embedded_time,
     gauss_winding,
@@ -35,7 +36,6 @@ from .analysis import (
 from .conformal import ConformalMetric, eigenvalue_realizability, rescale, schouten
 from .correspondence import extrinsic_curvatures, immerse, lambda_kappa
 from .errors import GeometryError, SamplingError
-from .minkowski import to_poincare_ball
 from .sphere import DEFAULT_FD_STEP, axis_values
 from .verify import CRITERIA, run_all
 
@@ -103,7 +103,7 @@ def _metric_mesh(metric, n_az, n_lat, t):
         radii = np.tan(0.5 * colat)
         circle = np.stack([np.cos(azimuths), np.sin(azimuths)], axis=-1)
         grid = radii[:, None, None] * circle
-    verts = to_poincare_ball(immerse(metric, grid.reshape(-1, 2), t).phi)
+    verts = ball_vertices(immerse(metric, grid.reshape(-1, 2), t).phi, t)
     index = np.arange(n_lat * n_az).reshape(n_lat, n_az)
     return verts, grid_faces(np.hstack([index, index[:, :1]]))
 
@@ -130,8 +130,7 @@ def _write_obj(path, verts, faces=(), polylines=()):
 
 def cmd_gallery(args, entry):
     if args.action == "list":
-        for name in GALLERY_NAMES:
-            print(name)
+        print("\n".join(GALLERY_NAMES))
         return 0
     payload = entry.payload
     info = {"name": entry.name, "params": entry.params,
@@ -157,9 +156,8 @@ def cmd_immerse(args, entry):
     else:
         moved = payload.flowed(args.t) if args.t else payload
         verts = moved.ball_points()
-        if verts.shape[1] == 2:   # plane curve into the z = 0 slice
+        if isinstance(payload, CurveImmersion):   # plane curve into the z = 0 slice
             verts = np.column_stack([verts, np.zeros(len(verts))])
-        if isinstance(payload, CurveImmersion):
             polylines = [tuple(range(len(verts))) + (0,)]
         else:
             faces = payload.faces

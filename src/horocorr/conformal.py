@@ -129,9 +129,11 @@ def path_length(metric, curve, velocity=None):
     mid = 1.0 - 3.0 * half
     tau = np.stack([mid, 1.0 - mid])[..., None] + half[:, None] * nodes
     u = call_stacked(curve, tau, tau.shape)
-    inside = metric.chart.contains(u)
-    if not np.all(inside):
-        raise ChartDomainError(f"curve leaves the domain interior at tau={tau[~inside][0]}")
+    try:
+        g = metric.chart.metric(u)
+    except ChartDomainError:   # the one range check; contains only names the tau
+        raise ChartDomainError("curve leaves the domain interior at "
+                               f"tau={tau[~metric.chart.contains(u)][0]}") from None
     if velocity is not None:
         v = call_stacked(velocity, tau, tau.shape)
     else:
@@ -140,7 +142,7 @@ def path_length(metric, curve, velocity=None):
         room = np.minimum(tau, 1.0 - tau)
         h = np.minimum(np.maximum(1e-9 * tau, 1e-6 * room), room)
         v = central_gradient(lambda s: curve(s[..., 0]), tau[..., None], h)[..., 0, :]
-    norm_sq = _last_axis_sum(v * metric.chart.metric(u) * v)
+    norm_sq = _last_axis_sum(v * g * v)
     speed = np.exp(metric.effective(u)) * np.sqrt(np.maximum(norm_sq, 0.0))
     shells = half * (speed @ weights)
     partial = np.cumsum(shells)

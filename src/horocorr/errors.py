@@ -15,7 +15,8 @@ class DimensionMismatch(GeometryError):
 
 
 class HyperquadricError(GeometryError):
-    """A vector fails a required quadric membership test (beyond tolerance)."""
+    """A vector fails a required quadric membership test (beyond tolerance),
+    or its Poincare ball point rounds onto the unit sphere."""
 
 
 class ChartDomainError(GeometryError):

@@ -29,6 +29,7 @@ from horocorr.conformal import ConformalMetric, schouten
 from horocorr.correspondence import CANONICAL, lambda_kappa, ricatti
 from horocorr.errors import (
     ChartDomainError,
+    HyperquadricError,
     RootBracketError,
     SamplingError,
     SingularParameterError,
@@ -222,7 +223,50 @@ def piercing_mesh(shift=0.0):
     return MeshImmersion(phi=phi, eta=eta, faces=np.array([[0, 1, 2], [3, 4, 5]]))
 
 
+# each example's resolved default parameters, value, type and order pinned
+GALLERY_DEFAULTS = {
+    "geodesic-sphere": {"rho0": 0.5 * math.log(2.0)},
+    "round-degenerate": {},
+    "incomplete-band": {},
+    "cylinder-delaunay": {"t": 1.0},
+    "alpha-curve": {"m": 4096},
+    "alpha-product": {"m_u": 96, "m_v": 9, "length": 1.0},
+}
+
+
 class TestGalleryEntries:
+    def test_names_in_listing_order(self):
+        assert analysis.GALLERY_NAMES == tuple(GALLERY_DEFAULTS)
+
+    @pytest.mark.parametrize("name", analysis.GALLERY_NAMES)
+    def test_default_params(self, name):
+        params = make_example(name).params
+        expected = GALLERY_DEFAULTS[name]
+        assert list(params.items()) == list(expected.items())
+        assert list(map(type, params.values())) == list(map(type, expected.values()))
+
+    def test_params_coerced_to_default_types(self):
+        entry = make_example("alpha-curve", m=64.0)
+        assert entry.params == {"m": 64} and type(entry.params["m"]) is int
+        assert entry.payload.resolution == 64
+        mesh = make_example("alpha-product", m_u=24.0, m_v=5, length=1).params
+        assert list(map(type, mesh.values())) == [int, int, float]
+
+    def test_refusal_messages(self):
+        with pytest.raises(SingularParameterError) as unknown:
+            make_example("klein-bottle")
+        assert str(unknown.value) == (
+            "unknown example 'klein-bottle'; choose one of geodesic-sphere, "
+            "round-degenerate, incomplete-band, cylinder-delaunay, alpha-curve, "
+            "alpha-product")
+        with pytest.raises(SingularParameterError) as extra:
+            make_example("alpha-product", z=1, m_u=24, a=2)
+        assert str(extra.value) == "unexpected parameters for alpha-product: ['a', 'z']"
+        with pytest.raises(SingularParameterError) as zero:
+            make_example("geodesic-sphere", rho0=0)
+        assert str(zero.value) == (
+            "rho0 = 0 collapses to a point; use round-degenerate for that")
+
     def test_profile_reference_point(self):
         curve = make_example("alpha-curve", m=64).payload
         expected = np.array([math.cosh(2 / 3), 0.0, math.sinh(2 / 3)])
@@ -287,7 +331,7 @@ class TestProfileJets:
                             lambda u: calls.append(1) or jets(u))
         profile_curve(64)
         assert len(calls) == 1
-        product_mesh()
+        product_mesh(96, 9, 1.0)
         assert len(calls) == 2
 
 
@@ -668,9 +712,36 @@ class TestPlaneSideRejection:
     def test_middle_row_lies_in_a_ball_plane(self, t):
         # v = 0 gives p3 = sinh(0) = 0 exactly, and the flow keeps it there,
         # so that row's edges meet other faces exactly on their edges
-        mesh = product_mesh(96, 9).flowed(t)
+        mesh = product_mesh(96, 9, 1.0).flowed(t)
         middle = mesh.ball_points().reshape(96, 9, 3)[:, 4]
         assert np.all(middle[:, 2] == 0.0)
+
+
+class TestBallRounding:
+    def test_payloads_carry_their_flow_time(self):
+        assert profile_curve(64).t == 0.0
+        assert profile_curve(64).flowed(1.0).flowed(2.5).t == 3.5
+        mesh = product_mesh(24, 5, 0.8).flowed(1.5)
+        assert mesh.t == 1.5 and mesh.flowed(-0.5).t == 1.0
+
+    def test_names_the_first_vertex_on_the_sphere(self):
+        d = np.array([1.0, 40.0, 41.0])
+        phi = np.stack([np.cosh(d), np.sinh(d), np.zeros(3)], axis=-1)
+        np.testing.assert_allclose(analysis.ball_vertices(phi[:1], 2.0), [[math.tanh(0.5), 0.0]])
+        with pytest.raises(HyperquadricError) as err:
+            analysis.ball_vertices(phi, 2.0)
+        assert str(err.value) == "vertex 1 rounds onto the unit sphere at flow time t = 2.0"
+
+    @pytest.mark.parametrize("payload", [profile_curve(1024), product_mesh(96, 9, 1.0)],
+                             ids=["curve", "mesh"])
+    def test_far_flow_is_refused(self, payload):
+        # at t = 40 the ball radius rounds to 1 and past it; the scan used to
+        # count crossings among those points
+        message = r"^vertex \d+ rounds onto the unit sphere at flow time t = 40.0$"
+        with pytest.raises(HyperquadricError, match=message):
+            payload.flowed(40.0).ball_points()
+        with pytest.raises(HyperquadricError, match=message):
+            first_embedded_time(payload, t_max=40.0)
 
 
 class TestEmbeddingTime:
@@ -877,7 +948,8 @@ class TestBoundaryAtInfinity:
             return immerse(metric, u, t)
 
         chart = BandChart(edge)
-        entry = GalleryEntry("band", {}, ConformalMetric(chart, analysis.cylinder_field()))
+        field = make_example("cylinder-delaunay").payload.rho
+        entry = GalleryEntry("band", {}, ConformalMetric(chart, field))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(analysis, "immerse", recording_immerse)
             boundary_at_infinity(entry, n_directions=n_directions)

@@ -51,6 +51,22 @@ class TestGallery:
         assert report["results"]["resolution"] == 4096
         assert report["config"]["command"] == "gallery"
 
+    @pytest.mark.parametrize("name, params", [
+        ("geodesic-sphere", {"rho0": 0.5 * math.log(2.0)}),
+        ("round-degenerate", {}),
+        ("incomplete-band", {}),
+        ("cylinder-delaunay", {"t": 1.0}),
+        ("alpha-curve", {"m": 4096}),
+        ("alpha", {"m": 4096}),
+        ("alpha-product", {"m_u": 96, "m_v": 9, "length": 1.0}),
+    ])
+    def test_show_reports_resolved_params(self, capsys, name, params):
+        code, out, _ = run(capsys, "gallery", "show", name)
+        assert code == 0
+        shown = json.loads(out)["results"]["params"]
+        assert list(shown.items()) == list(params.items())
+        assert list(map(type, shown.values())) == list(map(type, params.values()))
+
     def test_show_without_name_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["gallery", "show"])
@@ -211,6 +227,11 @@ class TestGeneratedArgv:
     @example(["boundary", "cylinder-delaunay", "--t=356"])
     @example(["boundary", "incomplete-band", "--t=355"])
     @example(["schouten", "incomplete-band", "--seed=-1"])
+    @example(["immerse", "alpha", "--t=40", "--format=json"])
+    @example(["immerse", "geodesic-sphere", "--t=40", "--samples=4"])
+    @example(["immerse", "incomplete-band", "--t=40", "--samples=4"])
+    @example(["embed-check", "alpha", "--t=40", "--samples=256"])
+    @example(["embed-check", "alpha-product", "--t=40"])
     def test_every_argv_ends_cleanly(self, argv):
         # exit 0; exit 1 with one error line; or argparse's exit 2, and no
         # warning or other exception on the way
@@ -355,6 +376,33 @@ class TestImmerseExport:
         report = json.loads(out)
         assert report["results"]["ball_radius_max"] < 1.0
         assert report["invariant_checks"][0]["pass"] is True
+
+
+class TestBallRounding:
+    # at t = 40 ball points round onto the unit sphere; these argv used to
+    # exit 0 with a failed vertices-inside-ball check, or count crossings
+    # among the rounded points
+    @pytest.mark.parametrize("argv", [
+        ("immerse", "alpha", "--t", "40", "--format", "json"),
+        ("immerse", "alpha", "--t", "40", "--format", "csv"),
+        ("immerse", "geodesic-sphere", "--t", "40", "--samples", "4"),
+        ("immerse", "incomplete-band", "--t", "40", "--samples", "4"),
+        ("embed-check", "alpha", "--t", "40", "--samples", "256"),
+        ("embed-check", "alpha-product", "--t", "40"),
+    ])
+    def test_refused_with_one_error_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: vertex ") and err.count("\n") == 1
+        assert err.endswith(" rounds onto the unit sphere at flow time t = 40.0\n")
+
+    @pytest.mark.parametrize("fmt", ["obj", "csv"])
+    def test_no_file_written(self, tmp_path, capsys, fmt):
+        path = tmp_path / f"far.{fmt}"
+        code, _, _ = run(capsys, "immerse", "alpha", "--t", "40", "--format", fmt,
+                         "--out", str(path))
+        assert code == 1
+        assert not path.exists()
 
 
 class TestReports:
