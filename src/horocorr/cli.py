@@ -162,7 +162,6 @@ def cmd_immerse(args, entry):
         else:
             faces = payload.faces
 
-    radii = np.linalg.norm(verts, axis=1)
     if fmt == "obj":
         if not args.out:
             raise GeometryError("obj export needs --out PATH")
@@ -171,6 +170,7 @@ def cmd_immerse(args, entry):
     elif fmt == "csv":
         _emit_csv(["x", "y", "z"], verts.tolist(), args.out)
     else:
+        radii = np.linalg.norm(verts, axis=1)
         _report(args, {"vertices": len(verts), "faces": len(faces),
                        "ball_radius_min": float(radii.min()),
                        "ball_radius_max": float(radii.max())},

@@ -339,6 +339,42 @@ def _unfolding():
     return failed == 0, float(failed), 0.0, details
 
 
+_BLOCK_ROWS = 8192   # rows per streamed draw; a 4-column block is 256 KiB
+
+
+def _uniform_blocks(rng, low, high, shape):
+    """rng.uniform(low, high, size=shape) as consecutive blocks of at most
+    _BLOCK_ROWS rows.  uniform fills row-major one double at a time, so the
+    blocks concatenate to the one-shot array bit for bit and leave rng in
+    the same state."""
+    rows, cols = shape
+    for start in range(0, rows, _BLOCK_ROWS):
+        yield rng.uniform(low, high, size=(min(_BLOCK_ROWS, rows - start), cols))
+
+
+def _order_gap(rng):
+    """Largest lhs - rhs of hr_inequality over 1e5 draws in (-1, 10)^4."""
+    worst = -math.inf
+    for a in _uniform_blocks(rng, -1.0 + 1e-6, 10.0, (100_000, 4)):
+        lhs, rhs = hr_inequality(a)
+        worst = max(worst, float(np.max(lhs - rhs)))
+    return worst
+
+
+def _trace_margin(rng):
+    """Least trace of T^{-1}(lam) minus 4 over the first 1e5 of 3e5 draws
+    lam in [-0.5, 0.49)^4 with trace >= 0, and how many rows were kept.
+    Blocks past the quota are still drawn, so rng ends where the one-shot
+    draw leaves it."""
+    low, kept = math.inf, 0
+    for lam in _uniform_blocks(rng, -0.5, 0.49, (300_000, 4)):
+        lam = lam[np.flatnonzero(_last_axis_sum(lam) >= 0.0)[:100_000 - kept]]
+        if len(lam):
+            low = min(low, float(np.min(_last_axis_sum(t_map(lam, "c_to_k")))))
+            kept += len(lam)
+    return low - 4.0, kept
+
+
 @criterion("weingarten-calculus")
 def _weingarten_calculus(seed=26):
     """Eigenvalue-cone calculus: order inequality, cone identity, the
@@ -347,9 +383,7 @@ def _weingarten_calculus(seed=26):
     rng = np.random.default_rng(seed)
     notes = []
 
-    draws = rng.uniform(-1.0 + 1e-6, 10.0, size=(100_000, 4))
-    lhs, rhs = hr_inequality(draws)
-    worst_hr = float(np.max(lhs - rhs))
+    worst_hr = _order_gap(rng)
     notes.append(f"order inequality margin {-worst_hr:.2e} on 1e5 draws")
 
     x = rng.uniform(-0.999, 4.0, size=(1000, 3))
@@ -361,12 +395,9 @@ def _weingarten_calculus(seed=26):
     back_ok = bool(np.all(t_map(y, "c_to_k") - x > 0.0))
     notes.append(f"cone identity {'holds' if cone_ok and back_ok else 'fails'}")
 
-    lam = rng.uniform(-0.5, 0.49, size=(300_000, 4))
-    lam = lam[np.flatnonzero(_last_axis_sum(lam) >= 0.0)[:100_000]]
-    kap = t_map(lam, "c_to_k")
-    trace_margin = float(np.min(_last_axis_sum(kap)) - 4.0)
+    trace_margin, kept = _trace_margin(rng)
     notes.append(f"trace implication margin {trace_margin:.2e} "
-                 f"on {len(lam)} draws")
+                 f"on {kept} draws")
 
     F = elementary_symmetric(3, 2, METRIC_SIDE)
     W = conjugate(F)

@@ -7,19 +7,25 @@ self-crossings cannot clear; the check passes when the measured counts, the
 winding and the refused bisection reproduce that obstruction.
 
 The README's Quick start runs here too, so that an API change cannot leave
-the first example broken.
+the first example broken.  weingarten-calculus streams its large samples in
+row blocks; the tests below hold it to the one-shot draw it replaces, and
+every check to a tracemalloc budget.
 """
 
 import argparse
 import re
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from horocorr import verify
 from horocorr.cli import build_parser
+from horocorr.minkowski import _last_axis_sum
 from horocorr.verify import CRITERIA
+from horocorr.weingarten import hr_inequality, t_map
 
 IDS = [f"criterion-{i+1:02d}-{name}" for i, (name, _) in enumerate(CRITERIA)]
 
@@ -67,3 +73,61 @@ def test_readme_quick_start_runs():
     block = re.search(r"^```python\n(.*?)^```", readme, re.S | re.M)
     assert block is not None, "README.md has no python block"
     exec(compile(block.group(1), "README.md", "exec"), {})
+
+
+@pytest.mark.parametrize("rows", [2 * verify._BLOCK_ROWS, 10_000, 100])
+def test_uniform_blocks_concatenate_to_one_draw(rows):
+    streamed, one_shot = np.random.default_rng(26), np.random.default_rng(26)
+    blocks = list(verify._uniform_blocks(streamed, -0.5, 0.49, (rows, 4)))
+    assert max(len(b) for b in blocks) <= verify._BLOCK_ROWS
+    assert np.array_equal(np.concatenate(blocks), one_shot.uniform(-0.5, 0.49, size=(rows, 4)))
+    assert np.array_equal(streamed.uniform(size=7), one_shot.uniform(size=7))
+
+
+def _one_shot_order_gap(rng):
+    draws = rng.uniform(-1.0 + 1e-6, 10.0, size=(100_000, 4))
+    lhs, rhs = hr_inequality(draws)
+    return float(np.max(lhs - rhs))
+
+
+def _one_shot_trace_margin(rng):
+    lam = rng.uniform(-0.5, 0.49, size=(300_000, 4))
+    lam = lam[np.flatnonzero(_last_axis_sum(lam) >= 0.0)[:100_000]]
+    kap = t_map(lam, "c_to_k")
+    return float(np.min(_last_axis_sum(kap)) - 4.0), len(lam)
+
+
+@pytest.mark.parametrize("seed", [26, 0, 1])
+def test_streamed_calculus_matches_one_shot(seed, monkeypatch):
+    # the check's draw order: order sample, three (1000, 3) draws, trace
+    # sample, then the (200, 3) semigroup rows
+    streamed, one_shot = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert verify._order_gap(streamed) == _one_shot_order_gap(one_shot)
+    for _ in range(3):
+        assert np.array_equal(streamed.uniform(size=(1000, 3)), one_shot.uniform(size=(1000, 3)))
+    assert verify._trace_margin(streamed) == _one_shot_trace_margin(one_shot)
+    assert np.array_equal(streamed.uniform(size=(200, 3)), one_shot.uniform(size=(200, 3)))
+
+    check = dict(CRITERIA)["weingarten-calculus"]
+    result = check(seed=seed)
+    monkeypatch.setattr(verify, "_order_gap", _one_shot_order_gap)
+    monkeypatch.setattr(verify, "_trace_margin", _one_shot_trace_margin)
+    oracle = check(seed=seed)
+    assert (result.passed, result.max_error, result.details) == \
+        (oracle.passed, oracle.max_error, oracle.details)
+
+
+def test_every_check_within_memory_budget():
+    # tracemalloc peak in MB (1e6 bytes); weingarten-calculus held 18.9 MB
+    # when it drew its 1.6 M uniforms as whole arrays
+    peaks = {}
+    for name, check in CRITERIA:
+        tracemalloc.start()
+        try:
+            check()
+            peaks[name] = tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+    over = {name: peak for name, peak in peaks.items()
+            if peak > (2.0 if name == "weingarten-calculus" else 8.0)}
+    assert not over, peaks
