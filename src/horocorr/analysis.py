@@ -1,8 +1,11 @@
 """Sampled geometry: example gallery, winding counts, embeddedness scans.
 
-Curves live in the hyperbolic plane inside R^{1,2}; the one meshed surface
-lives in R^{1,3}.  All crossing detection happens after projecting to the
-Poincare ball, where segments and triangles are honest Euclidean objects.
+Every sampled hypersurface is one `Immersion`: positions and unit normals in
+Minkowski coordinates, the cells joining them and the normal flow time.
+Curves have segments for cells and live in the hyperbolic plane inside
+R^{1,2}; the one meshed surface has triangles and lives in R^{1,3}.  All
+crossing detection happens after projecting to the Poincare ball, where
+segments and triangles are honest Euclidean objects.
 """
 
 import math
@@ -12,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .conformal import ConformalMetric
-from .correspondence import immerse, ricatti, support_and_gauss
+from .correspondence import immerse, support_and_gauss
 from .errors import (
     HyperquadricError,
     RootBracketError,
@@ -31,6 +34,7 @@ CLUSTER_RADIUS = 0.05  # angle within which escape directions share a cluster
 CLOSE = 1e-6           # angle within which a certified pair shares a cluster
 GAP = 2e-6             # margin beyond the radius that certifies a pair apart
 CERT_ROWS = 128        # rows of the pairwise-cosine table held at once
+PROFILE_PERIOD = 4.0 * math.pi   # parameter period of the profile curve
 
 
 def _check_frame(phi, eta):
@@ -38,7 +42,7 @@ def _check_frame(phi, eta):
     with np.errstate(over="ignore", invalid="ignore"):
         tol = FRAME_RTOL * np.maximum(1.0, phi[..., 0] ** 2)
         if not np.all(np.abs(mink_inner(phi, phi) + 1.0) <= tol):
-            raise SingularParameterError("curve positions leave the hyperboloid")
+            raise SingularParameterError("positions leave the hyperboloid")
         if not np.all(np.abs(mink_inner(eta, eta) - 1.0) <= tol):
             raise SingularParameterError("normals are not unit spacelike")
         if not np.all(np.abs(mink_inner(phi, eta)) <= tol):
@@ -57,28 +61,23 @@ def ball_vertices(phi, t):
 
 
 @dataclass(frozen=True)
-class CurveImmersion:
-    """Sampled closed curve with its unit normal field: the samples u run
-    over [0, period) and the last one joins back to the first.
+class Immersion:
+    """Sampled immersed hypersurface with its unit normal field, at normal
+    flow time t.
 
     phi rows sit on the hyperboloid, eta rows on the unit de Sitter quadric,
-    pointwise orthogonal.  kappa, when present, holds the principal curvature
-    in the orientation of eta; t is the normal flow time the samples carry.
+    pointwise orthogonal.  cells index the rows: width 2 for the segments
+    (i, i + 1 mod m) of a closed curve in the plane model (`closed_curve`),
+    width 3 for the triangles of a mesh.
     """
 
-    u: np.ndarray
     phi: np.ndarray
     eta: np.ndarray
-    period: float
-    kappa: Optional[np.ndarray] = None
+    cells: np.ndarray
     t: float = 0.0
 
     def __post_init__(self):
         _check_frame(self.phi, self.eta)
-
-    @property
-    def resolution(self):
-        return len(self.u)
 
     def ball_points(self):
         return ball_vertices(self.phi, self.t)
@@ -87,36 +86,15 @@ class CurveImmersion:
         return support_and_gauss(self.phi + self.eta).gauss_point
 
     def flowed(self, t):
-        """Normal flow by time t; curvature transported when pole-free."""
-        kappa = None
-        if self.kappa is not None:
-            try:
-                kappa = ricatti(self.kappa, t)
-            except SingularParameterError:
-                kappa = None
         phi, eta = normal_flow(self.phi, self.eta, t)
-        return replace(self, phi=phi, eta=eta, kappa=kappa, t=self.t + t)
+        return replace(self, phi=phi, eta=eta, t=self.t + t)
 
 
-@dataclass(frozen=True)
-class MeshImmersion:
-    """Triangulated hypersurface sample: vertex positions and unit normals in
-    Minkowski coordinates plus a face index array, at normal flow time t."""
-
-    phi: np.ndarray
-    eta: np.ndarray
-    faces: np.ndarray
-    t: float = 0.0
-
-    def __post_init__(self):
-        _check_frame(self.phi, self.eta)
-
-    def ball_points(self):
-        return ball_vertices(self.phi, self.t)
-
-    def flowed(self, t):
-        phi, eta = normal_flow(self.phi, self.eta, t)
-        return MeshImmersion(phi=phi, eta=eta, faces=self.faces, t=self.t + t)
+def closed_curve(phi, eta):
+    """The closed curve through the rows of phi in order, the last joined
+    back to the first."""
+    i = np.arange(len(phi))
+    return Immersion(phi, eta, np.stack([i, np.roll(i, -1)], axis=1))
 
 
 @dataclass(frozen=True)
@@ -129,16 +107,14 @@ class GalleryEntry:
 # -- the profile curve --------------------------------------------------------
 
 def _profile_jets(u):
-    """Position and first two derivatives of the triple-cover profile curve."""
+    """Position and first derivative of the triple-cover profile curve."""
     u = np.asarray(u, dtype=float)
     angles = np.stack([u / 2, u, 3 * u / 2])
     (sin1, sin2, sin3), (cos1, cos2, cos3) = np.sin(angles), np.cos(angles)
     r = sin1 * cos2
     R = cos1 - cos3 / 3
     rp = 0.5 * cos1 * cos2 - sin1 * sin2
-    rpp = -1.25 * sin1 * cos2 - cos1 * sin2
     Rp = -0.5 * sin1 + 0.5 * sin3
-    Rpp = -0.25 * cos1 + 0.75 * cos3
     chr_, shr = np.cosh(r), np.sinh(r)
     chR, shR = np.cosh(R), np.sinh(R)
     a = np.stack([chr_ * chR, shr * chR, shR], axis=-1)
@@ -146,48 +122,37 @@ def _profile_jets(u):
         rp * shr * chR + Rp * chr_ * shR,
         rp * chr_ * chR + Rp * shr * shR,
         Rp * chR], axis=-1)
-    dda = np.stack([
-        rpp * shr * chR + Rpp * chr_ * shR
-        + (rp**2 + Rp**2) * chr_ * chR + 2 * rp * Rp * shr * shR,
-        rpp * chr_ * chR + Rpp * shr * shR
-        + (rp**2 + Rp**2) * shr * chR + 2 * rp * Rp * chr_ * shR,
-        Rpp * chR + Rp**2 * shR], axis=-1)
-    return a, da, dda
+    return a, da
 
 
 def _profile_frame(u):
-    """Position, unit normal and curvature from one evaluation of the jets."""
-    a, da, dda = _profile_jets(u)
+    """Position and unit normal from one evaluation of the jets."""
+    a, da = _profile_jets(u)
     # Lorentz cross of position and velocity, oriented so kappa < 1
     w = np.cross(a, da) * np.array([-1.0, 1.0, 1.0])
     norm_sq = mink_inner(w, w)
     if np.any(norm_sq <= 0.0):
         raise SingularParameterError("degenerate tangent on the profile curve")
-    n = -w / np.sqrt(norm_sq)[..., None]
-    return a, n, mink_inner(dda, n) / mink_inner(da, da)
+    return a, -w / np.sqrt(norm_sq)[..., None]
 
 
 def profile_curve(m):
     # the direction map turns three times: with m <= 6 each step is >= half a turn
     if m < 7:
         raise SamplingError("the profile curve needs at least seven samples")
-    period = 4.0 * math.pi
-    u = np.linspace(0.0, period, m, endpoint=False)
-    phi, eta, kappa = _profile_frame(u)
-    return CurveImmersion(u=u, phi=phi, eta=eta, period=period, kappa=kappa)
+    return closed_curve(*_profile_frame(
+        np.linspace(0.0, PROFILE_PERIOD, m, endpoint=False)))
 
 
 def circle_curve(rho0, m=512):
     """Geodesic circle of hyperbolic radius rho0 > 0, outward normal."""
     if rho0 <= 0.0:
         raise SingularParameterError("circle radius must be positive")
-    period = 2.0 * math.pi
-    u = np.linspace(0.0, period, m, endpoint=False)
+    u = np.linspace(0.0, 2.0 * math.pi, m, endpoint=False)
     ch, sh = math.cosh(rho0), math.sinh(rho0)
     phi = np.stack([np.full_like(u, ch), sh * np.cos(u), sh * np.sin(u)], axis=-1)
     eta = np.stack([np.full_like(u, sh), ch * np.cos(u), ch * np.sin(u)], axis=-1)
-    return CurveImmersion(u=u, phi=phi, eta=eta, period=period,
-                          kappa=np.full(m, -1.0 / math.tanh(rho0)))
+    return closed_curve(phi, eta)
 
 
 def product_mesh(m_u, m_v, length):
@@ -198,9 +163,9 @@ def product_mesh(m_u, m_v, length):
     """
     if m_u < 3 or m_v < 2:
         raise SamplingError("mesh grid too coarse to triangulate")
-    u = np.linspace(0.0, 4.0 * math.pi, m_u, endpoint=False)
+    u = np.linspace(0.0, PROFILE_PERIOD, m_u, endpoint=False)
     v = np.linspace(-length, length, m_v)
-    a, n, _ = _profile_frame(u)
+    a, n = _profile_frame(u)
     ch, sh = np.cosh(v), np.sinh(v)
     phi = np.empty((m_u, m_v, 4))
     phi[..., :3] = a[:, None, :] * ch[None, :, None]
@@ -208,11 +173,8 @@ def product_mesh(m_u, m_v, length):
     eta = np.zeros((m_u, m_v, 4))
     eta[..., :3] = n[:, None, :]
     index = np.arange(m_u * m_v).reshape(m_u, m_v)
-    return MeshImmersion(
-        phi=phi.reshape(-1, 4),
-        eta=eta.reshape(-1, 4),
-        faces=grid_faces(np.vstack([index, index[:1]])),
-    )
+    return Immersion(phi.reshape(-1, 4), eta.reshape(-1, 4),
+                     grid_faces(np.vstack([index, index[:1]])))
 
 
 def grid_faces(index):
@@ -316,9 +278,10 @@ def self_intersections(payload):
     one narrow phase over all overlapping pairs.  Curves skip segment pairs
     within 2 of each other around the closed curve; meshes skip face pairs
     sharing a vertex."""
-    if isinstance(payload, CurveImmersion):
+    width = payload.cells.shape[-1] if isinstance(payload, Immersion) else 0
+    if width == 2:
         return _curve_crossings(payload)
-    if isinstance(payload, MeshImmersion):
+    if width == 3:
         return _mesh_crossings(payload)
     raise SingularParameterError("crossing scan expects a curve or mesh payload")
 
@@ -410,7 +373,7 @@ def _mesh_crossings(mesh):
     v = 0 row of `product_mesh` lies exactly in the ball plane p3 = 0, so its
     edges meet other faces exactly on their edges (beta + gamma = 1), where
     rounding decides the hit, and a Cramer's-rule solve reports other counts."""
-    faces = mesh.faces
+    faces = mesh.cells
     tri = mesh.ball_points()[faces]
     normal = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
     area2 = np.linalg.norm(normal, axis=-1)

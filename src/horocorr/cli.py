@@ -17,14 +17,15 @@ import csv
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
 
 from .analysis import (
     GALLERY_NAMES,
-    CurveImmersion,
-    MeshImmersion,
+    PROFILE_PERIOD,
+    Immersion,
     ball_vertices,
     boundary_at_infinity,
     first_embedded_time,
@@ -128,19 +129,25 @@ def _write_obj(path, verts, faces=(), polylines=()):
         f.write(text)
 
 
+def _is_curve(payload):
+    return isinstance(payload, Immersion) and payload.cells.shape[-1] == 2
+
+
 def cmd_gallery(args, entry):
     if args.action == "list":
         print("\n".join(GALLERY_NAMES))
         return 0
     payload = entry.payload
-    info = {"name": entry.name, "params": entry.params,
-            "payload": type(payload).__name__}
-    if isinstance(payload, CurveImmersion):
-        info.update(resolution=payload.resolution, period=payload.period)
-    elif isinstance(payload, MeshImmersion):
-        info.update(vertices=len(payload.phi), faces=len(payload.faces))
+    info = {"name": entry.name, "params": entry.params}
+    if _is_curve(payload):   # the gallery's one curve is the profile curve
+        info.update(payload="CurveImmersion", resolution=len(payload.phi),
+                    period=PROFILE_PERIOD)
+    elif isinstance(payload, Immersion):
+        info.update(payload="MeshImmersion", vertices=len(payload.phi),
+                    faces=len(payload.cells))
     else:
-        info.update(chart=payload.chart.kind, offset=payload.t)
+        info.update(payload=type(payload).__name__, chart=payload.chart.kind,
+                    offset=payload.t)
     _report(args, info)
     return 0
 
@@ -156,11 +163,11 @@ def cmd_immerse(args, entry):
     else:
         moved = payload.flowed(args.t) if args.t else payload
         verts = moved.ball_points()
-        if isinstance(payload, CurveImmersion):   # plane curve into the z = 0 slice
+        if _is_curve(payload):   # plane curve into the z = 0 slice
             verts = np.column_stack([verts, np.zeros(len(verts))])
             polylines = [tuple(range(len(verts))) + (0,)]
         else:
-            faces = payload.faces
+            faces = payload.cells
 
     if fmt == "obj":
         if not args.out:
@@ -285,9 +292,10 @@ _OPTIONS = {
     "only": {"action": "append", "choices": [key for key, _ in CRITERIA]},
 }
 
-# the payload types of each example kind a command may need
-_KINDS = {"metric": ConformalMetric, "curve or mesh": (CurveImmersion, MeshImmersion),
-          "curve": CurveImmersion}
+# whether a payload is of each example kind a command may need
+_KINDS = {"metric": lambda payload: isinstance(payload, ConformalMetric),
+          "curve or mesh": lambda payload: isinstance(payload, Immersion),
+          "curve": _is_curve}
 
 # handler(args, entry) -> exit code; kind is a key of _KINDS, or None for a
 # command that takes any example or none; options maps each name to its default
@@ -345,11 +353,18 @@ def main(argv=None):
         entry = None   # gallery list and verify build no example
         if getattr(args, "name", None) and getattr(args, "action", "show") == "show":
             entry = _gallery_entry(args)
-            if row.kind and not isinstance(entry.payload, _KINDS[row.kind]):
+            if row.kind and not _KINDS[row.kind](entry.payload):
                 raise GeometryError(f"{args.command} needs a {row.kind} example")
-        return row.handler(args, entry)
+        code = row.handler(args, entry)
+        sys.stdout.flush()   # so that a closed pipe shows here, not at exit
+        return code
     except GeometryError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader went away: send what is left to devnull and exit 1,
+        # the recipe of the signal module's documentation
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -11,13 +11,13 @@ from hypothesis import strategies as st
 
 from horocorr import analysis
 from horocorr.analysis import (
-    CurveImmersion,
     EmbeddingReport,
     GalleryEntry,
-    MeshImmersion,
+    Immersion,
     BoundaryCluster,
     boundary_at_infinity,
     circle_curve,
+    closed_curve,
     first_embedded_time,
     gauss_winding,
     make_example,
@@ -26,7 +26,7 @@ from horocorr.analysis import (
     self_intersections,
 )
 from horocorr.conformal import ConformalMetric, schouten
-from horocorr.correspondence import CANONICAL, lambda_kappa, ricatti
+from horocorr.correspondence import CANONICAL, lambda_kappa
 from horocorr.errors import (
     ChartDomainError,
     HyperquadricError,
@@ -133,7 +133,7 @@ def reference_curve_crossings(curve):
 def reference_mesh_crossings(mesh):
     # the original per-face loop, kept as the oracle for the sweep in
     # analysis._mesh_crossings
-    faces = mesh.faces
+    faces = mesh.cells
     tri = mesh.ball_points()[faces]
     lo = tri.min(axis=1)
     hi = tri.max(axis=1)
@@ -165,7 +165,7 @@ def brute_force_mesh_crossings(mesh):
     # every face pair i < j at once: the closed-box test on all axes, the
     # shared-vertex drop, then the six edge tests of the per-face loop; no
     # sort, sweep or plane rejection
-    faces = mesh.faces
+    faces = mesh.cells
     tri = mesh.ball_points()[faces]
     lo = tri.min(axis=1)
     hi = tri.max(axis=1)
@@ -220,7 +220,7 @@ def piercing_mesh(shift=0.0):
         lifted_normal(phi[:3], np.array([0.0, 1.0, 0.0, 0.0])),
         lifted_normal(phi[3:], np.array([0.0, -1.0, 0.0, 0.0])),
     ])
-    return MeshImmersion(phi=phi, eta=eta, faces=np.array([[0, 1, 2], [3, 4, 5]]))
+    return Immersion(phi, eta, np.array([[0, 1, 2], [3, 4, 5]]))
 
 
 # each example's resolved default parameters, value, type and order pinned
@@ -248,7 +248,7 @@ class TestGalleryEntries:
     def test_params_coerced_to_default_types(self):
         entry = make_example("alpha-curve", m=64.0)
         assert entry.params == {"m": 64} and type(entry.params["m"]) is int
-        assert entry.payload.resolution == 64
+        assert len(entry.payload.phi) == 64
         mesh = make_example("alpha-product", m_u=24.0, m_v=5, length=1).params
         assert list(map(type, mesh.values())) == [int, int, float]
 
@@ -320,7 +320,7 @@ class TestGalleryEntries:
         mesh = make_example("alpha-product", m_u=24, m_v=5, length=0.8).payload
         radii = np.linalg.norm(mesh.ball_points(), axis=1)
         assert np.all(radii < 1.0)
-        assert len(mesh.faces) == 2 * 24 * 4
+        assert mesh.cells.shape == (2 * 24 * 4, 3)
 
 
 class TestProfileJets:
@@ -345,7 +345,7 @@ class TestCurveType:
     def test_profile_needs_seven_samples(self, m):
         with pytest.raises(SamplingError, match="at least seven samples"):
             profile_curve(m)
-        assert profile_curve(7).resolution == 7
+        assert len(profile_curve(7).phi) == 7
 
     def test_profile_winding_is_three_or_refused(self):
         # the direction map turns three times; at m = 3..6 every step is at
@@ -366,13 +366,13 @@ class TestCurveType:
 
     def test_flowed_matches_direct_formula(self):
         t = 0.35
-        for curve in (profile_curve(128), circle_curve(0.7, 256)):
-            moved = curve.flowed(t)
-            expected_phi = curve.phi * math.cosh(t) + curve.eta * math.sinh(t)
+        for payload in (profile_curve(128), circle_curve(0.7, 256), product_mesh(24, 5, 0.8)):
+            moved = payload.flowed(t)
+            expected_phi = payload.phi * math.cosh(t) + payload.eta * math.sinh(t)
+            expected_eta = payload.phi * math.sinh(t) + payload.eta * math.cosh(t)
             assert np.allclose(moved.phi, expected_phi, atol=1e-12)
-            np.testing.assert_array_equal(moved.kappa, ricatti(curve.kappa, t))
-            np.testing.assert_array_equal(moved.u, curve.u)
-            assert moved.period == curve.period
+            assert np.allclose(moved.eta, expected_eta, atol=1e-12)
+            assert moved.cells is payload.cells and moved.t == t
 
     @pytest.mark.parametrize("rho0, m", [(0.7, 256), (2.0, 5)])
     def test_circle_matches_closed_form(self, rho0, m):
@@ -384,13 +384,10 @@ class TestCurveType:
         eta = np.stack([np.full_like(u, math.sinh(rho0)),
                         math.cosh(rho0) * np.cos(u),
                         math.cosh(rho0) * np.sin(u)], axis=-1)
-        kappa = np.full(np.shape(u), -1.0 / math.tanh(rho0))
         curve = circle_curve(rho0, m)
-        np.testing.assert_array_equal(curve.u, u)
         np.testing.assert_array_equal(curve.phi, phi)
         np.testing.assert_array_equal(curve.eta, eta)
-        np.testing.assert_array_equal(curve.kappa, kappa)
-        assert curve.period == 2.0 * math.pi
+        np.testing.assert_array_equal(curve.cells, [(i, (i + 1) % m) for i in range(m)])
 
 
 class TestWinding:
@@ -424,7 +421,7 @@ class TestCrossings:
     def test_records_well_formed(self):
         curve = profile_curve(2048)
         pairs = self_intersections(curve)
-        m = curve.resolution
+        m = len(curve.phi)
         assert len(pairs) > 0
         for i, j in pairs:
             assert 0 <= i < j < m
@@ -446,6 +443,18 @@ class TestCrossings:
         with pytest.raises(SamplingError):
             self_intersections(stalled)
 
+    @pytest.mark.parametrize("width", [1, 4])
+    def test_other_cell_widths_refused(self, monkeypatch, width):
+        # only segments and triangles have a scan; nothing reaches the mesh scan
+        def unreachable(payload):
+            raise AssertionError("mesh scan reached")
+
+        monkeypatch.setattr(analysis, "_mesh_crossings", unreachable)
+        curve = circle_curve(0.7, 16)
+        cells = np.arange(16 * width).reshape(16, width) % 16
+        with pytest.raises(SingularParameterError, match="curve or mesh payload"):
+            self_intersections(Immersion(curve.phi, curve.eta, cells))
+
     def test_mesh_pierce_detected(self):
         np.testing.assert_array_equal(self_intersections(piercing_mesh()), [[0, 1]])
 
@@ -463,10 +472,7 @@ def seam_loop_curve():
         [-0.1, -0.4], [-0.2, -0.2], [0.1, -0.1], [0.1, 0.1],
     ])
     phi = from_poincare_ball(ball)
-    m = len(ball)
-    return CurveImmersion(u=np.arange(m, dtype=float), phi=phi,
-                          eta=lifted_normal(phi, [0.0, 0.0, 1.0]),
-                          period=float(m))
+    return closed_curve(phi, lifted_normal(phi, [0.0, 0.0, 1.0]))
 
 
 def brute_force_box_pairs(lo, hi):
@@ -551,15 +557,14 @@ class TestSweepMatchesReference:
         # the adjacency window at its edges: m = 4, 5 leave no pair at all;
         # profile_curve refuses m < 7, so the frame is sampled directly
         for m in range(4, 41):
-            u = np.linspace(0.0, 4.0 * math.pi, m, endpoint=False)
-            phi, eta, _ = analysis._profile_frame(u)
-            curve = CurveImmersion(u=u, phi=phi, eta=eta, period=4.0 * math.pi)
+            u = np.linspace(0.0, analysis.PROFILE_PERIOD, m, endpoint=False)
+            curve = closed_curve(*analysis._profile_frame(u))
             assert_same_records(self_intersections(curve),
                                 reference_curve_crossings(curve))
 
     def test_loop_across_the_seam_is_adjacent(self):
         curve = seam_loop_curve()
-        for shift in range(curve.resolution):
+        for shift in range(len(curve.phi)):
             rolled = replace(curve, phi=np.roll(curve.phi, shift, axis=0),
                              eta=np.roll(curve.eta, shift, axis=0))
             assert self_intersections(rolled).shape == (0, 2)
@@ -660,7 +665,7 @@ def two_face_mesh(draw, first, other):
         assume(area > 0.05 * np.linalg.norm(e1) * np.linalg.norm(e2))
     verts = np.vstack([first, other][::draw(st.sampled_from([1, -1]))])
     return SimpleNamespace(ball_points=lambda: verts,
-                           faces=np.array([[0, 1, 2], [3, 4, 5]]))
+                           cells=np.array([[0, 1, 2], [3, 4, 5]]))
 
 
 def counted_kernel_rows(monkeypatch):
@@ -796,9 +801,25 @@ class TestEmbeddingTime:
         assert "control circle winds [1], embedded at t=0.0" in result.details
 
 
+def profile_kappa(m, h=1e-5):
+    """Principal curvature of the profile curve at its m samples, in the
+    orientation of its normal: kappa = -<d phi, d eta> / <d phi, d phi> from
+    central differences of the frame, so no curvature of the program's."""
+    u = np.linspace(0.0, analysis.PROFILE_PERIOD, m, endpoint=False)
+    (phi_p, eta_p), (phi_m, eta_m) = (analysis._profile_frame(u + s) for s in (h, -h))
+    dphi, deta = phi_p - phi_m, eta_p - eta_m
+    return -mink_inner(dphi, deta) / mink_inner(dphi, dphi)
+
+
 class TestCurvatureSign:
     def test_profile_stays_horospherically_convex(self):
-        kappa = profile_curve(4096).kappa
+        # along the curve d psi = (1 - kappa) d phi: the light-cone direction
+        # turns the same way on every step while 1 - kappa keeps its sign
+        gauss = profile_curve(4096).gauss_directions()
+        angle = np.arctan2(gauss[:, 1], gauss[:, 0])
+        steps = (np.diff(angle, append=angle[:1]) + np.pi) % (2.0 * np.pi) - np.pi
+        assert np.all(steps > 0.0)
+        kappa = profile_kappa(4096)
         assert np.max(kappa) < 1.0
         assert np.min(kappa) > -20.0
 
@@ -806,7 +827,7 @@ class TestCurvatureSign:
         # scalar curvature of the product with three flat directions:
         # 2(n - 1) times the sum of the Schouten entries T(-kappa_i)
         spectrum = np.zeros((256, 4))
-        spectrum[:, 0] = profile_curve(256).kappa
+        spectrum[:, 0] = profile_kappa(256)
         schouten_entries = lambda_kappa(spectrum, CANONICAL, "kappa_to_lambda")
         assert np.all(6.0 * np.sum(schouten_entries, axis=-1) < 0.0)
 

@@ -43,12 +43,19 @@ class TestGallery:
         assert len(names) == 6
         assert "geodesic-sphere" in names and "alpha-curve" in names
 
-    def test_show_reports_payload_type(self, capsys):
-        code, out, _ = run(capsys, "gallery", "show", "alpha-curve")
+    @pytest.mark.parametrize("name, results", [
+        ("alpha-curve", {"name": "alpha-curve", "params": {"m": 4096},
+                         "payload": "CurveImmersion", "resolution": 4096,
+                         "period": 12.566370614359172}),
+        ("alpha-product", {"name": "alpha-product",
+                           "params": {"m_u": 96, "m_v": 9, "length": 1.0},
+                           "payload": "MeshImmersion", "vertices": 864, "faces": 1536}),
+    ])
+    def test_show_reports_payload_type(self, capsys, name, results):
+        code, out, _ = run(capsys, "gallery", "show", name)
         assert code == 0
         report = json.loads(out)
-        assert report["results"]["payload"] == "CurveImmersion"
-        assert report["results"]["resolution"] == 4096
+        assert list(report["results"].items()) == list(results.items())
         assert report["config"]["command"] == "gallery"
 
     @pytest.mark.parametrize("name, params", [
@@ -277,7 +284,7 @@ def wrong_kinds():
                 for name in cli.EXAMPLE_CHOICES}
     return [(command, name, row.kind) for command, row in cli._COMMANDS.items()
             if row.kind for name, payload in payloads.items()
-            if not isinstance(payload, cli._KINDS[row.kind])]
+            if not cli._KINDS[row.kind](payload)]
 
 
 class TestExampleKinds:
@@ -632,3 +639,19 @@ def test_import_leaves_scipy_out():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [("gallery", "list"), ("gallery", "show", "alpha-product")])
+def test_closed_pipe_exits_quietly(argv, unbuffered):
+    # standard output is a pipe whose reader has gone, as in `gallery list | head -1`
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
+               PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        out = subprocess.run([sys.executable, "-m", "horocorr.cli", *argv], stdout=write,
+                             stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write)
+    assert (out.returncode, out.stderr) == (1, "")
