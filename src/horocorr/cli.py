@@ -13,6 +13,7 @@ the resolved configuration so a run can be reproduced from its own output.
 
 import argparse
 import collections
+import contextlib
 import csv
 import functools
 import json
@@ -134,8 +135,9 @@ def _is_curve(payload):
 
 
 def cmd_gallery(args, entry):
-    if args.action == "list":
-        print("\n".join(GALLERY_NAMES))
+    if args.action == "list":   # with no --out, print's file=None is standard output
+        with open(args.out, "w") if args.out else contextlib.nullcontext() as target:
+            print("\n".join(GALLERY_NAMES), file=target)
         return 0
     payload = entry.payload
     info = {"name": entry.name, "params": entry.params}

@@ -115,12 +115,11 @@ def flow_time(t, name="flow time"):
 
 def normal_flow(phi, eta, t):
     """Frame (phi cosh t + eta sinh t, phi sinh t + eta cosh t) after normal
-    flow time t, for phi on the hyperboloid and eta on de Sitter space with
-    <phi,eta> = 0; the frame is not checked here.  A scalar t takes math's
-    cosh and sinh, whose bits numpy's do not always match; an array t
-    broadcasts against the leading axes.  t passes flow_time."""
+    flow time t, a float, for phi on the hyperboloid and eta on de Sitter
+    space with <phi,eta> = 0; the frame is not checked here.  t passes
+    flow_time and takes math's cosh and sinh, whose bits numpy's do not
+    always match."""
     flow_time(t)
     phi, eta = _check_dims(phi, eta)
-    ch, sh = ((math.cosh(t), math.sinh(t)) if np.ndim(t) == 0
-              else (np.cosh(t)[..., None], np.sinh(t)[..., None]))
+    ch, sh = math.cosh(t), math.sinh(t)
     return phi * ch + eta * sh, phi * sh + eta * ch

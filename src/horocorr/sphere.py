@@ -202,7 +202,7 @@ def constant_field(c):
     )
 
 
-def radial_band_field(f, fs=None, fss=None):
+def radial_band_field(f, fs, fss):
     """Field on a band chart depending on the arc coordinate s = u[..., 0] only.
 
     f, fs, fss: value and its first/second s-derivatives, each taking an
@@ -212,21 +212,17 @@ def radial_band_field(f, fs=None, fss=None):
     def value(u):
         return f(np.asarray(u, dtype=float)[..., 0])
 
-    gradient = None
-    if fs is not None:
-        def gradient(u):
-            u = np.asarray(u, dtype=float)
-            g = np.zeros(u.shape)
-            g[..., 0] = fs(u[..., 0])
-            return g
+    def gradient(u):
+        u = np.asarray(u, dtype=float)
+        g = np.zeros(u.shape)
+        g[..., 0] = fs(u[..., 0])
+        return g
 
-    hessian = None
-    if fss is not None:
-        def hessian(u):
-            u = np.asarray(u, dtype=float)
-            H = np.zeros(u.shape + u.shape[-1:])
-            H[..., 0, 0] = fss(u[..., 0])
-            return H
+    def hessian(u):
+        u = np.asarray(u, dtype=float)
+        H = np.zeros(u.shape + u.shape[-1:])
+        H[..., 0, 0] = fss(u[..., 0])
+        return H
 
     return ScalarField(value, gradient, hessian)
 
@@ -241,24 +237,23 @@ def call_stacked(f, points, lead):
     return values
 
 
-def _check_step(h):
+def _stencil_points(x, h, corners):
+    """The points of the central differences at x, stacked after x's leading
+    axes: x + h e_i, then x - h e_i; with corners (second derivatives), x,
+    those, then (x + a h e_i) + b h e_j for each axis pair i < j in blocks
+    (a, b) = (+,+), (+,-), (-,+), (-,-).  h may broadcast over x's leading
+    axes.  Raises ChartDomainError unless 0 < h with 2h finite."""
     if not np.all((0.0 < h) & (h <= 0.5 * np.finfo(float).max)):   # 2h stays finite
         raise ChartDomainError("finite-difference step must be positive with 2h finite")
-
-
-def _stencil_points(x, h):
-    """The points central_jet evaluates, stacked after x's leading axes: x,
-    x + h e_i, x - h e_i, then the corners (x + a h e_i) + b h e_j of each
-    axis pair i < j in blocks (a, b) = (+,+), (+,-), (-,+), (-,-).  Raises
-    ChartDomainError unless 0 < h with 2h finite."""
-    _check_step(h)
     n = x.shape[-1]
-    axial = h * np.concatenate([np.eye(n), -np.eye(n)])
+    axial = np.multiply.outer(h, np.concatenate([np.eye(n), -np.eye(n)]))
     first = x[..., None, :] + axial
+    if not corners:
+        return first
     i, j = np.triu_indices(n, 1)
-    corners = (first[..., np.concatenate([i, i, i + n, i + n]), :]
-               + axial[np.concatenate([j, j + n, j, j + n])])
-    return np.concatenate([x[..., None, :], first, corners], axis=-2)
+    mixed = (first[..., np.concatenate([i, i, i + n, i + n]), :]
+             + axial[..., np.concatenate([j, j + n, j, j + n]), :])
+    return np.concatenate([x[..., None, :], first, mixed], axis=-2)
 
 
 def axis_values(f, x, h):
@@ -269,10 +264,7 @@ def axis_values(f, x, h):
     (see call_stacked).  h may broadcast over x's leading axes.  Raises
     ChartDomainError unless 0 < h with 2h finite.
     """
-    _check_step(h)
-    x = np.asarray(x, dtype=float)
-    eye = np.eye(x.shape[-1])
-    points = x[..., None, :] + np.multiply.outer(h, np.concatenate([eye, -eye]))
+    points = _stencil_points(np.asarray(x, dtype=float), h, corners=False)
     values = call_stacked(f, points, points.shape[:-1])
     return np.split(values, 2, axis=points.ndim - 2)
 
@@ -297,28 +289,31 @@ def central_jet(f, x, h):
     """
     x = np.asarray(x, dtype=float)
     n, axis = x.shape[-1], x.ndim - 1
-    points = _stencil_points(x, h)
+    points = _stencil_points(x, h, corners=True)
     values = np.moveaxis(call_stacked(f, points, points.shape[:-1]), axis, 0)
     f0, plus, minus = values[0], values[1:n + 1], values[n + 1:2 * n + 1]
     pp, pm, mp, mm = np.split(values[2 * n + 1:], 4)
-    grad = (plus - minus) / (2 * h)
+    grad, h_sq = (plus - minus) / (2 * h), h * h   # a float's h**2 raises on overflow
     hess = np.empty((n, n) + f0.shape)
-    hess[np.diag_indices(n)] = (plus - 2 * f0 + minus) / h**2
+    hess[np.diag_indices(n)] = (plus - 2 * f0 + minus) / h_sq
     i, j = np.triu_indices(n, 1)
-    hess[i, j] = hess[j, i] = (pp - pm - mp + mm) / (4 * h**2)
+    hess[i, j] = hess[j, i] = (pp - pm - mp + mm) / (4 * h_sq)
     return f0, np.moveaxis(grad, 0, axis), np.moveaxis(hess, (0, 1), (axis, axis + 1))
 
 
 def fd_jet(field, u, h, chart):
     """(value, gradient, Hessian) of a field by central differences.
 
-    Raises ChartDomainError unless 0 < h with 2h finite, or if the stencil of any
-    point leaves the chart's domain.
+    Raises ChartDomainError unless 0 < h with 2h finite, and then, before the
+    field sees a point, if the stencil of any point leaves the chart's domain.
     """
-    u = np.asarray(u, dtype=float)
-    if not np.all(chart.contains(_stencil_points(u, h))):
-        raise ChartDomainError("stencil escapes the chart domain; reduce h or move inward")
-    return central_jet(field.value, u, h)
+
+    def value(points):   # the one stencil central_jet builds and evaluates
+        if not np.all(chart.contains(points)):
+            raise ChartDomainError("stencil escapes the chart domain; reduce h or move inward")
+        return field.value(points)
+
+    return central_jet(value, u, h)
 
 
 @dataclass(frozen=True)

@@ -34,8 +34,7 @@ class Mobius:
     of the matrix picks the side; a two-sided map excludes only its pole.
     Either way non-finite input is rejected, in the one check every
     evaluation goes through; arrays within +-1e300 skip its masks after one
-    range test.  The inverse is the adjugate, signed so that it is defined on
-    the image.
+    range test.
     """
 
     matrix: np.ndarray
@@ -82,14 +81,9 @@ class Mobius:
         once = np.where(wide, denom, 1.0)
         return (a * d - b * c) * s**2 / np.where(wide, 1.0, denom)**2 / once / once
 
-    def inverse(self):
-        (a, b), (c, d) = self.matrix
-        adjugate = np.array([[d, -b], [-c, a]])
-        return Mobius(np.sign(a * d - b * c) * adjugate, self.two_sided)
-
 
 T = Mobius(np.array([[1.0, -1.0], [2.0, 2.0]]))   # 1/2 - 1/(1 + x), K onto C
-T_INV = T.inverse()                                # (1 + 2y)/(1 - 2y), C onto K
+T_INV = Mobius(np.array([[2.0, 1.0], [-2.0, 1.0]]))  # (1 + 2y)/(1 - 2y), C onto K
 
 
 def flow_shift(t):
@@ -118,7 +112,7 @@ def t_map(x, direction="k_to_c"):
 
 @dataclass(frozen=True)
 class CurvatureFunction:
-    """Symmetric function of n eigenvalues with optional analytic jets.
+    """Symmetric function of n eigenvalues, its analytic gradient and optional Hessian.
 
     Every callable broadcasts over the leading axes of an (..., n) array of
     eigenvalue points: eval -> (...) values, gradient -> (..., n), hessian
@@ -128,7 +122,7 @@ class CurvatureFunction:
 
     side: str
     eval: Callable[[np.ndarray], np.ndarray]
-    gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    gradient: Callable[[np.ndarray], np.ndarray]
     hessian: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
 
@@ -175,11 +169,9 @@ def _pull_back(F, mobius, side):
     def value(x):
         return F.eval(mobius(x))
 
-    gradient = None
-    if F.gradient is not None:
-        def gradient(x):
-            outer = np.asarray(F.gradient(mobius(x)), dtype=float)
-            return outer * mobius.derivative(x)
+    def gradient(x):
+        outer = np.asarray(F.gradient(mobius(x)), dtype=float)
+        return outer * mobius.derivative(x)
 
     return CurvatureFunction(side=side, eval=value, gradient=gradient)
 
@@ -211,10 +203,10 @@ def hessian_transform(f, kappa):
         d2W/dk_i dk_j = f_ij / ((1+k_i)^2 (1+k_j)^2) - 2 delta_ij f_i / (1+k_i)^3
 
     evaluated at lambda = T(kappa), broadcasting over the leading axes of
-    kappa.  f must be metric-side and carry analytic gradient and Hessian."""
+    kappa.  f must be metric-side and carry an analytic Hessian."""
     if f.side != METRIC_SIDE:
         raise SingularParameterError("hessian transform starts from a metric-side function")
-    if f.gradient is None or f.hessian is None:
+    if f.hessian is None:
         raise SingularParameterError("hessian transform needs analytic jets of f")
     kappa = np.asarray(kappa, dtype=float)
     lam = T(kappa)

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from horocorr import cli, conformal
-from horocorr.analysis import GalleryEntry, circle_curve, make_example
+from horocorr.analysis import GALLERY_NAMES, GalleryEntry, circle_curve, make_example
 from horocorr.cli import build_parser, main
 
 
@@ -42,6 +42,12 @@ class TestGallery:
         assert code == 0
         assert len(names) == 6
         assert "geodesic-sphere" in names and "alpha-curve" in names
+
+    def test_list_writes_the_names_to_out(self, tmp_path, capsys):
+        path = tmp_path / "names.txt"
+        code, out, err = run(capsys, "gallery", "list", "--out", str(path))
+        assert (code, out, err) == (0, "", "")
+        assert path.read_text() == "".join(f"{name}\n" for name in GALLERY_NAMES)
 
     @pytest.mark.parametrize("name, results", [
         ("alpha-curve", {"name": "alpha-curve", "params": {"m": 4096},

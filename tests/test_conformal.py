@@ -380,7 +380,7 @@ class TestPathLengthMatchesReference:
     def test_divergence_found_by_cap(self):
         # e^rho = 1/cos^2 s: shell k carries about 2^k, passing 1e6 near
         # k = 20, while the last node's speed stays near 1e31
-        rho = radial_band_field(f=lambda s: -2.0 * np.log(np.cos(s)))
+        rho = ScalarField(lambda u: -2.0 * np.log(np.cos(u[..., 0])))
         metric = ConformalMetric(BandChart(), rho)
         assert reference_path_length(metric, meridian) == math.inf
         assert path_length(metric, meridian) == math.inf

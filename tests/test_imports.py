@@ -1,9 +1,12 @@
 """Every name a module of the package imports is read somewhere in it,
-every public function or class it defines is reached by the program, and
+every public function or class it defines is reached by the program,
 every field of its dataclasses and every public method of its classes is
-read by the program."""
+read by the program, and every defaulted parameter of its public functions
+and methods is passed by some call of the program."""
 
 import ast
+import collections
+import math
 from pathlib import Path
 
 import pytest
@@ -211,3 +214,90 @@ def test_guard_flags_an_unloaded_method():
         "a.Chart.planted", "b.Other.planted", "b.Other.read"]
     assert unloaded_methods(modules, list(modules.values()) + bench, {"a.Chart.kept"}) == [
         "a.Chart.planted", "b.Other.planted"]
+
+
+# defaulted parameters kept with no program caller, each with its reason
+KEEP_DEFAULTS = {
+    "conformal.path_length(velocity)":
+        "the analytic route; the quadrature tests check pi/2 through it",
+    "correspondence.extrinsic_curvatures(return_point)": ORACLE,
+}
+
+
+def _callee(call):
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
+def _public_signatures(module, tree):
+    """(callee name, label, arguments, leading parameters no call fills) of
+    each public function of tree and each public method and __init__ of its
+    classes; a class's name is the callee of its __init__."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, f"{module}.{node.name}", node.args, 0
+        for fn in node.body if isinstance(node, ast.ClassDef) else ():
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            bound = "staticmethod" not in map(_decorator_name, fn.decorator_list)
+            if fn.name == "__init__":
+                yield node.name, f"{module}.{node.name}", fn.args, 1
+            elif not fn.name.startswith("_"):
+                yield fn.name, f"{module}.{node.name}.{fn.name}", fn.args, int(bound)
+
+
+def unpassed_defaults(modules, callers, keep=()):
+    """Defaulted parameters of the public functions and methods of the
+    package that no call in the caller sources passes, by keyword or by
+    position, as sorted "module.function(parameter)" strings.
+
+    Calls are matched by callee name.  A call with *args passes every
+    position and one with **kwargs every keyword.
+    """
+    positions, keywords = collections.defaultdict(set), collections.defaultdict(set)
+    for source in callers:
+        for call in ast.walk(ast.parse(source)):
+            if isinstance(call, ast.Call) and _callee(call):
+                starred = any(isinstance(arg, ast.Starred) for arg in call.args)
+                positions[_callee(call)].add(math.inf if starred else len(call.args))
+                keywords[_callee(call)].update(kw.arg or "**" for kw in call.keywords)
+    missing = []
+    for module, source in modules.items():
+        for callee, label, args, skip in _public_signatures(module, ast.parse(source)):
+            positional = (args.posonlyargs + args.args)[skip:]
+            first = len(positional) - len(args.defaults)
+            defaulted = [(arg.arg, k) for k, arg in enumerate(positional) if k >= first]
+            defaulted += [(arg.arg, math.inf) for arg, default
+                          in zip(args.kwonlyargs, args.kw_defaults) if default is not None]
+            missing += [f"{label}({name})" for name, k in defaulted
+                        if not ({name, "**"} & keywords[callee]
+                                or any(count > k for count in positions[callee]))
+                        and f"{label}({name})" not in keep]
+    return sorted(missing)
+
+
+def test_every_default_passed():
+    modules = {path.stem: path.read_text() for path in SOURCES}
+    callers = list(modules.values()) + [path.read_text() for path in BENCH_SOURCES
+                                        if not path.name.startswith("test_")]
+    assert len(callers) > len(modules)
+    assert unpassed_defaults(modules, callers, KEEP_DEFAULTS) == []
+
+
+def test_guard_flags_an_unpassed_default():
+    modules = {
+        "a": ("def f(x, y=1, z=2, *, w=3, v=4): pass\n"
+              "def g(x, y=1): pass\ndef kept(k=0): pass\ndef _private(p=0): pass\n"
+              "class C:\n    def __init__(self, a=1, b=2): pass\n"
+              "    def m(self, p=0, q=1): pass\n"
+              "    @staticmethod\n    def s(p=0, q=1): pass\n"
+              "    def _hidden(self, r=0): pass\n"
+              "f(0, 5, w=1)\nC(1)\nC.s(2)\n"),
+        "b": "def h(x=0, y=1): pass\ndef wide(y=1): pass\nwide(**options)\n",
+    }
+    bench = ["from a import g\ng(*args)\nc.m(q=0)\n"]
+    assert unpassed_defaults(modules, list(modules.values()) + bench, {"a.kept(k)"}) == [
+        "a.C(b)", "a.C.m(p)", "a.C.s(q)", "a.f(v)", "a.f(z)", "b.h(x)", "b.h(y)"]
+    assert unpassed_defaults(modules, [modules["b"]], {"a.kept(k)"}) == [
+        "a.C(a)", "a.C(b)", "a.C.m(p)", "a.C.m(q)", "a.C.s(p)", "a.C.s(q)", "a.f(v)",
+        "a.f(w)", "a.f(y)", "a.f(z)", "a.g(y)", "b.h(x)", "b.h(y)"]

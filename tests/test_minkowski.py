@@ -188,16 +188,6 @@ class TestGeodesicPoint:
             out = geodesic_point(phi, eta, t)
             assert mink_inner(out, out) == pytest.approx(-1.0, abs=1e-9 * out[0] ** 2)
 
-    def test_time_array_on_the_leading_axes(self, rng):
-        phi = np.array([random_hyperboloid_point(rng, 4) for _ in range(5)])
-        eta = np.array([random_unit_normal(rng, p) for p in phi])
-        t = rng.uniform(-2.0, 2.0, size=5)
-        moved, normal = normal_flow(phi, eta, t)
-        for k in range(5):
-            want = normal_flow(phi[k], eta[k], t[k])
-            np.testing.assert_allclose(moved[k], want[0], rtol=1e-14, atol=1e-14)
-            np.testing.assert_allclose(normal[k], want[1], rtol=1e-14, atol=1e-14)
-
     @given(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.integers(0, 10_000))
     @settings(max_examples=150, deadline=None)
     def test_flow_semigroup(self, s, t, seed):

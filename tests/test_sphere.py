@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from horocorr import sphere
 from horocorr.conformal import ConformalMetric
 from horocorr.correspondence import immerse
 from horocorr.errors import ChartDomainError, DimensionMismatch, GeometryError
@@ -47,12 +48,12 @@ def reference_central_jet(f, x, h):
     steps = h * np.eye(n)
     rows = [[None] * n for _ in range(n)]
     for i in range(n):
-        rows[i][i] = (plus[i] - 2 * f0 + minus[i]) / h**2
+        rows[i][i] = (plus[i] - 2 * f0 + minus[i]) / (h * h)
         for j in range(i + 1, n):
             ei, ej = steps[i], steps[j]
             rows[i][j] = rows[j][i] = (
                 f(x + ei + ej) - f(x + ei - ej)
-                - f(x - ei + ej) + f(x - ei - ej)) / (4 * h**2)
+                - f(x - ei + ej) + f(x - ei - ej)) / (4 * (h * h))
     hess = np.stack([np.stack(row, axis) for row in rows], axis)
     return f0, grad, hess
 
@@ -339,6 +340,27 @@ class TestFdJet:
         with pytest.raises(ChartDomainError):
             fd_jet(field, np.array([0.5 - 0.5 * h, 0.7]), h=h, chart=chart)
 
+    def test_one_stencil_checked_then_evaluated(self, monkeypatch):
+        # fd_jet builds one stencil; the field sees exactly the array that
+        # the chart's domain check accepted, and nothing when it refuses
+        builds, checked, evaluated = [], [], []
+        build = sphere._stencil_points
+        monkeypatch.setattr(sphere, "_stencil_points",
+                            lambda *args, **kw: builds.append(1) or build(*args, **kw))
+
+        class SpyChart(BandChart):
+            def contains(self, u):
+                checked.append(u)
+                return super().contains(u)
+
+        field = ScalarField(lambda u: evaluated.append(u) or np.exp(u[..., 0]))
+        chart, h = SpyChart(0.5), 1e-3
+        fd_jet(field, np.array([[0.1, 0.7], [0.2, 0.3]]), h, chart)
+        assert (len(builds), len(checked), len(evaluated)) == (1, 1, 1)
+        assert evaluated[0] is checked[0]
+        with pytest.raises(ChartDomainError, match="stencil escapes"):
+            fd_jet(field, np.array([0.5 - 0.5 * h, 0.7]), h, chart)
+        assert (len(builds), len(checked), len(evaluated)) == (2, 2, 1)
 
     @pytest.mark.parametrize("f", [
         lambda y: y[..., 0] * y[..., 1] - y[..., 2] ** 3,
@@ -354,6 +376,50 @@ class TestFdJet:
             want = [[central_gradient(f, x[i, j], np.broadcast_to(steps, h.shape)[i, j])
                      for j in range(5)] for i in range(4)]
             np.testing.assert_array_equal(got, np.array(want))
+
+
+class WholePlane:
+    """Chart stand-in that contains every point, so that only the step
+    check can refuse."""
+
+    def contains(self, u):
+        return np.ones(np.shape(u)[:-1], dtype=bool)
+
+
+STEP_ROUTES = (axis_values, central_gradient, central_jet,
+               lambda f, x, h: fd_jet(ScalarField(f), x, h, WholePlane()))
+
+
+def step_refused(h):
+    """The rule, written apart from the code: every step must be positive
+    with 2h finite (Python float arithmetic, which overflows to inf)."""
+    return not all(s > 0.0 and math.isfinite(2.0 * s) for s in map(float, np.ravel(h)))
+
+
+class TestStepRefusal:
+    HALF_MAX = 0.5 * np.finfo(float).max
+    PAST_HALF_MAX = math.nextafter(HALF_MAX, math.inf)
+
+    @given(st.floats(), st.lists(st.floats(), min_size=3, max_size=3))
+    @example(0.0, [1e-4, -0.0, 1e-4])
+    @example(-1e-4, [1e-4, math.nan, 1e-3])
+    @example(math.inf, [-math.inf, 1e-4, 1e-4])
+    @example(HALF_MAX, [HALF_MAX, 5e-324, 1.0])
+    @example(PAST_HALF_MAX, [1e-4, 1e-4, PAST_HALF_MAX])
+    @settings(max_examples=100, deadline=None)
+    def test_every_route_refuses_the_same_steps(self, step, steps):
+        # scalar and per-point steps alike; an accepted extreme step may
+        # overflow the difference quotients, which is not the check's concern
+        x = np.array([[0.1, 0.2], [-0.3, 0.4], [0.5, -0.6]])
+        f = lambda y: np.sin(y[..., 0]) * np.cos(y[..., 1])
+        for h in (step, np.array(steps)):
+            for route in STEP_ROUTES:
+                if step_refused(h):
+                    with pytest.raises(ChartDomainError, match="step must be positive"):
+                        route(f, x, h)
+                else:
+                    with np.errstate(all="ignore"):
+                        route(f, x, h)
 
 
 class TestGradientHessian:

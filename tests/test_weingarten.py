@@ -45,6 +45,14 @@ class TestConeMap:
         # fixed point data for the inverse
         assert np.allclose(t_map(np.zeros(2), "c_to_k"), np.ones(2))
 
+    def test_inverse_is_the_signed_adjugate(self):
+        # T_INV is written out: the adjugate of T's matrix, signed by its
+        # determinant so that it is defined on the image of T
+        (a, b), (c, d) = T.matrix
+        adjugate = np.array([[d, -b], [-c, a]])
+        assert T_INV.matrix.tobytes() == (np.sign(a * d - b * c) * adjugate).tobytes()
+        assert T_INV.two_sided == T.two_sided
+
     def test_domain_errors(self):
         with pytest.raises(SingularParameterError):
             t_map(np.array([0.5, -1.0]), "k_to_c")
