@@ -145,14 +145,14 @@ def profile_curve(m):
 
 
 def circle_curve(rho0, m=512):
-    """Geodesic circle of hyperbolic radius rho0 > 0, outward normal."""
-    if rho0 <= 0.0:
+    """Geodesic circle of hyperbolic radius rho0 > 0, outward normal: the
+    point (1, 0, 0) flowed for time rho0 along its unit normals (0, cos u, sin u)."""
+    if not rho0 > 0.0:   # written so that NaN fails
         raise SingularParameterError("circle radius must be positive")
     u = np.linspace(0.0, 2.0 * math.pi, m, endpoint=False)
-    ch, sh = math.cosh(rho0), math.sinh(rho0)
-    phi = np.stack([np.full_like(u, ch), sh * np.cos(u), sh * np.sin(u)], axis=-1)
-    eta = np.stack([np.full_like(u, sh), ch * np.cos(u), ch * np.sin(u)], axis=-1)
-    return closed_curve(phi, eta)
+    normals = np.stack([np.zeros_like(u), np.cos(u), np.sin(u)], axis=-1)
+    # -0.0, so that sinh(rho0) cos u underflowing to -0.0 keeps its sign
+    return closed_curve(*normal_flow(np.array([1.0, -0.0, -0.0]), normals, rho0))
 
 
 def product_mesh(m_u, m_v, length):
@@ -275,8 +275,7 @@ def self_intersections(payload):
     curves, faces for meshes), i < j, in lexicographic order; (0, 2) when
     there are none.  Segments (curves) and triangles (meshes) go
     through one sweep over their closed bounding boxes, `_box_pairs`, then
-    one narrow phase over all overlapping pairs.  Curves skip segment pairs
-    within 2 of each other around the closed curve; meshes skip face pairs
+    one narrow phase over all overlapping pairs, which skips the cell pairs
     sharing a vertex."""
     width = payload.cells.shape[-1] if isinstance(payload, Immersion) else 0
     if width == 2:
@@ -323,8 +322,8 @@ def _curve_crossings(curve):
     if np.any(np.hypot(seg[:, 0], seg[:, 1]) < SCAN_EPS):
         raise SamplingError("zero-length segment in the sampled curve")
     i, j = _box_pairs(np.minimum(p, b), np.maximum(p, b))
-    # segments within 2 of each other, across the closing seam too, are adjacent
-    apart = (j - i >= 3) & (j - i <= m - 3)
+    # segments i < j share a vertex when j - i is 1, or m - 1 across the closing seam
+    apart = (j - i >= 2) & (j - i <= m - 2)
     i, j = i[apart], j[apart]
     d1, d2, c, pi = seg[i], seg[j], p[j], p[i]
     hit = ((_cross(d1, c - pi) * _cross(d1, c + d2 - pi) < 0.0)

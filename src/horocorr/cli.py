@@ -16,6 +16,7 @@ import collections
 import contextlib
 import csv
 import functools
+import io
 import json
 import math
 import os
@@ -44,33 +45,29 @@ from .verify import CRITERIA, run_all
 EXAMPLE_CHOICES = GALLERY_NAMES + ("alpha",)
 
 
+def _write(out, text):
+    """Write text to the file out, or to standard output when out is None."""
+    with open(out, "w", newline="") if out else contextlib.nullcontext(sys.stdout) as f:
+        f.write(text)
+
+
 def _report(args, results, *checks):
     """Write a command's JSON report, to --out or standard output: the
     resolved configuration, the results, and one entry per invariant check
     given as a (name, max_error, tolerance, passed) tuple."""
-    text = json.dumps({
+    _write(args.out, json.dumps({
         "config": dict(sorted(vars(args).items())),
         "results": results,
         "invariant_checks": [
             {"name": name, "max_error": max_error, "tolerance": tolerance, "pass": passed}
             for name, max_error, tolerance, passed in checks],
-    }, indent=2, default=float)
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write(text + "\n")
-    else:
-        print(text)
+    }, indent=2, default=float) + "\n")
 
 
-def _emit_csv(header, rows, out):
-    target = open(out, "w", newline="") if out else sys.stdout
-    try:
-        writer = csv.writer(target)
-        writer.writerow(header)
-        writer.writerows(rows)
-    finally:
-        if out:
-            target.close()
+def _csv(header, rows):
+    text = io.StringIO()
+    csv.writer(text).writerows([header] + rows)
+    return text.getvalue()
 
 
 def _gallery_entry(args):
@@ -118,7 +115,7 @@ def _metric_samples(metric, n, rng):
     return np.column_stack([s, theta])
 
 
-def _write_obj(path, verts, faces=(), polylines=()):
+def _obj(verts, faces, polylines):
     # one format string per block, filled from Python scalars; faces are triangles
     verts = np.asarray(verts)
     faces = np.asarray(faces, dtype=int).reshape(-1, 3) + 1
@@ -126,8 +123,7 @@ def _write_obj(path, verts, faces=(), polylines=()):
     text += ("f %d %d %d\n" * len(faces)) % tuple(faces.ravel().tolist())
     for line in polylines:
         text += "l " + " ".join(str(i + 1) for i in line) + "\n"
-    with open(path, "w") as f:
-        f.write(text)
+    return text
 
 
 def _is_curve(payload):
@@ -135,9 +131,8 @@ def _is_curve(payload):
 
 
 def cmd_gallery(args, entry):
-    if args.action == "list":   # with no --out, print's file=None is standard output
-        with open(args.out, "w") if args.out else contextlib.nullcontext() as target:
-            print("\n".join(GALLERY_NAMES), file=target)
+    if args.action == "list":
+        _write(args.out, "\n".join(GALLERY_NAMES) + "\n")
         return 0
     payload = entry.payload
     info = {"name": entry.name, "params": entry.params}
@@ -174,10 +169,10 @@ def cmd_immerse(args, entry):
     if fmt == "obj":
         if not args.out:
             raise GeometryError("obj export needs --out PATH")
-        _write_obj(args.out, verts, faces, polylines)
+        _write(args.out, _obj(verts, faces, polylines))
         print(f"wrote {args.out}: {len(verts)} vertices, {len(faces)} faces")
     elif fmt == "csv":
-        _emit_csv(["x", "y", "z"], verts.tolist(), args.out)
+        _write(args.out, _csv(["x", "y", "z"], verts.tolist()))
     else:
         radii = np.linalg.norm(verts, axis=1)
         _report(args, {"vertices": len(verts), "faces": len(faces),
@@ -232,7 +227,7 @@ def cmd_flow(args, entry):
     ext = np.sort(extrinsic_curvatures(metric, pts, t=args.t, h=args.h), axis=-1)
     rows = np.column_stack([pts, metric.rho.value(pts), lam, ext, pred,
                             np.max(np.abs(ext - pred), axis=-1)]).tolist()
-    _emit_csv(header, rows, args.out)
+    _write(args.out, _csv(header, rows))
     if skipped:
         print(f"skipped {skipped} samples outside the immersion window",
               file=sys.stderr)

@@ -20,7 +20,6 @@ scale change of the metric; principal curvatures evolve by the fraction
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -32,7 +31,7 @@ from .errors import (
     SingularParameterError,
 )
 from .minkowski import flow_time, mink_inner, on_null_cone
-from .sphere import DEFAULT_FD_STEP, central_gradient, gradient_norm
+from .sphere import DEFAULT_FD_STEP, _jets, central_gradient
 from .weingarten import T, T_INV, flow_shift
 
 CANONICAL = "canonical"   # orientation with kappa < 1 on convex hypersurfaces
@@ -43,15 +42,11 @@ OPPOSITE = "opposite"     # flipped normal: kappa_opp = -kappa_can
 class HypersurfacePoint:
     """Parameter points of an immersed hypersurface, stacked along the leading
     axes of the chart points: position phi on the hyperboloid, unit normal
-    eta, light-cone map psi = phi + eta, and (when computed) tangent frame and
-    fundamental forms."""
+    eta and light-cone map psi = phi + eta."""
 
     phi: np.ndarray
     eta: np.ndarray
     psi: np.ndarray
-    tangents: Optional[np.ndarray] = None       # rows: d phi / d u^i
-    first_form: Optional[np.ndarray] = None
-    second_form: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
@@ -75,7 +70,7 @@ def immerse(metric, u, t=0.0):
     u = np.asarray(u, dtype=float)
     chart = metric.chart
     x, J, g = chart.geometry(u)   # refuses u before the field is evaluated
-    v, grad_norm_sq = gradient_norm(metric.rho, chart, u, g)
+    _, v, grad_norm_sq, _ = _jets(metric.rho, chart, u, g, False)
     w = np.asarray(metric.effective(u) + t)
     with np.errstate(over="ignore", invalid="ignore"):   # J @ v below, as two columns
         grad_ambient = J[..., 0] * v[..., 0, None] + J[..., 1] * v[..., 1, None]
@@ -95,32 +90,26 @@ def immerse(metric, u, t=0.0):
     return HypersurfacePoint(phi=phi, eta=psi - phi, psi=psi)
 
 
-def extrinsic_curvatures(metric, u, t=0.0, h=DEFAULT_FD_STEP, return_point=False):
-    """Principal curvatures at chart points, canonical orientation: an
-    ascending (..., n) array, or (kappas, point) with return_point=True,
-    point the HypersurfacePoint of u carrying the tangents and both forms.
-
-    t may be an array over the leading axes of u, as in immerse.  Tangents
-    come from central differences of the immersion, one immerse call on the
-    stacked stencil; the first fundamental form is I_ij = <d_i phi, d_j phi>,
-    the second form II_ij = -<d_i eta, d_j phi> symmetrized, and the kappa's
-    solve det(II - kappa I) = 0 (generalized_eigvalsh).  Raises
-    ImmersionError('not an immersion') when I is not positive definite at
-    some point, and ChartDomainError unless 0 < h, 2h < inf and h > 1e6 ulp(u).
-    """
+def fd_forms(metric, u, t=0.0, h=DEFAULT_FD_STEP):
+    """(tangents d_i phi, I, II) at chart points from one immerse call on the
+    stacked central-difference stencil, t as in immerse: I_ij = <d_i phi, d_j phi>
+    and II_ij = -<d_i eta, d_j phi> symmetrized.  Raises ChartDomainError, before
+    that call, unless 0 < h, 2h < inf and h > 1e6 ulp(u) inside the chart, and
+    ImmersionError when II is asymmetric beyond 1e-4 of its scale."""
     u = np.asarray(u, dtype=float)
-    base = immerse(metric, u, t) if return_point else None
 
-    def frame(v):   # t expanded onto the stencil axis
+    def frame(v):   # the stencil once h passed its check; t expanded onto its axis
+        # inside the chart (immerse refuses the rest), one ulp of u past 1e-6 h
+        # (|u| near 1e6 at h = 1e-4) rounds digits off u +- h
+        lost = metric.chart.contains(u) & (np.spacing(np.abs(u).max(axis=-1))
+                                           > 1e-6 * np.asarray(h))
+        if np.any(lost):
+            point = np.broadcast_to(u, lost.shape + u.shape[-1:])[lost][0]
+            raise ChartDomainError(f"step h = {h} is lost in rounding at chart point {point}")
         p = immerse(metric, v, np.asarray(t, dtype=float)[..., None])
         return np.stack([p.phi, p.eta], axis=-2)
 
     tangents = central_gradient(frame, u, h)
-    # where one ulp of u passes 1e-6 h (|u| near 1e6 at h = 1e-4), u +- h rounds off digits
-    lost = np.spacing(np.abs(u).max(axis=-1)) > 1e-6 * np.asarray(h)
-    if np.any(lost):
-        point = np.broadcast_to(u, lost.shape + u.shape[-1:])[lost][0]
-        raise ChartDomainError(f"step h = {h} is lost in rounding at chart point {point}")
     dphi, deta = tangents[..., 0, :], tangents[..., 1, :]
     I = mink_inner(dphi[..., :, None, :], dphi[..., None, :, :])
     II_raw = -mink_inner(deta[..., :, None, :], dphi[..., None, :, :])
@@ -130,17 +119,18 @@ def extrinsic_curvatures(metric, u, t=0.0, h=DEFAULT_FD_STEP, return_point=False
     if np.any(asym > 1e-4 * scale):
         raise ImmersionError(
             f"second fundamental form asymmetric beyond tolerance ({asym.max():.2e})")
-    II = 0.5 * (II_raw + II_T)
+    return dphi, I, 0.5 * (II_raw + II_T)
+
+
+def extrinsic_curvatures(metric, u, t=0.0, h=DEFAULT_FD_STEP):
+    """Principal curvatures at chart points, canonical orientation, ascending
+    along a (..., n) axis: det(II - kappa I) = 0 for fd_forms(metric, u, t, h).
+    Raises ImmersionError('not an immersion') where I is not positive definite."""
+    _, I, II = fd_forms(metric, u, t, h)
     try:
-        kappas = generalized_eigvalsh(II, I)
+        return generalized_eigvalsh(II, I)
     except np.linalg.LinAlgError:
         raise ImmersionError("not an immersion") from None
-    if return_point:
-        point = HypersurfacePoint(
-            phi=base.phi, eta=base.eta, psi=base.psi,
-            tangents=dphi, first_form=I, second_form=II)
-        return kappas, point
-    return kappas
 
 
 def lambda_kappa(value, orientation=CANONICAL, direction="lambda_to_kappa"):

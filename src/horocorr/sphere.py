@@ -269,18 +269,22 @@ def axis_values(f, x, h):
     return np.split(values, 2, axis=points.ndim - 2)
 
 
+def _per_point(h, values, lead):
+    """h lined up with the lead point axes of values, not its other axes."""
+    return np.reshape(h, np.shape(h) + (1,) * (np.ndim(values) - lead))
+
+
 def central_gradient(f, x, h):
     """First derivatives by central differences, the derivative axis placed
     after x's leading axes; evaluates f only at x +- h e_i (h as in
     axis_values)."""
     plus, minus = axis_values(f, x, h)
-    h = np.reshape(h, np.shape(h) + (1,) * (plus.ndim - np.ndim(x) + 1))
-    return (plus - minus) / (2 * h)
+    return (plus - minus) / (2 * _per_point(h, plus, np.ndim(x) - 1))
 
 
 def central_jet(f, x, h):
     """(f(x), first derivatives, second derivatives) by second-order central
-    differences with one scalar step h for every point.
+    differences; h as in axis_values.
 
     The derivative axes follow x's leading axes, and the axis count comes
     from x.shape[-1].  f is called once, on x and its stencil stacked as in
@@ -293,7 +297,8 @@ def central_jet(f, x, h):
     values = np.moveaxis(call_stacked(f, points, points.shape[:-1]), axis, 0)
     f0, plus, minus = values[0], values[1:n + 1], values[n + 1:2 * n + 1]
     pp, pm, mp, mm = np.split(values[2 * n + 1:], 4)
-    grad, h_sq = (plus - minus) / (2 * h), h * h   # a float's h**2 raises on overflow
+    h = _per_point(h, f0, axis)
+    grad, h_sq = (plus - minus) / (2 * h), h * h
     hess = np.empty((n, n) + f0.shape)
     hess[np.diag_indices(n)] = (plus - 2 * f0 + minus) / h_sq
     i, j = np.triu_indices(n, 1)
@@ -335,13 +340,6 @@ def _jets(field, chart, u, g, hessian):
         _, grad, raw_hess = fd_jet(field, u, DEFAULT_FD_STEP, chart)
     raised = grad * (1.0 / g)    # 1.0 / g has the bits of chart.metric_inverse(u)
     return grad, raised, _last_axis_sum(raised * grad), raw_hess
-
-
-def gradient_norm(field, chart, u, g):
-    """The gradient raised by the metric, g^ij d_j rho, and gradient_hessian's
-    grad_norm_sq, bit for bit, without the Hessian, at float chart points u
-    whose metric diagonal g the caller evaluated (which checked the range)."""
-    return _jets(field, chart, u, g, False)[1:3]
 
 
 def gradient_hessian(field, chart, u):

@@ -44,6 +44,14 @@ def test_criterion(name, check):
     assert result.passed, result.line()
 
 
+def test_lines_match_the_golden_file():
+    # every line with its runtime stripped, as tests/data/verify_lines.txt
+    # holds it: a change that moves a printed digit updates the file and says why
+    golden = Path(__file__).parent / "data" / "verify_lines.txt"
+    lines = [re.sub(r" \[[0-9.]+ ms\]", "", result.line()) for result in verify.run_all()]
+    assert lines == golden.read_text().splitlines()
+
+
 def test_registry_names_the_battery_in_order():
     names = [name for name, _ in CRITERIA]
     assert len(set(names)) == len(names)

@@ -107,10 +107,10 @@ def reference_curve_crossings(curve):
     hi = np.maximum(p, b)
     pairs = []
     for i in range(m):
-        js = np.arange(i + 3, m)
-        if i <= 1:
-            # wraparound adjacency with the last segments
-            js = js[js < m - 2 + i]
+        js = np.arange(i + 2, m)
+        if i == 0:
+            # the last segment shares vertex 0 with the first
+            js = js[js < m - 1]
         if len(js) == 0:
             continue
         box = ((lo[js, 0] <= hi[i, 0]) & (lo[i, 0] <= hi[js, 0])
@@ -127,6 +127,28 @@ def reference_curve_crossings(curve):
         s2 = d2[:, 0] * (b[i, 1] - c[:, 1]) - d2[:, 1] * (b[i, 0] - c[:, 0])
         hit = (r1 * r2 < 0.0) & (s1 * s2 < 0.0)
         pairs += [(i, int(j)) for j in js[hit]]
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+
+
+def brute_force_curve_crossings(curve):
+    # every segment pair i < j whose vertex sets {i, i + 1}, {j, j + 1}
+    # (mod m) are disjoint, through the same strict two-sided test; no boxes
+    p = curve.ball_points()
+    m = len(p)
+    b = np.roll(p, -1, axis=0)
+
+    def side(a, d, q):
+        return d[0] * (q[1] - a[1]) - d[1] * (q[0] - a[0])
+
+    pairs = []
+    for i in range(m):
+        for j in range(i + 1, m):
+            if {i, (i + 1) % m} & {j, (j + 1) % m}:
+                continue
+            d1, d2 = b[i] - p[i], b[j] - p[j]
+            if (side(p[i], d1, p[j]) * side(p[i], d1, b[j]) < 0.0
+                    and side(p[j], d2, p[i]) * side(p[j], d2, b[i]) < 0.0):
+                pairs.append((i, j))
     return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
 
@@ -374,20 +396,29 @@ class TestCurveType:
             assert np.allclose(moved.eta, expected_eta, atol=1e-12)
             assert moved.cells is payload.cells and moved.t == t
 
-    @pytest.mark.parametrize("rho0, m", [(0.7, 256), (2.0, 5)])
+    @pytest.mark.parametrize("m", [1, 4, 5, 256])
+    @pytest.mark.parametrize("rho0", [1e-310, 1e-9, 0.7, 2.0, 41.3, 354.198])
     def test_circle_matches_closed_form(self, rho0, m):
-        # the geodesic circle of radius rho0 with its outward normal, in closed form
+        # the geodesic circle of radius rho0 with its outward normal, in
+        # closed form, bit for bit, signed zeros of an underflowing sinh too
         u = np.linspace(0.0, 2.0 * math.pi, m, endpoint=False)
-        phi = np.stack([np.full_like(u, math.cosh(rho0)),
-                        math.sinh(rho0) * np.cos(u),
-                        math.sinh(rho0) * np.sin(u)], axis=-1)
-        eta = np.stack([np.full_like(u, math.sinh(rho0)),
-                        math.cosh(rho0) * np.cos(u),
-                        math.cosh(rho0) * np.sin(u)], axis=-1)
+        ch, sh = math.cosh(rho0), math.sinh(rho0)
+        phi = np.stack([np.full_like(u, ch), sh * np.cos(u), sh * np.sin(u)], axis=-1)
+        eta = np.stack([np.full_like(u, sh), ch * np.cos(u), ch * np.sin(u)], axis=-1)
         curve = circle_curve(rho0, m)
-        np.testing.assert_array_equal(curve.phi, phi)
-        np.testing.assert_array_equal(curve.eta, eta)
+        assert curve.phi.tobytes() == phi.tobytes()
+        assert curve.eta.tobytes() == eta.tobytes()
         np.testing.assert_array_equal(curve.cells, [(i, (i + 1) % m) for i in range(m)])
+
+    @pytest.mark.parametrize("rho0, message", [
+        (800.0, "flow time = 800.0 is not finite"),
+        (math.inf, "flow time = inf is not finite"),
+        (math.nan, "circle radius must be positive"),
+        (0.0, "circle radius must be positive"),
+        (-1.0, "circle radius must be positive")])
+    def test_circle_radius_refused(self, rho0, message):
+        with pytest.raises(SingularParameterError, match=message):
+            circle_curve(rho0, 16)
 
 
 class TestWinding:
@@ -425,7 +456,7 @@ class TestCrossings:
         assert len(pairs) > 0
         for i, j in pairs:
             assert 0 <= i < j < m
-            assert min(j - i, m - (j - i)) > 2
+            assert min(j - i, m - (j - i)) > 1
 
     def test_flow_does_not_clear_triple_cover(self):
         # the direction map winds three times; an embedded closed curve
@@ -464,9 +495,9 @@ class TestCrossings:
 
 
 def seam_loop_curve():
-    """Closed polygon whose segment m - 2 crosses segment 0.  The two are
-    adjacent across the closing seam (segment m - 1 lies between them), so
-    the crossing must not be reported."""
+    """Closed polygon whose segment m - 2 crosses segment 0, two apart
+    across the closing seam: the two share no vertex, so the crossing is
+    reported."""
     ball = np.array([
         [0.0, 0.0], [0.2, 0.0], [0.3, -0.2], [0.2, -0.4],
         [-0.1, -0.4], [-0.2, -0.2], [0.1, -0.1], [0.1, 0.1],
@@ -554,21 +585,27 @@ class TestSweepMatchesReference:
                             reference_curve_crossings(curve))
 
     def test_every_small_profile_curve(self):
-        # the adjacency window at its edges: m = 4, 5 leave no pair at all;
+        # the shared-vertex rule at its edges, where m = 4 leaves two pairs;
         # profile_curve refuses m < 7, so the frame is sampled directly
+        counts = []
         for m in range(4, 41):
             u = np.linspace(0.0, analysis.PROFILE_PERIOD, m, endpoint=False)
             curve = closed_curve(*analysis._profile_frame(u))
-            assert_same_records(self_intersections(curve),
-                                reference_curve_crossings(curve))
+            got = self_intersections(curve)
+            assert_same_records(got, reference_curve_crossings(curve))
+            assert_same_records(got, brute_force_curve_crossings(curve))
+            counts.append(len(got))
+        assert counts[3:9] == [1, 1, 4, 6, 4, 6]   # m = 7..12
 
-    def test_loop_across_the_seam_is_adjacent(self):
+    def test_loop_across_the_seam_is_reported(self):
         curve = seam_loop_curve()
-        for shift in range(len(curve.phi)):
+        m = len(curve.phi)
+        for shift in range(m):
             rolled = replace(curve, phi=np.roll(curve.phi, shift, axis=0),
                              eta=np.roll(curve.eta, shift, axis=0))
-            assert self_intersections(rolled).shape == (0, 2)
-            assert reference_curve_crossings(rolled).shape == (0, 2)
+            want = np.array([sorted([shift, (m - 2 + shift) % m])])
+            assert_same_records(self_intersections(rolled), want)
+            assert_same_records(reference_curve_crossings(rolled), want)
 
     @pytest.mark.parametrize("t", FLOW_TIMES)
     def test_product_mesh(self, t):

@@ -307,7 +307,7 @@ class TestExampleKinds:
 
 def reference_write_obj(path, verts, faces=(), polylines=()):
     # the original writer, one formatted numpy scalar at a time, kept as the
-    # oracle for cli._write_obj
+    # oracle for cli._obj
     with open(path, "w") as f:
         for v in verts:
             f.write(f"v {v[0]:.9f} {v[1]:.9f} {v[2]:.9f}\n")
@@ -325,13 +325,13 @@ class TestImmerseExport:
     ])
     def test_obj_bytes_match_reference_writer(self, tmp_path, capsys, monkeypatch,
                                               argv):
-        write = cli._write_obj
+        obj = cli._obj
 
-        def both(path, *args):
-            write(path, *args)
+        def both(*args):
             reference_write_obj(tmp_path / "reference.obj", *args)
+            return obj(*args)
 
-        monkeypatch.setattr(cli, "_write_obj", both)
+        monkeypatch.setattr(cli, "_obj", both)
         path = tmp_path / "out.obj"
         code, _, _ = run(capsys, "immerse", *argv, "--out", str(path))
         assert code == 0
@@ -495,6 +495,13 @@ class TestReports:
                            "--samples", "512", "--t", "2.0")
         assert code == 1
         assert "not embedded by t_max" in err
+
+    @pytest.mark.parametrize("samples", ["7", "8"])
+    def test_embed_check_coarse_profile_is_not_certified(self, capsys, samples):
+        # the coarse polygon crosses itself between segments two apart
+        code, out, err = run(capsys, "embed-check", "alpha", "--samples", samples)
+        assert (code, out) == (1, "")
+        assert err == "error: not embedded by t_max = 5.0 (7 crossings remain)\n"
 
     def test_embed_check_embedded_curve(self, capsys, monkeypatch):
         # no gallery curve embeds under the flow, so swap in a round circle

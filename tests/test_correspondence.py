@@ -19,6 +19,7 @@ from horocorr.correspondence import (
     CANONICAL,
     OPPOSITE,
     extrinsic_curvatures,
+    fd_forms,
     fg_metric,
     flow_metric_factor,
     immerse,
@@ -282,11 +283,11 @@ class TestExtrinsicCurvatures:
         assert np.abs(kappas + 1.0).max() <= 1e-8
 
     @pytest.mark.parametrize("h", [0.0, -1e-4, math.nan, math.inf])
-    @pytest.mark.parametrize("return_point", [False, True])
-    def test_step_must_be_positive_and_finite(self, h, return_point):
+    @pytest.mark.parametrize("route", [extrinsic_curvatures, fd_forms],
+                             ids=["curvatures", "forms"])
+    def test_step_must_be_positive_and_finite(self, h, route):
         with pytest.raises(ChartDomainError, match="step must be positive"):
-            extrinsic_curvatures(band_metric(), np.array([[0.2, 0.4]]), t=1.0, h=h,
-                                 return_point=return_point)
+            route(band_metric(), np.array([[0.2, 0.4]]), t=1.0, h=h)
 
     def test_degenerate_is_not_an_immersion(self):
         metric = ConformalMetric(StereographicChart(), constant_field(0.0))
@@ -294,13 +295,10 @@ class TestExtrinsicCurvatures:
             extrinsic_curvatures(metric, np.array([0.2, -0.4]))
 
     def test_fundamental_forms_returned(self):
-        metric = sphere_metric()
-        kappas, point = extrinsic_curvatures(
-            metric, np.array([0.3, 0.1]), return_point=True)
-        assert point.first_form.shape == (2, 2)
+        _, I, II = fd_forms(sphere_metric(), np.array([0.3, 0.1]))
+        assert I.shape == (2, 2)
         # I is positive definite and II = -3 I on the geodesic sphere
-        np.testing.assert_allclose(
-            point.second_form, -3.0 * point.first_form, atol=1e-5)
+        np.testing.assert_allclose(II, -3.0 * I, atol=1e-5)
 
     def test_pullback_identity(self, rng):
         # induced metric of psi equals e^{2(rho+t)} g_S in chart coordinates
@@ -615,14 +613,16 @@ class TestBatchConvention:
         lo, hi = np.array(lo), np.array(hi)
         pts = lo + (hi - lo) * np.array(unit)
         ts = t0 + np.array(times)
-        kappas, point = extrinsic_curvatures(
-            metric, np.tile(pts, (len(ts), 1, 1)), t=ts[:, None], return_point=True)
+        tiled, t_axis = np.tile(pts, (len(ts), 1, 1)), ts[:, None]
+        kappas = extrinsic_curvatures(metric, tiled, t=t_axis)
+        forms, point = fd_forms(metric, tiled, t=t_axis), immerse(metric, tiled, t_axis)
         for k, t in enumerate(ts):
-            want, want_point = extrinsic_curvatures(metric, pts, t=t, return_point=True)
-            np.testing.assert_array_equal(kappas[k], want)
-            for name in ("phi", "eta", "tangents", "first_form", "second_form"):
-                np.testing.assert_array_equal(getattr(point, name)[k],
-                                              getattr(want_point, name))
+            np.testing.assert_array_equal(kappas[k], extrinsic_curvatures(metric, pts, t=t))
+            for got, want in zip(forms, fd_forms(metric, pts, t=t)):
+                np.testing.assert_array_equal(got[k], want)
+            want_point = immerse(metric, pts, t)
+            np.testing.assert_array_equal(point.phi[k], want_point.phi)
+            np.testing.assert_array_equal(point.eta[k], want_point.eta)
 
     @pytest.mark.parametrize("case", METRIC_CASES, ids=[c[0] for c in METRIC_CASES])
     @given(unit=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
@@ -641,9 +641,8 @@ class TestBatchConvention:
         for k, rk in enumerate(r):
             np.testing.assert_array_equal(batch[k], fg_metric(metric, pts, float(rk)))
 
-    def test_two_immerse_calls(self, monkeypatch):
-        # the whole stacked stencil, whatever n and t; the base points too
-        # only when the point is returned
+    @staticmethod
+    def counted_immerse(monkeypatch):
         calls = []
 
         def counted(metric, u, *args, **kwargs):
@@ -651,23 +650,35 @@ class TestBatchConvention:
             return immerse(metric, u, *args, **kwargs)
 
         monkeypatch.setattr(correspondence, "immerse", counted)
+        return calls
+
+    def test_one_immerse_call(self, monkeypatch):
+        # the whole stacked stencil, whatever n and t
+        calls = self.counted_immerse(monkeypatch)
         pts = np.array([[0.2, 0.0], [0.5, 1.0], [-0.4, 3.0]])
         t = np.array([0.5, 1.0, 1.5])
         extrinsic_curvatures(band_metric(), pts, t=t)
         assert calls == [(3, 4, 2)]
-        calls.clear()
-        extrinsic_curvatures(band_metric(), pts, t=t, return_point=True)
-        assert calls == [(3, 2), (3, 4, 2)]
 
-    @pytest.mark.parametrize("return_point", [False, True])
+    def test_lost_step_refused_before_immerse(self, monkeypatch):
+        calls = self.counted_immerse(monkeypatch)
+        pts = np.array([[0.3, 0.1], [1e7, 0.0]])
+        message = "step h = 0.0001 is lost in rounding at chart point [10000000.        0.]"
+        for route in (extrinsic_curvatures, fd_forms):
+            with pytest.raises(ChartDomainError, match=re.escape(message)):
+                route(sphere_metric(), pts)
+        assert calls == []
+
+    @pytest.mark.parametrize("route", [extrinsic_curvatures, fd_forms],
+                             ids=["curvatures", "forms"])
     @pytest.mark.parametrize("u", [[math.nan, 0.3], [0.5 * math.pi + 1e-12, 0.3],
                                    [0.5 * math.pi, 0.3], [0.3, math.inf]])
-    def test_base_point_outside_still_raises(self, u, return_point):
+    def test_base_point_outside_still_raises(self, u, route):
         # a base point outside the band's convex domain leaves a stencil
-        # point outside too, so dropping the base immerse keeps the error
+        # point outside too, so the stencil's immerse call refuses it
         metric = make_example("incomplete-band").payload
         with pytest.raises(ChartDomainError):
-            extrinsic_curvatures(metric, np.array(u), 0.5, return_point=return_point)
+            route(metric, np.array(u), 0.5)
 
     def test_single_point_shapes(self):
         metric = band_metric()
@@ -678,9 +689,9 @@ class TestBatchConvention:
         assert jets.gradient.shape == (2,) and np.ndim(jets.grad_norm_sq) == 0
         rep = schouten(metric, u)
         assert rep.tensor.shape == (2, 2) and rep.eigenvalues.shape == (2,)
-        kappas, point = extrinsic_curvatures(metric, u, 1.0, return_point=True)
-        assert kappas.shape == (2,)
-        assert point.tangents.shape == (2, 4) and point.first_form.shape == (2, 2)
+        assert extrinsic_curvatures(metric, u, 1.0).shape == (2,)
+        tangents, I, II = fd_forms(metric, u, 1.0)
+        assert tangents.shape == (2, 4) and I.shape == II.shape == (2, 2)
 
     def test_one_point_outside_fails_the_batch(self):
         metric = band_metric()

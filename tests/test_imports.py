@@ -2,7 +2,8 @@
 every public function or class it defines is reached by the program,
 every field of its dataclasses and every public method of its classes is
 read by the program, and every defaulted parameter of its public functions
-and methods is passed by some call of the program."""
+and methods is passed by some call of the program.  Each guard's keep map
+holds only names that the guard flags with the map empty."""
 
 import ast
 import collections
@@ -20,6 +21,16 @@ KEEP = {
     # inverse of to_poincare_ball: the tests build hyperboloid points from it
     "from_poincare_ball",
 }
+
+
+def stale_entries(keep, flagged):
+    """Keep entries that name nothing the guard flags with its keep map
+    empty: an entry matches a flagged label, or (KEEP's bare names) its
+    last part.  A kept name that the program comes to use is such an entry."""
+    flagged = set(flagged)
+    return sorted(name for name in keep
+                  if name not in flagged and all(label.rpartition(".")[2] != name
+                                                 for label in flagged))
 
 
 def unused_imports(source):
@@ -93,6 +104,7 @@ def test_every_public_name_reached():
     modules = {path.stem: path.read_text() for path in SOURCES}
     bench = [path.read_text() for path in BENCH_SOURCES]
     assert bench
+    assert stale_entries(KEEP, unreached(modules, bench)) == []
     assert unreached(modules, bench, KEEP) == []
 
 
@@ -108,11 +120,7 @@ def test_guard_flags_an_unreached_name():
 
 
 # dataclass fields kept with no program reader, each with its reason
-ORACLE = "frame of extrinsic_curvatures(return_point=True), the curvature oracle"
 KEEP_FIELDS = {
-    "correspondence.HypersurfacePoint.tangents": ORACLE,
-    "correspondence.HypersurfacePoint.first_form": ORACLE,
-    "correspondence.HypersurfacePoint.second_form": ORACLE,
     "correspondence.SupportData.rho_tilde":
         "the paper's horospherical support function; the tests check rho + t",
 }
@@ -148,6 +156,7 @@ def unread_fields(modules, readers, keep=()):
 def test_every_dataclass_field_read():
     modules = {path.stem: path.read_text() for path in SOURCES}
     readers = list(modules.values()) + [path.read_text() for path in BENCH_SOURCES]
+    assert stale_entries(KEEP_FIELDS, unread_fields(modules, readers)) == []
     assert unread_fields(modules, readers, KEEP_FIELDS) == []
 
 
@@ -198,6 +207,7 @@ def test_every_public_method_loaded():
     # the benchmark sources name chart methods whether or not the program
     # calls them, so only the package's own sources count as readers here
     modules = {path.stem: path.read_text() for path in SOURCES}
+    assert stale_entries(KEEP_METHODS, unloaded_methods(modules, modules.values())) == []
     assert unloaded_methods(modules, modules.values(), KEEP_METHODS) == []
 
 
@@ -220,7 +230,6 @@ def test_guard_flags_an_unloaded_method():
 KEEP_DEFAULTS = {
     "conformal.path_length(velocity)":
         "the analytic route; the quadrature tests check pi/2 through it",
-    "correspondence.extrinsic_curvatures(return_point)": ORACLE,
 }
 
 
@@ -281,6 +290,7 @@ def test_every_default_passed():
     callers = list(modules.values()) + [path.read_text() for path in BENCH_SOURCES
                                         if not path.name.startswith("test_")]
     assert len(callers) > len(modules)
+    assert stale_entries(KEEP_DEFAULTS, unpassed_defaults(modules, callers)) == []
     assert unpassed_defaults(modules, callers, KEEP_DEFAULTS) == []
 
 
@@ -301,3 +311,12 @@ def test_guard_flags_an_unpassed_default():
     assert unpassed_defaults(modules, [modules["b"]], {"a.kept(k)"}) == [
         "a.C(a)", "a.C(b)", "a.C.m(p)", "a.C.m(q)", "a.C.s(p)", "a.C.s(q)", "a.f(v)",
         "a.f(w)", "a.f(y)", "a.f(z)", "a.g(y)", "b.h(x)", "b.h(y)"]
+
+
+def test_guard_flags_a_stale_entry():
+    modules = {"a": "def used(): pass\ndef orphan(): pass\nx = used()\n"}
+    flagged = unreached(modules, [])
+    assert flagged == ["a.orphan"]
+    assert stale_entries({"orphan", "used"}, flagged) == ["used"]
+    assert stale_entries({"a.orphan": "", "a.used": "", "b.orphan": ""}, flagged) == [
+        "a.used", "b.orphan"]

@@ -19,7 +19,6 @@ from horocorr.sphere import (
     constant_field,
     fd_jet,
     gradient_hessian,
-    gradient_norm,
     radial_band_field,
     ScalarField,
 )
@@ -101,6 +100,15 @@ class TestStackedStencils:
         for a, b in zip(central_jet(f, x, step), reference_central_jet(f, x, step)):
             assert np.shape(a) == np.shape(b)
             np.testing.assert_array_equal(a, b)
+
+    def test_per_point_steps_of_a_vector_field(self):
+        # each point's own step, not the value axis, divides its differences
+        f = STENCIL_FUNCTIONS["vector"]
+        x, h = np.array([[0.3, -0.2], [-0.5, 0.4]]), np.array([1e-3, 1e-2])
+        got = central_jet(f, x, h)
+        for k in range(len(x)):
+            for a, b in zip(got, central_jet(f, x[k], h[k])):
+                np.testing.assert_array_equal(a[k], b)
 
     def test_one_call_per_stencil(self):
         calls = []
@@ -479,7 +487,7 @@ class TestGradientHessian:
             gradient_hessian(band_example_field(), chart, np.array([1.2, 0.0]))
 
 
-class TestGradientNorm:
+class TestJetsWithoutHessian:
     @pytest.mark.parametrize("jets", ["analytic", "fd"])
     @pytest.mark.parametrize("chart", [BandChart(), StereographicChart()],
                              ids=["band", "stereographic"])
@@ -494,7 +502,7 @@ class TestGradientNorm:
         # the jets take the metric diagonal from their caller: the geometry
         # diagonal, as in immerse, and metric(u), as in gradient_hessian
         g = chart.geometry(u)[2]
-        raised, norm_sq = gradient_norm(field, chart, u, g)
+        _, raised, norm_sq, _ = sphere._jets(field, chart, u, g, False)
         full = gradient_hessian(field, chart, u)
         assert full.metric.tobytes() == g.tobytes()
         assert raised.tobytes() == (full.gradient * chart.metric_inverse(u)).tobytes()
@@ -508,7 +516,7 @@ class TestGradientNorm:
 
         field = ScalarField(band.value, band.gradient, hessian)
         u = np.array([0.5, 0.3])
-        raised, _ = gradient_norm(field, BandChart(), u, BandChart().metric(u))
+        raised = sphere._jets(field, BandChart(), u, BandChart().metric(u), False)[1]
         assert raised[0] == pytest.approx(2.0 / 3.0, abs=1e-12)   # g_ss = 1
 
     def test_domain_error(self):
