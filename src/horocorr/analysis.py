@@ -34,6 +34,7 @@ CLUSTER_RADIUS = 0.05  # angle within which escape directions share a cluster
 CLOSE = 1e-6           # angle within which a certified pair shares a cluster
 GAP = 2e-6             # margin beyond the radius that certifies a pair apart
 CERT_ROWS = 128        # rows of the pairwise-cosine table held at once
+_PAIR_BLOCK = 16384    # sweep candidates a `_box_pairs` block expands at once
 PROFILE_PERIOD = 4.0 * math.pi   # parameter period of the profile curve
 
 
@@ -273,10 +274,10 @@ def self_intersections(payload):
     """All transversal self-crossings of the projected payload, as a (k, 2)
     int64 array of the crossing cells' index pairs (i, j) (segments for
     curves, faces for meshes), i < j, in lexicographic order; (0, 2) when
-    there are none.  Segments (curves) and triangles (meshes) go
-    through one sweep over their closed bounding boxes, `_box_pairs`, then
-    one narrow phase over all overlapping pairs, which skips the cell pairs
-    sharing a vertex."""
+    there are none.  Segments (curves) and triangles (meshes) go through one
+    sweep over their closed bounding boxes, `_box_pairs`, whose every block
+    goes through the narrow phase, which skips the cell pairs sharing a
+    vertex; one sort of the hits' int64 keys i * n + j orders them."""
     width = payload.cells.shape[-1] if isinstance(payload, Immersion) else 0
     if width == 2:
         return _curve_crossings(payload)
@@ -286,26 +287,30 @@ def self_intersections(payload):
 
 
 def _box_pairs(lo, hi):
-    """Index pairs (i, j), i < j, of the closed boxes [lo, hi] (shape (n, d))
-    that overlap, in lexicographic order.  Sort and sweep (Baraff, Cornell
-    1992): in the order of the lower x bounds, a box meets the later boxes
-    whose lower x bound lies in its x extent, one run per box.  The runs are
-    expanded together and cut down one axis at a time, all in sorted
-    positions on axis-major copies of the bounds; only the survivors map
-    back to box indices, ordered by one sort of the int64 key i * n + j."""
+    """Blocks (i, j), i < j, of the index pairs of the closed boxes [lo, hi]
+    (shape (n, d)) that overlap, each pair in one block, in no set order.
+    Sort and sweep (Baraff, Cornell 1992): in the order of the lower x bounds,
+    a box meets the later boxes whose lower x bound lies in its x extent, one
+    run per box.  The runs starting in each `_PAIR_BLOCK` candidates are
+    expanded together and cut down one axis at a time, in sorted positions on
+    axis-major copies of the bounds; only the survivors map back to boxes."""
     n = len(lo)
     order = np.argsort(lo[:, 0], kind="stable")
     lo, hi = lo[order].T.copy(), hi[order].T.copy()
     stop = np.searchsorted(lo[0], hi[0], side="right")
     counts = stop - np.arange(1, n + 1)
-    a = np.repeat(np.arange(n), counts)
-    b = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - stop, counts)
-    for k in range(1, len(lo)):
-        keep = np.flatnonzero((lo[k][b] <= hi[k][a]) & (lo[k][a] <= hi[k][b]))
-        a, b = a[keep], b[keep]
-    i, j = order[a], order[b]
-    key = np.sort(np.minimum(i, j) * n + np.maximum(i, j))
-    return key // n, key % n
+    start = np.cumsum(counts) - counts
+    lag = start - np.arange(1, n + 1)   # candidate index minus b, along each run
+    cuts = [*np.flatnonzero(np.diff(start // _PAIR_BLOCK, prepend=-1)), n]
+    for first, last in zip(cuts, cuts[1:]):
+        runs = counts[first:last]
+        a = np.repeat(np.arange(first, last), runs)
+        b = np.arange(start[first], start[first] + len(a)) - np.repeat(lag[first:last], runs)
+        for k in range(1, len(lo)):
+            keep = np.flatnonzero((lo[k][b] <= hi[k][a]) & (lo[k][a] <= hi[k][b]))
+            a, b = a[keep], b[keep]
+        i, j = order[a], order[b]
+        yield np.minimum(i, j), np.maximum(i, j)
 
 
 def _cross(u, v):
@@ -321,14 +326,16 @@ def _curve_crossings(curve):
     seg = b - p
     if np.any(np.hypot(seg[:, 0], seg[:, 1]) < SCAN_EPS):
         raise SamplingError("zero-length segment in the sampled curve")
-    i, j = _box_pairs(np.minimum(p, b), np.maximum(p, b))
-    # segments i < j share a vertex when j - i is 1, or m - 1 across the closing seam
-    apart = (j - i >= 2) & (j - i <= m - 2)
-    i, j = i[apart], j[apart]
-    d1, d2, c, pi = seg[i], seg[j], p[j], p[i]
-    hit = ((_cross(d1, c - pi) * _cross(d1, c + d2 - pi) < 0.0)
-           & (_cross(d2, pi - c) * _cross(d2, b[i] - c) < 0.0))
-    return np.stack([i[hit], j[hit]], axis=1)
+    keys = [np.zeros(0, np.int64)]
+    for i, j in _box_pairs(np.minimum(p, b), np.maximum(p, b)):
+        # segments i < j share a vertex when j - i is 1, or m - 1 across the closing seam
+        apart = (j - i >= 2) & (j - i <= m - 2)
+        i, j = i[apart], j[apart]
+        d1, d2, c, pi = seg[i], seg[j], p[j], p[i]
+        hit = ((_cross(d1, c - pi) * _cross(d1, c + d2 - pi) < 0.0)
+               & (_cross(d2, pi - c) * _cross(d2, b[i] - c) < 0.0))
+        keys.append(i[hit] * m + j[hit])
+    return np.stack(np.divmod(np.sort(np.concatenate(keys)), m), axis=1)
 
 
 def _segment_hits_triangle(p0, p1, tri):
@@ -367,8 +374,8 @@ def _mesh_crossings(mesh):
     against face i.  Pairs sharing a vertex are dropped, and
     so are pairs with a face wholly on one side of the other's plane; of the
     rest, tests whose edge does not straddle the other face's plane are
-    dropped (Moller, JGT 1997), and the slots left go through one
-    `_segment_hits_triangle` call.  That kernel must stay LAPACK's: the
+    dropped (Moller, JGT 1997), and the slots left in each `_box_pairs`
+    block go through one `_segment_hits_triangle` call.  That kernel must stay LAPACK's: the
     v = 0 row of `product_mesh` lies exactly in the ball plane p3 = 0, so its
     edges meet other faces exactly on their edges (beta + gamma = 1), where
     rounding decides the hit, and a Cramer's-rule solve reports other counts."""
@@ -379,29 +386,31 @@ def _mesh_crossings(mesh):
     if np.any(area2 < SCAN_EPS):
         raise SamplingError("degenerate triangle in the mesh")
     offset = np.vecdot(normal, tri[:, 0])
-    i, j = _box_pairs(tri.min(axis=1), tri.max(axis=1))
     cols = faces.T.copy()
-    fi, fj = [c[i] for c in cols], [c[j] for c in cols]
-    shared = np.logical_or.reduce([x == y for x in fi for y in fj])
-    i, j = i[~shared], j[~shared]
-    # axis 1: face i's corners over face j's plane, then face j's over face i's
-    face = np.stack([i, j], axis=1)
-    plane = face[:, ::-1]
-    height = np.vecdot(tri[face], normal[plane][:, :, None]) - offset[plane][..., None]
-    tol = PLANE_MARGIN * area2[plane][..., None]
-    above, below = height > tol, height < -tol
     a, b = np.array([0, 1, 2]), np.array([1, 2, 0])
-    straddle = ~((above[..., a] & above[..., b]) | (below[..., a] & below[..., b]))
-    # a face with no edge straddling the other's plane has all three corners
-    # beyond the margin on one side of it, so the pair cannot cross
-    straddle &= straddle.any(-1).all(-1)[:, None, None]
-    # surviving (pair, edge, direction) slots, in test order
-    k, e, d = np.nonzero(straddle.transpose(0, 2, 1))
-    edge = face[k, d]
-    hit = _segment_hits_triangle(
-        tri[edge, a[e]], tri[edge, b[e]], tri[plane[k, d]])
-    k = np.unique(k[hit])
-    return np.stack([i[k], j[k]], axis=1)
+    keys = [np.zeros(0, np.int64)]
+    for i, j in _box_pairs(tri.min(axis=1), tri.max(axis=1)):
+        fi, fj = [c[i] for c in cols], [c[j] for c in cols]
+        shared = np.logical_or.reduce([x == y for x in fi for y in fj])
+        i, j = i[~shared], j[~shared]
+        # axis 1: face i's corners over face j's plane, then face j's over face i's
+        face = np.stack([i, j], axis=1)
+        plane = face[:, ::-1]
+        height = np.vecdot(tri[face], normal[plane][:, :, None]) - offset[plane][..., None]
+        tol = PLANE_MARGIN * area2[plane][..., None]
+        above, below = height > tol, height < -tol
+        straddle = ~((above[..., a] & above[..., b]) | (below[..., a] & below[..., b]))
+        # a face with no edge straddling the other's plane has all three corners
+        # beyond the margin on one side of it, so the pair cannot cross
+        straddle &= straddle.any(-1).all(-1)[:, None, None]
+        # surviving (pair, edge, direction) slots, in test order
+        k, e, d = np.nonzero(straddle.transpose(0, 2, 1))
+        edge = face[k, d]
+        hit = _segment_hits_triangle(
+            tri[edge, a[e]], tri[edge, b[e]], tri[plane[k, d]])
+        k = np.unique(k[hit])
+        keys.append(i[k] * len(faces) + j[k])
+    return np.stack(np.divmod(np.sort(np.concatenate(keys)), len(faces)), axis=1)
 
 
 # -- embedding time -----------------------------------------------------------

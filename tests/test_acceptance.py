@@ -9,7 +9,7 @@ winding and the refused bisection reproduce that obstruction.
 The README's Quick start runs here too, so that an API change cannot leave
 the first example broken.  weingarten-calculus streams its large samples in
 row blocks; the tests below hold it to the one-shot draw it replaces, and
-every check to a tracemalloc budget.
+every check, and the mesh crossing scan, to a tracemalloc budget.
 """
 
 import argparse
@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from horocorr import verify
+from horocorr.analysis import make_example, self_intersections
 from horocorr.cli import build_parser
 from horocorr.minkowski import _last_axis_sum
 from horocorr.verify import CRITERIA
@@ -125,17 +126,30 @@ def test_streamed_calculus_matches_one_shot(seed, monkeypatch):
         (oracle.passed, oracle.max_error, oracle.details)
 
 
+def traced_peak_mb(run):
+    # tracemalloc peak of run() in MB (1e6 bytes)
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
 def test_every_check_within_memory_budget():
-    # tracemalloc peak in MB (1e6 bytes); weingarten-calculus held 18.9 MB
-    # when it drew its 1.6 M uniforms as whole arrays
-    peaks = {}
-    for name, check in CRITERIA:
-        tracemalloc.start()
-        try:
-            check()
-            peaks[name] = tracemalloc.get_traced_memory()[1] / 1e6
-        finally:
-            tracemalloc.stop()
+    # weingarten-calculus held 18.9 MB when it drew its 1.6 M uniforms as
+    # whole arrays
+    peaks = {name: traced_peak_mb(check) for name, check in CRITERIA}
     over = {name: peak for name, peak in peaks.items()
             if peak > (2.0 if name == "weingarten-calculus" else 8.0)}
     assert not over, peaks
+
+
+def test_mesh_scan_within_memory_budget():
+    # the scan held 6.63 MB when its box sweep expanded all 144,167
+    # candidates of this mesh at once; a first scan runs untraced, so that
+    # the modules numpy imports on first use (numpy.ma, 1.1 MB) do not count
+    mesh = make_example("alpha-product").payload.flowed(5.0)
+    self_intersections(mesh)
+    peak = traced_peak_mb(lambda: self_intersections(mesh))
+    assert peak <= 2.0, peak

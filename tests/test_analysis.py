@@ -538,34 +538,75 @@ def tied_float_boxes(draw, d):
     return lo, lo + np.array(draw(st.lists(extent, min_size=n, max_size=n))).reshape(n, d)
 
 
+def box_pairs(lo, hi):
+    # analysis._box_pairs' blocks, concatenated and ordered by the key i * n + j
+    blocks = list(analysis._box_pairs(lo, hi))
+    for i, j in blocks:
+        assert i.dtype == j.dtype == np.int64
+        assert np.all(i < j)
+    i = np.concatenate([np.zeros(0, np.int64), *(i for i, _ in blocks)])
+    j = np.concatenate([np.zeros(0, np.int64), *(j for _, j in blocks)])
+    order = np.argsort(i * len(lo) + j, kind="stable")
+    return i[order], j[order]
+
+
+ONE_BLOCK = 2**62   # a _PAIR_BLOCK no candidate count reaches
+
+
 class TestBoxPairs:
+    @pytest.mark.parametrize("block", [1, 7, analysis._PAIR_BLOCK])
+    def test_matches_brute_force(self, block):
+        # hypothesis does not reset function-scoped fixtures between examples,
+        # so the block size is patched around the whole run
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(analysis, "_PAIR_BLOCK", block)
+            self.check_brute_force()
+
+    @staticmethod
     @settings(max_examples=400, deadline=None)
     @given(st.sampled_from([2, 3]).flatmap(
         lambda d: st.one_of(grid_boxes(d), tied_float_boxes(d))))
-    def test_matches_brute_force(self, boxes):
+    def check_brute_force(boxes):
         lo, hi = boxes
-        i, j = analysis._box_pairs(lo, hi)
+        i, j = box_pairs(lo, hi)
+        # a pair found in two blocks would show up twice here
         assert list(zip(i.tolist(), j.tolist())) == brute_force_box_pairs(lo, hi)
 
     def test_long_chain_of_touching_boxes(self):
         # n * n exceeds 2**32, so the pair key i * n + j needs 64 bits
         n = 70_000
         lo = np.repeat(np.arange(n, dtype=float)[:, None], 3, axis=1)
-        i, j = analysis._box_pairs(lo, lo + 1.0)
-        assert i.dtype == j.dtype == np.int64
+        assert len(list(analysis._box_pairs(lo, lo + 1.0))) > 1
+        i, j = box_pairs(lo, lo + 1.0)
         np.testing.assert_array_equal(i, np.arange(n - 1))
         np.testing.assert_array_equal(j, np.arange(1, n))
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_empty_and_single(self, d):
         for n in (0, 1):
-            i, j = analysis._box_pairs(np.zeros((n, d)), np.ones((n, d)))
+            i, j = box_pairs(np.zeros((n, d)), np.ones((n, d)))
             assert len(i) == len(j) == 0
 
     def test_touching_boxes_overlap(self):
         lo = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [0.0, 2.0, 0.0]])
-        i, j = analysis._box_pairs(lo, lo + 1.0)
+        i, j = box_pairs(lo, lo + 1.0)
         assert list(zip(i.tolist(), j.tolist())) == [(0, 1), (1, 2)]
+
+    @pytest.mark.parametrize("payload", [
+        *[make_example("alpha-product").payload.flowed(t) for t in (0.0, 1.0, 5.0)],
+        *[profile_curve(m).flowed(t) for m in (1024, 8192) for t in (0.0, 5.0)],
+    ], ids=[*[f"mesh-t{t}" for t in (0, 1, 5)],
+            *[f"curve-{m}-t{t}" for m in (1024, 8192) for t in (0, 5)]])
+    def test_scan_does_not_depend_on_the_block_size(self, payload, monkeypatch):
+        # every test acts on one pair, and the hits are ordered by one final
+        # sort, so where a block ends changes no bit of the scan
+        monkeypatch.setattr(analysis, "_PAIR_BLOCK", ONE_BLOCK)
+        whole = self_intersections(payload)
+        monkeypatch.setattr(analysis, "_PAIR_BLOCK", 64)
+        blocked = self_intersections(payload)
+        assert len(whole) > 0
+        assert (blocked.dtype, blocked.shape) == (whole.dtype, whole.shape)
+        assert blocked.tobytes() == whole.tobytes()
 
 
 FLOW_TIMES = [0.25 * k for k in range(21)]
@@ -731,21 +772,46 @@ class TestPlaneSideRejection:
         assert_same_records(analysis._mesh_crossings(mesh),
                             reference_mesh_crossings(mesh))
 
-    def test_one_kernel_call_per_scan(self, monkeypatch):
+    @pytest.mark.parametrize("block", [analysis._PAIR_BLOCK, 64])
+    def test_one_kernel_call_per_block(self, monkeypatch, block):
+        # the slots of each block go through one kernel call, and the calls
+        # of a blocked scan add up to the single-block scan's rows
         rows = counted_kernel_rows(monkeypatch)
-        for mesh in (make_example("alpha-product").payload,
-                     make_example("alpha-product", m_v=8).payload.flowed(2.5),
-                     piercing_mesh(), piercing_mesh().flowed(2.0)):
+        pairs = []
+        blocks = analysis._box_pairs
+
+        def counted(lo, hi):
+            for i, j in blocks(lo, hi):
+                pairs.append(len(i))
+                yield i, j
+
+        monkeypatch.setattr(analysis, "_box_pairs", counted)
+        for mesh, want in ((make_example("alpha-product").payload.flowed(5.0), 10_735),
+                           (make_example("alpha-product").payload, None),
+                           (make_example("alpha-product", m_v=8).payload.flowed(2.5), None),
+                           (piercing_mesh(), None), (piercing_mesh().flowed(2.0), None)):
+            monkeypatch.setattr(analysis, "_PAIR_BLOCK", ONE_BLOCK)
             rows.clear()
             self_intersections(mesh)
-            assert len(rows) == 1
+            (whole,) = rows
+            assert want in (None, whole)
+            monkeypatch.setattr(analysis, "_PAIR_BLOCK", block)
+            rows.clear()
+            pairs.clear()
+            self_intersections(mesh)
+            assert len(rows) == len(pairs)
+            assert sum(rows) == whole
+            # six edge tests per pair at most
+            assert all(r <= 6 * p for r, p in zip(rows, pairs))
+            # the piercing meshes have a handful of faces and so one block
+            assert len(rows) > 1 or block > 64 or len(mesh.cells) < 64
 
     def test_few_slots_reach_the_kernel(self, monkeypatch):
         # the reference makes six edge tests per face pair
         rows = counted_kernel_rows(monkeypatch)
         mesh = make_example("alpha-product").payload.flowed(5.0)
         assert len(self_intersections(mesh)) == 1396
-        (scanned,) = rows
+        scanned = sum(rows)
         rows.clear()
         reference_mesh_crossings(mesh)
         assert scanned <= 0.2 * sum(rows)

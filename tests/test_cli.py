@@ -649,8 +649,9 @@ class TestParserReuse:
 def test_import_leaves_scipy_out():
     code = ("import sys, horocorr.cli, horocorr.verify; "
             "print('scipy' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True)
+                         text=True, check=True, env=env)
     assert out.stdout.strip() == "False"
 
 
