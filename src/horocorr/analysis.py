@@ -3,9 +3,9 @@
 Every sampled hypersurface is one `Immersion`: positions and unit normals in
 Minkowski coordinates, the cells joining them and the normal flow time.
 Curves have segments for cells and live in the hyperbolic plane inside
-R^{1,2}; the one meshed surface has triangles and lives in R^{1,3}.  All
-crossing detection happens after projecting to the Poincare ball, where
-segments and triangles are honest Euclidean objects.
+R^{1,2}; meshes, the gallery's product and the CLI's metric meshes, have
+triangles in R^{1,3}.  All crossing detection happens after projecting to
+the Poincare ball, where segments and triangles are honest Euclidean objects.
 """
 
 import math
@@ -22,7 +22,7 @@ from .errors import (
     SamplingError,
     SingularParameterError,
 )
-from .minkowski import _last_axis_sum, mink_inner, normal_flow, to_poincare_ball
+from .minkowski import _last_axis_sum, flow_time, mink_inner, normal_flow, to_poincare_ball
 from .sphere import BandChart, StereographicChart, constant_field, radial_band_field
 
 FRAME_RTOL = 1e-8
@@ -43,22 +43,11 @@ def _check_frame(phi, eta):
     with np.errstate(over="ignore", invalid="ignore"):
         tol = FRAME_RTOL * np.maximum(1.0, phi[..., 0] ** 2)
         if not np.all(np.abs(mink_inner(phi, phi) + 1.0) <= tol):
-            raise SingularParameterError("positions leave the hyperboloid")
+            raise HyperquadricError("positions leave the hyperboloid")
         if not np.all(np.abs(mink_inner(eta, eta) - 1.0) <= tol):
-            raise SingularParameterError("normals are not unit spacelike")
+            raise HyperquadricError("normals are not unit spacelike")
         if not np.all(np.abs(mink_inner(phi, eta)) <= tol):
-            raise SingularParameterError("normals are not orthogonal to positions")
-
-
-def ball_vertices(phi, t):
-    """Poincare ball points of the hyperboloid rows phi at flow time t; raises
-    HyperquadricError naming the first that rounds onto the unit sphere."""
-    p = to_poincare_ball(phi)
-    inside = _last_axis_sum(p * p) < 1.0   # as |p| < 1; fails on the gallery from t near 34
-    if not np.all(inside):
-        raise HyperquadricError(f"vertex {np.argmin(inside)} rounds onto the unit "
-                                f"sphere at flow time t = {t}")
-    return p
+            raise HyperquadricError("normals are not orthogonal to positions")
 
 
 @dataclass(frozen=True)
@@ -81,7 +70,13 @@ class Immersion:
         _check_frame(self.phi, self.eta)
 
     def ball_points(self):
-        return ball_vertices(self.phi, self.t)
+        """Poincare ball points of phi; refuses the first that rounds onto the unit sphere."""
+        p = to_poincare_ball(self.phi)
+        inside = _last_axis_sum(p * p) < 1.0   # |p| < 1; fails on the gallery from t near 34
+        if not np.all(inside):
+            raise HyperquadricError(f"vertex {np.argmin(inside)} rounds onto the unit "
+                                    f"sphere at flow time t = {self.t}")
+        return p
 
     def gauss_directions(self):
         return support_and_gauss(self.phi + self.eta).gauss_point
@@ -162,6 +157,7 @@ def product_mesh(m_u, m_v, length):
     Vertices are indexed row-major over the (u, v) grid; the u direction is
     periodic, the v direction is an open interval [-length, length].
     """
+    flow_time(length, "length")   # the v family's cosh and sinh stay finite
     if m_u < 3 or m_v < 2:
         raise SamplingError("mesh grid too coarse to triangulate")
     u = np.linspace(0.0, PROFILE_PERIOD, m_u, endpoint=False)
@@ -232,10 +228,22 @@ _GALLERY = {
 GALLERY_NAMES = tuple(_GALLERY)
 
 
+def _exact(kind, key, value):
+    """value as a kind, refused unless exact; a float NaN passes to the builder."""
+    try:
+        converted = kind(value)
+        if converted == value or value != value:
+            return converted
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise SingularParameterError(
+        f"parameter {key} = {value!r} does not convert exactly to {kind.__name__}")
+
+
 def make_example(name, **params):
     """The named gallery entry; unknown names and parameters raise.  Each
-    parameter is coerced to its default's type and handed to the row's
-    builder, which refuses values out of range."""
+    parameter is converted exactly to its default's type (m = 64.0 gives 64,
+    m = 7.9 is refused) for the row's builder, which refuses values out of range."""
     if name not in _GALLERY:
         raise SingularParameterError(
             f"unknown example {name!r}; choose one of {', '.join(GALLERY_NAMES)}")
@@ -243,7 +251,7 @@ def make_example(name, **params):
     extra = sorted(params.keys() - defaults.keys())
     if extra:
         raise SingularParameterError(f"unexpected parameters for {name}: {extra}")
-    resolved = {key: type(default)(params.get(key, default))
+    resolved = {key: _exact(type(default), key, params.get(key, default))
                 for key, default in defaults.items()}
     return GalleryEntry(name=name, params=resolved, payload=builder(**resolved))
 
@@ -533,9 +541,9 @@ def _cluster_directions(dirs, radius):
     return list(map(BoundaryCluster, centers, counts))
 
 
-def boundary_at_infinity(entry, t=1.0, n_directions=64):
-    """Ideal boundary of a gallery entry's conformal-metric payload, as
-    clusters of escape directions within CLUSTER_RADIUS.
+def boundary_at_infinity(metric, t=1.0, n_directions=64):
+    """Ideal boundary of a conformal metric, as clusters of escape
+    directions within CLUSTER_RADIUS.
 
     Each ray (a sign and one of n_directions angles on the band chart, an
     angle on the stereographic chart) is probed at its two deepest ladder
@@ -554,7 +562,6 @@ def boundary_at_infinity(entry, t=1.0, n_directions=64):
     if n_directions < 1:
         raise SingularParameterError(
             f"need at least one direction, got n_directions={n_directions}")
-    metric = entry.payload
     if not isinstance(metric, ConformalMetric):
         raise SingularParameterError(
             "boundary tracing needs a conformal-metric payload")

@@ -28,7 +28,6 @@ from .analysis import (
     GALLERY_NAMES,
     PROFILE_PERIOD,
     Immersion,
-    ball_vertices,
     boundary_at_infinity,
     first_embedded_time,
     gauss_winding,
@@ -73,8 +72,8 @@ def _csv(header, rows):
 def _gallery_entry(args):
     name = "alpha-curve" if args.name == "alpha" else args.name   # short alias
     params = {}
-    # commands without --rho0 take no sphere, those without --samples no curve
-    if name == "geodesic-sphere" and getattr(args, "rho0", None) is not None:
+    # make_example refuses rho0 off the sphere; only the curve reads --samples
+    if getattr(args, "rho0", None) is not None:
         params["rho0"] = args.rho0
     if name == "alpha-curve" and getattr(args, "samples", None) is not None:
         params["m"] = args.samples
@@ -88,11 +87,12 @@ def _band_range(metric, fraction):
     return -fraction * edge, fraction * edge
 
 
-def _metric_mesh(metric, n_az, n_lat, t):
-    """Latitude-longitude triangulation of a two-dimensional metric example,
-    with vertices in the Poincare ball; three azimuths at least."""
+def _metric_mesh(metric, n_az, t):
+    """Immersion at flow time t of a two-dimensional metric example, triangulated
+    on max(5, n_az // 2) latitude rows of n_az azimuths, three at least."""
     if n_az < 3:
         raise SamplingError(f"the mesh needs at least three azimuths, got {n_az}")
+    n_lat = max(5, n_az // 2)
     azimuths = np.linspace(0.0, 2.0 * math.pi, n_az, endpoint=False)
     if metric.chart.kind == "band":
         rows = np.linspace(*_band_range(metric, 0.98), n_lat)
@@ -102,9 +102,9 @@ def _metric_mesh(metric, n_az, n_lat, t):
         radii = np.tan(0.5 * colat)
         circle = np.stack([np.cos(azimuths), np.sin(azimuths)], axis=-1)
         grid = radii[:, None, None] * circle
-    verts = ball_vertices(immerse(metric, grid.reshape(-1, 2), t).phi, t)
+    p = immerse(metric, grid.reshape(-1, 2), t)
     index = np.arange(n_lat * n_az).reshape(n_lat, n_az)
-    return verts, grid_faces(np.hstack([index, index[:, :1]]))
+    return Immersion(p.phi, p.eta, grid_faces(np.hstack([index, index[:, :1]])), t)
 
 
 def _metric_samples(metric, n, rng):
@@ -153,18 +153,14 @@ def cmd_immerse(args, entry):
     payload = entry.payload
     # mesh files are the point of --out here, so default to obj for them
     fmt = args.format or ("obj" if args.out else "json")
-    faces, polylines = [], []
     if isinstance(payload, ConformalMetric):
-        n_az = args.samples
-        verts, faces = _metric_mesh(payload, n_az, max(5, n_az // 2), args.t)
+        mesh = _metric_mesh(payload, args.samples, args.t)
     else:
-        moved = payload.flowed(args.t) if args.t else payload
-        verts = moved.ball_points()
-        if _is_curve(payload):   # plane curve into the z = 0 slice
-            verts = np.column_stack([verts, np.zeros(len(verts))])
-            polylines = [tuple(range(len(verts))) + (0,)]
-        else:
-            faces = payload.cells
+        mesh = payload.flowed(args.t) if args.t else payload
+    verts, faces, polylines = mesh.ball_points(), mesh.cells, []
+    if _is_curve(mesh):   # plane curve into the z = 0 slice
+        verts = np.column_stack([verts, np.zeros(len(verts))])
+        faces, polylines = [], [tuple(range(len(verts))) + (0,)]
 
     if fmt == "obj":
         if not args.out:
@@ -249,7 +245,7 @@ def cmd_gauss_degree(args, entry):
 
 
 def cmd_boundary(args, entry):
-    clusters = boundary_at_infinity(entry, t=args.t, n_directions=args.samples)
+    clusters = boundary_at_infinity(entry.payload, t=args.t, n_directions=args.samples)
     defects = [abs(float(np.linalg.norm(c.direction)) - 1.0) for c in clusters]
     _report(args,
             {"clusters": [{"direction": list(map(float, c.direction)), "count": c.count}

@@ -162,15 +162,6 @@ def rescale(metric, dt):
     return ConformalMetric(metric.chart, metric.rho, metric.t + dt)
 
 
-def flow_time_for_bound(lambda_max, eps):
-    """Smallest t >= 0 with lambda_max e^{-2t} <= 1/2 - eps."""
-    if not 0.0 < eps < 0.5:
-        raise SamplingError("margin eps must lie in (0, 1/2)")
-    if lambda_max <= 0.0:
-        return 0.0
-    return max(0.0, 0.5 * math.log(lambda_max / (0.5 - eps)))
-
-
 @dataclass(frozen=True)
 class RealizabilityReport:
     lambda_min: float
@@ -193,7 +184,8 @@ def realizability_report(metric, samples):
 def eigenvalue_realizability(ev):
     """Eigenvalue extremes of Schouten eigenvalues ev, one ascending row per
     sample.  The metric is realizable iff every eigenvalue lies in
-    [-B, 1/2 - eps], with B = REALIZABLE_FLOOR and eps = REALIZABLE_MARGIN.
+    [-B, 1/2 - eps], with B = REALIZABLE_FLOOR and eps = REALIZABLE_MARGIN;
+    suggested_t0 is the smallest t >= 0 with lambda_max e^{-2t} <= 1/2 - eps.
     Raises SamplingError when there is no sample."""
     if len(ev) == 0:
         raise SamplingError("no usable samples for the realizability report")
@@ -208,7 +200,7 @@ def eigenvalue_realizability(ev):
         lambda_min=lam_min,
         lambda_max=lam_max,
         realizable=realizable,
-        suggested_t0=flow_time_for_bound(lam_max, REALIZABLE_MARGIN),
+        suggested_t0=0.5 * math.log(max(1.0, lam_max / (0.5 - REALIZABLE_MARGIN))),
         n_samples=len(ev),
         flags=tuple(flags),
     )

@@ -190,11 +190,9 @@ def fg_metric(metric, u, r):
 
 def support_and_gauss(psi):
     """Support value and Gauss point from the light-cone map psi = e^rho (1, G),
-    over the leading axes of psi; psi must be null within relative 1e-8."""
+    over the leading axes of psi; psi must be future null within relative 1e-8."""
     psi = np.asarray(psi, dtype=float)
-    p0 = psi[..., 0]
-    if np.any(p0 <= 0.0):
-        raise HyperquadricError("light-cone map must have positive height")
     if not np.all(on_null_cone(psi)):
-        raise HyperquadricError("light-cone map is not null within tolerance")
+        raise HyperquadricError("light-cone map is not a future null vector within tolerance")
+    p0 = psi[..., 0]
     return SupportData(np.log(p0), psi[..., 1:] / p0[..., None])

@@ -456,13 +456,13 @@ def _degenerate_collapse(seed=27):
 @criterion("boundary-at-infinity")
 def _boundary_at_infinity():
     """Escape clusters of the noncompact gallery metrics."""
-    band = boundary_at_infinity(make_example("incomplete-band"))
+    band = boundary_at_infinity(make_example("incomplete-band").payload)
     z = np.clip([c.direction[2] for c in band], -1.0, 1.0)
     lat = np.array([math.asin(v) for v in z.tolist()])
     band_err = float(np.max(np.abs(np.abs(lat) - 1.0))) if len(lat) else math.inf
     band_ok = len(lat) > 0 and lat.max() > 0 > lat.min() and band_err <= 1e-2
 
-    cyl = boundary_at_infinity(make_example("cylinder-delaunay"))
+    cyl = boundary_at_infinity(make_example("cylinder-delaunay").payload)
     cyl_ok = False
     cyl_err = math.inf
     if len(cyl) == 2:
@@ -471,7 +471,7 @@ def _boundary_at_infinity():
                             abs(abs(a[2]) - 1.0), abs(abs(b[2]) - 1.0)))
         cyl_ok = cyl_err <= 2e-2
 
-    sphere = boundary_at_infinity(make_example("geodesic-sphere"))
+    sphere = boundary_at_infinity(make_example("geodesic-sphere").payload)
     details = (f"band: {len(band)} clusters at |latitude| within {band_err:.1e} "
                f"of 1; cylinder: {len(cyl)} clusters, antipodal defect "
                f"{cyl_err:.1e}; compact example: {len(sphere)} clusters")

@@ -1,6 +1,7 @@
 """Tests for the gallery, winding counts, crossing scans and boundary tracing."""
 
 import math
+import warnings
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -12,7 +13,6 @@ from hypothesis import strategies as st
 from horocorr import analysis
 from horocorr.analysis import (
     EmbeddingReport,
-    GalleryEntry,
     Immersion,
     BoundaryCluster,
     boundary_at_infinity,
@@ -29,6 +29,7 @@ from horocorr.conformal import ConformalMetric, schouten
 from horocorr.correspondence import CANONICAL, lambda_kappa
 from horocorr.errors import (
     ChartDomainError,
+    GeometryError,
     HyperquadricError,
     RootBracketError,
     SamplingError,
@@ -86,14 +87,14 @@ def stereographic_horosphere():
     return ConformalMetric(StereographicChart(), ScalarField(value, gradient, hessian))
 
 
-def boundary_entry(name):
+def boundary_metric(name):
     # the gallery's metric examples and the two horospheres, which are not
     # in the gallery
     if name == "band-horosphere":
-        return GalleryEntry(name, {}, band_horosphere())
+        return band_horosphere()
     if name == "stereographic-horosphere":
-        return GalleryEntry(name, {}, stereographic_horosphere())
-    return make_example(name)
+        return stereographic_horosphere()
+    return make_example(name).payload
 
 
 def reference_curve_crossings(curve):
@@ -274,6 +275,30 @@ class TestGalleryEntries:
         mesh = make_example("alpha-product", m_u=24.0, m_v=5, length=1).params
         assert list(map(type, mesh.values())) == [int, int, float]
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([(name, key) for name, defaults in GALLERY_DEFAULTS.items()
+                            for key in defaults]), st.data())
+    def test_parameters_convert_exactly_or_are_refused(self, parameter, data):
+        # m = 7.9 once built 7 samples; NaN, inf, "x" and None escaped as
+        # ValueError, OverflowError or TypeError; length = inf warned
+        name, key = parameter
+        kind = type(GALLERY_DEFAULTS[name][key])
+        # sizes stay small, as a huge m or m_u * m_v allocates its samples
+        wide = st.floats(-64.0, 64.0) if kind is int else st.floats()
+        value = data.draw(st.one_of(st.integers(-3, 40), wide, st.sampled_from(
+            [7.9, 64.0, math.nan, math.inf, -math.inf, True, None, "x", "7", 1j])))
+        exact = isinstance(value, (int, float)) and (   # bool is an int
+            kind is float or (math.isfinite(value) and value == int(value)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                entry = make_example(name, **{key: value})
+            except GeometryError as exc:
+                assert exact or (type(exc) is SingularParameterError and key in str(exc))
+                return
+        assert exact
+        assert entry.params[key] == value and type(entry.params[key]) is kind
+
     def test_refusal_messages(self):
         with pytest.raises(SingularParameterError) as unknown:
             make_example("klein-bottle")
@@ -358,10 +383,22 @@ class TestProfileJets:
 
 
 class TestCurveType:
-    def test_frame_validation(self):
+    @pytest.mark.parametrize("broken, message", [
+        (lambda c: {"phi": 1.1 * c.phi}, "positions leave the hyperboloid"),
+        (lambda c: {"eta": 1.1 * c.eta}, "normals are not unit spacelike"),
+        # eta cosh s + phi sinh s stays unit spacelike, at <phi, eta> = -sinh s
+        (lambda c: {"eta": math.cosh(0.1) * c.eta + math.sinh(0.1) * c.phi},
+         "normals are not orthogonal to positions"),
+        (lambda c: {"phi": np.where(np.arange(32)[:, None] == 5, np.nan, c.phi)},
+         "positions leave the hyperboloid"),
+        (lambda c: {"eta": np.where(np.arange(32)[:, None] == 5, np.nan, c.eta)},
+         "normals are not unit spacelike"),
+    ], ids=["off-hyperboloid", "not-unit", "not-orthogonal", "nan-position", "nan-normal"])
+    def test_frame_validation(self, broken, message):
         curve = circle_curve(0.5, 32)
-        with pytest.raises(SingularParameterError):
-            replace(curve, eta=1.1 * curve.eta)
+        with pytest.raises(HyperquadricError) as err:
+            replace(curve, **broken(curve))
+        assert str(err.value) == message
 
     @pytest.mark.parametrize("m", [6, 3, 2, 0, -5])
     def test_profile_needs_seven_samples(self, m):
@@ -835,9 +872,12 @@ class TestBallRounding:
     def test_names_the_first_vertex_on_the_sphere(self):
         d = np.array([1.0, 40.0, 41.0])
         phi = np.stack([np.cosh(d), np.sinh(d), np.zeros(3)], axis=-1)
-        np.testing.assert_allclose(analysis.ball_vertices(phi[:1], 2.0), [[math.tanh(0.5), 0.0]])
+        eta = np.broadcast_to([0.0, 0.0, 1.0], phi.shape)
+        curve = replace(closed_curve(phi, eta), t=2.0)
+        first = replace(closed_curve(phi[:1], eta[:1]), t=2.0)
+        np.testing.assert_allclose(first.ball_points(), [[math.tanh(0.5), 0.0]])
         with pytest.raises(HyperquadricError) as err:
-            analysis.ball_vertices(phi, 2.0)
+            curve.ball_points()
         assert str(err.value) == "vertex 1 rounds onto the unit sphere at flow time t = 2.0"
 
     @pytest.mark.parametrize("payload", [profile_curve(1024), product_mesh(96, 9, 1.0)],
@@ -937,10 +977,10 @@ class TestCurvatureSign:
 
 class TestBoundaryAtInfinity:
     def test_compact_example_has_no_boundary(self):
-        assert boundary_at_infinity(make_example("geodesic-sphere")) == []
+        assert boundary_at_infinity(make_example("geodesic-sphere").payload) == []
 
     def test_band_boundary_sits_at_unit_latitudes(self):
-        clusters = boundary_at_infinity(make_example("incomplete-band"))
+        clusters = boundary_at_infinity(make_example("incomplete-band").payload)
         assert clusters
         latitudes = np.array([
             math.asin(float(np.clip(c.direction[2], -1.0, 1.0)))
@@ -949,7 +989,7 @@ class TestBoundaryAtInfinity:
         assert latitudes.max() > 0.0 and latitudes.min() < 0.0
 
     def test_cylinder_boundary_is_two_poles(self):
-        clusters = boundary_at_infinity(make_example("cylinder-delaunay"))
+        clusters = boundary_at_infinity(make_example("cylinder-delaunay").payload)
         assert len(clusters) == 2
         tops = sorted(clusters, key=lambda c: c.direction[2])
         south, north = tops[0].direction, tops[1].direction
@@ -959,7 +999,7 @@ class TestBoundaryAtInfinity:
 
     def test_curve_payload_rejected(self):
         with pytest.raises(SingularParameterError):
-            boundary_at_infinity(make_example("alpha-curve"))
+            boundary_at_infinity(make_example("alpha-curve").payload)
 
     @pytest.mark.parametrize("kwargs", [
         {"n_directions": 0}, {"n_directions": -1},
@@ -967,7 +1007,7 @@ class TestBoundaryAtInfinity:
     ])
     def test_meaningless_parameters_rejected(self, kwargs):
         with pytest.raises(SingularParameterError):
-            boundary_at_infinity(make_example("incomplete-band"), **kwargs)
+            boundary_at_infinity(make_example("incomplete-band").payload, **kwargs)
 
     @pytest.mark.parametrize("name", [
         "incomplete-band", "cylinder-delaunay", "geodesic-sphere"])
@@ -984,7 +1024,7 @@ class TestBoundaryAtInfinity:
 
         monkeypatch.setattr(analysis, "_cluster_directions", recording)
         near_calls = spy_near(monkeypatch)
-        got = boundary_at_infinity(make_example(name), n_directions=n_directions)
+        got = boundary_at_infinity(make_example(name).payload, n_directions=n_directions)
         (dirs, radius), = seen
         assert near_calls == []
         assert_same_clusters(got, reference_cluster_directions(dirs, radius))
@@ -1001,7 +1041,7 @@ class TestBoundaryAtInfinity:
 
         monkeypatch.setattr(analysis, "_cluster_directions", recording)
         near_calls = spy_near(monkeypatch)
-        got = boundary_at_infinity(make_example("incomplete-band"), n_directions=68)
+        got = boundary_at_infinity(make_example("incomplete-band").payload, n_directions=68)
         (dirs, radius), = seen
         assert len(dirs) == 136 and len(got) == 68
         assert len(near_calls) == 136
@@ -1015,7 +1055,7 @@ class TestBoundaryAtInfinity:
     def test_cluster_count_does_not_depend_on_t(self, name, clusters, t):
         # the normal flow does not move the ideal boundary; from t = 15 on
         # the band's phi_0 grows by only sqrt(2) over the last ladder step
-        assert len(boundary_at_infinity(boundary_entry(name), t=t)) == clusters
+        assert len(boundary_at_infinity(boundary_metric(name), t=t)) == clusters
 
     @pytest.mark.parametrize("t", [0.0, 1.0, 8.0])
     @pytest.mark.parametrize("name, rays", [
@@ -1039,26 +1079,25 @@ class TestBoundaryAtInfinity:
 
         monkeypatch.setattr(analysis, "immerse", recording_immerse)
         monkeypatch.setattr(analysis, "_cluster_directions", recording_cluster)
-        entry = boundary_entry(name)
-        boundary_at_infinity(entry, t=t)
+        metric = boundary_metric(name)
+        boundary_at_infinity(metric, t=t)
         ((u, point),), (dirs,) = immersed, clustered
         assert u.shape == (len(u), 2, 2)
         escaped = point.phi[:, 1, 0] > analysis.ESCAPE_RATIO * point.phi[:, 0, 0]
         assert np.count_nonzero(escaped) == len(dirs) == rays
-        gauss = entry.payload.chart.embed(u[escaped, 1])
+        gauss = metric.chart.embed(u[escaped, 1])
         assert np.max(np.abs(dirs - gauss), initial=0.0) < 1e-10
 
     def test_nonfinite_probe_raises(self):
         # rho = -log1p(-sin s) is the band horosphere written naively: sin s
         # rounds to 1 at the deepest band probe, so rho is inf there
-        entry = GalleryEntry("naive-horosphere", {}, ConformalMetric(
-            BandChart(), radial_band_field(
-                f=lambda s: -np.log1p(-np.sin(s)),
-                fs=lambda s: np.cos(s) / (1.0 - np.sin(s)),
-                fss=lambda s: 1.0 / (1.0 - np.sin(s)))))
+        metric = ConformalMetric(BandChart(), radial_band_field(
+            f=lambda s: -np.log1p(-np.sin(s)),
+            fs=lambda s: np.cos(s) / (1.0 - np.sin(s)),
+            fss=lambda s: 1.0 / (1.0 - np.sin(s))))
         with np.errstate(divide="ignore"), pytest.raises(
                 ChartDomainError, match="not finite at chart point"):
-            boundary_at_infinity(entry)
+            boundary_at_infinity(metric)
 
     @settings(max_examples=40, deadline=None)
     @given(st.floats(0.0, math.pi / 2, exclude_min=True), st.integers(1, 8))
@@ -1073,10 +1112,9 @@ class TestBoundaryAtInfinity:
 
         chart = BandChart(edge)
         field = make_example("cylinder-delaunay").payload.rho
-        entry = GalleryEntry("band", {}, ConformalMetric(chart, field))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(analysis, "immerse", recording_immerse)
-            boundary_at_infinity(entry, n_directions=n_directions)
+            boundary_at_infinity(ConformalMetric(chart, field), n_directions=n_directions)
         (u,) = immersed
         assert u.shape == (2 * n_directions, 2, 2)
         assert np.all(chart.contains(u))

@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -10,6 +11,7 @@ import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -178,6 +180,21 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as err:
             main(list(argv))
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("command", sorted(
+        name for name, opts in registered_options().items() if "rho0" in opts))
+    def test_rho0_only_on_the_sphere(self, capsys, command):
+        # --rho0 was read on geodesic-sphere alone and echoed as if applied
+        head = [command, "show"] if command == "gallery" else [command]
+        for name, shown in [("round-degenerate", "round-degenerate"),
+                            ("incomplete-band", "incomplete-band"),
+                            ("cylinder-delaunay", "cylinder-delaunay"),
+                            ("alpha", "alpha-curve"), ("alpha-product", "alpha-product")]:
+            code, out, err = run(capsys, *head, name, "--rho0", "3")
+            assert (code, out) == (1, ""), name
+            assert err == f"error: unexpected parameters for {shown}: ['rho0']\n"
+        code, _, _ = run(capsys, *head, "geodesic-sphere", "--rho0", "0.3", "--samples", "8")
+        assert code == 0
 
     def test_each_command_takes_only_its_options(self):
         expected = {
@@ -389,6 +406,56 @@ class TestImmerseExport:
         report = json.loads(out)
         assert report["results"]["ball_radius_max"] < 1.0
         assert report["invariant_checks"][0]["pass"] is True
+
+
+IMMERSE_GOLDEN = Path(__file__).parent / "data" / "immerse_outputs.txt"
+IMMERSE_TIMES = {"geodesic-sphere": ("0", "3.2"), "round-degenerate": ("0", "3.2"),
+                 "incomplete-band": ("0", "3.2"), "cylinder-delaunay": ("0", "3.2"),
+                 "alpha": ("0", "1.7"), "alpha-product": ("0", "1.7")}
+
+
+def immerse_golden_argv():
+    """The immerse runs that tests/data/immerse_outputs.txt pins, in its
+    order: each example at each of its times as json and csv, to standard
+    output and to a file, and as obj to a file; then each at t = 40, where
+    a vertex rounds onto the unit sphere."""
+    for name, times in IMMERSE_TIMES.items():
+        for t in times:
+            head = ["immerse", name, "--t", t, "--format"]
+            for fmt in ("json", "csv"):
+                yield head + [fmt]
+                yield head + [fmt, "--out", f"out.{fmt}"]
+            yield head + ["obj", "--out", "out.obj"]
+    for name in IMMERSE_TIMES:
+        yield ["immerse", name, "--t", "40"]
+
+
+def immerse_golden_lines():
+    """One tab-separated line per immerse_golden_argv run, made in the
+    current directory: the argv, the exit code, SHA-256 of standard output
+    and of the written file ("-" when none is written), and standard error
+    with its newline stripped."""
+    def sha(data):
+        return hashlib.sha256(data).hexdigest()
+
+    lines = []
+    for argv in immerse_golden_argv():
+        path = Path(argv[-1]) if "--out" in argv else None
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        written = sha(path.read_bytes()) if path and path.exists() else "-"
+        if path and path.exists():
+            path.unlink()
+        lines.append("\t".join([" ".join(argv), str(code), sha(out.getvalue().encode()),
+                                written, err.getvalue().rstrip("\n")]))
+    return lines
+
+
+def test_immerse_outputs_match_the_golden_file(tmp_path, monkeypatch):
+    # a change that moves an exported byte updates the file and says why
+    monkeypatch.chdir(tmp_path)
+    assert immerse_golden_lines() == IMMERSE_GOLDEN.read_text().splitlines()
 
 
 class TestBallRounding:

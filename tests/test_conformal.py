@@ -12,9 +12,9 @@ from scipy.linalg import eigh
 from horocorr.analysis import make_example
 from horocorr.conformal import (
     LENGTH_CAP,
+    REALIZABLE_MARGIN,
     ConformalMetric,
     eigenvalue_realizability,
-    flow_time_for_bound,
     generalized_eigvalsh,
     path_length,
     realizability_report,
@@ -482,8 +482,8 @@ class TestRescaleAndRealizability:
         metric = ConformalMetric(StereographicChart(), constant_field(0.0))
         rep = realizability_report(metric, [np.zeros(2)])
         assert not rep.realizable
-        assert flow_time_for_bound(rep.lambda_max, 0.1) == pytest.approx(
-            0.5 * math.log(0.5 / 0.4), abs=1e-12)
+        assert rep.suggested_t0 == pytest.approx(
+            0.5 * math.log(0.5 / (0.5 - REALIZABLE_MARGIN)), abs=1e-12)
 
     def test_band_flags_unbounded_below(self):
         metric = band_metric()
@@ -505,5 +505,10 @@ class TestRescaleAndRealizability:
             eigenvalue_realizability(np.empty((0, 2)))
 
     def test_flow_time_examples(self):
-        assert flow_time_for_bound(-1.0, 0.1) == 0.0
-        assert flow_time_for_bound(0.5, 0.1) == pytest.approx(0.111572, abs=1e-6)
+        def t0(lambda_max):
+            return eigenvalue_realizability(np.array([[-2.0, lambda_max]])).suggested_t0
+
+        assert t0(-1.0) == 0.0 and t0(0.25) == 0.0
+        bound = 0.5 - REALIZABLE_MARGIN
+        assert t0(0.5) == pytest.approx(0.5 * math.log(0.5 / bound), abs=1e-15)
+        assert t0(2.0) == pytest.approx(0.5 * math.log(2.0 / bound), abs=1e-15)

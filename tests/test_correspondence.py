@@ -10,7 +10,6 @@ from horocorr import correspondence
 from horocorr.analysis import make_example
 from horocorr.conformal import (
     ConformalMetric,
-    flow_time_for_bound,
     realizability_report,
     rescale,
     schouten,
@@ -505,6 +504,12 @@ class TestSupportAndGauss:
         with pytest.raises(HyperquadricError):
             support_and_gauss(np.array([-1.0, -1.0, 0.0]))
 
+    @pytest.mark.parametrize("psi", [[1.0, 0.0, 0.0], [-1.0, -1.0, 0.0], [0.0, 0.0, 0.0]])
+    def test_one_message_names_a_future_null_vector(self, psi):
+        with pytest.raises(HyperquadricError) as err:
+            support_and_gauss(np.array(psi))
+        assert str(err.value) == "light-cone map is not a future null vector within tolerance"
+
 
 class TestMinImmersionTime:
     def test_small_spectrum_needs_no_flow(self):
@@ -515,13 +520,13 @@ class TestMinImmersionTime:
     def test_round_metric_value(self):
         metric = ConformalMetric(StereographicChart(), constant_field(0.0))
         report = realizability_report(metric, [np.zeros(2), np.ones(2)])
-        assert flow_time_for_bound(report.lambda_max, 0.1) == pytest.approx(0.111572, abs=1e-6)
+        assert report.suggested_t0 == pytest.approx(0.5 * math.log(0.5 / 0.499), abs=1e-6)
 
     def test_cylinder_same_value(self):
         report = realizability_report(
             cylinder_metric(0.0),
             [np.array([s, 0.0]) for s in np.linspace(-1.2, 1.2, 25)])
-        assert flow_time_for_bound(report.lambda_max, 0.1) == pytest.approx(0.111572, abs=1e-6)
+        assert report.suggested_t0 == pytest.approx(0.5 * math.log(0.5 / 0.499), abs=1e-6)
 
 
 def _batch_cases():
