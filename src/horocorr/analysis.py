@@ -22,10 +22,10 @@ from .errors import (
     SamplingError,
     SingularParameterError,
 )
-from .minkowski import _last_axis_sum, flow_time, mink_inner, normal_flow, to_poincare_ball
+from .minkowski import (
+    _last_axis_sum, flow_time, mink_inner, normal_flow, off_quadric, to_poincare_ball)
 from .sphere import BandChart, StereographicChart, constant_field, radial_band_field
 
-FRAME_RTOL = 1e-8
 SCAN_EPS = 1e-9        # shortest segment, smallest doubled face area a scan accepts
 LADDER_DEPTH = 40      # ladder level of boundary_at_infinity's deepest probe
 ESCAPE_RATIO = 1.2     # growth of phi_0 over the last ladder step that escapes:
@@ -36,18 +36,6 @@ GAP = 2e-6             # margin beyond the radius that certifies a pair apart
 CERT_ROWS = 128        # rows of the pairwise-cosine table held at once
 _PAIR_BLOCK = 16384    # sweep candidates a `_box_pairs` block expands at once
 PROFILE_PERIOD = 4.0 * math.pi   # parameter period of the profile curve
-
-
-def _check_frame(phi, eta):
-    # written as "not within tolerance" so that NaN, as from squares that overflow, fails
-    with np.errstate(over="ignore", invalid="ignore"):
-        tol = FRAME_RTOL * np.maximum(1.0, phi[..., 0] ** 2)
-        if not np.all(np.abs(mink_inner(phi, phi) + 1.0) <= tol):
-            raise HyperquadricError("positions leave the hyperboloid")
-        if not np.all(np.abs(mink_inner(eta, eta) - 1.0) <= tol):
-            raise HyperquadricError("normals are not unit spacelike")
-        if not np.all(np.abs(mink_inner(phi, eta)) <= tol):
-            raise HyperquadricError("normals are not orthogonal to positions")
 
 
 @dataclass(frozen=True)
@@ -67,7 +55,12 @@ class Immersion:
     t: float = 0.0
 
     def __post_init__(self):
-        _check_frame(self.phi, self.eta)
+        if np.any(off_quadric(self.phi, self.phi, -1.0) | (self.phi[..., 0] <= 0.0)):
+            raise HyperquadricError("positions leave the hyperboloid")
+        if np.any(off_quadric(self.eta, self.eta, 1.0)):
+            raise HyperquadricError("normals are not unit spacelike")
+        if np.any(off_quadric(self.phi, self.eta, 0.0)):
+            raise HyperquadricError("normals are not orthogonal to positions")
 
     def ball_points(self):
         """Poincare ball points of phi; refuses the first that rounds onto the unit sphere."""
@@ -145,6 +138,8 @@ def circle_curve(rho0, m=512):
     point (1, 0, 0) flowed for time rho0 along its unit normals (0, cos u, sin u)."""
     if not rho0 > 0.0:   # written so that NaN fails
         raise SingularParameterError("circle radius must be positive")
+    if m < 3:
+        raise SamplingError(f"the circle needs at least three samples, got {m}")
     u = np.linspace(0.0, 2.0 * math.pi, m, endpoint=False)
     normals = np.stack([np.zeros_like(u), np.cos(u), np.sin(u)], axis=-1)
     # -0.0, so that sinh(rho0) cos u underflowing to -0.0 keeps its sign

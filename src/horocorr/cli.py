@@ -341,10 +341,13 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.command == "gallery" and args.action == "show" and args.name is None:
         parser.error("gallery show needs an example name")
+    if args.command == "gallery" and args.action == "list" and (
+            args.name, args.rho0, args.samples) != (None, None, None):
+        parser.error("gallery list takes no example name, --rho0 or --samples")
     row = _COMMANDS[args.command]
     try:
         entry = None   # gallery list and verify build no example
-        if getattr(args, "name", None) and getattr(args, "action", "show") == "show":
+        if getattr(args, "name", None):
             entry = _gallery_entry(args)
             if row.kind and not _KINDS[row.kind](entry.payload):
                 raise GeometryError(f"{args.command} needs a {row.kind} example")

@@ -30,7 +30,7 @@ from .errors import (
     ImmersionError,
     SingularParameterError,
 )
-from .minkowski import flow_time, mink_inner, on_null_cone
+from .minkowski import flow_time, mink_inner, off_quadric
 from .sphere import DEFAULT_FD_STEP, _jets, central_gradient
 from .weingarten import T, T_INV, flow_shift
 
@@ -190,9 +190,10 @@ def fg_metric(metric, u, r):
 
 def support_and_gauss(psi):
     """Support value and Gauss point from the light-cone map psi = e^rho (1, G),
-    over the leading axes of psi; psi must be future null within relative 1e-8."""
+    over the leading axes of psi; raises where psi is not future null, that is
+    where off_quadric(psi, psi, 0) or psi0 <= 0."""
     psi = np.asarray(psi, dtype=float)
-    if not np.all(on_null_cone(psi)):
+    if np.any(off_quadric(psi, psi, 0.0) | (psi[..., 0] <= 0.0)):
         raise HyperquadricError("light-cone map is not a future null vector within tolerance")
     p0 = psi[..., 0]
     return SupportData(np.log(p0), psi[..., 1:] / p0[..., None])

@@ -9,8 +9,9 @@ is the timelike coordinate.  The inner product is
 
 The hyperboloid model H^{n+1} is {<v,v> = -1, v[0] > 0}, the de Sitter space
 S1^{n+1} is {<v,v> = 1}, and the forward null cone N+ is {<v,v> = 0, v[0] > 0}.
-A ball point is a numpy array of length n+1 with Euclidean norm < 1 (norm 1 is
-reserved for ideal points).
+Every such test, and <u,v> = 0, is one rule: off_quadric, relative QUADRIC_RTOL
+on the scale max(1, u0^2), with the sheet test v[0] > 0 beside it.  A ball point
+is a numpy array of length n+1 with Euclidean norm < 1 (norm 1: ideal points).
 
 All operations broadcast over leading axes, so an (m, n+2) array is treated as
 m vectors at once.  Sums over a short last axis (a vector's coordinates, a
@@ -23,8 +24,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, HyperquadricError, SingularParameterError
 
-# relative tolerance of hyperboloid membership checks
-MEMBERSHIP_RTOL = 1e-9
+QUADRIC_RTOL = 1e-9   # relative tolerance of every quadric test, see off_quadric
 FLOW_LIMIT = 0.5 * np.log(np.finfo(float).max / 4.0)   # largest |w| with 4 e^{2w} finite
 
 
@@ -57,32 +57,23 @@ def mink_inner(u, v):
     return _last_axis_sum(prod[..., 1:]) - prod[..., 0]
 
 
-def _scale(v):
-    # magnitude reference for relative membership tolerances
-    return np.maximum(1.0, np.asarray(v)[..., 0] ** 2)
-
-
-def on_hyperboloid(v):
-    """True where <v,v> = -1 and v0 > 0 within relative MEMBERSHIP_RTOL."""
-    v = np.asarray(v, dtype=float)
-    return ((np.abs(mink_inner(v, v) + 1.0) <= MEMBERSHIP_RTOL * _scale(v))
-            & (v[..., 0] > 0))
-
-
-def on_null_cone(v):
-    """True where <v,v> = 0 and v0 > 0 within relative 1e-8."""
-    v = np.asarray(v, dtype=float)
-    return (np.abs(mink_inner(v, v)) <= 1e-8 * _scale(v)) & (v[..., 0] > 0)
+def off_quadric(u, v, target):
+    """True where <u,v> misses target by more than QUADRIC_RTOL * max(1, u0^2),
+    broadcasting over leading axes; NaN, and u0^2 overflowing, count as off."""
+    u, v = _check_dims(u, v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        tol = QUADRIC_RTOL * np.maximum(1.0, u[..., 0] ** 2)
+        return ~((np.abs(mink_inner(u, v) - target) <= tol) & (tol < np.inf))
 
 
 def to_poincare_ball(v):
     """Map a hyperboloid point to the open unit ball: (v1,...,vn+1)/(1+v0).
 
-    Raises HyperquadricError if v is not on the hyperboloid within
-    MEMBERSHIP_RTOL.  Broadcasts over leading axes.
+    Raises HyperquadricError where off_quadric(v, v, -1) or v0 <= 0.
+    Broadcasts over leading axes.
     """
     v = np.asarray(v, dtype=float)
-    if not np.all(on_hyperboloid(v)):
+    if np.any(off_quadric(v, v, -1.0) | (v[..., 0] <= 0.0)):
         raise HyperquadricError("input is not on the hyperboloid within tolerance")
     return v[..., 1:] / (1.0 + v[..., 0])[..., None]
 

@@ -393,7 +393,10 @@ class TestCurveType:
          "positions leave the hyperboloid"),
         (lambda c: {"eta": np.where(np.arange(32)[:, None] == 5, np.nan, c.eta)},
          "normals are not unit spacelike"),
-    ], ids=["off-hyperboloid", "not-unit", "not-orthogonal", "nan-position", "nan-normal"])
+        # on the quadrics and orthogonal, but on the hyperboloid's lower sheet
+        (lambda c: {"phi": -c.phi, "eta": -c.eta}, "positions leave the hyperboloid"),
+    ], ids=["off-hyperboloid", "not-unit", "not-orthogonal", "nan-position", "nan-normal",
+            "lower-sheet"])
     def test_frame_validation(self, broken, message):
         curve = circle_curve(0.5, 32)
         with pytest.raises(HyperquadricError) as err:
@@ -433,7 +436,7 @@ class TestCurveType:
             assert np.allclose(moved.eta, expected_eta, atol=1e-12)
             assert moved.cells is payload.cells and moved.t == t
 
-    @pytest.mark.parametrize("m", [1, 4, 5, 256])
+    @pytest.mark.parametrize("m", [3, 4, 5, 256])
     @pytest.mark.parametrize("rho0", [1e-310, 1e-9, 0.7, 2.0, 41.3, 354.198])
     def test_circle_matches_closed_form(self, rho0, m):
         # the geodesic circle of radius rho0 with its outward normal, in
@@ -457,6 +460,14 @@ class TestCurveType:
         with pytest.raises(SingularParameterError, match=message):
             circle_curve(rho0, 16)
 
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_circle_needs_three_samples(self, m):
+        # m = 0 built an empty curve, certified embedded at t = 0 with
+        # winding 0; m = 2 wound twice
+        with pytest.raises(SamplingError) as err:
+            circle_curve(0.5, m)
+        assert str(err.value) == f"the circle needs at least three samples, got {m}"
+
 
 class TestWinding:
     def test_profile_winds_three_times(self):
@@ -467,8 +478,8 @@ class TestWinding:
         assert gauss_winding(circle_curve(0.7, 256)) == 1
 
     def test_coarse_sampling_rejected(self):
-        with pytest.raises(SamplingError):
-            gauss_winding(circle_curve(0.7, 2))
+        with pytest.raises(SamplingError, match="direction jumps by nearly a half turn"):
+            gauss_winding(profile_curve(8))
 
 
 class TestCrossings:

@@ -87,6 +87,16 @@ class TestGallery:
             main(["gallery", "show"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("extra", [["alpha"], ["--rho0", "3"], ["--samples", "5"],
+                                       ["--samples", "0"], ["alpha", "--samples", "64"]])
+    def test_list_refuses_what_it_ignores(self, capsys, extra):
+        # list builds no example; these exited 0 with the options dropped
+        with pytest.raises(SystemExit) as err:
+            main(["gallery", "list", *extra])
+        assert err.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "error: gallery list takes no example name, --rho0 or --samples\n")
+
 
 class TestUsageErrors:
     def test_unknown_example(self):
@@ -408,10 +418,11 @@ class TestImmerseExport:
         assert report["invariant_checks"][0]["pass"] is True
 
 
-IMMERSE_GOLDEN = Path(__file__).parent / "data" / "immerse_outputs.txt"
+GOLDEN_DIR = Path(__file__).parent / "data"
 IMMERSE_TIMES = {"geodesic-sphere": ("0", "3.2"), "round-degenerate": ("0", "3.2"),
                  "incomplete-band": ("0", "3.2"), "cylinder-delaunay": ("0", "3.2"),
                  "alpha": ("0", "1.7"), "alpha-product": ("0", "1.7")}
+METRIC_NAMES = ("geodesic-sphere", "round-degenerate", "incomplete-band", "cylinder-delaunay")
 
 
 def immerse_golden_argv():
@@ -430,32 +441,94 @@ def immerse_golden_argv():
         yield ["immerse", name, "--t", "40"]
 
 
-def immerse_golden_lines():
-    """One tab-separated line per immerse_golden_argv run, made in the
-    current directory: the argv, the exit code, SHA-256 of standard output
-    and of the written file ("-" when none is written), and standard error
-    with its newline stripped."""
+def cli_golden_argv():
+    """The runs that tests/data/cli_outputs.txt pins, in its order: gallery
+    list and show, with their usage errors and refusals; schouten, flow and
+    boundary on each metric example, embed-check and gauss-degree on the
+    curve and the mesh, each to standard output and to --out, at t = 40
+    and t = 400 and with --samples 0; immerse at t = 400 and with --samples
+    0; then every wrong-kind refusal.  verify and the other immerse runs
+    have golden files of their own."""
+    yield ["gallery", "list"]
+    yield ["gallery", "list", "--out", "out.txt"]
+    yield ["gallery", "list", "--rho0", "3", "--samples", "5"]
+    yield ["gallery", "list", "alpha"]
+    yield ["gallery", "show"]
+    for name in cli.EXAMPLE_CHOICES:
+        yield ["gallery", "show", name]
+    for options in (["--out", "out.json"], ["--samples", "64"], ["--samples", "0"]):
+        yield ["gallery", "show", "alpha"] + options
+    yield ["gallery", "show", "geodesic-sphere", "--rho0", "0.3"]
+    yield ["gallery", "show", "incomplete-band", "--rho0", "0.3"]
+    runs = {
+        "schouten": ([], ["--seed", "3", "--samples", "50"], ["--samples", "0"],
+                     ["--out", "out.json"]),
+        "flow": ([], ["--t", "2.5", "--h", "1e-3"], ["--t", "0"], ["--t", "40"],
+                 ["--t", "400"], ["--samples", "0"], ["--out", "out.csv"]),
+        "boundary": ([], ["--t", "15", "--samples", "16"], ["--t", "40"], ["--t", "400"],
+                     ["--samples", "0"], ["--out", "out.json"]),
+    }
+    for command, option_sets in runs.items():
+        for name in METRIC_NAMES:
+            for options in option_sets:
+                yield [command, name] + options
+        yield [command, "geodesic-sphere", "--rho0", "0.3", "--samples", "8"]
+    for name in ("alpha", "alpha-curve", "alpha-product"):
+        yield ["embed-check", name]
+    for name in ("alpha", "alpha-product"):
+        for options in (["--samples", "512"], ["--samples", "8"], ["--samples", "0"],
+                        ["--eps", "1e-3", "--t", "2"], ["--t", "40"], ["--t", "400"],
+                        ["--out", "out.json"]):
+            yield ["embed-check", name] + options
+    for name in ("alpha", "alpha-curve"):
+        yield ["gauss-degree", name]
+    for samples in ("8192", "8", "0"):
+        yield ["gauss-degree", "alpha", "--samples", samples]
+    for name in cli.EXAMPLE_CHOICES:
+        yield ["immerse", name, "--t", "400"]
+    for name in ("geodesic-sphere", "alpha"):
+        yield ["immerse", name, "--samples", "0"]
+    for command, name, _ in wrong_kinds():
+        yield [command, name]
+
+
+def golden_lines(argvs):
+    """One tab-separated line per argv, run in the current directory: the
+    argv, the exit code, SHA-256 of standard output and of the --out file
+    ("-" when none is written), and standard error with its trailing
+    newline stripped.  A usage error keeps only its last stderr line, since
+    argparse wraps the usage lines to the terminal's width."""
     def sha(data):
         return hashlib.sha256(data).hexdigest()
 
     lines = []
-    for argv in immerse_golden_argv():
-        path = Path(argv[-1]) if "--out" in argv else None
+    for argv in argvs:
+        path = Path(argv[argv.index("--out") + 1]) if "--out" in argv else None
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
+            try:
+                code, usage = main(argv), False
+            except SystemExit as exc:
+                code, usage = exc.code, True
+        stderr = err.getvalue().rstrip("\n")
+        if usage:
+            stderr = stderr.rpartition("\n")[2]
         written = sha(path.read_bytes()) if path and path.exists() else "-"
         if path and path.exists():
             path.unlink()
         lines.append("\t".join([" ".join(argv), str(code), sha(out.getvalue().encode()),
-                                written, err.getvalue().rstrip("\n")]))
+                                written, stderr]))
     return lines
 
 
-def test_immerse_outputs_match_the_golden_file(tmp_path, monkeypatch):
-    # a change that moves an exported byte updates the file and says why
+@pytest.mark.parametrize("argvs, golden", [
+    (immerse_golden_argv, "immerse_outputs.txt"),
+    (cli_golden_argv, "cli_outputs.txt"),
+])
+def test_outputs_match_the_golden_file(tmp_path, monkeypatch, argvs, golden):
+    # a change that moves an output byte updates the file and says why
     monkeypatch.chdir(tmp_path)
-    assert immerse_golden_lines() == IMMERSE_GOLDEN.read_text().splitlines()
+    assert golden_lines(argvs()) == (GOLDEN_DIR / golden).read_text().splitlines()
 
 
 class TestBallRounding:

@@ -5,16 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from horocorr.correspondence import support_and_gauss
 from horocorr.errors import DimensionMismatch, HyperquadricError, SingularParameterError
 from horocorr.minkowski import (
     FLOW_LIMIT,
-    MEMBERSHIP_RTOL,
+    QUADRIC_RTOL,
     _last_axis_sum,
     from_poincare_ball,
     mink_inner,
     normal_flow,
-    on_hyperboloid,
-    on_null_cone,
+    off_quadric,
     to_poincare_ball,
 )
 from horocorr.weingarten import hr_inequality
@@ -93,16 +93,81 @@ class TestLastAxisSum:
 
 class TestMembership:
     def test_quadric_flags(self):
-        assert on_hyperboloid([1.0, 0.0, 0.0])
-        assert not on_hyperboloid([-1.0, 0.0, 0.0])  # wrong sheet
-        assert on_null_cone([1.0, 1.0, 0.0])
-        assert not on_null_cone([-1.0, -1.0, 0.0])
+        assert not off_quadric([1.0, 0.0, 0.0], [1.0, 0.0, 0.0], -1.0)
+        assert not off_quadric([0.0, 1.0, 0.0], [0.0, 1.0, 0.0], 1.0)
+        assert not off_quadric([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], 0.0)
+        assert not off_quadric([1.0, 1.0, 0.0], [1.0, 1.0, 0.0], 0.0)
+        assert off_quadric([2.0, 0.0, 0.0], [2.0, 0.0, 0.0], -1.0)
+        # the lower sheets pass the quadric; the callers' sheet test refuses them
+        assert not off_quadric([-1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], -1.0)
+        with pytest.raises(HyperquadricError, match="not on the hyperboloid"):
+            to_poincare_ball([-1.0, 0.0, 0.0])
+        assert not off_quadric([-1.0, -1.0, 0.0], [-1.0, -1.0, 0.0], 0.0)
+        with pytest.raises(HyperquadricError, match="not a future null vector"):
+            support_and_gauss([-1.0, -1.0, 0.0])
+
+    def test_scale_is_the_first_argument(self):
+        # <u, v> = 1e-6: within 1e-9 on u's scale 1e4, off on v's scale 1
+        u, v = [100.0, 0.0, 0.0], [-1e-8, 0.0, 0.0]
+        assert not off_quadric(u, v, 0.0)
+        assert off_quadric(v, u, 0.0)
 
     def test_timelike_coordinate_at_least_one(self, rng):
         # any unit timelike future vector has v0 >= 1
         for _ in range(200):
             v = random_hyperboloid_point(rng, n_ambient=4)
             assert v[0] >= 1.0
+
+
+@st.composite
+def flowed_frames(draw):
+    """(phi, eta, t): one to four frames from conftest's random point and
+    normal in R^{1,n+1}, n = 1..3, flowed together by normal_flow to |t| <= 30."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_ambient, rows = draw(st.integers(3, 5)), draw(st.integers(1, 4))
+    t = draw(st.floats(-30.0, 30.0))
+    phi = np.array([random_hyperboloid_point(rng, n_ambient) for _ in range(rows)])
+    eta = np.array([random_unit_normal(rng, p) for p in phi])
+    return *normal_flow(phi, eta, t), t
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestOffQuadric:
+    """The one quadric rule on the frames the normal flow makes."""
+
+    @given(flowed_frames())
+    @settings(max_examples=200, deadline=None)
+    def test_flowed_frames_pass(self, frame):
+        phi, eta, t = frame
+        assert not np.any(off_quadric(phi, phi, -1.0)) and np.all(phi[:, 0] > 0)
+        assert not np.any(off_quadric(eta, eta, 1.0))
+        assert not np.any(off_quadric(phi, eta, 0.0))
+        if t >= 0:   # backward, phi + eta = e^t (phi_0 + eta_0) cancels to rounding
+            psi = phi + eta
+            assert not np.any(off_quadric(psi, psi, 0.0)) and np.all(psi[:, 0] > 0)
+
+    @given(flowed_frames(), st.booleans(), st.integers(0, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_relative_nudge_is_off(self, frame, in_eta, row):
+        # scaling the largest entry v_k by 1 + 1e-6 moves <v,v> by about
+        # 2e-6 v_k^2, with v_k^2 >= max(v0^2, 1/5): 400 times the tolerance
+        phi, eta, _ = frame
+        v, target = (eta, 1.0) if in_eta else (phi, -1.0)
+        row %= len(v)
+        v[row, np.argmax(np.abs(v[row]))] *= 1.0 + 1e-6
+        assert np.array_equal(off_quadric(v, v, target), np.arange(len(v)) == row)
+
+    @given(flowed_frames(), st.booleans(), st.integers(0, 3), st.integers(0, 4),
+           st.sampled_from([math.nan, math.inf, -math.inf]))
+    @settings(max_examples=200, deadline=None)
+    def test_nonfinite_row_is_off(self, frame, in_eta, row, k, value):
+        phi, eta, _ = frame
+        v, target = (eta, 1.0) if in_eta else (phi, -1.0)
+        row %= len(v)
+        v[row, k % v.shape[1]] = value
+        broken = np.arange(len(v)) == row
+        assert np.array_equal(off_quadric(v, v, target), broken)
+        assert np.array_equal(off_quadric(phi, eta, 0.0), broken)
 
 
 class TestBallModel:
@@ -134,7 +199,7 @@ class TestBallModel:
         norms = np.linalg.norm(p, axis=1)
         p *= (rng.uniform(0.0, 0.999, size=10_000) / np.maximum(norms, 1e-12))[:, None]
         v = from_poincare_ball(p)
-        assert np.all(on_hyperboloid(v))
+        assert not np.any(off_quadric(v, v, -1.0)) and np.all(v[:, 0] > 0)
         assert np.all(np.linalg.norm(to_poincare_ball(v), axis=1) < 1.0)
         np.testing.assert_allclose(to_poincare_ball(v), p, atol=1e-12)
 
@@ -147,7 +212,7 @@ class TestBallModel:
         assert mink_inner(v, v) == pytest.approx(-1.0, abs=1e-9)
 
 
-def geodesic_point(phi, eta, t, rtol=MEMBERSHIP_RTOL):
+def geodesic_point(phi, eta, t, rtol=QUADRIC_RTOL):
     """Position after normal flow time t, the frame checked to rtol first:
     phi on the hyperboloid, eta on de Sitter space, <phi,eta> = 0."""
     phi, eta = np.asarray(phi, dtype=float), np.asarray(eta, dtype=float)
