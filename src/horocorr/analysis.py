@@ -23,7 +23,8 @@ from .errors import (
     SingularParameterError,
 )
 from .minkowski import (
-    _last_axis_sum, flow_time, mink_inner, normal_flow, off_quadric, to_poincare_ball)
+    _last_axis_sum, flow_time, mink_inner, normal_flow, off_quadric, sample_count,
+    to_poincare_ball)
 from .sphere import BandChart, StereographicChart, constant_field, radial_band_field
 
 SCAN_EPS = 1e-9        # shortest segment, smallest doubled face area a scan accepts
@@ -127,10 +128,8 @@ def _profile_frame(u):
 
 def profile_curve(m):
     # the direction map turns three times: with m <= 6 each step is >= half a turn
-    if m < 7:
-        raise SamplingError("the profile curve needs at least seven samples")
     return closed_curve(*_profile_frame(
-        np.linspace(0.0, PROFILE_PERIOD, m, endpoint=False)))
+        np.linspace(0.0, PROFILE_PERIOD, sample_count(m, "m", 7), endpoint=False)))
 
 
 def circle_curve(rho0, m=512):
@@ -138,9 +137,7 @@ def circle_curve(rho0, m=512):
     point (1, 0, 0) flowed for time rho0 along its unit normals (0, cos u, sin u)."""
     if not rho0 > 0.0:   # written so that NaN fails
         raise SingularParameterError("circle radius must be positive")
-    if m < 3:
-        raise SamplingError(f"the circle needs at least three samples, got {m}")
-    u = np.linspace(0.0, 2.0 * math.pi, m, endpoint=False)
+    u = np.linspace(0.0, 2.0 * math.pi, sample_count(m, "m", 3), endpoint=False)
     normals = np.stack([np.zeros_like(u), np.cos(u), np.sin(u)], axis=-1)
     # -0.0, so that sinh(rho0) cos u underflowing to -0.0 keeps its sign
     return closed_curve(*normal_flow(np.array([1.0, -0.0, -0.0]), normals, rho0))
@@ -153,8 +150,7 @@ def product_mesh(m_u, m_v, length):
     periodic, the v direction is an open interval [-length, length].
     """
     flow_time(length, "length")   # the v family's cosh and sinh stay finite
-    if m_u < 3 or m_v < 2:
-        raise SamplingError("mesh grid too coarse to triangulate")
+    sample_count(sample_count(m_u, "m_u", 3) * sample_count(m_v, "m_v", 2), "m_u * m_v")
     u = np.linspace(0.0, PROFILE_PERIOD, m_u, endpoint=False)
     v = np.linspace(-length, length, m_v)
     a, n = _profile_frame(u)
@@ -432,7 +428,8 @@ def first_embedded_time(payload, t_max=5.0, tol=1e-2):
     """Bisection on 'the flowed payload has no self-crossings'.
 
     Raises when the payload still crosses itself at t_max; returns time 0
-    immediately for already-embedded input.
+    immediately for already-embedded input.  The bracket halves until it is
+    at most tol wide or no float lies inside it.
     """
     if not (0.0 < tol < np.inf and 0.0 < t_max < np.inf):
         raise SingularParameterError("need finite positive t_max and tolerance")
@@ -449,8 +446,7 @@ def first_embedded_time(payload, t_max=5.0, tol=1e-2):
             f"not embedded by t_max = {t_max} ({c_top} crossings remain)")
     lo, hi = 0.0, t_max
     c_lo = c0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
+    while hi - lo > tol and lo < (mid := 0.5 * (lo + hi)) < hi:
         c_mid = count(mid)
         if c_mid == 0:
             hi = mid
@@ -550,13 +546,11 @@ def boundary_at_infinity(metric, t=1.0, n_directions=64):
     than ESCAPE_RATIO times that at the other.  Its direction is the ball
     direction of its deepest probe, which matches the probe's Gauss point
     chart.embed(u): the ideal boundary is the boundary of the Gauss image,
-    whatever t.  A compact image yields an empty list.  Parameters that
-    would make that answer meaningless are refused: n_directions must be at
-    least 1, and immerse refuses a non-finite t.
+    whatever t.  A compact image yields an empty list.  sample_count
+    refuses an n_directions below 1 or with its 4 n_directions probes past
+    MAX_SAMPLES, and immerse a non-finite t.
     """
-    if n_directions < 1:
-        raise SingularParameterError(
-            f"need at least one direction, got n_directions={n_directions}")
+    sample_count(4 * sample_count(n_directions, "n_directions"), "4 * n_directions")
     if not isinstance(metric, ConformalMetric):
         raise SingularParameterError(
             "boundary tracing needs a conformal-metric payload")

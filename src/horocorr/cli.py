@@ -38,6 +38,7 @@ from .analysis import (
 from .conformal import ConformalMetric, eigenvalue_realizability, rescale, schouten
 from .correspondence import extrinsic_curvatures, immerse, lambda_kappa
 from .errors import GeometryError, SamplingError
+from .minkowski import sample_count
 from .sphere import DEFAULT_FD_STEP, axis_values
 from .verify import CRITERIA, run_all
 
@@ -90,9 +91,8 @@ def _band_range(metric, fraction):
 def _metric_mesh(metric, n_az, t):
     """Immersion at flow time t of a two-dimensional metric example, triangulated
     on max(5, n_az // 2) latitude rows of n_az azimuths, three at least."""
-    if n_az < 3:
-        raise SamplingError(f"the mesh needs at least three azimuths, got {n_az}")
-    n_lat = max(5, n_az // 2)
+    n_lat = max(5, sample_count(n_az, "azimuths", 3) // 2)
+    sample_count(n_lat * n_az, "mesh vertices")
     azimuths = np.linspace(0.0, 2.0 * math.pi, n_az, endpoint=False)
     if metric.chart.kind == "band":
         rows = np.linspace(*_band_range(metric, 0.98), n_lat)
@@ -108,6 +108,7 @@ def _metric_mesh(metric, n_az, t):
 
 
 def _metric_samples(metric, n, rng):
+    sample_count(n, "samples", 0)   # no samples: the command's own refusal
     if metric.chart.kind != "band":
         return rng.uniform(-2.5, 2.5, size=(n, 2))
     s = rng.uniform(*_band_range(metric, 0.9), n)
@@ -331,23 +332,28 @@ def build_parser():
             p.add_argument("name", nargs="?", choices=EXAMPLE_CHOICES)
         elif command != "verify":
             p.add_argument("name", choices=EXAMPLE_CHOICES)
-        for name, default in row.options.items():
-            p.add_argument(f"--{name}", default=default, **_OPTIONS[name])
+        for name in row.options:   # None unless given: main fills in the row's default
+            p.add_argument(f"--{name}", **_OPTIONS[name])
     return parser
 
 
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    row = _COMMANDS[args.command]
+    given = {name for name in row.options if getattr(args, name) is not None}
+    for name in row.options.keys() - given:
+        setattr(args, name, row.options[name])
     if args.command == "gallery" and args.action == "show" and args.name is None:
         parser.error("gallery show needs an example name")
     if args.command == "gallery" and args.action == "list" and (
             args.name, args.rho0, args.samples) != (None, None, None):
         parser.error("gallery list takes no example name, --rho0 or --samples")
-    row = _COMMANDS[args.command]
     try:
         entry = None   # gallery list and verify build no example
         if getattr(args, "name", None):
+            if args.name == "alpha-product" and "samples" in given:   # a fixed grid
+                raise GeometryError("alpha-product takes no --samples")
             entry = _gallery_entry(args)
             if row.kind and not _KINDS[row.kind](entry.payload):
                 raise GeometryError(f"{args.command} needs a {row.kind} example")

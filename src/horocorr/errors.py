@@ -40,4 +40,4 @@ class RootBracketError(GeometryError):
 
 
 class SamplingError(GeometryError):
-    """A sample set is empty, too coarse, or otherwise unusable."""
+    """A count out of minkowski.sample_count's range, or an empty or unusable sample set."""

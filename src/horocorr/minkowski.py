@@ -10,7 +10,8 @@ is the timelike coordinate.  The inner product is
 The hyperboloid model H^{n+1} is {<v,v> = -1, v[0] > 0}, the de Sitter space
 S1^{n+1} is {<v,v> = 1}, and the forward null cone N+ is {<v,v> = 0, v[0] > 0}.
 Every such test, and <u,v> = 0, is one rule: off_quadric, relative QUADRIC_RTOL
-on the scale max(1, u0^2), with the sheet test v[0] > 0 beside it.  A ball point
+on the scale max(1, u0^2), with the sheet test v[0] > 0 beside it.  flow_time
+guards every flow time, sample_count every count of sampled points.  A ball point
 is a numpy array of length n+1 with Euclidean norm < 1 (norm 1: ideal points).
 
 All operations broadcast over leading axes, so an (m, n+2) array is treated as
@@ -22,10 +23,11 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatch, HyperquadricError, SingularParameterError
+from .errors import DimensionMismatch, HyperquadricError, SamplingError, SingularParameterError
 
 QUADRIC_RTOL = 1e-9   # relative tolerance of every quadric test, see off_quadric
 FLOW_LIMIT = 0.5 * np.log(np.finfo(float).max / 4.0)   # largest |w| with 4 e^{2w} finite
+MAX_SAMPLES = 2 ** 16   # most points one builder makes, see sample_count
 
 
 def _check_dims(u, v):
@@ -102,6 +104,14 @@ def flow_time(t, name="flow time"):
         raise SingularParameterError(f"{name} = {np.asarray(t)[bad][0]} is not finite "
                                      f"or outside [-{FLOW_LIMIT:.3f}, {FLOW_LIMIT:.3f}]")
     return t
+
+
+def sample_count(n, name, minimum=1):
+    """n unchanged: the one guard of sample counts, run before anything sized by n.
+    Raises SamplingError naming n unless it is an integer in [minimum, MAX_SAMPLES]."""
+    if not (isinstance(n, (int, np.integer)) and minimum <= n <= MAX_SAMPLES):
+        raise SamplingError(f"{name} = {n!r} is not an integer in [{minimum}, {MAX_SAMPLES}]")
+    return n
 
 
 def normal_flow(phi, eta, t):

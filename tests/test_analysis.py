@@ -1,6 +1,7 @@
 """Tests for the gallery, winding counts, crossing scans and boundary tracing."""
 
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 from types import SimpleNamespace
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from horocorr import analysis
+from horocorr import analysis, cli
 from horocorr.analysis import (
     EmbeddingReport,
     Immersion,
@@ -35,7 +36,7 @@ from horocorr.errors import (
     SamplingError,
     SingularParameterError,
 )
-from horocorr.minkowski import from_poincare_ball, mink_inner
+from horocorr.minkowski import MAX_SAMPLES, from_poincare_ball, mink_inner
 from horocorr.sphere import (
     BandChart,
     ScalarField,
@@ -405,8 +406,9 @@ class TestCurveType:
 
     @pytest.mark.parametrize("m", [6, 3, 2, 0, -5])
     def test_profile_needs_seven_samples(self, m):
-        with pytest.raises(SamplingError, match="at least seven samples"):
+        with pytest.raises(SamplingError) as err:
             profile_curve(m)
+        assert str(err.value) == f"m = {m} is not an integer in [7, {MAX_SAMPLES}]"
         assert len(profile_curve(7).phi) == 7
 
     def test_profile_winding_is_three_or_refused(self):
@@ -466,7 +468,69 @@ class TestCurveType:
         # winding 0; m = 2 wound twice
         with pytest.raises(SamplingError) as err:
             circle_curve(0.5, m)
-        assert str(err.value) == f"the circle needs at least three samples, got {m}"
+        assert str(err.value) == f"m = {m} is not an integer in [3, {MAX_SAMPLES}]"
+
+
+METRIC = make_example("incomplete-band").payload
+
+# each builder or command by the count it takes: (call with count n, the
+# count's name, its minimum)
+COUNTED = {
+    "profile_curve": (profile_curve, "m", 7),
+    "circle_curve": (lambda n: circle_curve(0.5, n), "m", 3),
+    "product_mesh-m_u": (lambda n: product_mesh(n, 9, 1.0), "m_u", 3),
+    "product_mesh-m_v": (lambda n: product_mesh(96, n, 1.0), "m_v", 2),
+    "boundary_at_infinity": (lambda n: boundary_at_infinity(METRIC, n_directions=n),
+                             "n_directions", 1),
+    "metric_mesh": (lambda n: cli._metric_mesh(METRIC, n, 0.0), "azimuths", 3),
+    "metric_samples": (lambda n: cli._metric_samples(METRIC, n, np.random.default_rng(0)),
+                       "samples", 0),
+}
+
+
+def refusal(build):
+    """The SamplingError message of build(), and the tracemalloc peak in
+    bytes on the way to it."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(SamplingError) as err:
+            build()
+        return str(err.value), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestSampleCount:
+    # one rule, minkowski.sample_count, refuses every count that is not an
+    # integer in [minimum, MAX_SAMPLES], before anything sized by it exists
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(sorted(COUNTED)), st.data())
+    def test_refused_by_name_before_allocation(self, case, data):
+        build, name, minimum = COUNTED[case]
+        n = data.draw(st.one_of(
+            st.sampled_from([7.5, math.nan, "7"]),
+            st.integers(max_value=minimum - 1),
+            st.integers(MAX_SAMPLES + 1, 10**30)))
+        message, peak = refusal(lambda: build(n))
+        assert message == f"{name} = {n!r} is not an integer in [{minimum}, {MAX_SAMPLES}]"
+        assert peak < 1e6
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: product_mesh(300, 300, 1.0), "m_u * m_v = 90000"),
+        (lambda: boundary_at_infinity(METRIC, n_directions=16385), "4 * n_directions = 65540"),
+        (lambda: cli._metric_mesh(METRIC, 363, 0.0), "mesh vertices = 65703"),
+    ], ids=["product-mesh", "boundary-probes", "metric-mesh"])
+    def test_products_of_counts_in_range(self, build, message):
+        # every factor passes; the points they make together do not
+        got, peak = refusal(build)
+        assert got == f"{message} is not an integer in [1, {MAX_SAMPLES}]"
+        assert peak < 1e6
+
+    def test_bounds_are_taken(self):
+        assert len(profile_curve(MAX_SAMPLES).phi) == MAX_SAMPLES
+        assert len(product_mesh(3, 2, 1.0).phi) == 6
+        assert cli._metric_samples(METRIC, 0, np.random.default_rng(0)).shape == (0, 2)
+        assert len(cli._metric_mesh(METRIC, 362, 0.0).phi) == 362 * 181
 
 
 class TestWinding:
@@ -926,6 +990,23 @@ class TestEmbeddingTime:
         assert len(self_intersections(mesh.flowed(report.t_embedded))) == 0
         assert len(self_intersections(mesh.flowed(report.t_embedded - 0.05))) >= 1
 
+    def test_bisection_ends_at_the_float_spacing(self, monkeypatch):
+        # crossings below t = 1 + 1e-9; with a tol below the float spacing
+        # there, the bisection once went on forever, one scan a turn
+        times = []
+
+        def crossings_below(payload):
+            times.append(payload.t)
+            if len(times) > 200:
+                raise AssertionError("the bisection does not end")
+            return np.zeros((int(payload.t < 1.0 + 1e-9), 2), np.int64)
+
+        monkeypatch.setattr(analysis, "self_intersections", crossings_below)
+        report = first_embedded_time(circle_curve(0.5, 16), t_max=5.0, tol=1e-300)
+        assert report == EmbeddingReport(1.0 + 1e-9, 1)
+        # 0 and t_max, then one halving of [0, 5] per bit down to the spacing at 1
+        assert len(times) <= 2 + 55
+
     def test_bad_window_parameters(self):
         with pytest.raises(SingularParameterError):
             first_embedded_time(circle_curve(0.8, 64), t_max=-1.0)
@@ -1012,12 +1093,13 @@ class TestBoundaryAtInfinity:
         with pytest.raises(SingularParameterError):
             boundary_at_infinity(make_example("alpha-curve").payload)
 
-    @pytest.mark.parametrize("kwargs", [
-        {"n_directions": 0}, {"n_directions": -1},
-        {"t": math.inf}, {"t": -math.inf}, {"t": math.nan},
+    @pytest.mark.parametrize("kwargs, error", [
+        ({"n_directions": 0}, SamplingError), ({"n_directions": -1}, SamplingError),
+        ({"t": math.inf}, SingularParameterError), ({"t": -math.inf}, SingularParameterError),
+        ({"t": math.nan}, SingularParameterError),
     ])
-    def test_meaningless_parameters_rejected(self, kwargs):
-        with pytest.raises(SingularParameterError):
+    def test_meaningless_parameters_rejected(self, kwargs, error):
+        with pytest.raises(error):
             boundary_at_infinity(make_example("incomplete-band").payload, **kwargs)
 
     @pytest.mark.parametrize("name", [

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from horocorr import cli, conformal
 from horocorr.analysis import GALLERY_NAMES, GalleryEntry, circle_curve, make_example
 from horocorr.cli import build_parser, main
+from horocorr.minkowski import MAX_SAMPLES
 
 
 def run(capsys, *argv):
@@ -130,6 +131,29 @@ class TestUsageErrors:
         assert "argument --samples: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
+        ("gallery", "show", "alpha"), ("schouten", "geodesic-sphere"),
+        ("flow", "incomplete-band"), ("boundary", "cylinder-delaunay"),
+        ("boundary", "incomplete-band"), ("immerse", "geodesic-sphere"),
+        ("immerse", "alpha"), ("embed-check", "alpha"), ("gauss-degree", "alpha"),
+    ])
+    def test_huge_samples_is_one_error_line(self, capsys, argv):
+        # numpy refused this size with a traceback; the guard names the count
+        code, out, err = run(capsys, *argv, "--samples", "1000000000000000000000")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "= 1000000000000000000000 is not an integer in [" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("embed-check", "alpha-product", "--samples", "2048"),   # the command's default
+        ("embed-check", "alpha-product", "--samples=0"),
+        ("immerse", "alpha-product", "--sam", "32"),   # an abbreviation is given too
+        ("gallery", "show", "alpha-product", "--samples", "5"),
+    ])
+    def test_samples_refused_on_the_mesh(self, capsys, argv):
+        # the 96 x 9 grid took no count, and ran whatever --samples said
+        assert run(capsys, *argv) == (1, "", "error: alpha-product takes no --samples\n")
+
+    @pytest.mark.parametrize("argv", [
         ("schouten", "geodesic-sphere", "--rho0", "nan"),
         ("schouten", "geodesic-sphere", "--rho0", "inf"),
         ("flow", "geodesic-sphere", "--t", "nan"),
@@ -225,7 +249,8 @@ class TestUsageErrors:
 
 FUZZ_FLOATS = ("0", "1e-09", "-1e-09", "0.5", "1", "3.2", "20", "-20", "355", "356",
                "700", "1e308", "inf", "-inf", "nan")
-FUZZ_VALUES = {"samples": ("0", "1", "3", "7", "16", "64", "-1"), "seed": ("0", "7", "-1"),
+FUZZ_VALUES = {"samples": ("0", "1", "3", "7", "16", "64", "-1", "1000000000000000000000"),
+               "seed": ("0", "7", "-1"),
                "format": cli._OPTIONS["format"]["choices"]}
 
 
@@ -302,7 +327,7 @@ class TestWinding:
         code, out, err = run(capsys, "gauss-degree", "alpha", f"--samples={samples}")
         assert code == 1
         assert out == ""
-        assert err == "error: the profile curve needs at least seven samples\n"
+        assert err == f"error: m = {samples} is not an integer in [7, {MAX_SAMPLES}]\n"
 
     def test_metric_example_rejected(self, capsys):
         code, _, err = run(capsys, "gauss-degree", "incomplete-band")
@@ -400,7 +425,7 @@ class TestImmerseExport:
         # and 2 covers each quad twice
         code, out, err = run(capsys, "immerse", name, "--samples", str(samples))
         assert (code, out) == (1, "")
-        assert err == f"error: the mesh needs at least three azimuths, got {samples}\n"
+        assert err == f"error: azimuths = {samples} is not an integer in [3, {MAX_SAMPLES}]\n"
 
     def test_metric_mesh_of_three_azimuths(self, capsys):
         code, out, _ = run(capsys, "immerse", "geodesic-sphere", "--samples", "3")
