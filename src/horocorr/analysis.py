@@ -31,9 +31,7 @@ SCAN_EPS = 1e-9        # shortest segment, smallest doubled face area a scan acc
 LADDER_DEPTH = 40      # ladder level of boundary_at_infinity's deepest probe
 ESCAPE_RATIO = 1.2     # growth of phi_0 over the last ladder step that escapes:
                        # below the band's sqrt(2) from t = 15, above a compact image's 1
-CLUSTER_RADIUS = 0.05  # angle within which escape directions share a cluster
-CLOSE = 1e-6           # angle within which a certified pair shares a cluster
-GAP = 2e-6             # margin beyond the radius that certifies a pair apart
+CLOSE = 1e-6           # angle within which escape directions share a cluster
 CERT_ROWS = 128        # rows of the pairwise-cosine table held at once
 _PAIR_BLOCK = 16384    # sweep candidates a `_box_pairs` block expands at once
 PROFILE_PERIOD = 4.0 * math.pi   # parameter period of the profile curve
@@ -220,10 +218,11 @@ GALLERY_NAMES = tuple(_GALLERY)
 
 
 def _exact(kind, key, value):
-    """value as a kind, refused unless exact; a float NaN passes to the builder."""
+    """value as a kind, refused if a bool or inexact; a float NaN passes to the builder."""
     try:
         converted = kind(value)
-        if converted == value or value != value:
+        exact = converted == value or value != value
+        if exact and not isinstance(value, (bool, np.bool_)):
             return converted
     except (TypeError, ValueError, OverflowError):
         pass
@@ -463,78 +462,36 @@ class BoundaryCluster:
     count: int
 
 
-def _near(v, centers, radius):
-    """Whether the direction v lies within radius of each row of centers, by
-    arccos of the clipped dot product.  vecdot runs the same dot kernel as
-    `u @ w` on two vectors, so every decision is bit for bit that of one
-    pairwise comparison; clip and arccos run in place on its result."""
-    cos = np.vecdot(v, centers)
-    return np.arccos(np.clip(cos, -1.0, 1.0, out=cos), out=cos) < radius
+def _cluster_directions(dirs):
+    """Clusters of the unit directions `dirs` (shape (m, d)): directions
+    within CLOSE of each other share one.
 
-
-def _separated_founders(dirs, radius):
-    """Index of the first direction within CLOSE of each direction, when
-    every pair lies within CLOSE or beyond radius + GAP (cosines CERT_ROWS
-    rows at a time) and 2 CLOSE < radius < pi - GAP; None otherwise."""
-    if not 2.0 * CLOSE < radius < math.pi - GAP:
-        return None
+    The cosines `dirs @ dirs.T` are filled CERT_ROWS rows at a time, each
+    block up to its own last column, so every pair is compared once.  Each
+    direction's founder is the first direction within CLOSE of it.  Input
+    is refused unless being within CLOSE is an equivalence on it: each
+    row's within-CLOSE mask must be its founder's class.  Sums add members
+    in input order; centres are s / sqrt(s . s).
+    """
     first = np.empty(len(dirs), dtype=np.intp)
     for i in range(0, len(dirs), CERT_ROWS):
-        cos = dirs[i:i + CERT_ROWS] @ dirs.T
-        close = cos > math.cos(CLOSE)
-        if not np.all(close | (cos < math.cos(radius + GAP))):
-            return None
-        first[i:i + CERT_ROWS] = close.argmax(axis=1)
-    return first
-
-
-def _cluster_directions(dirs, radius):
-    """Greedy clustering of the unit directions `dirs` (shape (m, d)).
-
-    Directions are visited in input order.  Each joins the first cluster,
-    in creation order, whose normalised running sum lies within `radius`
-    of it, by arccos of the clipped dot product; that cluster's sum and
-    normalised centre are updated.  Otherwise the direction starts a new
-    cluster.  Joining moves a centre, so the result depends on the input
-    order.  One `_near` call tests a direction against every centre.
-
-    Input that `_separated_founders` certifies skips the loop.  There,
-    being within CLOSE is an equivalence (two steps stay below 2 CLOSE <
-    radius + GAP), and a centre lies in the spherical hull of its members,
-    within CLOSE of each; so a direction lies within CLOSE < radius of its
-    own class's centre and beyond radius + GAP - CLOSE of every other, a
-    1e-6 rad margin against rounding.  Each direction joins the cluster of
-    the first direction within CLOSE of it; sums add members in input
-    order and centres are s / sqrt(s . s), the loop's own arithmetic.
-    """
-    first = _separated_founders(dirs, radius)
-    if first is not None:
-        founders, label = np.unique(first, return_inverse=True)
-        counts, sums = np.bincount(label), dirs[founders]
-        for k in np.flatnonzero(counts > 1):
-            sums[k] = np.cumsum(dirs[label == k], axis=0)[-1]
-        centers = sums / np.sqrt(np.vecdot(sums, sums))[:, None]
-        return list(map(BoundaryCluster, centers, counts.tolist()))
-    sums, centers = np.empty_like(dirs), np.empty_like(dirs)
-    counts = []
-    for v in dirs:
-        near = _near(v, centers[:len(counts)], radius)
-        k = near.argmax() if counts else 0
-        if counts and near[k]:
-            sums[k] += v
-            counts[k] += 1
-        else:
-            k = len(counts)
-            sums[k] = v
-            counts.append(1)
-        s = sums[k]   # norm of a 1-D array: the square root of its dot product
-        centers[k] = s / math.sqrt(s.dot(s))
-    return list(map(BoundaryCluster, centers, counts))
+        j = i + CERT_ROWS
+        close = dirs[i:j] @ dirs[:j].T > math.cos(CLOSE)
+        first[i:j] = close.argmax(axis=1)
+        if not np.array_equal(close, first[:j] == first[i:j, None]):
+            raise SamplingError(f"directions from row {i} on chain within CLOSE = "
+                                f"{CLOSE} rad: being that close is not an equivalence")
+    founders, label = np.unique(first, return_inverse=True)
+    counts, sums = np.bincount(label), dirs[founders]
+    for k in np.flatnonzero(counts > 1):
+        sums[k] = np.cumsum(dirs[label == k], axis=0)[-1]
+    centers = sums / np.sqrt(np.vecdot(sums, sums))[:, None]
+    return list(map(BoundaryCluster, centers, counts.tolist()))
 
 
 def boundary_at_infinity(metric, t=1.0, n_directions=64):
     """Ideal boundary of a conformal metric, as clusters of escape
-    directions within CLUSTER_RADIUS.
+    directions that coincide to CLOSE (`_cluster_directions`).
 
     Each ray (a sign and one of n_directions angles on the band chart, an
     angle on the stereographic chart) is probed at its two deepest ladder
@@ -571,4 +528,4 @@ def boundary_at_infinity(metric, t=1.0, n_directions=64):
     phi = immerse(metric, probes.reshape(-1, 2, 2), t).phi
     escaped = phi[:, 1, 0] > ESCAPE_RATIO * phi[:, 0, 0]
     p = to_poincare_ball(phi[escaped, 1])
-    return _cluster_directions(p / np.linalg.norm(p, axis=-1)[:, None], CLUSTER_RADIUS)
+    return _cluster_directions(p / np.linalg.norm(p, axis=-1)[:, None])

@@ -108,8 +108,9 @@ def flow_time(t, name="flow time"):
 
 def sample_count(n, name, minimum=1):
     """n unchanged: the one guard of sample counts, run before anything sized by n.
-    Raises SamplingError naming n unless it is an integer in [minimum, MAX_SAMPLES]."""
-    if not (isinstance(n, (int, np.integer)) and minimum <= n <= MAX_SAMPLES):
+    Raises SamplingError naming n unless it is a non-bool integer in [minimum, MAX_SAMPLES]."""
+    integer = isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+    if not (integer and minimum <= n <= MAX_SAMPLES):
         raise SamplingError(f"{name} = {n!r} is not an integer in [{minimum}, {MAX_SAMPLES}]")
     return n
 

@@ -48,8 +48,10 @@ from horocorr.verify import CRITERIA
 
 
 def reference_cluster_directions(dirs, radius):
-    # the original per-pair greedy loop, kept as the oracle for
-    # analysis._cluster_directions, which tests all centres at once
+    # the greedy loop that clustered escape directions within a radius
+    # before the one CLOSE rule, kept as the oracle of its outputs: where
+    # every pair lies within CLOSE or beyond radius + 2e-6 rad, it returns
+    # bit for bit what analysis._cluster_directions returns
     clusters = []
     for v in dirs:
         for c in clusters:
@@ -287,8 +289,8 @@ class TestGalleryEntries:
         # sizes stay small, as a huge m or m_u * m_v allocates its samples
         wide = st.floats(-64.0, 64.0) if kind is int else st.floats()
         value = data.draw(st.one_of(st.integers(-3, 40), wide, st.sampled_from(
-            [7.9, 64.0, math.nan, math.inf, -math.inf, True, None, "x", "7", 1j])))
-        exact = isinstance(value, (int, float)) and (   # bool is an int
+            [7.9, 64.0, math.nan, math.inf, -math.inf, True, False, None, "x", "7", 1j])))
+        exact = isinstance(value, (int, float)) and not isinstance(value, bool) and (
             kind is float or (math.isfinite(value) and value == int(value)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -314,6 +316,9 @@ class TestGalleryEntries:
             make_example("geodesic-sphere", rho0=0)
         assert str(zero.value) == (
             "rho0 = 0 collapses to a point; use round-degenerate for that")
+        with pytest.raises(SingularParameterError) as flag:
+            make_example("geodesic-sphere", rho0=True)
+        assert str(flag.value) == "parameter rho0 = True does not convert exactly to float"
 
     def test_profile_reference_point(self):
         curve = make_example("alpha-curve", m=64).payload
@@ -508,7 +513,7 @@ class TestSampleCount:
     def test_refused_by_name_before_allocation(self, case, data):
         build, name, minimum = COUNTED[case]
         n = data.draw(st.one_of(
-            st.sampled_from([7.5, math.nan, "7"]),
+            st.sampled_from([7.5, math.nan, "7", True, False]),
             st.integers(max_value=minimum - 1),
             st.integers(MAX_SAMPLES + 1, 10**30)))
         message, peak = refusal(lambda: build(n))
@@ -1106,39 +1111,34 @@ class TestBoundaryAtInfinity:
         "incomplete-band", "cylinder-delaunay", "geodesic-sphere"])
     @pytest.mark.parametrize("n_directions", [64, 16])
     def test_clusters_match_reference_loop(self, monkeypatch, name, n_directions):
-        # the escape directions are tight poles or rays spaced beyond the
-        # radius, so the certified path builds the clusters without the loop
-        seen = []
-        cluster = analysis._cluster_directions
-
-        def recording(dirs, radius):
-            seen.append((dirs, radius))
-            return cluster(dirs, radius)
-
-        monkeypatch.setattr(analysis, "_cluster_directions", recording)
-        near_calls = spy_near(monkeypatch)
+        # the escape directions are tight poles or rays spaced beyond
+        # 0.05 rad, where the greedy loop at that radius gives the clusters
+        clustered = spy_cluster(monkeypatch)
         got = boundary_at_infinity(make_example(name).payload, n_directions=n_directions)
-        (dirs, radius), = seen
-        assert near_calls == []
-        assert_same_clusters(got, reference_cluster_directions(dirs, radius))
+        (dirs,) = clustered
+        assert_same_clusters(got, reference_cluster_directions(dirs, 0.05))
 
-    def test_dense_band_rays_fall_back_to_the_loop(self, monkeypatch):
-        # at 68 directions the band's rays lie closer than the radius and
-        # chain, so they are not certified; the loop gives 68 clusters
-        seen = []
-        cluster = analysis._cluster_directions
-
-        def recording(dirs, radius):
-            seen.append((dirs, radius))
-            return cluster(dirs, radius)
-
-        monkeypatch.setattr(analysis, "_cluster_directions", recording)
-        near_calls = spy_near(monkeypatch)
+    def test_dense_band_rays_are_one_cluster_each(self, monkeypatch):
+        # at 68 directions the band's rays lie within 0.05 rad of their
+        # neighbours, but far beyond CLOSE: each escaped ray is a cluster
+        clustered = spy_cluster(monkeypatch)
         got = boundary_at_infinity(make_example("incomplete-band").payload, n_directions=68)
-        (dirs, radius), = seen
-        assert len(dirs) == 136 and len(got) == 68
-        assert len(near_calls) == 136
-        assert_same_clusters(got, reference_cluster_directions(dirs, radius))
+        (dirs,) = clustered
+        assert len(dirs) == 136 and [c.count for c in got] == [1] * 136
+        assert_same_clusters(got, reference_cluster_directions(dirs, analysis.CLOSE))
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from(["band-horosphere", "stereographic-horosphere",
+                            "cylinder-delaunay", "incomplete-band", "geodesic-sphere"]),
+           st.integers(16, 2000), st.floats(0.0, 30.0))
+    def test_one_cluster_per_ideal_point(self, name, n_directions, t):
+        # each band ray escapes to a point of its own; the cylinder's rays
+        # escape to its two poles and a horosphere's to its one ideal point
+        clusters = boundary_at_infinity(boundary_metric(name), t=t, n_directions=n_directions)
+        expected = {"band-horosphere": 1, "stereographic-horosphere": 1,
+                    "cylinder-delaunay": 2, "incomplete-band": 2 * n_directions,
+                    "geodesic-sphere": 0}[name]
+        assert len(clusters) == expected
 
     @pytest.mark.parametrize("t", [0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 15.0, 30.0, 300.0])
     @pytest.mark.parametrize("name, clusters", [
@@ -1158,20 +1158,15 @@ class TestBoundaryAtInfinity:
     def test_escape_directions_are_gauss_points(self, monkeypatch, name, rays, t):
         # the ideal boundary is the boundary of the Gauss image: each escape
         # direction is chart.embed of its ray's deepest probe
-        immersed, clustered = [], []
-        immerse, cluster = analysis.immerse, analysis._cluster_directions
+        immersed, immerse = [], analysis.immerse
 
         def recording_immerse(metric, u, t):
             point = immerse(metric, u, t)
             immersed.append((u, point))
             return point
 
-        def recording_cluster(dirs, radius):
-            clustered.append(dirs)
-            return cluster(dirs, radius)
-
         monkeypatch.setattr(analysis, "immerse", recording_immerse)
-        monkeypatch.setattr(analysis, "_cluster_directions", recording_cluster)
+        clustered = spy_cluster(monkeypatch)
         metric = boundary_metric(name)
         boundary_at_infinity(metric, t=t)
         ((u, point),), (dirs,) = immersed, clustered
@@ -1216,38 +1211,15 @@ class TestBoundaryAtInfinity:
             np.nextafter(edge, 0.0) * ladder, u.shape[:-1]))
 
 
-def unit_directions(d):
-    # a few base directions, then a sequence drawn from them and their
-    # antipodes, so repeats and antipodal pairs are common
-    component = st.floats(-1.0, 1.0)
-    base = st.lists(st.lists(component, min_size=d, max_size=d)
-                    .filter(lambda v: np.linalg.norm(v) > 1e-3),
-                    min_size=1, max_size=12)
-    picks = st.lists(st.tuples(st.integers(0, 11), st.sampled_from([1.0, -1.0])),
-                     max_size=60)
+def spy_cluster(patch):
+    # the directions handed to analysis._cluster_directions, one entry a call
+    calls, cluster = [], analysis._cluster_directions
 
-    def build(args):
-        vs, idx = args
-        vs = np.array(vs) / np.linalg.norm(vs, axis=1)[:, None]
-        out = [sign * vs[i % len(vs)] for i, sign in idx]
-        return np.array(out).reshape(-1, d)
+    def recording(dirs):
+        calls.append(dirs)
+        return cluster(dirs)
 
-    return st.tuples(base, picks).map(build)
-
-
-RADII = st.floats(0.0, math.pi, exclude_min=True)
-
-
-def spy_near(patch):
-    # the radii handed to analysis._near: one call per direction the loop
-    # visits, none on the certified path
-    calls, near = [], analysis._near
-
-    def recording(v, centers, radius):
-        calls.append(radius)
-        return near(v, centers, radius)
-
-    patch.setattr(analysis, "_near", recording)
+    patch.setattr(analysis, "_cluster_directions", recording)
     return calls
 
 
@@ -1255,7 +1227,8 @@ def spy_near(patch):
 def separated_directions(draw, d):
     # near-repeats, jittered by at most 1e-9, of bases that lie with their
     # antipodes pairwise beyond radius + 1e-3: every pair is within CLOSE
-    # or beyond radius + GAP, so the certificate holds
+    # or beyond radius + 2e-6 rad, where the greedy loop merges only the
+    # pairs within CLOSE
     radius = draw(st.floats(1e-5, 1.0))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     bases = []
@@ -1271,143 +1244,66 @@ def separated_directions(draw, d):
     return dirs / np.linalg.norm(dirs, axis=1)[:, None], radius
 
 
-@st.composite
-def jittered_directions(draw, d):
-    # clouds of directions around a few bases, spread at the cluster radius,
-    # so that a centre moved by its earlier members often flips the
-    # decision for a later direction
-    radius = draw(st.floats(0.01, 0.5))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    bases = rng.normal(size=(draw(st.integers(1, 3)), d))
-    bases /= np.linalg.norm(bases, axis=1)[:, None]
-    m = draw(st.integers(0, 150))
-    dirs = bases[rng.integers(0, len(bases), m)] + radius * rng.normal(size=(m, d))
-    return dirs / np.linalg.norm(dirs, axis=1)[:, None], radius
-
-
 def on_circle(*angles):
     return np.array([[math.cos(a), math.sin(a)] for a in angles])
 
 
+def among_rays(angles):
+    # three directions at these angles in three row blocks of
+    # analysis._cluster_directions, among rays 0.0155 rad apart
+    dirs = on_circle(*np.linspace(1.0, 5.0, 2 * analysis.CERT_ROWS + 6))
+    dirs[[5, analysis.CERT_ROWS + 7, 2 * analysis.CERT_ROWS + 1]] = on_circle(*angles)
+    return dirs
+
+
 class TestClusterDirections:
     @settings(max_examples=150, deadline=None)
-    @given(st.sampled_from([2, 3]).flatmap(unit_directions), RADII)
-    def test_matches_reference_loop(self, dirs, radius):
-        # an antipodal pair in one cluster sums to zero; both versions
-        # then divide by zero the same way
-        with np.errstate(invalid="ignore", divide="ignore"):
-            got = analysis._cluster_directions(dirs, radius)
-            want = reference_cluster_directions(dirs, radius)
-        assert_same_clusters(got, want)
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.sampled_from([2, 3]), st.integers(0, 2**32 - 1), RADII)
-    def test_matches_reference_on_random_directions(self, d, seed, radius):
-        dirs = np.random.default_rng(seed).normal(size=(100, d))
-        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-        assert_same_clusters(analysis._cluster_directions(dirs, radius),
+    @given(st.sampled_from([2, 3]).flatmap(separated_directions))
+    def test_matches_reference_loop_on_separated_directions(self, case):
+        dirs, radius = case
+        assert_same_clusters(analysis._cluster_directions(dirs),
                              reference_cluster_directions(dirs, radius))
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([2, 3]).flatmap(separated_directions),
+           st.integers(0, 2**32 - 1))
+    def test_permuting_keeps_the_counts(self, case, seed):
+        dirs, _ = case
+        shuffled = dirs[np.random.default_rng(seed).permutation(len(dirs))]
+        counts = [sorted(c.count for c in analysis._cluster_directions(d))
+                  for d in (dirs, shuffled)]
+        assert counts[0] == counts[1]
+
     def test_empty_input(self):
-        assert analysis._cluster_directions(np.empty((0, 3)), 0.05) == []
+        assert analysis._cluster_directions(np.empty((0, 3))) == []
 
     def test_single_direction(self):
-        (c,) = analysis._cluster_directions(np.array([[0.6, 0.8]]), 0.05)
+        (c,) = analysis._cluster_directions(np.array([[0.6, 0.8]]))
         assert c.count == 1
         np.testing.assert_array_equal(c.direction, [0.6, 0.8])
 
     def test_repeated_direction_forms_one_cluster(self):
         dirs = np.tile([0.0, 0.6, 0.8], (5, 1))
-        (c,) = analysis._cluster_directions(dirs, 0.05)
+        (c,) = analysis._cluster_directions(dirs)
         assert c.count == 5
         assert_same_clusters([c], reference_cluster_directions(dirs, 0.05))
 
     def test_antipodal_pair_forms_two_clusters(self):
         dirs = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]] * 3)
-        got = analysis._cluster_directions(dirs, 0.05)
+        got = analysis._cluster_directions(dirs)
         assert [c.count for c in got] == [3, 3]
         assert_same_clusters(got, reference_cluster_directions(dirs, 0.05))
 
-    def test_radius_is_exclusive(self):
-        # the angle between orthogonal directions is exactly the float pi/2
-        dirs = np.array([[1.0, 0.0], [0.0, 1.0]])
-        got = analysis._cluster_directions(dirs, math.pi / 2)
-        assert [c.count for c in got] == [1, 1]
-        assert_same_clusters(got, reference_cluster_directions(dirs, math.pi / 2))
+    @pytest.mark.parametrize("spread", [False, True], ids=["alone", "among-rays"])
+    @pytest.mark.parametrize("angles", [(0.0, 0.7e-6, 1.4e-6), (0.0, 1.4e-6, 0.7e-6)])
+    def test_chain_within_close_is_refused(self, angles, spread):
+        # neighbours lie within CLOSE and the ends do not, whatever the
+        # order and whichever row blocks hold them
+        with pytest.raises(SamplingError, match="not an equivalence"):
+            analysis._cluster_directions(among_rays(angles) if spread else on_circle(*angles))
 
-    def test_order_decides_membership(self):
-        # b sits within the radius of a and of c, but a and c are apart:
-        # b joins whichever cluster exists first
-        a, b, c = (np.array([math.cos(x), math.sin(x)]) for x in (0.0, 0.04, 0.08))
-        first = analysis._cluster_directions(np.array([a, b, c]), 0.05)
-        last = analysis._cluster_directions(np.array([c, b, a]), 0.05)
-        assert [k.count for k in first] == [2, 1]
-        assert [k.count for k in last] == [2, 1]
-        assert first[0].direction[1] < last[0].direction[1]
-
-    def test_moved_centre_drops_a_candidate(self):
-        # 0.08 lies within 0.1 of the founder, but not of the centre at
-        # -0.0495 that -0.099 leaves behind
-        dirs = on_circle(0.0, -0.099, 0.08)
-        got = analysis._cluster_directions(dirs, 0.1)
-        assert [c.count for c in got] == [2, 1]
-        assert_same_clusters(got, reference_cluster_directions(dirs, 0.1))
-
-    def test_moved_centre_takes_a_non_candidate(self):
-        # 0.145 lies beyond 0.1 of the founder, but within it of the centre
-        # at 0.0495 that 0.099 leaves behind
-        dirs = on_circle(0.0, 0.099, 0.145)
-        got = analysis._cluster_directions(dirs, 0.1)
-        assert [c.count for c in got] == [3]
-        assert_same_clusters(got, reference_cluster_directions(dirs, 0.1))
-
-    @settings(max_examples=150, deadline=None)
-    @given(st.sampled_from([2, 3]).flatmap(jittered_directions))
-    def test_matches_reference_on_jittered_directions(self, case):
-        dirs, radius = case
-        assert_same_clusters(analysis._cluster_directions(dirs, radius),
-                             reference_cluster_directions(dirs, radius))
-
-    def test_matches_reference_on_many_directions(self):
-        rng = np.random.default_rng(5000)
-        bases = rng.normal(size=(12, 3))
-        bases /= np.linalg.norm(bases, axis=1)[:, None]
-        dirs = bases[rng.integers(0, 12, 5000)] + 0.08 * rng.normal(size=(5000, 3))
-        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-        got = analysis._cluster_directions(dirs, 0.1)
-        assert sum(c.count for c in got) == 5000
-        assert_same_clusters(got, reference_cluster_directions(dirs, 0.1))
-
-    @settings(max_examples=150, deadline=None)
-    @given(st.sampled_from([2, 3]).flatmap(separated_directions))
-    def test_separated_directions_skip_the_loop(self, case):
-        dirs, radius = case
-        with pytest.MonkeyPatch.context() as patch:
-            near_calls = spy_near(patch)
-            got = analysis._cluster_directions(dirs, radius)
-        assert near_calls == []
-        assert_same_clusters(got, reference_cluster_directions(dirs, radius))
-
-    @pytest.mark.parametrize("offset", [1e-7, -1e-7])
-    def test_pair_near_the_radius_falls_back_to_the_loop(self, monkeypatch, offset):
-        # neither within CLOSE nor beyond radius + GAP: not certified
-        dirs = on_circle(0.0, 0.05 + offset, 0.0)
-        near_calls = spy_near(monkeypatch)
-        got = analysis._cluster_directions(dirs, 0.05)
-        assert len(near_calls) == 3
-        assert [c.count for c in got] == ([2, 1] if offset > 0 else [3])
-        assert_same_clusters(got, reference_cluster_directions(dirs, 0.05))
-
-    @pytest.mark.parametrize("radius", [
-        analysis.CLOSE, 2.0 * analysis.CLOSE, math.pi - analysis.GAP, math.pi])
-    def test_radius_without_room_for_the_certificate(self, monkeypatch, radius):
-        # a tight cluster and its antipode, certified at radius 0.05; c lies
-        # 5e-7 from -a, so within pi of a, which joins them at radius pi
-        a = np.array([0.0, 0.6, 0.8])
-        b, c = a + [1e-9, 0.0, 0.0], -a + [5e-7, 0.0, 0.0]
-        dirs = np.array([a, -a, b / np.linalg.norm(b), c / np.linalg.norm(c), a])
-        assert analysis._separated_founders(dirs, 0.05) is not None
-        near_calls = spy_near(monkeypatch)
-        got = analysis._cluster_directions(dirs, radius)
-        assert len(near_calls) == len(dirs)
-        assert_same_clusters(got, reference_cluster_directions(dirs, radius))
+    def test_class_spans_row_blocks(self):
+        dirs = among_rays((0.0, 0.3e-6, 0.6e-6))
+        got = analysis._cluster_directions(dirs)
+        assert sorted((c.count for c in got), reverse=True) == [3] + [1] * 259
+        assert_same_clusters(got, reference_cluster_directions(dirs, 0.005))

@@ -450,30 +450,17 @@ IMMERSE_TIMES = {"geodesic-sphere": ("0", "3.2"), "round-degenerate": ("0", "3.2
 METRIC_NAMES = ("geodesic-sphere", "round-degenerate", "incomplete-band", "cylinder-delaunay")
 
 
-def immerse_golden_argv():
-    """The immerse runs that tests/data/immerse_outputs.txt pins, in its
-    order: each example at each of its times as json and csv, to standard
-    output and to a file, and as obj to a file; then each at t = 40, where
-    a vertex rounds onto the unit sphere."""
-    for name, times in IMMERSE_TIMES.items():
-        for t in times:
-            head = ["immerse", name, "--t", t, "--format"]
-            for fmt in ("json", "csv"):
-                yield head + [fmt]
-                yield head + [fmt, "--out", f"out.{fmt}"]
-            yield head + ["obj", "--out", "out.obj"]
-    for name in IMMERSE_TIMES:
-        yield ["immerse", name, "--t", "40"]
-
-
 def cli_golden_argv():
     """The runs that tests/data/cli_outputs.txt pins, in its order: gallery
     list and show, with their usage errors and refusals; schouten, flow and
-    boundary on each metric example, embed-check and gauss-degree on the
-    curve and the mesh, each to standard output and to --out, at t = 40
-    and t = 400 and with --samples 0; immerse at t = 400 and with --samples
-    0; then every wrong-kind refusal.  verify and the other immerse runs
-    have golden files of their own."""
+    boundary on each metric example, then boundary on dense band and
+    cylinder rays; embed-check and gauss-degree on the curve and the mesh;
+    each command to standard output and to --out, at t = 40 and t = 400
+    and with --samples 0; immerse on each example at each of its times as
+    json and csv, to standard output and to a file, and as obj to a file,
+    then at t = 40, where a vertex rounds onto the unit sphere, at t = 400
+    and with --samples 0; then every wrong-kind refusal.  verify has a
+    golden file of its own."""
     yield ["gallery", "list"]
     yield ["gallery", "list", "--out", "out.txt"]
     yield ["gallery", "list", "--rho0", "3", "--samples", "5"]
@@ -498,6 +485,9 @@ def cli_golden_argv():
             for options in option_sets:
                 yield [command, name] + options
         yield [command, "geodesic-sphere", "--rho0", "0.3", "--samples", "8"]
+    for options in (["68"], ["256"], ["256", "--out", "out.json"]):
+        yield ["boundary", "incomplete-band", "--samples"] + options
+    yield ["boundary", "cylinder-delaunay", "--samples", "256"]
     for name in ("alpha", "alpha-curve", "alpha-product"):
         yield ["embed-check", name]
     for name in ("alpha", "alpha-product"):
@@ -509,6 +499,15 @@ def cli_golden_argv():
         yield ["gauss-degree", name]
     for samples in ("8192", "8", "0"):
         yield ["gauss-degree", "alpha", "--samples", samples]
+    for name, times in IMMERSE_TIMES.items():
+        for t in times:
+            head = ["immerse", name, "--t", t, "--format"]
+            for fmt in ("json", "csv"):
+                yield head + [fmt]
+                yield head + [fmt, "--out", f"out.{fmt}"]
+            yield head + ["obj", "--out", "out.obj"]
+    for name in IMMERSE_TIMES:
+        yield ["immerse", name, "--t", "40"]
     for name in cli.EXAMPLE_CHOICES:
         yield ["immerse", name, "--t", "400"]
     for name in ("geodesic-sphere", "alpha"):
@@ -546,14 +545,11 @@ def golden_lines(argvs):
     return lines
 
 
-@pytest.mark.parametrize("argvs, golden", [
-    (immerse_golden_argv, "immerse_outputs.txt"),
-    (cli_golden_argv, "cli_outputs.txt"),
-])
-def test_outputs_match_the_golden_file(tmp_path, monkeypatch, argvs, golden):
+def test_outputs_match_the_golden_file(tmp_path, monkeypatch):
     # a change that moves an output byte updates the file and says why
     monkeypatch.chdir(tmp_path)
-    assert golden_lines(argvs()) == (GOLDEN_DIR / golden).read_text().splitlines()
+    assert golden_lines(cli_golden_argv()) == (
+        GOLDEN_DIR / "cli_outputs.txt").read_text().splitlines()
 
 
 class TestBallRounding:
