@@ -1118,13 +1118,16 @@ class TestBoundaryAtInfinity:
         (dirs,) = clustered
         assert_same_clusters(got, reference_cluster_directions(dirs, 0.05))
 
-    def test_dense_band_rays_are_one_cluster_each(self, monkeypatch):
-        # at 68 directions the band's rays lie within 0.05 rad of their
+    @pytest.mark.parametrize("n_directions", [68, 256])
+    def test_dense_band_rays_are_one_cluster_each(self, monkeypatch, n_directions):
+        # from 68 directions the band's rays lie within 0.05 rad of their
         # neighbours, but far beyond CLOSE: each escaped ray is a cluster
         clustered = spy_cluster(monkeypatch)
-        got = boundary_at_infinity(make_example("incomplete-band").payload, n_directions=68)
+        got = boundary_at_infinity(make_example("incomplete-band").payload,
+                                   n_directions=n_directions)
         (dirs,) = clustered
-        assert len(dirs) == 136 and [c.count for c in got] == [1] * 136
+        assert len(dirs) == 2 * n_directions
+        assert [c.count for c in got] == [1] * (2 * n_directions)
         assert_same_clusters(got, reference_cluster_directions(dirs, analysis.CLOSE))
 
     @settings(max_examples=20, deadline=None)
@@ -1298,9 +1301,75 @@ class TestClusterDirections:
     @pytest.mark.parametrize("angles", [(0.0, 0.7e-6, 1.4e-6), (0.0, 1.4e-6, 0.7e-6)])
     def test_chain_within_close_is_refused(self, angles, spread):
         # neighbours lie within CLOSE and the ends do not, whatever the
-        # order and whichever row blocks hold them
-        with pytest.raises(SamplingError, match="not an equivalence"):
+        # order and whichever row blocks hold them; the message names the
+        # first row of the block where the chain closes
+        row = 2 * analysis.CERT_ROWS if spread else 0
+        with pytest.raises(SamplingError) as refused:
             analysis._cluster_directions(among_rays(angles) if spread else on_circle(*angles))
+        assert str(refused.value) == (
+            f"directions from row {row} on chain within CLOSE = {analysis.CLOSE} rad: "
+            "being that close is not an equivalence")
+
+    @pytest.mark.parametrize("spread", [False, True], ids=["alone", "among-rays"])
+    @pytest.mark.parametrize("angle, merged", [(0.99e-6, True), (1.01e-6, False)])
+    def test_close_is_the_bound(self, angle, merged, spread):
+        # a pair just within CLOSE shares a cluster and one just beyond it
+        # does not, in one row block or across two
+        pair = (0.0, angle, 0.5)
+        dirs = among_rays(pair) if spread else on_circle(*pair)
+        got = analysis._cluster_directions(dirs)
+        assert sorted(c.count for c in got) == [1] * (len(dirs) - 2) + (
+            [2] if merged else [1, 1])
+        assert_same_clusters(got, reference_cluster_directions(dirs, analysis.CLOSE))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([2, 3]), st.integers(0, 2**32 - 1))
+    def test_matches_reference_on_random_directions(self, d, seed):
+        # random directions lie pairwise far beyond CLOSE, but for a rare
+        # pair within it that both versions merge
+        dirs = np.random.default_rng(seed).normal(size=(100, d))
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        assert_same_clusters(analysis._cluster_directions(dirs),
+                             reference_cluster_directions(dirs, analysis.CLOSE))
+
+    def test_matches_reference_on_many_directions(self):
+        # 5000 near-repeats, over 40 row blocks, of 12 bases and their
+        # antipodes, which lie pairwise beyond 0.12 rad
+        rng = np.random.default_rng(5000)
+        bases = rng.normal(size=(12, 3))
+        bases /= np.linalg.norm(bases, axis=1)[:, None]
+        bases = np.concatenate([bases, -bases])
+        cosines = bases @ bases.T
+        assert cosines[~np.eye(24, dtype=bool)].max() < math.cos(0.12)
+        dirs = bases[rng.integers(0, 24, 5000)] + rng.uniform(-1e-9, 1e-9, size=(5000, 3))
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        got = analysis._cluster_directions(dirs)
+        assert len(got) == 24 and sum(c.count for c in got) == 5000
+        assert_same_clusters(got, reference_cluster_directions(dirs, 0.1))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([2, 3]).flatmap(separated_directions))
+    def test_each_direction_lies_within_close_of_its_centre_alone(self, case):
+        # the centres are unit vectors, and each cluster's members are
+        # exactly the directions within CLOSE of its centre
+        dirs, _ = case
+        got = analysis._cluster_directions(dirs)
+        centres = np.array([c.direction for c in got]).reshape(-1, dirs.shape[1])
+        np.testing.assert_allclose(np.linalg.norm(centres, axis=1), 1.0, rtol=0, atol=4e-16)
+        near = dirs @ centres.T > math.cos(analysis.CLOSE)
+        assert near.sum(axis=1).tolist() == [1] * len(dirs)
+        assert near.sum(axis=0).tolist() == [c.count for c in got]
+
+    def test_repeats_across_row_blocks_form_one_cluster(self):
+        # one direction repeated over three row blocks, with its antipode
+        # between: the later blocks find their founders in the first
+        a = np.array([0.0, 0.6, 0.8])
+        n = 2 * analysis.CERT_ROWS + 5
+        dirs = np.tile(a, (n, 1))
+        dirs[1::7] = -a
+        got = analysis._cluster_directions(dirs)
+        assert [c.count for c in got] == [n - len(dirs[1::7]), len(dirs[1::7])]
+        assert_same_clusters(got, reference_cluster_directions(dirs, 0.05))
 
     def test_class_spans_row_blocks(self):
         dirs = among_rays((0.0, 0.3e-6, 0.6e-6))
