@@ -272,16 +272,28 @@ def self_intersections(payload):
     """All transversal self-crossings of the projected payload, as a (k, 2)
     int64 array of the crossing cells' index pairs (i, j) (segments for
     curves, faces for meshes), i < j, in lexicographic order; (0, 2) when
-    there are none.  Segments (curves) and triangles (meshes) go through one
-    sweep over their closed bounding boxes, `_box_pairs`, whose every block
-    goes through the narrow phase, which skips the cell pairs sharing a
-    vertex; one sort of the hits' int64 keys i * n + j orders them."""
+    there are none.  Both scans sweep the cells' closed bounding boxes
+    (`_box_pairs`), skip the pairs sharing a vertex, yield the int64 keys
+    i * n + j of each block's hits, and one sort orders them."""
+    return _scans(payload)[0](payload)
+
+
+def _scans(payload):
+    # the whole scan and its key-block generator for the payload's cell width
     width = payload.cells.shape[-1] if isinstance(payload, Immersion) else 0
-    if width == 2:
-        return _curve_crossings(payload)
-    if width == 3:
-        return _mesh_crossings(payload)
-    raise SingularParameterError("crossing scan expects a curve or mesh payload")
+    if width not in (2, 3):
+        raise SingularParameterError("crossing scan expects a curve or mesh payload")
+    return (_curve_crossings, _curve_blocks) if width == 2 else (_mesh_crossings, _mesh_blocks)
+
+
+def _crosses(payload):
+    """Whether the payload crosses itself; the scan stops at its first hit."""
+    return any(map(len, _scans(payload)[1](payload)))
+
+
+def _sorted_pairs(blocks, n):
+    keys = np.sort(np.concatenate([np.zeros(0, np.int64), *blocks]))
+    return np.stack(np.divmod(keys, n), axis=1)
 
 
 def _box_pairs(lo, hi):
@@ -316,6 +328,10 @@ def _cross(u, v):
 
 
 def _curve_crossings(curve):
+    return _sorted_pairs(_curve_blocks(curve), len(curve.cells))
+
+
+def _curve_blocks(curve):
     p = curve.ball_points()
     if p.shape[-1] != 2:
         raise SingularParameterError("crossing scan needs a curve in the plane model")
@@ -324,7 +340,6 @@ def _curve_crossings(curve):
     seg = b - p
     if np.any(np.hypot(seg[:, 0], seg[:, 1]) < SCAN_EPS):
         raise SamplingError("zero-length segment in the sampled curve")
-    keys = [np.zeros(0, np.int64)]
     for i, j in _box_pairs(np.minimum(p, b), np.maximum(p, b)):
         # segments i < j share a vertex when j - i is 1, or m - 1 across the closing seam
         apart = (j - i >= 2) & (j - i <= m - 2)
@@ -332,8 +347,7 @@ def _curve_crossings(curve):
         d1, d2, c, pi = seg[i], seg[j], p[j], p[i]
         hit = ((_cross(d1, c - pi) * _cross(d1, c + d2 - pi) < 0.0)
                & (_cross(d2, pi - c) * _cross(d2, b[i] - c) < 0.0))
-        keys.append(i[hit] * m + j[hit])
-    return np.stack(np.divmod(np.sort(np.concatenate(keys)), m), axis=1)
+        yield i[hit] * m + j[hit]
 
 
 def _segment_hits_triangle(p0, p1, tri):
@@ -354,39 +368,56 @@ def _segment_hits_triangle(p0, p1, tri):
     return ok & inside
 
 
-# An edge test is skipped only when both endpoints lie more than this, in
-# ball units, on one side of the other face's plane, and a face pair only
-# when all three corners of one face do.  LAPACK's solve is backward stable,
-# so a hit it reports (beta, gamma, t all in (0, 1)) lies within about 1e-14
-# of the plane and no skipped test could report one.  Nor could a skipped
-# pair: the hit lies on an edge of one face and within about 1e-14 of the
-# other, so neither face lies wholly beyond the margin of the other's plane.
-# The rounded normal tilts by 1e-16 / sin(smallest angle), small unless
-# needle-thin.
+# Edge tests are skipped when both ends lie beyond PLANE_MARGIN (ball units)
+# on one side of the other face's plane, face pairs when all three corners of
+# one face do: a hit LAPACK's backward-stable solve reports lies within about
+# 1e-14 of both planes.  Tests left are decided without LAPACK when s, 1 - s,
+# beta, gamma and 1 - beta - gamma each lie beyond DECIDE of 0, the edge and
+# every altitude of the plane's face are at least TALL long (needle-thin
+# faces have a short altitude) and the edge meets the plane at sin(theta) >=
+# STEEP.  With a the least of those lengths and u = 2^-53, to first order the
+# estimate errs by at most 100 u / (a^2 sin theta) and LAPACK by 2000 u /
+# (a^2 sin theta): LU with partial pivoting errs by <= 216 u per entry
+# (Higham, Thm 9.4), the inverse's rows have norm <= 1 / (a sin theta) and
+# |beta| + |gamma| + |t| <= 5 / a.  At a^2 sin(theta) >= 1e-7 that is
+# < 4.7e-6 < DECIDE even on 1 - beta - gamma, and |det| >= 1e-9 clears 1e-14.
 PLANE_MARGIN = 1e-12
+DECIDE = 1e-5
+STEEP = 1e-3
+TALL = 1e-2
 
 
 def _mesh_crossings(mesh):
     """Narrow phase: a pair crosses when any of its six edge tests hits,
     edges (0, 1), (1, 2), (2, 0) of face i against face j and of face j
-    against face i.  Pairs sharing a vertex are dropped, and
-    so are pairs with a face wholly on one side of the other's plane; of the
-    rest, tests whose edge does not straddle the other face's plane are
-    dropped (Moller, JGT 1997), and the slots left in each `_box_pairs`
-    block go through one `_segment_hits_triangle` call.  That kernel must stay LAPACK's: the
-    v = 0 row of `product_mesh` lies exactly in the ball plane p3 = 0, so its
-    edges meet other faces exactly on their edges (beta + gamma = 1), where
-    rounding decides the hit, and a Cramer's-rule solve reports other counts."""
+    against face i.  Pairs sharing a vertex are dropped, and so are pairs
+    with a face wholly on one side of the other's plane; of the rest, tests
+    whose edge does not straddle the other face's plane are dropped (Moller,
+    JGT 1997).  Of each block's slots left, `_plane_verdicts` decides those
+    that rounding cannot flip and one `_segment_hits_triangle` call the rest.
+    LAPACK decides every slot within DECIDE of a bound: the v = 0 row of
+    `product_mesh` lies exactly in the ball plane p3 = 0, so its edges meet
+    other faces exactly on their edges (beta + gamma = 1), where rounding
+    decides the hit, and a Cramer's-rule solve reports other counts."""
+    return _sorted_pairs(_mesh_blocks(mesh), len(mesh.cells))
+
+
+def _mesh_blocks(mesh):
     faces = mesh.cells
     tri = mesh.ball_points()[faces]
-    normal = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
+    e1, e2 = tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]
+    normal = np.cross(e1, e2)
     area2 = np.linalg.norm(normal, axis=-1)
     if np.any(area2 < SCAN_EPS):
         raise SamplingError("degenerate triangle in the mesh")
     offset = np.vecdot(normal, tri[:, 0])
+    # x - corner 0 = beta e1 + gamma e2 in the plane: beta, gamma are x's dots with these
+    dual = np.stack([np.cross(e2, normal), np.cross(normal, e1)], 1) / area2[:, None, None]**2
+    # (STEEP |normal|)^2 where every altitude is at least TALL, inf elsewhere
+    longest = np.max([np.vecdot(e, e) for e in (e1, e2, e2 - e1)], axis=0)
+    steep = np.where(area2 * area2 >= TALL * TALL * longest, (STEEP * area2) ** 2, np.inf)
     cols = faces.T.copy()
     a, b = np.array([0, 1, 2]), np.array([1, 2, 0])
-    keys = [np.zeros(0, np.int64)]
     for i, j in _box_pairs(tri.min(axis=1), tri.max(axis=1)):
         fi, fj = [c[i] for c in cols], [c[j] for c in cols]
         shared = np.logical_or.reduce([x == y for x in fi for y in fj])
@@ -403,12 +434,29 @@ def _mesh_crossings(mesh):
         straddle &= straddle.any(-1).all(-1)[:, None, None]
         # surviving (pair, edge, direction) slots, in test order
         k, e, d = np.nonzero(straddle.transpose(0, 2, 1))
-        edge = face[k, d]
-        hit = _segment_hits_triangle(
-            tri[edge, a[e]], tri[edge, b[e]], tri[plane[k, d]])
+        edge, other = face[k, d], plane[k, d]
+        p0, p1, corners = tri[edge, a[e]], tri[edge, b[e]], tri[other]
+        h0, h1 = height[k, d, a[e]], height[k, d, b[e]]
+        decided, hit = _plane_verdicts(p0, p1, h0, h1, corners, dual[other], steep[other])
+        rest = np.flatnonzero(~decided)
+        hit[rest] = _segment_hits_triangle(p0[rest], p1[rest], corners[rest])
         k = np.unique(k[hit])
-        keys.append(i[k] * len(faces) + j[k])
-    return np.stack(np.divmod(np.sort(np.concatenate(keys)), len(faces)), axis=1)
+        yield i[k] * len(faces) + j[k]
+
+
+def _plane_verdicts(p0, p1, h0, h1, tri, dual, steep):
+    """(decided, hit) masks of the edge tests p0 -> p1 against triangles tri,
+    from the ends' heights h0, h1 over each plane, its dual vectors and its
+    (STEEP |normal|)^2, inf on a face with an altitude below TALL."""
+    d, rise = p1 - p0, h0 - h1
+    length2 = np.einsum("ij,ij->i", d, d)
+    well = (length2 >= TALL * TALL) & (rise * rise >= steep * length2)
+    s = h0 / np.where(well, rise, 1.0)
+    beta, gamma = np.einsum("nij,nj->in", dual, p0 - tri[:, 0] + s[:, None] * d)
+    coords = np.stack([s, 1.0 - s, beta, gamma, 1.0 - beta - gamma])
+    inside = coords > 0.0
+    decided = well & inside[0] & inside[1] & np.all(np.abs(coords) > DECIDE, axis=0)
+    return decided, decided & inside.all(axis=0)
 
 
 # -- embedding time -----------------------------------------------------------
@@ -428,7 +476,8 @@ def first_embedded_time(payload, t_max=5.0, tol=1e-2):
 
     Raises when the payload still crosses itself at t_max; returns time 0
     immediately for already-embedded input.  The bracket halves until it is
-    at most tol wide or no float lies inside it.
+    at most tol wide or no float lies inside it.  Crossings are counted at t_max
+    and each midpoint, at t = 0 only if the lower end never moves (`_crosses`).
     """
     if not (0.0 < tol < np.inf and 0.0 < t_max < np.inf):
         raise SingularParameterError("need finite positive t_max and tolerance")
@@ -436,22 +485,20 @@ def first_embedded_time(payload, t_max=5.0, tol=1e-2):
     def count(t):
         return len(self_intersections(payload.flowed(t) if t else payload))
 
-    c0 = count(0.0)
-    if c0 == 0:
+    if not _crosses(payload):
         return EmbeddingReport(0.0, None)
     c_top = count(t_max)
     if c_top != 0:
         raise RootBracketError(
             f"not embedded by t_max = {t_max} ({c_top} crossings remain)")
     lo, hi = 0.0, t_max
-    c_lo = c0
     while hi - lo > tol and lo < (mid := 0.5 * (lo + hi)) < hi:
         c_mid = count(mid)
         if c_mid == 0:
             hi = mid
         else:
             lo, c_lo = mid, c_mid
-    return EmbeddingReport(hi, c_lo)
+    return EmbeddingReport(hi, c_lo if lo else count(0.0))
 
 
 # -- boundary at infinity -----------------------------------------------------

@@ -1,5 +1,6 @@
 """Tests for the gallery, winding counts, crossing scans and boundary tracing."""
 
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -185,6 +186,40 @@ def reference_mesh_crossings(mesh):
                 np.broadcast_to(tri[i], (len(js), 3, 3)))
         pairs += [(i, int(j)) for j in js[found]]
     return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+
+
+def reference_first_embedded_time(payload, t_max=5.0, tol=1e-2):
+    # the count-based bisection before the t = 0 check stopped at the first
+    # crossing, kept as the oracle of first_embedded_time's reports and messages
+    if not (0.0 < tol < np.inf and 0.0 < t_max < np.inf):
+        raise SingularParameterError("need finite positive t_max and tolerance")
+
+    def count(t):
+        return len(self_intersections(payload.flowed(t) if t else payload))
+
+    c0 = count(0.0)
+    if c0 == 0:
+        return EmbeddingReport(0.0, None)
+    c_top = count(t_max)
+    if c_top != 0:
+        raise RootBracketError(
+            f"not embedded by t_max = {t_max} ({c_top} crossings remain)")
+    lo, hi = 0.0, t_max
+    c_lo = c0
+    while hi - lo > tol and lo < (mid := 0.5 * (lo + hi)) < hi:
+        c_mid = count(mid)
+        if c_mid == 0:
+            hi = mid
+        else:
+            lo, c_lo = mid, c_mid
+    return EmbeddingReport(hi, c_lo)
+
+
+def report_or_message(search, payload, **kwargs):
+    try:
+        return search(payload, **kwargs)
+    except RootBracketError as err:
+        return str(err)
 
 
 def brute_force_mesh_crossings(mesh):
@@ -851,6 +886,33 @@ def near_plane_faces(draw):
     return two_face_mesh(draw, first, other)
 
 
+@st.composite
+def near_bound_crossings(draw):
+    """Two triangles, an edge of the first crossing the second's plane at a
+    point whose beta, gamma or beta + gamma - 1 lies within a few DECIDE of
+    0, on either side, or at 0; the edge meets the plane at an angle of sine
+    at least 0.3, and the point lies between 0.2 and 0.8 of the way along it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    other = rng.uniform(-0.5, 0.5, (3, 3))
+    near = draw(st.sampled_from([0.0, 0.5, 0.9, 1.0, 1.1, 2.0, 4.0])) * analysis.DECIDE
+    near *= draw(st.sampled_from([1.0, -1.0]))
+    free = rng.uniform(0.1, 0.8)
+    beta, gamma = draw(st.sampled_from(
+        [(near, free), (free, near), (free, 1.0 - free + near)]))
+    e1, e2 = other[1] - other[0], other[2] - other[0]
+    unit = np.cross(e1, e2)
+    unit /= np.linalg.norm(unit)
+    tangent = rng.normal(size=3)
+    tangent -= (tangent @ unit) * unit
+    direction = unit + rng.uniform(-3.0, 3.0) * tangent / np.linalg.norm(tangent)
+    direction *= rng.uniform(0.2, 0.6) / np.linalg.norm(direction)
+    point = other[0] + beta * e1 + gamma * e2
+    s = rng.uniform(0.2, 0.8)
+    first = np.vstack([point - s * direction, point + (1.0 - s) * direction,
+                       point + rng.uniform(-0.4, 0.4, 3)])
+    return two_face_mesh(draw, np.roll(first, rng.integers(3), axis=0), other)
+
+
 def two_face_mesh(draw, first, other):
     # the two triangles as faces 0 and 1 or 1 and 0
     for tri in (first, other):
@@ -863,17 +925,57 @@ def two_face_mesh(draw, first, other):
                            cells=np.array([[0, 1, 2], [3, 4, 5]]))
 
 
-def counted_kernel_rows(monkeypatch):
-    # the row count of every _segment_hits_triangle call from here on
+def counted_rows(monkeypatch, name):
+    # the slot count of every call of analysis.<name> (the LAPACK kernel
+    # _segment_hits_triangle, or _plane_verdicts) from here on
     rows = []
-    kernel = analysis._segment_hits_triangle
+    kernel = getattr(analysis, name)
 
-    def counted(p0, p1, tri):
-        rows.append(len(tri))
-        return kernel(p0, p1, tri)
+    def counted(p0, *args):
+        rows.append(len(p0))
+        return kernel(p0, *args)
 
-    monkeypatch.setattr(analysis, "_segment_hits_triangle", counted)
+    monkeypatch.setattr(analysis, name, counted)
     return rows
+
+
+def checked_verdicts(monkeypatch):
+    # every slot decided without LAPACK is checked against LAPACK's answer
+    # on that slot; the list gets each call's count of decided slots
+    decided_counts = []
+    verdicts = analysis._plane_verdicts
+
+    def checked(p0, p1, h0, h1, tri, *args):
+        decided, hit = verdicts(p0, p1, h0, h1, tri, *args)
+        np.testing.assert_array_equal(hit[decided], analysis._segment_hits_triangle(
+            p0[decided], p1[decided], tri[decided]))
+        decided_counts.append(int(decided.sum()))
+        return decided, hit
+
+    monkeypatch.setattr(analysis, "_plane_verdicts", checked)
+    return decided_counts
+
+
+def turned(mesh, matrix):
+    # the mesh with its ball points mapped by an orthogonal matrix
+    points = mesh.ball_points() @ matrix.T
+    return SimpleNamespace(ball_points=lambda: points, cells=mesh.cells)
+
+
+def axis_rotation(axis, angle):
+    c, s = math.cos(angle), math.sin(angle)
+    i, j = [k for k in range(3) if k != axis]
+    matrix = np.eye(3)
+    matrix[[i, j, i, j], [i, j, j, i]] = c, c, -s, s
+    return matrix
+
+
+# ROADMAP item 5's rotations, then the 48 signed axis permutations
+SMALL_ROTATIONS = [axis_rotation(axis, angle)
+                   for angle in (1e-13, 1e-10, 1e-6) for axis in range(3)]
+SIGNED_PERMUTATIONS = [np.eye(3)[list(order)] * signs
+                       for order in itertools.permutations(range(3))
+                       for signs in itertools.product([1.0, -1.0], repeat=3)]
 
 
 class TestPlaneSideRejection:
@@ -889,11 +991,19 @@ class TestPlaneSideRejection:
         assert_same_records(analysis._mesh_crossings(mesh),
                             reference_mesh_crossings(mesh))
 
+    @settings(max_examples=300, deadline=None)
+    @given(near_bound_crossings())
+    def test_crossing_near_a_face_edge_matches_reference(self, mesh):
+        assert_same_records(analysis._mesh_crossings(mesh),
+                            reference_mesh_crossings(mesh))
+
     @pytest.mark.parametrize("block", [analysis._PAIR_BLOCK, 64])
     def test_one_kernel_call_per_block(self, monkeypatch, block):
-        # the slots of each block go through one kernel call, and the calls
-        # of a blocked scan add up to the single-block scan's rows
-        rows = counted_kernel_rows(monkeypatch)
+        # the straddling slots of each block go through one _plane_verdicts
+        # call and the slots it leaves through one kernel call, and the calls
+        # of a blocked scan add up to the single-block scan's slots and rows
+        rows = counted_rows(monkeypatch, "_segment_hits_triangle")
+        slots = counted_rows(monkeypatch, "_plane_verdicts")
         pairs = []
         blocks = analysis._box_pairs
 
@@ -903,35 +1013,52 @@ class TestPlaneSideRejection:
                 yield i, j
 
         monkeypatch.setattr(analysis, "_box_pairs", counted)
-        for mesh, want in ((make_example("alpha-product").payload.flowed(5.0), 10_735),
+        # at t = 5, 10,735 straddling slots of which LAPACK decides 1,944
+        top = make_example("alpha-product").payload.flowed(5.0)
+        for mesh, want in ((top, (10_735, 1_944)),
                            (make_example("alpha-product").payload, None),
                            (make_example("alpha-product", m_v=8).payload.flowed(2.5), None),
                            (piercing_mesh(), None), (piercing_mesh().flowed(2.0), None)):
             monkeypatch.setattr(analysis, "_PAIR_BLOCK", ONE_BLOCK)
             rows.clear()
+            slots.clear()
             self_intersections(mesh)
-            (whole,) = rows
-            assert want in (None, whole)
+            (whole,), (straddling,) = rows, slots
+            assert want in (None, (straddling, whole))
             monkeypatch.setattr(analysis, "_PAIR_BLOCK", block)
             rows.clear()
+            slots.clear()
             pairs.clear()
             self_intersections(mesh)
-            assert len(rows) == len(pairs)
-            assert sum(rows) == whole
+            assert len(rows) == len(slots) == len(pairs)
+            assert sum(rows) == whole and sum(slots) == straddling
             # six edge tests per pair at most
-            assert all(r <= 6 * p for r, p in zip(rows, pairs))
+            assert all(s <= 6 * p for s, p in zip(slots, pairs))
             # the piercing meshes have a handful of faces and so one block
             assert len(rows) > 1 or block > 64 or len(mesh.cells) < 64
 
     def test_few_slots_reach_the_kernel(self, monkeypatch):
         # the reference makes six edge tests per face pair
-        rows = counted_kernel_rows(monkeypatch)
+        rows = counted_rows(monkeypatch, "_segment_hits_triangle")
         mesh = make_example("alpha-product").payload.flowed(5.0)
         assert len(self_intersections(mesh)) == 1396
         scanned = sum(rows)
         rows.clear()
         reference_mesh_crossings(mesh)
         assert scanned <= 0.2 * sum(rows)
+
+    @pytest.mark.parametrize("params, t", [
+        ({}, 0.0), ({}, 1.0), ({}, 5.0),
+        ({"m_v": 8}, 2.5), ({"m_u": 96, "m_v": 5, "length": 0.6}, 0.0)])
+    def test_decided_slots_match_lapack(self, monkeypatch, params, t):
+        # also under small rotations and the signed axis permutations, which
+        # move the contacts that rounding decides
+        decided = checked_verdicts(monkeypatch)
+        mesh = make_example("alpha-product", **params).payload.flowed(t)
+        for matrix in [np.eye(3)] + SMALL_ROTATIONS + SIGNED_PERMUTATIONS:
+            decided.clear()
+            analysis._mesh_crossings(turned(mesh, matrix))
+            assert sum(decided) > 500
 
     @pytest.mark.parametrize("t", [0.0, 1.0, 5.0])
     def test_middle_row_lies_in_a_ball_plane(self, t):
@@ -1006,11 +1133,79 @@ class TestEmbeddingTime:
                 raise AssertionError("the bisection does not end")
             return np.zeros((int(payload.t < 1.0 + 1e-9), 2), np.int64)
 
+        def blocks_below(payload):
+            # the t = 0 check reads the block scan
+            yield crossings_below(payload)[:, 0]
+
         monkeypatch.setattr(analysis, "self_intersections", crossings_below)
+        monkeypatch.setattr(analysis, "_curve_blocks", blocks_below)
         report = first_embedded_time(circle_curve(0.5, 16), t_max=5.0, tol=1e-300)
         assert report == EmbeddingReport(1.0 + 1e-9, 1)
         # 0 and t_max, then one halving of [0, 5] per bit down to the spacing at 1
         assert len(times) <= 2 + 55
+
+    @pytest.mark.parametrize("payload, kwargs", [
+        (piercing_mesh(), {"t_max": 2.0, "tol": 0.05}),
+        (piercing_mesh(), {"t_max": 2.0, "tol": 1e-3}),
+        (piercing_mesh(), {"t_max": 2.0, "tol": 1.5}),   # the lower end stays at 0
+        (circle_curve(0.8, 256), {}),
+        (circle_curve(0.5, 16), {}),
+        (profile_curve(1024), {"t_max": 5.0}),
+        (profile_curve(1024), {"t_max": 0.01}),
+        (make_example("alpha-product").payload, {}),
+        (make_example("alpha-product", m_v=8).payload, {}),
+        (make_example("alpha-product", m_u=96, m_v=5, length=0.6).payload, {}),
+    ], ids=["piercing-0.05", "piercing-1e-3", "piercing-1.5", "circle-0.8", "circle-0.5",
+            "profile-5", "profile-0.01", "product", "product-8", "product-5"])
+    def test_matches_the_count_based_bisection(self, payload, kwargs):
+        want = report_or_message(reference_first_embedded_time, payload, **kwargs)
+        assert report_or_message(first_embedded_time, payload, **kwargs) == want
+
+    @pytest.mark.parametrize("t", FLOW_TIMES)
+    def test_crossing_check_matches_the_count(self, t):
+        # the gallery's curve and mesh cross at every flow time; the
+        # piercing mesh and the circle give the other answer
+        for payload in (make_example("alpha-curve").payload,
+                        make_example("alpha-product").payload,
+                        piercing_mesh(), circle_curve(0.8, 256)):
+            flowed = payload.flowed(t)
+            assert analysis._crosses(flowed) == (len(self_intersections(flowed)) > 0)
+
+    def test_crossing_check_stops_at_the_first_crossing(self, monkeypatch):
+        # the t = 0 check of the default mesh reads blocks up to the first
+        # that holds a crossing (the third of eight), then the bisection's
+        # bracket fails at t_max = 5 after one full scan
+        mesh = make_example("alpha-product").payload
+        held = [len(keys) > 0 for keys in analysis._mesh_blocks(mesh)]
+        assert (len(held), held.index(True)) == (8, 2)
+        top = len(list(analysis._mesh_blocks(mesh.flowed(5.0))))
+        read = []
+        blocks = analysis._box_pairs
+
+        def counted(lo, hi):
+            read.append(0)
+            for block in blocks(lo, hi):
+                read[-1] += 1
+                yield block
+
+        monkeypatch.setattr(analysis, "_box_pairs", counted)
+        with pytest.raises(RootBracketError, match=r"\(1396 crossings remain\)"):
+            first_embedded_time(mesh)
+        assert read == [3, top]
+
+    def test_embed_check_scans_the_mesh_once(self, monkeypatch, capsys):
+        # embed-check alpha-product counts crossings in full only at t_max = 5
+        scans = []
+        scan = analysis._mesh_crossings
+
+        def recorded(mesh):
+            scans.append(mesh.t)
+            return scan(mesh)
+
+        monkeypatch.setattr(analysis, "_mesh_crossings", recorded)
+        assert cli.main(["embed-check", "alpha-product"]) == 1
+        assert "(1396 crossings remain)" in capsys.readouterr().err
+        assert scans == [5.0]
 
     def test_bad_window_parameters(self):
         with pytest.raises(SingularParameterError):
